@@ -152,19 +152,31 @@ def cmd_gap(config: RunConfig) -> int:
         if model.line_b is None:
             print("error: gap scan requires a line bundle", file=sys.stderr)
             return EXIT_INVALID
-        spec.chern_number(model)
+        c = spec.chern_number(model)
     except fg.ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    if config.N < 8:
-        print(f"warning: grid N={config.N} below resolution heuristic, "
-              "results may be coarse", file=sys.stderr)
     ks = list(range(config.k_min, config.k_max + 1))
+    # The lattice lowers the gap by about 1.95*kc/N^2 relative to 2km
+    # (measured for flux per plaquette kc/N^2 from 0.004 to 0.18), so a finer
+    # --tol than 2*kc/N^2 cannot separate a violation from grid error.
+    flux = max(abs(k * c) for k in ks) / config.N ** 2
+    if 2 * flux > config.tol:
+        print(f"error: under-resolved: flux per plaquette kc/N^2 = {flux:.4g} "
+              f"gives a lattice gap error near 2kc/N^2 = {2 * flux:.3g}, above "
+              f"--tol {config.tol:g}; increase N", file=sys.stderr)
+        return EXIT_INVALID
     try:
         reports = spec.gap_scan(model, ks, config.N)
     except spec.SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    for r in reports:
+        if r.ambiguous:
+            print(f"error: ambiguous kernel cluster at k={r.k}, N={r.N}: gap "
+                  f"{r.gap:.6g} lies within 4x the kernel threshold 2km/10",
+                  file=sys.stderr)
+            return EXIT_NUMERICAL
     rows = [r.row() for r in reports]
     ok = True
     notes = []
@@ -176,6 +188,10 @@ def cmd_gap(config: RunConfig) -> int:
         if r.kernel_dim_odd != 0:
             ok = False
             notes.append(f"k={r.k}: odd kernel dimension {r.kernel_dim_odd} != 0")
+        if r.kernel_dim_even != r.k * c:
+            ok = False
+            notes.append(f"k={r.k}: even kernel dimension {r.kernel_dim_even} "
+                         f"!= kc = {r.k * c} (Riemann-Roch)")
         target = 2 * r.k * r.m
         if r.gap < target * (1 - config.tol):
             ok = False

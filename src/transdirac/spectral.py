@@ -4,16 +4,21 @@ The torus fixtures have one leaf direction and a two-dimensional transverse
 torus carrying a line bundle whose curvature two-form is stored in units of
 2*pi, so the integer entries of i*B are Chern numbers.  The Dirac square is
 never discretized through the first-order operator (central differences of
-first order double the spectrum); instead its verified second-order normal
-form -- magnetic Bochner Laplacian plus a constant curvature endomorphism --
-is assembled with U(1) link phases:
+first order double the spectrum); its verified second-order normal form --
+magnetic Bochner Laplacian plus a constant curvature endomorphism E -- is
+used instead:
 
-* plaquette flux 2*pi*k*c / N^2 per cell in Landau gauge, with the boundary
-  column of x-links twisted by -2*pi*k*c*y/N so every plaquette, wrap-around
-  included, carries the same flux (this is where integrality of k*c enters);
+* the Bochner Laplacian H is assembled on an N x N lattice with U(1) link
+  phases: plaquette flux 2*pi*k*c / N^2 per cell in Landau gauge, with the
+  boundary column of x-links twisted by -2*pi*k*c*y/N so every plaquette,
+  wrap-around included, carries the same flux (this is where integrality
+  of k*c enters);
 * the Dirac square contains no leaf derivatives, so the leafwise-constant
-  sector carries the whole transverse spectrum; full-3D assembly is kept as
-  an option and is block-diagonal over leaf sites.
+  sector carries the whole transverse spectrum;
+* E is grading-even, and each parity block is the Kronecker sum
+  H (x) I + I (x) E_parity, whose spectrum is {h_i + e_j}.  One
+  shift-invert Lanczos solve for the lowest h_i per flux value and the
+  eigenvalues of the small fiber blocks of E give both sectors.
 
 Floating point lives only here; the symbolic layer stays exact.
 """
@@ -36,7 +41,10 @@ from .operator_calculus import DiffOp
 
 TWO_PI = 2.0 * math.pi
 
-DENSE_CUTOFF = 4096
+# Eigenvalues requested beyond the k*c of the lowest Landau level, so the
+# even kernel count is never capped by the request and the level above it
+# is seen in both sectors.
+KERNEL_MARGIN = 8
 
 
 class SolverError(RuntimeError):
@@ -83,46 +91,27 @@ def invariants_2pi(model: FrameModel) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # link phases and the magnetic Bochner Laplacian
 
-def _site_index(N: int):
-    def idx(x: int, y: int) -> int:
-        return (x % N) * N + (y % N)
-    return idx
-
-
-def hop_matrices(N: int, flux_quanta: int,
-                 gauge_phase: np.ndarray | None = None) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+def hop_matrices(N: int, flux_quanta: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Forward hop operators (U_x psi)(x,y) = e^{i theta} psi(x+1,y) etc. in
     Landau gauge with a twisted boundary column; total flux 2*pi*flux_quanta.
-
-    `gauge_phase`, when given, applies the lattice gauge transformation
-    psi -> e^{i g} psi to the links (spectrum-preserving)."""
-    idx = _site_index(N)
+    Site (x, y) has index x*N + y."""
     dim = N * N
     a = TWO_PI * flux_quanta
-    rows_x, cols_x, vals_x = [], [], []
-    rows_y, cols_y, vals_y = [], [], []
-    for x in range(N):
-        for y in range(N):
-            i = idx(x, y)
-            jx = idx(x + 1, y)
-            phase_x = -a * y / N if x == N - 1 else 0.0
-            jy = idx(x, y + 1)
-            phase_y = a * x / (N * N)
-            if gauge_phase is not None:
-                phase_x += gauge_phase[i] - gauge_phase[jx]
-                phase_y += gauge_phase[i] - gauge_phase[jy]
-            rows_x.append(i), cols_x.append(jx), vals_x.append(np.exp(1j * phase_x))
-            rows_y.append(i), cols_y.append(jy), vals_y.append(np.exp(1j * phase_y))
-    Ux = sp.csr_matrix((vals_x, (rows_x, cols_x)), shape=(dim, dim))
-    Uy = sp.csr_matrix((vals_y, (rows_y, cols_y)), shape=(dim, dim))
+    site = np.arange(dim)
+    x, y = np.divmod(site, N)
+    jx = (x + 1) % N * N + y
+    jy = x * N + (y + 1) % N
+    phase_x = np.where(x == N - 1, -a * y / N, 0.0)
+    phase_y = a * x / (N * N)
+    Ux = sp.csr_matrix((np.exp(1j * phase_x), (site, jx)), shape=(dim, dim))
+    Uy = sp.csr_matrix((np.exp(1j * phase_y), (site, jy)), shape=(dim, dim))
     return Ux, Uy
 
 
-def magnetic_bochner(N: int, flux_quanta: int,
-                     gauge_phase: np.ndarray | None = None) -> sp.csr_matrix:
+def magnetic_bochner(N: int, flux_quanta: int) -> sp.csr_matrix:
     """sum over the two transverse directions of (2 - U - U^dagger)/h^2 with
     h = 1/N: the positive magnetic Bochner Laplacian."""
-    Ux, Uy = hop_matrices(N, flux_quanta, gauge_phase)
+    Ux, Uy = hop_matrices(N, flux_quanta)
     dim = N * N
     h2 = 1.0 / (N * N)
     eye = sp.identity(dim, format="csr", dtype=complex)
@@ -131,29 +120,7 @@ def magnetic_bochner(N: int, flux_quanta: int,
 
 
 # ---------------------------------------------------------------------------
-# lattice operators
-
-@dataclass
-class LatticeOperator:
-    model_name: str
-    k: int
-    N: int
-    fiber_dim: int
-    reduced: bool
-    matrix: sp.csr_matrix
-    label: str = ""
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def hermiticity_defect(self) -> float:
-        d = self.matrix - self.matrix.getH()
-        return 0.0 if d.nnz == 0 else np.max(np.abs(d.data))
-
-    def is_exactly_hermitian(self) -> bool:
-        return (self.matrix != self.matrix.getH()).nnz == 0
-
+# the constant fiber term
 
 def _constant_endomorphism(model: FrameModel, k: int) -> np.ndarray:
     """Float matrix of the constant fiber term k c(R^L) in physical units.
@@ -172,111 +139,40 @@ def _constant_endomorphism(model: FrameModel, k: int) -> np.ndarray:
     return TWO_PI * k * out
 
 
-def discretize(model: FrameModel, k: int, N: int, fiber: str = "spinor",
-               reduced: bool = True, n_leaf: int | None = None,
-               gauge_phase: np.ndarray | None = None) -> LatticeOperator:
-    """Assemble the Dirac square (fiber="spinor") or the plain line-bundle
-    Bochner Laplacian (fiber="line") at tensor power k on an N x N transverse
-    lattice.  Exactly Hermitian by construction.
-
-    reduced=False tensors with `n_leaf` leaf sites; the operator carries no
-    leaf derivatives, so this multiplies every multiplicity by n_leaf."""
-    require_flat_torus(model)
-    if N < 4 or N % 2:
-        raise ModelError("N must be even and >= 4")
-    c = chern_number(model)
-    if k and model.line_b is None:
-        raise ModelError("k != 0 requires a line bundle")
-    H = magnetic_bochner(N, k * c, gauge_phase)
-    if fiber == "line":
-        fdim = 1
-        full = H
-    elif fiber == "spinor":
-        E = _constant_endomorphism(model, k)
-        fdim = E.shape[0]
-        full = sp.kron(H, sp.identity(fdim, dtype=complex, format="csr"),
-                       format="csr")
-        full = full + sp.kron(sp.identity(N * N, dtype=complex, format="csr"),
-                              sp.csr_matrix(E), format="csr")
-    else:
-        raise ModelError(f"unknown fiber {fiber!r}")
-    if not reduced:
-        nl = n_leaf if n_leaf is not None else N
-        full = sp.kron(sp.identity(nl, dtype=complex, format="csr"), full,
-                       format="csr")
-    op = LatticeOperator(model_name=model.name, k=k, N=N, fiber_dim=fdim,
-                         reduced=reduced, matrix=full.tocsr(),
-                         label=f"{fiber} k={k} N={N}")
-    return op
-
-
-def parity_blocks(model: FrameModel, k: int, N: int) \
-        -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """(even, odd) blocks of the Dirac square; the constant endomorphism is
-    grading-even, so the two sectors decouple exactly."""
-    require_flat_torus(model)
-    c = chern_number(model)
-    H = magnetic_bochner(N, k * c)
+def parity_blocks(model: FrameModel, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the constant endomorphism on the (even, odd) spinors.
+    It is grading-even, so the two sectors of the Dirac square decouple
+    exactly."""
     E = _constant_endomorphism(model, k)
-    fdim = E.shape[0]
-    even_ix = [m for m in range(fdim) if bin(m).count("1") % 2 == 0]
-    odd_ix = [m for m in range(fdim) if bin(m).count("1") % 2 == 1]
-    off = E[np.ix_(even_ix, odd_ix)]
-    if np.max(np.abs(off)) > 0:
+    odd = np.array([bin(m).count("1") % 2 == 1 for m in range(E.shape[0])])
+    if np.any(E[np.ix_(~odd, odd)]):
         raise ModelError("curvature endomorphism is not grading-even")
-    eye = sp.identity(N * N, dtype=complex, format="csr")
-    blocks = []
-    for ix in (even_ix, odd_ix):
-        sub = sp.csr_matrix(E[np.ix_(ix, ix)])
-        blocks.append((sp.kron(H, sp.identity(len(ix), dtype=complex, format="csr"))
-                       + sp.kron(eye, sub)).tocsr())
-    return blocks[0], blocks[1]
+    return (np.linalg.eigvalsh(E[np.ix_(~odd, ~odd)]),
+            np.linalg.eigvalsh(E[np.ix_(odd, odd)]))
 
 
 # ---------------------------------------------------------------------------
-# eigensolvers
+# eigensolver
 
-def eigen(op: LatticeOperator | sp.csr_matrix, count: int,
-          method: str = "auto", cross_check: bool = False) -> np.ndarray:
-    """Lowest `count` eigenvalues, ascending.  Dense below DENSE_CUTOFF,
-    Lanczos (ARPACK) above; `cross_check` runs both and asserts agreement."""
-    M = op.matrix if isinstance(op, LatticeOperator) else op
+def eigen(M: sp.spmatrix, count: int) -> np.ndarray:
+    """Lowest `count` eigenvalues of the positive semidefinite Hermitian M,
+    ascending.
+
+    Shift-invert Lanczos (ARPACK) about sigma = -1: the shift lies below the
+    spectrum, so the eigenvalues nearest it are the lowest.  ARPACK needs
+    count < dim - 1; smaller problems take a dense eigvalsh."""
     dim = M.shape[0]
     count = min(count, dim)
-    if method == "auto":
-        method = "dense" if dim <= DENSE_CUTOFF else "sparse"
-    if method == "dense":
-        vals = np.linalg.eigvalsh(M.toarray())[:count]
-    elif method == "sparse":
-        vals = _eigsh_lowest(M, count)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    if cross_check:
-        other = _eigsh_lowest(M, count) if method == "dense" \
-            else np.linalg.eigvalsh(M.toarray())[:count]
-        if np.max(np.abs(vals - other)) > 1e-8 * max(1.0, np.max(np.abs(vals))):
-            raise SolverError("dense and Lanczos eigenvalues disagree")
-    return vals
-
-
-def _eigsh_lowest(M: sp.csr_matrix, count: int) -> np.ndarray:
-    dim = M.shape[0]
-    k = min(count, dim - 2)
+    if count >= dim - 1:
+        return np.linalg.eigvalsh(M.toarray())[:count]
     try:
-        vals = spla.eigsh(M, k=k, which="SA", maxiter=5000,
+        vals = spla.eigsh(M.tocsc(), k=count, sigma=-1.0,
                           return_eigenvectors=False)
     except spla.ArpackNoConvergence as exc:
-        got = np.sort(exc.eigenvalues) if exc.eigenvalues is not None else []
         raise SolverError(
-            f"Lanczos did not converge: {len(got)}/{k} eigenvalues") from exc
-    return np.sort(vals)[:count]
-
-
-def discretization_allowance(k: int, c: int, N: int) -> float:
-    """Bound on how far the kernel cluster of the discrete Dirac square can
-    dip below zero: the lattice lowest level sits O((pi k c / N)^2) under the
-    continuum one."""
-    return 2.0 * (math.pi * k * abs(c) / N) ** 2 + 1e-9
+            f"shift-invert Lanczos did not converge: "
+            f"{len(exc.eigenvalues)}/{count} eigenvalues") from exc
+    return np.sort(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +203,19 @@ class SpectrumReport:
 def spectrum_report(model: FrameModel, k: int, N: int,
                     count: int = 40) -> SpectrumReport:
     """Eigenvalue report for one k: kernel clusters per parity sector, the
-    gap above them, and the fitted defect C = max(0, 2km - gap)."""
+    gap above them, and the fitted defect C = max(0, 2km - gap).
+
+    At least k*c + KERNEL_MARGIN eigenvalues are taken per sector, so the
+    kernel count is not capped by `count`."""
     t0 = time.perf_counter()
     lam, m = invariants_2pi(model)
-    even, odd = parity_blocks(model, k, N)
-    ev_even = eigen(even, count)
-    ev_odd = eigen(odd, count)
+    require_flat_torus(model)
+    kc = k * chern_number(model)
+    H = magnetic_bochner(N, kc)
+    e_even, e_odd = parity_blocks(model, k)
+    h = eigen(H, max(count, abs(kc) + KERNEL_MARGIN))
+    ev_even, ev_odd = (np.sort(np.add.outer(h, e).ravel())[:len(h)]
+                       for e in (e_even, e_odd))
     allvals = np.sort(np.concatenate([ev_even, ev_odd]))
     thr = (2 * k * m) / 10.0 if k >= 1 and m > 0 else 1e-6
     kernel_even = int(np.sum(ev_even < thr))
@@ -332,15 +235,6 @@ def gap_scan(model: FrameModel, k_values, N: int, count: int = 40) -> list[Spect
     return [spectrum_report(model, k, N, count) for k in k_values]
 
 
-def kernel_odd(model: FrameModel, k: int, N: int) -> int:
-    rep = spectrum_report(model, k, N)
-    if rep.ambiguous:
-        raise SolverError(
-            f"ambiguous kernel cluster at k={k}, N={N}: gap {rep.gap:.3g} too "
-            f"close to the threshold")
-    return rep.kernel_dim_odd
-
-
 @dataclass
 class LowerBoundReport:
     k: int
@@ -358,14 +252,14 @@ def lemma1_estimate(model: FrameModel, k_values, N: int) -> list[LowerBoundRepor
     """Lower-bound scan for the plain line-bundle Bochner Laplacian: reports
     C_k = max(0, k*lambda - min eig), which the estimate asserts is bounded
     uniformly in k (on the torus the integrability term is absent)."""
+    require_flat_torus(model)
+    c = chern_number(model)
     lam, _ = invariants_2pi(model)
     out = []
     for k in k_values:
-        op = discretize(model, k, N, fiber="line")
-        ev = eigen(op, 1)
-        defect = max(0.0, k * lam - float(ev[0]))
-        out.append(LowerBoundReport(k=k, N=N, min_eigenvalue=float(ev[0]),
-                                    k_lambda=k * lam, defect=defect))
+        low = float(eigen(magnetic_bochner(N, k * c), 1)[0])
+        out.append(LowerBoundReport(k=k, N=N, min_eigenvalue=low, k_lambda=k * lam,
+                                    defect=max(0.0, k * lam - low)))
     return out
 
 
@@ -385,6 +279,16 @@ def _split_coefficient(M1: Mat | None, M0: Mat | None, dim: int) -> np.ndarray:
         for (i, j), v in M1.d.items():
             out1[i, j] = complex(v)
     return out0 + TWO_PI * (out1 - out0)
+
+
+@dataclass
+class LatticeOperator:
+    model_name: str
+    k: int
+    N: int
+    fiber_dim: int
+    matrix: sp.csr_matrix
+    label: str = ""
 
 
 def discretize_diffop(op_pair: tuple[DiffOp, DiffOp], N: int) -> LatticeOperator:
@@ -442,7 +346,7 @@ def discretize_diffop(op_pair: tuple[DiffOp, DiffOp], N: int) -> LatticeOperator
             continue
         acc = acc + sp.kron(S, sp.csr_matrix(coeff), format="csr")
     return LatticeOperator(model_name=model.name, k=k, N=N, fiber_dim=fdim,
-                           reduced=True, matrix=acc.tocsr(), label="diffop")
+                           matrix=acc.tocsr(), label="diffop")
 
 
 def cross_validate(lhs_pair: tuple[DiffOp, DiffOp],
@@ -463,6 +367,3 @@ def cross_validate(lhs_pair: tuple[DiffOp, DiffOp],
         worst = max(worst, float(np.linalg.norm(ls - rs) / denom))
     return worst
 
-
-def random_gauge_phase(N: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.uniform(0.0, TWO_PI, size=N * N)

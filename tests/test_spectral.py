@@ -1,0 +1,147 @@
+"""Lattice spectra on the flat torus: link phases, the Kronecker-sum
+eigenvalues of the Dirac square against a dense assembly, and the gap CLI."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from transdirac import cli
+from transdirac import frame_geometry as fg
+from transdirac import spectral
+
+
+@pytest.fixture(scope="module")
+def landau():
+    return fg.resolve_model("t3_landau")
+
+
+# -- link phases -------------------------------------------------------------
+
+def loop_hop_matrices(N, flux_quanta):
+    """Site-by-site reference for the vectorised hop_matrices."""
+    a = 2.0 * math.pi * flux_quanta
+    Ux = np.zeros((N * N, N * N), dtype=complex)
+    Uy = np.zeros((N * N, N * N), dtype=complex)
+    for x in range(N):
+        for y in range(N):
+            i = x * N + y
+            Ux[i, (x + 1) % N * N + y] = np.exp(1j * (-a * y / N if x == N - 1 else 0.0))
+            Uy[i, x * N + (y + 1) % N] = np.exp(1j * (a * x / (N * N)))
+    return Ux, Uy
+
+
+@pytest.mark.parametrize("N,kc", [(4, 0), (6, 1), (10, -3)])
+def test_hop_matrices_match_site_loop(N, kc):
+    for got, want in zip(spectral.hop_matrices(N, kc), loop_hop_matrices(N, kc)):
+        np.testing.assert_array_equal(got.toarray(), want)
+
+
+@pytest.mark.parametrize("N,kc", [(8, 1), (12, 5), (10, -3)])
+def test_every_plaquette_carries_the_same_holonomy(N, kc):
+    Ux, Uy = (U.toarray() for U in spectral.hop_matrices(N, kc))
+    x, y = np.divmod(np.arange(N * N), N)
+    right = (x + 1) % N * N + y
+    up = x * N + (y + 1) % N
+    corner = (x + 1) % N * N + (y + 1) % N
+    site = np.arange(N * N)
+    loop = (Ux[site, right] * Uy[right, corner]
+            * Ux[up, corner].conj() * Uy[site, up].conj())
+    angle = np.angle(loop)
+    np.testing.assert_allclose(angle, angle[0], atol=1e-12)
+    assert abs(angle[0]) == pytest.approx(2 * math.pi * abs(kc) / N ** 2, abs=1e-12)
+    assert abs(angle.sum()) == pytest.approx(2 * math.pi * abs(kc), abs=1e-9)
+
+
+# -- eigenvalues -------------------------------------------------------------
+
+def assembled_parity_blocks(model, k, N):
+    """Test oracle: the explicit (even, odd) blocks H (x) I + I (x) E_parity
+    of the lattice Dirac square."""
+    H = spectral.magnetic_bochner(N, k * spectral.chern_number(model))
+    E = spectral._constant_endomorphism(model, k)
+    odd = np.array([bin(m).count("1") % 2 == 1 for m in range(E.shape[0])])
+    blocks = []
+    for ix in (~odd, odd):
+        sub = E[np.ix_(ix, ix)]
+        blocks.append(sp.kron(H, np.eye(len(sub))) + sp.kron(sp.identity(N * N), sub))
+    return blocks
+
+
+@pytest.mark.parametrize("N", [8, 12])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_kronecker_sum_matches_dense_parity_blocks(landau, N, k):
+    rep = spectral.spectrum_report(landau, k, N)
+    count = len(rep.eigenvalues) // 2
+    even, odd = (np.linalg.eigvalsh(B.toarray())[:count]
+                 for B in assembled_parity_blocks(landau, k, N))
+    np.testing.assert_allclose(rep.eigenvalues, np.sort(np.concatenate([even, odd])),
+                               rtol=1e-10, atol=1e-8)
+    thr = 2 * k * rep.m / 10
+    assert rep.kernel_dim_even == np.sum(even < thr) == k
+    assert rep.kernel_dim_odd == np.sum(odd < thr) == 0
+
+
+def test_kernel_count_is_not_capped_by_requested_count(landau):
+    rep = spectral.spectrum_report(landau, k=12, N=32, count=8)
+    assert rep.kernel_dim_even == 12
+    assert rep.kernel_dim_odd == 0
+    assert not rep.ambiguous
+
+
+def test_small_grid_takes_dense_fallback(monkeypatch):
+    H = spectral.magnetic_bochner(4, 1)
+    dense = np.linalg.eigvalsh(H.toarray())
+    lanczos = spectral.eigen(H, 14)
+    np.testing.assert_allclose(lanczos, dense[:14], atol=1e-9)
+
+    def no_arpack(*args, **kwargs):
+        raise AssertionError("ARPACK called with count >= dim - 1")
+
+    monkeypatch.setattr(spectral.spla, "eigsh", no_arpack)
+    np.testing.assert_array_equal(spectral.eigen(H, 40), dense)
+    np.testing.assert_array_equal(spectral.eigen(H, 15), dense[:15])
+
+
+def test_lemma1_lowest_level_sits_at_k_lambda(landau):
+    reps = spectral.lemma1_estimate(landau, [1, 2], 16)
+    for rep in reps:
+        assert rep.min_eigenvalue == pytest.approx(rep.k_lambda, rel=2 * rep.k / 16 ** 2)
+        assert rep.defect == rep.k_lambda - rep.min_eigenvalue
+
+
+# -- the gap command ---------------------------------------------------------
+
+def test_gap_cli_passes_on_resolved_grid(capsys):
+    assert cli.main(["gap", "--model", "t3_landau", "--k", "1..4", "--N", "24"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [(r["kernel_even"], r["kernel_odd"]) for r in report["rows"]] == \
+        [(1, 0), (2, 0), (3, 0), (4, 0)]
+    assert report["passed"] and report["notes"] == []
+
+
+def test_gap_cli_rejects_under_resolved_flux(capsys):
+    assert cli.main(["gap", "--model", "t3_landau", "--k", "45", "--N", "16"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "under-resolved" in captured.err
+
+
+@pytest.mark.parametrize("change,code,message", [
+    ({"ambiguous": True}, 3, "ambiguous"),
+    ({"kernel_dim_even": 2}, 1, "Riemann-Roch"),
+])
+def test_gap_cli_exit_codes_on_bad_reports(monkeypatch, capsys, change, code, message):
+    def fake_scan(model, ks, N):
+        m = 2 * math.pi
+        base = dict(k=1, N=N, eigenvalues=np.zeros(0), gap=2 * m,
+                    kernel_dim_even=1, kernel_dim_odd=0, fitted_C=0.0, lam=m, m=m,
+                    ambiguous=False, runtime_ms=0.0)
+        return [spectral.SpectrumReport(**{**base, **change})]
+
+    monkeypatch.setattr(cli.spec, "gap_scan", fake_scan)
+    assert cli.main(["gap", "--model", "t3_landau", "--k", "1", "--N", "24"]) == code
+    captured = capsys.readouterr()
+    assert message in captured.out + captured.err
