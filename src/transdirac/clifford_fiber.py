@@ -1,14 +1,20 @@
 """Exact Clifford and exterior algebra of the normal fiber.
 
 Basis bookkeeping is by bitmask: the exterior monomial f_{i1} ^ ... ^ f_{ik}
-(indices ascending, 1-based in the API, bits 0-based internally) is the
-integer with those bits set.  The two fibers in play are
+(indices ascending, bits 0-based) is the integer with those bits set.  Every
+action is a matrix on that basis; the two fibers in play are
 
 * the full exterior algebra on q generators (dimension 2^q), on which the
   Clifford algebra acts by c(f) = ext(f*) - int(f), and
 * the spinor fiber attached to an orthogonal complex structure J: the
   exterior algebra on the l = q/2 anti-holomorphic covectors, on which
   c(f) = sqrt(2) (ext of the (1,0)-part dual - int of the (0,1)-part).
+
+A vector v acts through the generators by linearity, c(v) = sum_a v_a c(f_a)
+(`vector_action`), and a skew endomorphism A through its spin lift
+(1/4) sum A_gb c(f_b) c(f_g) (`spin_lift`).  Multivector and Clifford-element
+arithmetic is not part of the package: tests/multivector_oracle.py computes
+the same actions term by term, as an independent oracle for these matrices.
 
 Everything is exact; the module also certifies the two fiberwise facts the
 vanishing argument rests on: the curvature action is the constant -lambda
@@ -25,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import F0, I, ONE, SQRT2, ZERO, Scalar, rational
-from .matrices import Mat
+from .matrices import Mat, accumulate, apply_to_vector
 
 
 class DegenerateCurvature(ValueError):
@@ -60,256 +66,58 @@ def int_bit(mask: int, j: int) -> tuple[int, int]:
     return mask & ~bit, _sign_below(mask, j)
 
 
-def ext_matrix(n_gen: int, j: int) -> Mat:
+def _bit_matrix(n_gen: int, j: int, action) -> Mat:
     dim = 1 << n_gen
     entries = {}
     for mask in range(dim):
-        new, sg = ext_bit(mask, j)
+        new, sg = action(mask, j)
         if sg:
             entries[(new, mask)] = rational(sg)
     return Mat(dim, dim, entries)
+
+
+def ext_matrix(n_gen: int, j: int) -> Mat:
+    """Wedge by generator j (0-based) on the exterior algebra of n_gen."""
+    return _bit_matrix(n_gen, j, ext_bit)
 
 
 def int_matrix(n_gen: int, j: int) -> Mat:
-    dim = 1 << n_gen
-    entries = {}
-    for mask in range(dim):
-        new, sg = int_bit(mask, j)
-        if sg:
-            entries[(new, mask)] = rational(sg)
-    return Mat(dim, dim, entries)
+    """Contraction by generator j (0-based) on the exterior algebra of n_gen."""
+    return _bit_matrix(n_gen, j, int_bit)
 
 
-# ---------------------------------------------------------------------------
-# multivectors and Clifford elements
-
-class Multivector:
-    """Element of the exterior algebra on q generators, exact coefficients."""
-
-    __slots__ = ("q", "terms")
-
-    def __init__(self, q: int, terms: dict[int, Scalar] | None = None):
-        object.__setattr__(self, "q", q)
-        clean = {}
-        if terms:
-            for mask, v in terms.items():
-                v = Scalar.of(v)
-                if not v.is_zero():
-                    if mask >> q:
-                        raise ValueError(f"mask {mask} out of range for q={q}")
-                    clean[mask] = v
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("Multivector is immutable")
-
-    @staticmethod
-    def unit(q: int) -> "Multivector":
-        return Multivector(q, {0: ONE})
-
-    @staticmethod
-    def generator(q: int, index: int) -> "Multivector":
-        """Basis vector f_index, 1-based."""
-        if not 1 <= index <= q:
-            raise ValueError(f"index {index} out of range 1..{q}")
-        return Multivector(q, {1 << (index - 1): ONE})
-
-    @staticmethod
-    def monomial(q: int, indices, coeff=ONE) -> "Multivector":
-        mask = 0
-        for ix in indices:
-            if not 1 <= ix <= q:
-                raise ValueError(f"index {ix} out of range 1..{q}")
-            bit = 1 << (ix - 1)
-            if mask & bit:
-                return Multivector(q)
-            mask |= bit
-        return Multivector(q, {mask: Scalar.of(coeff)})
-
-    def coeff(self, indices) -> Scalar:
-        mask = 0
-        for ix in indices:
-            mask |= 1 << (ix - 1)
-        return self.terms.get(mask, ZERO)
-
-    def __add__(self, other: "Multivector") -> "Multivector":
-        self._check(other)
-        t = dict(self.terms)
-        for mask, v in other.terms.items():
-            s = t.get(mask)
-            w = v if s is None else s + v
-            if w.is_zero():
-                t.pop(mask, None)
-            else:
-                t[mask] = w
-        return Multivector(self.q, t)
-
-    def __sub__(self, other: "Multivector") -> "Multivector":
-        return self + other.scale(rational(-1))
-
-    def __neg__(self):
-        return self.scale(rational(-1))
-
-    def scale(self, s) -> "Multivector":
-        s = Scalar.of(s)
-        return Multivector(self.q, {m: s * v for m, v in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        return self.q == other.q and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.q, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree_part(self, k: int) -> "Multivector":
-        return Multivector(self.q, {m: v for m, v in self.terms.items()
-                                    if m.bit_count() == k})
-
-    def top_degree(self) -> int:
-        return max((m.bit_count() for m in self.terms), default=0)
-
-    def wedge(self, other: "Multivector") -> "Multivector":
-        self._check(other)
-        out: dict[int, Scalar] = {}
-        for ma, va in self.terms.items():
-            for mb, vb in other.terms.items():
-                if ma & mb:
-                    continue
-                # each generator of mb moves left past the generators of ma above it
-                sg_count = 0
-                rem = mb
-                while rem:
-                    low = rem & -rem
-                    j = low.bit_length() - 1
-                    sg_count += (ma >> (j + 1)).bit_count()
-                    rem ^= low
-                sg = -1 if sg_count & 1 else 1
-                key = ma | mb
-                add = va * vb * rational(sg)
-                s = out.get(key)
-                w = add if s is None else s + add
-                if w.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = w
-        return Multivector(self.q, out)
-
-    def _check(self, other: "Multivector"):
-        if self.q != other.q:
-            raise ValueError(f"rank mismatch: {self.q} vs {other.q}")
-
-    def max_abs_float(self) -> float:
-        return max((v.abs_float() for v in self.terms.values()), default=0.0)
-
-    def __repr__(self):
-        if not self.terms:
-            return "Multivector(0)"
-        bits = []
-        for mask in sorted(self.terms, key=lambda m: (m.bit_count(), m)):
-            name = "1" if mask == 0 else "^".join(
-                f"f{j + 1}" for j in range(self.q) if mask >> j & 1)
-            bits.append(f"({self.terms[mask]})*{name}")
-        return " + ".join(bits)
+def vector_action(vec, gens: tuple[Mat, ...]) -> Mat:
+    """sum_a vec_a gens[a]: the action of the vector with components `vec`
+    through the actions `gens` of the basis vectors (Clifford, wedge or
+    contraction alike)."""
+    acc = Mat.zero(gens[0].n)
+    for a, comp in enumerate(vec):
+        comp = Scalar.of(comp)
+        if not comp.is_zero():
+            acc = acc + gens[a].scale(comp)
+    return acc
 
 
-def lambda_action(index: int, omega: Multivector) -> Multivector:
-    """Clifford action of the basis vector f_index on the exterior algebra,
-    c(f) = ext(f*) - int(f)."""
-    q = omega.q
-    if not 1 <= index <= q:
-        raise ValueError(f"index {index} out of range 1..{q}")
-    j = index - 1
-    out: dict[int, Scalar] = {}
-    for mask, v in omega.terms.items():
-        new, sg = ext_bit(mask, j)
-        if sg:
-            _acc(out, new, v if sg > 0 else -v)
-        new, sg = int_bit(mask, j)
-        if sg:
-            _acc(out, new, -v if sg > 0 else v)
-    return Multivector(q, out)
+def spin_lift(A: Mat, cliffords: tuple[Mat, ...]) -> Mat:
+    """(1/4) sum_{g,b} A_gb c(f_b) c(f_g) for a skew endomorphism A of the
+    horizontal space; its commutator with c(v) is c(A v)."""
+    quarter = rational(1, 4)
+    acc = Mat.zero(cliffords[0].n)
+    for (g, b), coeff in A.d.items():
+        acc = acc + (cliffords[b] @ cliffords[g]).scale(coeff * quarter)
+    return acc
 
 
-def _acc(store: dict[int, Scalar], key: int, val: Scalar):
-    s = store.get(key)
-    w = val if s is None else s + val
-    if w.is_zero():
-        store.pop(key, None)
-    else:
-        store[key] = w
-
-
-class CliffordElement:
-    """Element of Cl(q), stored through its symbol (a multivector)."""
-
-    __slots__ = ("q", "rep")
-
-    def __init__(self, rep: Multivector):
-        object.__setattr__(self, "q", rep.q)
-        object.__setattr__(self, "rep", rep)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("CliffordElement is immutable")
-
-    @staticmethod
-    def unit(q: int) -> "CliffordElement":
-        return CliffordElement(Multivector.unit(q))
-
-    @staticmethod
-    def generator(q: int, index: int) -> "CliffordElement":
-        return CliffordElement(Multivector.generator(q, index))
-
-    def apply(self, omega: Multivector) -> Multivector:
-        """Left module action on the exterior algebra: c(self) omega."""
-        if omega.q != self.q:
-            raise ValueError(f"rank mismatch: {self.q} vs {omega.q}")
-        out = Multivector(self.q)
-        for mask, v in self.rep.terms.items():
-            w = omega
-            for j in reversed(range(self.q)):
-                if mask >> j & 1:
-                    w = lambda_action(j + 1, w)
-            out = out + w.scale(v)
-        return out
-
-    def __add__(self, other: "CliffordElement") -> "CliffordElement":
-        return CliffordElement(self.rep + other.rep)
-
-    def __sub__(self, other: "CliffordElement") -> "CliffordElement":
-        return CliffordElement(self.rep - other.rep)
-
-    def scale(self, s) -> "CliffordElement":
-        return CliffordElement(self.rep.scale(s))
-
-    def __eq__(self, other):
-        if not isinstance(other, CliffordElement):
-            return NotImplemented
-        return self.rep == other.rep
-
-    def __hash__(self):
-        return hash(("cl", self.rep))
-
-    def __repr__(self):
-        return f"Cl[{self.rep!r}]"
-
-
-def clifford_mul(a: CliffordElement, b: CliffordElement) -> CliffordElement:
-    """Product in Cl(q): apply the module action of a to the symbol of b."""
-    if a.q != b.q:
-        raise ValueError(f"rank mismatch: {a.q} vs {b.q}")
-    return CliffordElement(a.apply(b.rep))
-
-
-def symbol(a: CliffordElement) -> Multivector:
-    return a.rep
-
-
-def quantize(omega: Multivector) -> CliffordElement:
-    return CliffordElement(omega)
+def pair_action(B: Mat, left: tuple[Mat, ...], right: tuple[Mat, ...]) -> Mat:
+    """sum_{a<b} B_ab left[a] right[b] for a scalar two-form B; with the
+    Clifford actions on both sides this is (1/2) sum_{a,b} B_ab c(f_a) c(f_b)."""
+    acc = Mat.zero(left[0].n, right[0].m)
+    for a in range(len(left)):
+        for b in range(a + 1, len(left)):
+            coeff = B.entry(a, b)
+            if not coeff.is_zero():
+                acc = acc + (left[a] @ right[b]).scale(coeff)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +136,6 @@ def _dot(u: tuple[Scalar, ...], v: tuple[Scalar, ...]) -> Scalar:
     for a, b in zip(u, v):
         s = s + a * b
     return s
-
-
-def _mat_apply(M: Mat, v: tuple[Scalar, ...]) -> tuple[Scalar, ...]:
-    out = [ZERO] * M.n
-    for (i, j), u in M.d.items():
-        out[i] = out[i] + u * v[j]
-    return tuple(out)
 
 
 class ComplexStructure:
@@ -425,7 +226,8 @@ class ComplexStructure:
                     "in Q(sqrt2)") from exc
             v = tuple(inv_norm * a for a in v)
             frame.append(v)
-            frame.append(_mat_apply(jmat, v))
+            jv = apply_to_vector(jmat, dict(enumerate(v)))
+            frame.append(tuple(jv.get(i, ZERO) for i in range(q)))
         return ComplexStructure(jmat, tuple(frame))
 
     def __eq__(self, other):
@@ -437,42 +239,12 @@ class ComplexStructure:
         return hash((self.jmat, self.frame))
 
 
-def spinor_action(f: tuple[Scalar, ...] | list, J: ComplexStructure,
-                  twist_dim: int = 1) -> Mat:
+def spinor_action(f, J: ComplexStructure) -> Mat:
     """Matrix of c(f) = sqrt2 (ext of the (1,0)-dual - int of the (0,1)-part)
-    on the spinor fiber, tensored with the identity on a twist factor.
-
-    In the adapted frame the sqrt2 cancels:
-    c(f) = sum_j (g(f,v_j) + i g(f,Jv_j)) ext_j - (g(f,v_j) - i g(f,Jv_j)) int_j.
-    """
-    fvec = tuple(Scalar.of(x) for x in f)
-    if len(fvec) != J.q:
-        raise ValueError(f"vector length {len(fvec)} != q={J.q}")
-    l = J.l
-    dim = 1 << l
-    entries: dict[tuple[int, int], Scalar] = {}
-    for j in range(l):
-        gv = _dot(fvec, J.frame[2 * j])
-        gjv = _dot(fvec, J.frame[2 * j + 1])
-        chi = gv + I * gjv
-        chibar = gv - I * gjv
-        if chi.is_zero() and chibar.is_zero():
-            continue
-        for mask in range(dim):
-            new, sg = ext_bit(mask, j)
-            if sg and not chi.is_zero():
-                v = chi if sg > 0 else -chi
-                key = (new, mask)
-                entries[key] = entries.get(key, ZERO) + v
-            new, sg = int_bit(mask, j)
-            if sg and not chibar.is_zero():
-                v = -chibar if sg > 0 else chibar
-                key = (new, mask)
-                entries[key] = entries.get(key, ZERO) + v
-    M = Mat(dim, dim, entries)
-    if twist_dim > 1:
-        M = M.kron(Mat.identity(twist_dim))
-    return M
+    on the spinor fiber, for a vector f given by components."""
+    if len(f) != J.q:
+        raise ValueError(f"vector length {len(f)} != q={J.q}")
+    return vector_action(f, spinor_cliffords(J))
 
 
 def spinor_cliffords(J: ComplexStructure, twist_dim: int = 1) -> tuple[Mat, ...]:
@@ -550,28 +322,17 @@ def k_matrix(B: Mat) -> Mat:
     return K
 
 
-def two_form_action(B: Mat, J: ComplexStructure, twist_dim: int = 1,
+def two_form_action(B: Mat, J: ComplexStructure,
                     cliffords: tuple[Mat, ...] | None = None) -> Mat:
     """Clifford action (1/2) sum_{ab} c(f_a) c(f_b) B_ab on the spinor fiber.
 
     By antisymmetry this is sum_{a<b} B_ab c(f_a) c(f_b); the result is
     Hermitian and grading-even."""
     validate_two_form(B)
-    q = J.q
-    if B.n != q:
-        raise ValueError(f"two-form rank {B.n} != q={q}")
+    if B.n != J.q:
+        raise ValueError(f"two-form rank {B.n} != q={J.q}")
     cs = cliffords if cliffords is not None else spinor_cliffords(J)
-    dim = cs[0].n
-    out = Mat.zero(dim, dim)
-    for a in range(q):
-        for b in range(a + 1, q):
-            coeff = B.entry(a, b)
-            if coeff.is_zero():
-                continue
-            out = out + (cs[a] @ cs[b]).scale(coeff)
-    if twist_dim > 1:
-        out = out.kron(Mat.identity(twist_dim))
-    return out
+    return pair_action(B, cs, cs)
 
 
 # -- exact root extraction for the skew eigenproblem -------------------------
@@ -675,10 +436,7 @@ def skew_invariants(B: Mat) -> tuple[tuple[Scalar, ...], Scalar, Scalar]:
             raise DegenerateCurvature("degenerate curvature: nonpositive mu^2")
         mus.append(y.sqrt())
     mus.sort(key=lambda s: float(s), reverse=True)
-    lam = ZERO
-    for mu in mus:
-        lam = lam + mu
-    return tuple(mus), lam, mus[-1]
+    return tuple(mus), sum(mus, ZERO), mus[-1]
 
 
 def check_compatible(B: Mat, J: ComplexStructure) -> Mat:
@@ -709,14 +467,11 @@ class BottomEigenReport:
     max_abs: float
 
 
-def check_rl1(B: Mat, J: ComplexStructure, twist_dim: int = 1,
+def check_rl1(B: Mat, J: ComplexStructure,
               cliffords: tuple[Mat, ...] | None = None) -> BottomEigenReport:
     """Verify that the curvature action is multiplication by -lambda on the
-    bottom (0-degree) component of the spinor fiber, exactly.
-
-    The twist factor acts diagonally, so the residual column is independent
-    of twist_dim; the argument is accepted for interface symmetry."""
-    del twist_dim
+    bottom (0-degree) component of the spinor fiber, exactly.  A twist factor
+    acts diagonally and would not change the residual column."""
     lam = trace_plus(B, J)
     cs = cliffords if cliffords is not None else spinor_cliffords(J)
     q = J.q
@@ -727,22 +482,11 @@ def check_rl1(B: Mat, J: ComplexStructure, twist_dim: int = 1,
             coeff = B.entry(a, b)
             if coeff.is_zero():
                 continue
-            va = _apply(cs[b], col)
-            va = _apply(cs[a], va)
-            for ix, v in va.items():
-                _acc(out, ix, coeff * v)
-    _acc(out, 0, lam)  # residual = action + lambda on the bottom vector
+            for ix, v in apply_to_vector(cs[a], apply_to_vector(cs[b], col)).items():
+                accumulate(out, ix, coeff * v)
+    accumulate(out, 0, lam)  # residual = action + lambda on the bottom vector
     residual_max = max((v.abs_float() for v in out.values()), default=0.0)
     return BottomEigenReport(lam=lam, exact_zero=not out, max_abs=residual_max)
-
-
-def _apply(M: Mat, vec: dict[int, Scalar]) -> dict[int, Scalar]:
-    out: dict[int, Scalar] = {}
-    for (i, j), u in M.d.items():
-        v = vec.get(j)
-        if v is not None:
-            _acc(out, i, u * v)
-    return out
 
 
 @dataclass(frozen=True)
@@ -755,10 +499,6 @@ class OddBoundReport:
     attained: bool                # bound is an eigenvalue
     min_eigenvalue: Scalar | None  # = bound when attained
     margin: Scalar | None          # exact 0 when attained
-
-    @property
-    def margin_nonnegative(self) -> bool:
-        return self.psd_ok
 
 
 def odd_lower_bound(B: Mat, J: ComplexStructure, twist_dim: int = 1,
@@ -775,23 +515,15 @@ def odd_lower_bound(B: Mat, J: ComplexStructure, twist_dim: int = 1,
     if mus is None:
         mus, lam, m = skew_invariants(B)
     else:
-        lam = ZERO
-        for mu in mus:
-            lam = lam + mu
+        lam = sum(mus, ZERO)
         m = min(mus, key=float)
     bound = rational(2) * m - lam
     cs = cliffords if cliffords is not None else spinor_cliffords(J)
     # c(f) swaps the parity blocks, so the odd-odd block of c(f_a) c(f_b) is
     # the (odd, even) block of c(f_a) times the (even, odd) block of c(f_b)
     even, odd = parity_indices(J.l, 1)
-    left = {a: cs[a].submatrix(odd, even) for a in range(J.q)}
-    right = {a: cs[a].submatrix(even, odd) for a in range(J.q)}
-    sub = Mat.zero(len(odd), len(odd))
-    for a in range(J.q):
-        for b in range(a + 1, J.q):
-            coeff = B.entry(a, b)
-            if not coeff.is_zero():
-                sub = sub + (left[a] @ right[b]).scale(coeff)
+    sub = pair_action(B, tuple(c.submatrix(odd, even) for c in cs),
+                      tuple(c.submatrix(even, odd) for c in cs))
     if twist_dim > 1:
         sub = sub.kron(Mat.identity(twist_dim))
     shifted = sub - Mat.identity(sub.n).scale(bound)
@@ -902,10 +634,7 @@ def fiber_battery(rng: random.Random, q: int, trials: int) -> BatteryResult:
         B, J, mus = random_compatible_pair(rng, q)
         cs = spinor_cliffords(J)
         rep = check_rl1(B, J, cliffords=cs)
-        lam = ZERO
-        for mu in mus:
-            lam = lam + mu
-        if not rep.exact_zero or rep.lam != lam:
+        if not rep.exact_zero or rep.lam != sum(mus, ZERO):
             all_exact = False
             failures.append(_pair_failure(trial, "bottom-eigenvalue", B, J))
             continue

@@ -189,19 +189,8 @@ class Scalar:
     def is_rational(self) -> bool:
         return self.is_real() and self.rb == 0
 
-    def is_integer(self) -> bool:
-        return self.is_rational() and self.ra.denominator == 1
-
     def real(self) -> "Scalar":
         return Scalar._mk(self.ra, self.rb, F0, F0)
-
-    def imag(self) -> "Scalar":
-        return Scalar._mk(self.ia, self.ib, F0, F0)
-
-    def abs2(self) -> "Scalar":
-        n = _pair_mul((self.ra, self.rb), (self.ra, self.rb))
-        m = _pair_mul((self.ia, self.ib), (self.ia, self.ib))
-        return Scalar._mk(n[0] + m[0], n[1] + m[1], F0, F0)
 
     # -- ordering of real values -------------------------------------------
 
@@ -248,6 +237,9 @@ class Scalar:
                 and self.ia == other.ia and self.ib == other.ib)
 
     def __hash__(self):
+        # a rational value equals the int/Fraction it holds, so hash like it
+        if self.rb == 0 and self.ia == 0 and self.ib == 0:
+            return hash(self.ra)
         return hash((self.ra, self.rb, self.ia, self.ib))
 
     def __float__(self):
@@ -277,10 +269,6 @@ SQRT2 = Scalar._mk(F0, F1, F0, F0)
 
 def rational(p, q=1) -> Scalar:
     return Scalar._mk(Fraction(p, q), F0, F0, F0)
-
-
-def imag_rational(p, q=1) -> Scalar:
-    return Scalar._mk(F0, F0, Fraction(p, q), F0)
 
 
 # -- parsing / formatting of real field elements -----------------------------

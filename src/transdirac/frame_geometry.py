@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .exact import ONE, ZERO, Scalar, format_scalar, parse_imaginary, parse_real, rational
+from .exact import ZERO, Scalar, format_scalar, parse_imaginary, parse_real, rational
 from .matrices import Mat, commutator
 
 
@@ -47,13 +47,6 @@ class FrameModel:
     @property
     def n(self) -> int:
         return self.p + self.q
-
-    def bracket(self, i: int, j: int) -> tuple[Scalar, ...]:
-        return self.c[i][j]
-
-    def horizontal(self, h: int) -> int:
-        """Frame index of the h-th horizontal direction (0-based)."""
-        return self.p + h
 
 
 def make_model(name: str, p: int, q: int,
@@ -221,6 +214,20 @@ def mean_curvature(model: FrameModel, gamma=None) -> tuple[Scalar, ...]:
     return tuple(out)
 
 
+def mean_curvature_derivative(model: FrameModel, transverse,
+                              tau) -> tuple[tuple[Scalar, ...], ...]:
+    """Components of nabla_{f_a} tau = sum_{g,b} (A_{f_a})_{gb} tau_b f_g, one
+    horizontal vector per a (tau is constant in the frame)."""
+    p, q = model.p, model.q
+    out = []
+    for a in range(q):
+        vec = [ZERO] * q
+        for (g, b), coeff in transverse[p + a].d.items():
+            vec[g] = vec[g] + coeff * tau[b]
+        out.append(tuple(vec))
+    return tuple(out)
+
+
 def integrability_tensor(model: FrameModel) -> dict[tuple[int, int], tuple[Scalar, ...]]:
     """Leafwise components of R(f_a, f_b) = -P_F [f_a, f_b], horizontal a < b."""
     p, q = model.p, model.q
@@ -300,6 +307,7 @@ class ConnectionData:
     levi_civita: tuple
     transverse: tuple[Mat, ...]
     tau: tuple[Scalar, ...]
+    nabla_tau: tuple[tuple[Scalar, ...], ...]   # nabla_{f_a} tau, per a
     integrability: dict[tuple[int, int], tuple[Scalar, ...]]
     curvature: dict[tuple[int, int], Mat]
     K: Scalar
@@ -311,10 +319,12 @@ def derive_connection(model: FrameModel) -> ConnectionData:
     gamma = levi_civita(model)
     A = transverse_connection(model, gamma)
     curv = curvature(model, A)
+    tau = mean_curvature(model, gamma)
     return ConnectionData(
         levi_civita=gamma,
         transverse=A,
-        tau=mean_curvature(model, gamma),
+        tau=tau,
+        nabla_tau=mean_curvature_derivative(model, A, tau),
         integrability=integrability_tensor(model),
         curvature=curv,
         K=scalar_curvature(model, curv),
@@ -322,14 +332,13 @@ def derive_connection(model: FrameModel) -> ConnectionData:
     )
 
 
-def spin_connection(model: FrameModel, J, twist_dim: int = 1,
-                    transverse=None) -> tuple[Mat, ...]:
+def spin_connection(model: FrameModel, J, transverse=None) -> tuple[Mat, ...]:
     """Connection matrices on the spinor fiber, one per frame direction:
     Gamma_u = (1/4) sum_{b,g} (A_u)_{gb} c(f_b) c(f_g).
 
     Requires nabla J = 0 (each A_u commutes with J), otherwise the spinor
     fiber is not parallel; the error names the offending direction."""
-    from .clifford_fiber import spinor_cliffords
+    from .clifford_fiber import spin_lift, spinor_cliffords
 
     A = transverse if transverse is not None else transverse_connection(model)
     if J.q != model.q:
@@ -339,15 +348,8 @@ def spin_connection(model: FrameModel, J, twist_dim: int = 1,
             raise ModelError(
                 f"nabla J != 0 along frame direction u{u + 1}; "
                 "the spinor fiber is not parallel")
-    cs = spinor_cliffords(J, twist_dim)
-    quarter = rational(1, 4)
-    out = []
-    for Au in A:
-        acc = Mat.zero(cs[0].n, cs[0].n)
-        for (g, b), coeff in Au.d.items():
-            acc = acc + (cs[b] @ cs[g]).scale(coeff * quarter)
-        out.append(acc)
-    return tuple(out)
+    cs = spinor_cliffords(J)
+    return tuple(spin_lift(Au, cs) for Au in A)
 
 
 # ---------------------------------------------------------------------------

@@ -160,9 +160,6 @@ class Mat:
     def dagger(self) -> "Mat":
         return Mat(self.m, self.n, {(j, i): v.conjugate() for (i, j), v in self.d.items()})
 
-    def conj(self) -> "Mat":
-        return Mat(self.n, self.m, {k: v.conjugate() for k, v in self.d.items()})
-
     # -- scalar-valued maps -----------------------------------------------------
 
     def trace(self) -> Scalar:
@@ -298,20 +295,24 @@ class Mat:
         return f"Mat[{self.n}x{self.m}]({body})"
 
 
+def accumulate(store: dict, key, value):
+    """store[key] += value, dropping the key when the sum is zero; values are
+    Scalars or Mats."""
+    s = store.get(key)
+    w = value if s is None else s + value
+    if w.is_zero():
+        store.pop(key, None)
+    else:
+        store[key] = w
+
+
 def apply_to_vector(M: Mat, vec: dict[int, Scalar]) -> dict[int, Scalar]:
     """M @ v for a sparse column vector given as {index: Scalar}."""
     out: dict[int, Scalar] = {}
     for (i, j), u in M.d.items():
         v = vec.get(j)
-        if v is None:
-            continue
-        prod = u * v
-        s = out.get(i)
-        w = prod if s is None else s + prod
-        if w.is_zero():
-            out.pop(i, None)
-        else:
-            out[i] = w
+        if v is not None:
+            accumulate(out, i, u * v)
     return out
 
 

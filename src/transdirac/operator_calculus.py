@@ -24,14 +24,15 @@ conjugate transposes, valid for the L^2 pairing with invariant volume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .clifford_fiber import (ComplexStructure, ext_matrix, int_matrix,
-                             spinor_action, spinor_cliffords)
+from .clifford_fiber import (ComplexStructure, ext_matrix, grading_matrix,
+                             int_matrix, spin_lift, spinor_cliffords,
+                             vector_action)
 from .exact import ONE, ZERO, Scalar, rational
-from .frame_geometry import (ConnectionData, FrameModel, ModelError,
-                             derive_connection, require_valid, spin_connection)
-from .matrices import Mat, commutator
+from .frame_geometry import (ConnectionData, FrameModel, derive_connection,
+                             require_valid, spin_connection)
+from .matrices import Mat, accumulate, commutator
 
 
 class SetupError(ValueError):
@@ -129,7 +130,7 @@ class BundleSetup:
             for a in range(q):
                 lhs = commutator(self.gamma[u], self.cliff[a])
                 vec = tuple(Au.entry(g, a) for g in range(q))
-                if lhs != self._cliff_vector(vec):
+                if lhs != vector_action(vec, self.cliff):
                     raise SetupError(
                         f"Clifford connection property fails along u{u + 1} "
                         f"on f{a + 1}")
@@ -155,46 +156,10 @@ class BundleSetup:
                             f"curvature data violates the Jacobi consistency "
                             f"condition on (u{u + 1},u{v + 1},u{w + 1})")
 
-    def _cliff_vector(self, vec) -> Mat:
-        """c(v) for a horizontal vector given by components."""
-        acc = Mat.zero(self.fiber.dim)
-        for a, comp in enumerate(vec):
-            comp = Scalar.of(comp)
-            if not comp.is_zero():
-                acc = acc + self.cliff[a].scale(comp)
-        return acc
-
-    def cliff_vector(self, vec) -> Mat:
-        return self._cliff_vector(vec)
-
-    def eps_vector(self, vec) -> Mat:
-        acc = Mat.zero(self.fiber.dim)
-        for a, comp in enumerate(vec):
-            comp = Scalar.of(comp)
-            if not comp.is_zero():
-                acc = acc + self.eps[a].scale(comp)
-        return acc
-
-    def iota_vector(self, vec) -> Mat:
-        acc = Mat.zero(self.fiber.dim)
-        for a, comp in enumerate(vec):
-            comp = Scalar.of(comp)
-            if not comp.is_zero():
-                acc = acc + self.iota[a].scale(comp)
-        return acc
-
     def grading(self) -> Mat:
         """Fiber parity operator: +1 on even degrees, -1 on odd."""
-        dim = self.fiber.dim
-        twist = self.fiber.twist
-        entries = {}
-        n_masks = dim // twist
-        for mask in range(n_masks):
-            sign = -ONE if mask.bit_count() & 1 else ONE
-            for t in range(twist):
-                ix = mask * twist + t
-                entries[(ix, ix)] = sign
-        return Mat(dim, dim, entries)
+        n_masks = self.fiber.dim // self.fiber.twist
+        return grading_matrix(n_masks.bit_length() - 1, self.fiber.twist)
 
 
 def spinor_setup(model: FrameModel, J: ComplexStructure | None = None,
@@ -213,7 +178,7 @@ def spinor_setup(model: FrameModel, J: ComplexStructure | None = None,
     r = twist_dim if twist_dim is not None else model.twist_dim
     cs = spinor_cliffords(J, r)
     dim = cs[0].n
-    spin = spin_connection(model, J, twist_dim=1, transverse=geom.transverse)
+    spin = spin_connection(model, J, transverse=geom.transverse)
     eye_tw = Mat.identity(r)
     gamma = []
     for u in range(model.n):
@@ -277,12 +242,7 @@ class DiffOp:
         self._check(other)
         out = dict(self.terms)
         for w, M in other.terms.items():
-            s = out.get(w)
-            t = M if s is None else s + M
-            if t.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = t
+            accumulate(out, w, M)
         return DiffOp(self.setup, out)
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
@@ -335,15 +295,6 @@ def nabla(setup: BundleSetup, u: int) -> DiffOp:
     return DiffOp(setup, {(u,): Mat.identity(setup.fiber.dim)})
 
 
-def _acc_term(store: dict, w: tuple, M: Mat):
-    s = store.get(w)
-    t = M if s is None else s + M
-    if t.is_zero():
-        store.pop(w, None)
-    else:
-        store[w] = t
-
-
 def _push(setup: BundleSetup, seq: tuple, M: Mat) -> list[tuple[tuple, Mat]]:
     """nabla_seq o M as sum C_w nabla_w over order-preserving subwords w."""
     if not seq:
@@ -367,7 +318,7 @@ def _reorder(setup: BundleSetup, M: Mat, word: tuple, acc: dict):
     # find first descent
     pos = next((i for i in range(len(word) - 1) if word[i] > word[i + 1]), None)
     if pos is None:
-        _acc_term(acc, word, M)
+        accumulate(acc, word, M)
         return
     u, v = word[pos], word[pos + 1]
     pre, post = word[:pos], word[pos + 2:]
@@ -450,9 +401,6 @@ def residual(A: DiffOp, B: DiffOp) -> Residual:
     return Residual(False, worst, mono)
 
 
-verify_identity = residual
-
-
 # ---------------------------------------------------------------------------
 # operator builders
 
@@ -465,7 +413,7 @@ def dirac_prime(setup: BundleSetup) -> DiffOp:
 def dirac(setup: BundleSetup) -> DiffOp:
     """The transverse Dirac operator D = D' - (1/2) c(tau)."""
     half = rational(1, 2)
-    ctau = setup.cliff_vector(setup.geom.tau)
+    ctau = vector_action(setup.geom.tau, setup.cliff)
     return dirac_prime(setup) - endo_op(setup, ctau.scale(half))
 
 
@@ -486,39 +434,47 @@ def bochner_divergence_form(setup: BundleSetup) -> DiffOp:
     eye = Mat.identity(setup.fiber.dim)
     acc: dict[tuple, Mat] = {}
     for a in range(q):
-        _acc_term(acc, (p + a, p + a), -eye)
+        accumulate(acc, (p + a, p + a), -eye)
     # nabla along the horizontal vector tau + sum_b nabla_{f_b} f_b
     for a in range(q):
         comp = geom.tau[a]
         for b in range(q):
             comp = comp + geom.transverse[p + b].entry(a, b)
         if not comp.is_zero():
-            _acc_term(acc, (p + a,), eye.scale(comp))
+            accumulate(acc, (p + a,), eye.scale(comp))
     return DiffOp(setup, acc)
 
 
-def _cc_contraction(setup: BundleSetup, two_form) -> Mat:
-    """(1/2) sum_{a,b} c(f_a) c(f_b) X_ab = sum_{a<b} c(f_a) c(f_b) X_ab for an
-    antisymmetric matrix-valued two-form given as a callable (a, b) -> Mat."""
-    dim = setup.fiber.dim
-    acc = Mat.zero(dim)
-    for a in range(setup.model.q):
-        for b in range(a + 1, setup.model.q):
+def _pair_contraction(left: tuple[Mat, ...], right: tuple[Mat, ...],
+                      two_form) -> Mat:
+    """sum_{a<b} left[a] right[b] X_ab for a matrix-valued two-form given as a
+    callable (a, b) -> Mat.  With the Clifford actions on both sides this is
+    (1/2) sum_{a,b} c(f_a) c(f_b) X_ab, by antisymmetry of X."""
+    acc = Mat.zero(left[0].n)
+    for a in range(len(left)):
+        for b in range(a + 1, len(left)):
             X = two_form(a, b)
             if not X.is_zero():
-                acc = acc + setup.cliff[a] @ setup.cliff[b] @ X
+                acc = acc + left[a] @ right[b] @ X
+    return acc
+
+
+def _tau_derivative_term(setup: BundleSetup, left: tuple[Mat, ...],
+                         right: tuple[Mat, ...]) -> Mat:
+    """sum_a left[a] right(nabla_{f_a} tau), with right(v) the action of the
+    vector v through the generator actions `right`."""
+    acc = Mat.zero(setup.fiber.dim)
+    for a, vec in enumerate(setup.geom.nabla_tau):
+        rv = vector_action(vec, right)
+        if not rv.is_zero():
+            acc = acc + left[a] @ rv
     return acc
 
 
 def c_of_R(setup: BundleSetup, u: int, v: int) -> Mat:
     """c(R)(u_u, u_v) = (1/4) sum_{g,d} (R(u,v))_{dg} c(f_g) c(f_d)."""
-    q = setup.model.q
     Ruv = setup.geom.curvature[(u, v)] if u < v else -setup.geom.curvature[(v, u)]
-    quarter = rational(1, 4)
-    acc = Mat.zero(setup.fiber.dim)
-    for (d, g), coeff in Ruv.d.items():
-        acc = acc + (setup.cliff[g] @ setup.cliff[d]).scale(coeff * quarter)
-    return acc
+    return spin_lift(Ruv, setup.cliff)
 
 
 def twisting_curvature(setup: BundleSetup, a: int, b: int) -> Mat:
@@ -539,7 +495,7 @@ def integrability_first_order(setup: BundleSetup, weight) -> DiffOp:
             continue
         for i, comp in enumerate(comps):
             if not comp.is_zero():
-                _acc_term(acc, (i,), W.scale(comp))
+                accumulate(acc, (i,), W.scale(comp))
     return DiffOp(setup, acc)
 
 
@@ -550,6 +506,29 @@ def lichnerowicz_scalar(setup: BundleSetup) -> Scalar:
     return -setup.geom.K * rational(1, 4)
 
 
+def _clifford_curvature_term(setup: BundleSetup, two_form) -> DiffOp:
+    """(1/2) sum_ab c(f_a) c(f_b) [X(f_a,f_b) - nabla_{R(f_a,f_b)}] for the
+    matrix-valued two-form X = two_form(a, b), with the last nabla along the
+    leafwise integrability field."""
+    cc = _pair_contraction(setup.cliff, setup.cliff, two_form)
+    return endo_op(setup, cc) - integrability_first_order(
+        setup, lambda a, b: setup.cliff[a] @ setup.cliff[b])
+
+
+def _dirac_square_rhs(setup: BundleSetup, two_form, scalar: Scalar = ZERO) -> DiffOp:
+    """Bochner - (1/2) sum_a c(f_a) c(nabla_{f_a} tau) - (1/4)|tau|^2 + scalar
+    + the Clifford curvature term of `two_form`: the shared form of the two
+    Dirac-square right-hand sides."""
+    eye = Mat.identity(setup.fiber.dim)
+    acc = bochner(setup)
+    ctau_term = _tau_derivative_term(setup, setup.cliff, setup.cliff)
+    acc = acc - endo_op(setup, ctau_term.scale(rational(1, 2)))
+    norm2 = sum((t * t for t in setup.geom.tau), ZERO)
+    acc = acc - endo_op(setup, eye.scale(norm2 * rational(1, 4)))
+    acc = acc + endo_op(setup, eye.scale(scalar))
+    return acc + _clifford_curvature_term(setup, two_form)
+
+
 def lichnerowicz_rhs(setup: BundleSetup) -> DiffOp:
     """Right-hand side of the Dirac-square identity:
 
@@ -558,34 +537,8 @@ def lichnerowicz_rhs(setup: BundleSetup) -> DiffOp:
 
     with S/4 the curvature scalar of `lichnerowicz_scalar` and the last
     nabla along the leafwise integrability field."""
-    model, geom = setup.model, setup.geom
-    p, q = model.p, model.q
-    eye = Mat.identity(setup.fiber.dim)
-    half = rational(1, 2)
-
-    acc = bochner(setup)
-    # -(1/2) sum_a c(f_a) c(nabla_{f_a} tau)
-    ctau_term = Mat.zero(setup.fiber.dim)
-    for a in range(q):
-        Au = geom.transverse[p + a]
-        vec = tuple(sum((Au.entry(g, b) * geom.tau[b] for b in range(q)), ZERO)
-                    for g in range(q))
-        cvec = setup.cliff_vector(vec)
-        if not cvec.is_zero():
-            ctau_term = ctau_term + setup.cliff[a] @ cvec
-    acc = acc - endo_op(setup, ctau_term.scale(half))
-    # -(1/4) |tau|^2
-    norm2 = sum((t * t for t in geom.tau), ZERO)
-    acc = acc - endo_op(setup, eye.scale(norm2 * rational(1, 4)))
-    # + S/4
-    acc = acc + endo_op(setup, eye.scale(lichnerowicz_scalar(setup)))
-    # + (1/2) sum c c R^{E/S}
-    acc = acc + endo_op(setup, _cc_contraction(
-        setup, lambda a, b: twisting_curvature(setup, a, b)))
-    # - (1/2) sum c c nabla_{R(f_a,f_b)}
-    acc = acc - integrability_first_order(
-        setup, lambda a, b: setup.cliff[a] @ setup.cliff[b])
-    return acc
+    return _dirac_square_rhs(setup, lambda a, b: twisting_curvature(setup, a, b),
+                             lichnerowicz_scalar(setup))
 
 
 def dirac_prime_square_rhs(setup: BundleSetup) -> DiffOp:
@@ -599,40 +552,17 @@ def dirac_prime_square_rhs(setup: BundleSetup) -> DiffOp:
     for a in range(q):
         t = setup.geom.tau[a]
         if not t.is_zero():
-            _acc_term(tau_terms, (p + a,), eye.scale(t))
+            accumulate(tau_terms, (p + a,), eye.scale(t))
     acc = acc - DiffOp(setup, tau_terms)
-    acc = acc + endo_op(setup, _cc_contraction(
-        setup, lambda a, b: setup.fcurv(p + a, p + b)))
-    acc = acc - integrability_first_order(
-        setup, lambda a, b: setup.cliff[a] @ setup.cliff[b])
-    return acc
+    return acc + _clifford_curvature_term(setup, lambda a, b: setup.fcurv(p + a, p + b))
 
 
 def dirac_square_full_curvature_rhs(setup: BundleSetup) -> DiffOp:
     """RHS for D^2 with the undecomposed curvature:
     Bochner - (1/2) sum c c(nabla tau) - (1/4)|tau|^2
     + (1/2) sum c c [F(f_a,f_b) - nabla_{R(f_a,f_b)}]."""
-    model, geom = setup.model, setup.geom
-    p, q = model.p, model.q
-    eye = Mat.identity(setup.fiber.dim)
-    half = rational(1, 2)
-    acc = bochner(setup)
-    ctau_term = Mat.zero(setup.fiber.dim)
-    for a in range(q):
-        Au = geom.transverse[p + a]
-        vec = tuple(sum((Au.entry(g, b) * geom.tau[b] for b in range(q)), ZERO)
-                    for g in range(q))
-        cvec = setup.cliff_vector(vec)
-        if not cvec.is_zero():
-            ctau_term = ctau_term + setup.cliff[a] @ cvec
-    acc = acc - endo_op(setup, ctau_term.scale(half))
-    norm2 = sum((t * t for t in geom.tau), ZERO)
-    acc = acc - endo_op(setup, eye.scale(norm2 * rational(1, 4)))
-    acc = acc + endo_op(setup, _cc_contraction(
-        setup, lambda a, b: setup.fcurv(p + a, p + b)))
-    acc = acc - integrability_first_order(
-        setup, lambda a, b: setup.cliff[a] @ setup.cliff[b])
-    return acc
+    p = setup.model.p
+    return _dirac_square_rhs(setup, lambda a, b: setup.fcurv(p + a, p + b))
 
 
 # -- transversal de Rham operators (forms fiber) ------------------------------
@@ -654,9 +584,9 @@ def d_horizontal_star(setup: BundleSetup) -> DiffOp:
     _require_forms(setup)
     p = setup.model.p
     terms: dict[tuple, Mat] = {(p + a,): -setup.iota[a] for a in range(setup.model.q)}
-    itau = setup.iota_vector(setup.geom.tau)
+    itau = vector_action(setup.geom.tau, setup.iota)
     if not itau.is_zero():
-        _acc_term(terms, (), itau)
+        accumulate(terms, (), itau)
     return DiffOp(setup, terms)
 
 
@@ -667,9 +597,13 @@ def hodge_laplacian(setup: BundleSetup) -> DiffOp:
     return compose(dH, dHs) + compose(dHs, dH)
 
 
-def signature_operator(setup: BundleSetup) -> DiffOp:
-    """D_H = d_H + d_H^*."""
-    return d_horizontal(setup) + d_horizontal_star(setup)
+def signature_rhs(setup: BundleSetup) -> DiffOp:
+    """D_H - (1/2)(eps(tau) + iota(tau)) with the signature operator
+    D_H = d_H + d_H^*: the Dirac operator of the exterior fiber."""
+    tau = setup.geom.tau
+    shift = vector_action(tau, setup.eps) + vector_action(tau, setup.iota)
+    return (d_horizontal(setup) + d_horizontal_star(setup)
+            - endo_op(setup, shift.scale(rational(1, 2))))
 
 
 def hodge_bochner_rhs(setup: BundleSetup) -> DiffOp:
@@ -677,18 +611,9 @@ def hodge_bochner_rhs(setup: BundleSetup) -> DiffOp:
     sum nabla^* nabla + sum_a eps(f_a) iota(nabla_{f_a} tau)
     - sum_{a,b} eps(f_a) iota(f_b) (F(f_a,f_b) - nabla_{R(f_a,f_b)})."""
     _require_forms(setup)
-    model, geom = setup.model, setup.geom
-    p, q = model.p, model.q
+    p, q = setup.model.p, setup.model.q
     acc = bochner(setup)
-    term = Mat.zero(setup.fiber.dim)
-    for a in range(q):
-        Au = geom.transverse[p + a]
-        vec = tuple(sum((Au.entry(g, b) * geom.tau[b] for b in range(q)), ZERO)
-                    for g in range(q))
-        iv = setup.iota_vector(vec)
-        if not iv.is_zero():
-            term = term + setup.eps[a] @ iv
-    acc = acc + endo_op(setup, term)
+    acc = acc + endo_op(setup, _tau_derivative_term(setup, setup.eps, setup.iota))
     curv_term = Mat.zero(setup.fiber.dim)
     for a in range(q):
         for b in range(q):
@@ -712,19 +637,9 @@ def dh_star_square_rhs(setup: BundleSetup) -> DiffOp:
     """(d_H^*)^2 = -(1/2) sum iota iota nabla_{R(f_a,f_b)}
     - sum_a iota(f_a) iota(nabla_{f_a} tau)."""
     _require_forms(setup)
-    model, geom = setup.model, setup.geom
-    p, q = model.p, model.q
     acc = -integrability_first_order(
         setup, lambda a, b: setup.iota[a] @ setup.iota[b])
-    term = Mat.zero(setup.fiber.dim)
-    for a in range(q):
-        Au = geom.transverse[p + a]
-        vec = tuple(sum((Au.entry(g, b) * geom.tau[b] for b in range(q)), ZERO)
-                    for g in range(q))
-        iv = setup.iota_vector(vec)
-        if not iv.is_zero():
-            term = term + setup.iota[a] @ iv
-    return acc - endo_op(setup, term)
+    return acc - endo_op(setup, _tau_derivative_term(setup, setup.iota, setup.iota))
 
 
 # ---------------------------------------------------------------------------
@@ -755,12 +670,9 @@ def tau_is_basic(model: FrameModel, geom: ConnectionData) -> bool:
 def codifferential_of_tau(setup: BundleSetup) -> Scalar:
     """d_H^* tau = -sum_a (nabla_{f_a} tau)^a + |tau|^2, a scalar."""
     geom = setup.geom
-    p, q = setup.model.p, setup.model.q
     s = sum((t * t for t in geom.tau), ZERO)
-    for a in range(q):
-        Au = geom.transverse[p + a]
-        for b in range(q):
-            s = s - Au.entry(a, b) * geom.tau[b]
+    for a, vec in enumerate(geom.nabla_tau):
+        s = s - vec[a]
     return s
 
 
@@ -774,11 +686,8 @@ def basic_tau_rhs(setup: BundleSetup) -> DiffOp:
               + norm2 * rational(1, 4)
               + lichnerowicz_scalar(setup))
     acc = bochner(setup) + endo_op(setup, eye.scale(scalar))
-    acc = acc + endo_op(setup, _cc_contraction(
-        setup, lambda a, b: twisting_curvature(setup, a, b)))
-    acc = acc - integrability_first_order(
-        setup, lambda a, b: setup.cliff[a] @ setup.cliff[b])
-    return acc
+    return acc + _clifford_curvature_term(
+        setup, lambda a, b: twisting_curvature(setup, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -861,8 +770,8 @@ def verify_suite(model: FrameModel, J: ComplexStructure | None = None,
     run("c", "dirac square with undecomposed curvature",
         D2, dirac_square_full_curvature_rhs(sp))
     run("d", "curvature contraction collapses to the scalar term",
-        endo_op(sp, _cc_contraction(sp, lambda a, b: c_of_R(sp, sp.model.p + a,
-                                                            sp.model.p + b))),
+        endo_op(sp, _pair_contraction(
+            sp.cliff, sp.cliff, lambda a, b: c_of_R(sp, sp.model.p + a, sp.model.p + b))),
         endo_op(sp, Mat.identity(sp.fiber.dim).scale(lichnerowicz_scalar(sp))))
 
     run("e", "transversal Laplacian Bochner formula",
@@ -879,15 +788,12 @@ def verify_suite(model: FrameModel, J: ComplexStructure | None = None,
         key="f", label="squares of the transversal differential and codifferential",
         residual=combined, passed=combined.exact_zero))
 
-    half = rational(1, 2)
-    sig_rhs = (d_horizontal(fo) + dhs
-               - endo_op(fo, (fo.eps_vector(geom.tau)
-                              + fo.iota_vector(geom.tau)).scale(half)))
     run("g", "Dirac operator of the exterior fiber vs signature operator",
-        dirac(fo), sig_rhs)
+        dirac(fo), signature_rhs(fo))
 
-    wedge_trace = _eps_eps_curvature(fo)
-    contr_trace = _iota_iota_curvature(fo)
+    p = model.p
+    wedge_trace = _pair_contraction(fo.eps, fo.eps, lambda a, b: fo.fcurv(p + a, p + b))
+    contr_trace = _pair_contraction(fo.iota, fo.iota, lambda a, b: fo.fcurv(p + a, p + b))
     r_h = Residual(wedge_trace.is_zero() and contr_trace.is_zero(),
                    max(wedge_trace.max_abs_float(), contr_trace.max_abs_float()),
                    "1")
@@ -906,25 +812,3 @@ def verify_suite(model: FrameModel, J: ComplexStructure | None = None,
             reason="mean curvature form is not basic on this model"))
 
     return SuiteReport(model=model.name, k=k, items=tuple(items))
-
-
-def _eps_eps_curvature(setup: BundleSetup) -> Mat:
-    acc = Mat.zero(setup.fiber.dim)
-    p = setup.model.p
-    for a in range(setup.model.q):
-        for b in range(a + 1, setup.model.q):
-            F = setup.fcurv(p + a, p + b)
-            if not F.is_zero():
-                acc = acc + setup.eps[a] @ setup.eps[b] @ F
-    return acc
-
-
-def _iota_iota_curvature(setup: BundleSetup) -> Mat:
-    acc = Mat.zero(setup.fiber.dim)
-    p = setup.model.p
-    for a in range(setup.model.q):
-        for b in range(a + 1, setup.model.q):
-            F = setup.fcurv(p + a, p + b)
-            if not F.is_zero():
-                acc = acc + setup.iota[a] @ setup.iota[b] @ F
-    return acc

@@ -6,6 +6,7 @@ byte.  The `gap` report carries floats from an iterative eigensolver and a
 measured `runtime_ms`, so it is compared with the measurement removed,
 integers exactly and floats to a relative 1e-9."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -13,6 +14,8 @@ from pathlib import Path
 import pytest
 
 from transdirac import cli
+from transdirac import operator_calculus as oc
+from transdirac.exact import rational
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -67,3 +70,25 @@ def test_gap_report_matches_golden(capsys):
         del row["runtime_ms"]
     want = json.loads((GOLDEN / "gap_t3_landau_k1-2_N16.json").read_text(encoding="utf-8"))
     assert_close_tree(report, want)
+
+
+def test_failed_identity_reports_worst_monomial(capsys, monkeypatch):
+    """A scalar curvature off by 1/7 breaks (a), (d) and (i), the identities
+    whose right-hand side carries S/4, in the degree-0 monomial; passing
+    identities keep the report without the key."""
+    derive = oc.derive_connection
+
+    def tweaked(model):
+        geom = derive(model)
+        return dataclasses.replace(geom, K=geom.K + rational(1, 7))
+
+    monkeypatch.setattr(oc, "derive_connection", tweaked)
+    code, out = run_cli(capsys, "verify", "--model", "sol")
+    assert code == cli.EXIT_VIOLATION
+    by_key = {it["key"]: it for it in json.loads(out)["identities"]}
+    for key in "adi":
+        residual = by_key[key]["residual"]
+        assert not residual["exact_zero"] and residual["worst_monomial"] == "1"
+    for key in "bcefgh":
+        assert by_key[key]["status"] == "pass"
+        assert "worst_monomial" not in by_key[key]["residual"]

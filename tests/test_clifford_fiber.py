@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import multivector_oracle as mv
 from transdirac import clifford_fiber as cf
-from transdirac.exact import I, ONE, SQRT2, ZERO, Scalar, rational
+from transdirac.exact import I, ONE, SQRT2, ZERO, rational
 from transdirac.matrices import Mat
 
 
@@ -22,100 +23,111 @@ def np_mat(M):
 def random_multivector(rng, q):
     terms = {m: rational(rng.randint(-3, 3)) + I * rational(rng.randint(-3, 3))
              for m in rng.sample(range(1 << q), k=min(4, 1 << q))}
-    return cf.Multivector(q, terms)
+    return mv.Multivector(q, terms)
 
 
 # -- exterior algebra and the Lambda-module action ---------------------------
 
 def test_lambda_action_on_unit_and_generator():
-    one = cf.Multivector.unit(2)
-    assert cf.lambda_action(1, one) == cf.Multivector.generator(2, 1)
-    f1 = cf.Multivector.generator(2, 1)
-    assert cf.lambda_action(1, f1) == one.scale(rational(-1))
+    one = mv.Multivector.unit(2)
+    assert mv.lambda_action(1, one) == mv.Multivector.generator(2, 1)
+    f1 = mv.Multivector.generator(2, 1)
+    assert mv.lambda_action(1, f1) == one.scale(rational(-1))
 
 
 def test_lambda_action_index_range():
     with pytest.raises(ValueError):
-        cf.lambda_action(3, cf.Multivector.unit(2))
+        mv.lambda_action(3, mv.Multivector.unit(2))
 
 
 @given(st.integers(0, 2**6 - 1), st.integers(1, 6), st.integers(1, 6))
 @settings(max_examples=80, deadline=None)
 def test_lambda_action_clifford_relations(mask, i, j):
     q = 6
-    omega = cf.Multivector(q, {mask: ONE})
-    lhs = (cf.lambda_action(i, cf.lambda_action(j, omega))
-           + cf.lambda_action(j, cf.lambda_action(i, omega)))
-    expect = omega.scale(rational(-2)) if i == j else cf.Multivector(q)
+    omega = mv.Multivector(q, {mask: ONE})
+    lhs = (mv.lambda_action(i, mv.lambda_action(j, omega))
+           + mv.lambda_action(j, mv.lambda_action(i, omega)))
+    expect = omega.scale(rational(-2)) if i == j else mv.Multivector(q)
     assert lhs == expect
 
 
 def test_wedge_signs():
     q = 3
-    f1 = cf.Multivector.generator(q, 1)
-    f2 = cf.Multivector.generator(q, 2)
+    f1 = mv.Multivector.generator(q, 1)
+    f2 = mv.Multivector.generator(q, 2)
     f12 = f1.wedge(f2)
-    assert f12 == cf.Multivector.monomial(q, (1, 2))
+    assert f12 == mv.Multivector.monomial(q, (1, 2))
     assert f2.wedge(f1) == f12.scale(rational(-1))
     assert f1.wedge(f1).is_zero()
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_forms_cliffords_agree_with_lambda_action(q):
+    """Column `mask` of ext_matrix - int_matrix is c(f_j) applied to the
+    basis monomial `mask`, as the multivector oracle computes it."""
+    for j in range(q):
+        cliff = cf.ext_matrix(q, j) - cf.int_matrix(q, j)
+        for mask in range(1 << q):
+            column = {i: v for (i, k), v in cliff.d.items() if k == mask}
+            assert column == mv.lambda_action(j + 1, mv.Multivector(q, {mask: ONE})).terms
 
 
 # -- Clifford product through the symbol representation -----------------------
 
 def test_clifford_mul_examples():
     q = 2
-    f1 = cf.CliffordElement.generator(q, 1)
-    f2 = cf.CliffordElement.generator(q, 2)
-    assert (cf.clifford_mul(f1, f2).rep + cf.clifford_mul(f2, f1).rep).is_zero()
-    assert cf.clifford_mul(f1, f1).rep == cf.Multivector.unit(q).scale(rational(-1))
+    f1 = mv.CliffordElement.generator(q, 1)
+    f2 = mv.CliffordElement.generator(q, 2)
+    assert (mv.clifford_mul(f1, f2).rep + mv.clifford_mul(f2, f1).rep).is_zero()
+    assert mv.clifford_mul(f1, f1).rep == mv.Multivector.unit(q).scale(rational(-1))
 
 
 def test_clifford_mul_unit_law():
     rng = random.Random(3)
     for q in (2, 4):
-        one = cf.CliffordElement.unit(q)
-        a = cf.CliffordElement(random_multivector(rng, q))
-        assert cf.clifford_mul(one, a) == a
-        assert cf.clifford_mul(a, one) == a
+        one = mv.CliffordElement.unit(q)
+        a = mv.CliffordElement(random_multivector(rng, q))
+        assert mv.clifford_mul(one, a) == a
+        assert mv.clifford_mul(a, one) == a
 
 
 def test_clifford_mul_rank_mismatch():
     with pytest.raises(ValueError):
-        cf.clifford_mul(cf.CliffordElement.unit(2), cf.CliffordElement.unit(4))
+        mv.clifford_mul(mv.CliffordElement.unit(2), mv.CliffordElement.unit(4))
 
 
 def test_clifford_mul_associative():
     rng = random.Random(5)
     q = 4
     for _ in range(10):
-        a, b, c = (cf.CliffordElement(random_multivector(rng, q)) for _ in range(3))
-        assert cf.clifford_mul(cf.clifford_mul(a, b), c) == \
-            cf.clifford_mul(a, cf.clifford_mul(b, c))
+        a, b, c = (mv.CliffordElement(random_multivector(rng, q)) for _ in range(3))
+        assert mv.clifford_mul(mv.clifford_mul(a, b), c) == \
+            mv.clifford_mul(a, mv.clifford_mul(b, c))
 
 
 def test_symbol_quantize_inverse():
     rng = random.Random(7)
     for q in (2, 4):
         omega = random_multivector(rng, q)
-        assert cf.symbol(cf.quantize(omega)) == omega
+        assert mv.symbol(mv.quantize(omega)) == omega
 
 
 def test_quantize_of_wedge_is_product():
     q = 2
-    f1 = cf.CliffordElement.generator(q, 1)
-    f2 = cf.CliffordElement.generator(q, 2)
-    w = cf.Multivector.monomial(q, (1, 2))
-    assert cf.quantize(w) == cf.clifford_mul(f1, f2)
+    f1 = mv.CliffordElement.generator(q, 1)
+    f2 = mv.CliffordElement.generator(q, 2)
+    w = mv.Multivector.monomial(q, (1, 2))
+    assert mv.quantize(w) == mv.clifford_mul(f1, f2)
 
 
 def test_symbol_of_vector_times_element():
     # sigma(c(f1) c(f1^f2)) = c(f1)(f1^f2) = -f2
     q = 2
-    v = cf.CliffordElement.generator(q, 1)
-    w = cf.quantize(cf.Multivector.monomial(q, (1, 2)))
-    got = cf.symbol(cf.clifford_mul(v, w))
-    assert got == cf.Multivector.generator(q, 2).scale(rational(-1))
-    assert got == cf.lambda_action(1, cf.Multivector.monomial(q, (1, 2)))
+    v = mv.CliffordElement.generator(q, 1)
+    w = mv.quantize(mv.Multivector.monomial(q, (1, 2)))
+    got = mv.symbol(mv.clifford_mul(v, w))
+    assert got == mv.Multivector.generator(q, 2).scale(rational(-1))
+    assert got == mv.lambda_action(1, mv.Multivector.monomial(q, (1, 2)))
 
 
 def test_filtration_top_degree():
@@ -126,7 +138,7 @@ def test_filtration_top_degree():
         deg_b = rng.randint(0, q - deg_a)
         a = random_multivector(rng, q).degree_part(deg_a)
         b = random_multivector(rng, q).degree_part(deg_b)
-        prod = cf.symbol(cf.clifford_mul(cf.quantize(a), cf.quantize(b)))
+        prod = mv.symbol(mv.clifford_mul(mv.quantize(a), mv.quantize(b)))
         assert prod.degree_part(deg_a + deg_b) == a.wedge(b)
 
 

@@ -120,3 +120,17 @@ def test_parse_rejects_garbage():
 def test_format_parse_roundtrip_real(x):
     r = x.real()
     assert parse_real(format_scalar(r)) == r
+
+
+def test_rational_scalar_hashes_like_equal_number():
+    for value in (0, 1, -3, Fraction(2, 3)):
+        s = Scalar.of(value)
+        assert s == value and hash(s) == hash(value)
+        assert {value: "x"}.get(s) == "x"
+        assert s in {value}
+        assert value in {s}
+    assert {ONE: "one"}[1] == "one"
+    assert len({ZERO, 0, Fraction(0)}) == 1
+    # irrational and complex values stay apart from every rational key
+    assert {SQRT2: "r", I: "i"} == {SQRT2: "r", I: "i"}
+    assert 1 not in {SQRT2, I, rational(1) + I}
