@@ -250,8 +250,10 @@ def spinor_action(f, J: ComplexStructure) -> Mat:
 def spinor_cliffords(J: ComplexStructure, twist_dim: int = 1) -> tuple[Mat, ...]:
     """c(f_alpha) for the standard basis vectors, alpha = 1..q.
 
-    For basis vectors the frame pairings are plain component lookups, so the
-    matrices are assembled without inner products."""
+    In the adapted frame the sqrt2 cancels:
+    c(f) = sum_j (g(f,v_j) + i g(f,Jv_j)) ext_j - (g(f,v_j) - i g(f,Jv_j)) int_j,
+    and for basis vectors the frame pairings are plain component lookups, so
+    the matrices are assembled without inner products."""
     q, l = J.q, J.l
     dim = 1 << l
     out = []

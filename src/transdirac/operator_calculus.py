@@ -515,7 +515,7 @@ def _clifford_curvature_term(setup: BundleSetup, two_form) -> DiffOp:
         setup, lambda a, b: setup.cliff[a] @ setup.cliff[b])
 
 
-def _dirac_square_rhs(setup: BundleSetup, two_form, scalar: Scalar = ZERO) -> DiffOp:
+def _dirac_square_rhs(setup: BundleSetup, two_form, scalar: Scalar) -> DiffOp:
     """Bochner - (1/2) sum_a c(f_a) c(nabla_{f_a} tau) - (1/4)|tau|^2 + scalar
     + the Clifford curvature term of `two_form`: the shared form of the two
     Dirac-square right-hand sides."""
@@ -562,7 +562,7 @@ def dirac_square_full_curvature_rhs(setup: BundleSetup) -> DiffOp:
     Bochner - (1/2) sum c c(nabla tau) - (1/4)|tau|^2
     + (1/2) sum c c [F(f_a,f_b) - nabla_{R(f_a,f_b)}]."""
     p = setup.model.p
-    return _dirac_square_rhs(setup, lambda a, b: setup.fcurv(p + a, p + b))
+    return _dirac_square_rhs(setup, lambda a, b: setup.fcurv(p + a, p + b), ZERO)
 
 
 # -- transversal de Rham operators (forms fiber) ------------------------------
