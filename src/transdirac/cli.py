@@ -9,6 +9,9 @@ Subcommands:
 Exit codes: 0 pass, 1 mathematical violation, 2 invalid input, 3 numerical
 failure.  Reports are deterministic for a fixed seed (the runtime_ms column
 is measurement, not content).
+
+Only `gap` and `crosscheck` compute in floating point: numpy and scipy are
+loaded when one of them runs, so `verify` and `fiber` load neither.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ import random
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import clifford_fiber as cf
 from . import frame_geometry as fg
@@ -263,6 +264,8 @@ def cmd_crosscheck(config: RunConfig) -> int:
     except fg.ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    import numpy as np
+
     k = config.k_min if model.line_b is not None else 0
     rng = np.random.default_rng(config.seed)
     tol = 1e-8

@@ -83,6 +83,34 @@ class ValidationReport:
         return self.failures[0] if self.failures else None
 
 
+def _jacobiators(c: tuple, n: int) -> dict[tuple[int, int, int, int], Scalar]:
+    """Components l of the Jacobiator of (u_i, u_j, u_k), i < j < k,
+
+        sum_m c[i][j][m] c[m][k][l] + c[j][k][m] c[m][i][l] + c[k][i][m] c[m][j][l],
+
+    summed over the nonzero constants only: a product c[a][b][m] c[m][x][l]
+    belongs to the triple sorted(a, b, x) when (a, b, x) is one of its three
+    cyclic orders.  Triples with no nonzero product are absent."""
+    nonzero = [(a, b, m, c[a][b][m]) for a in range(n) for b in range(n)
+               for m in range(n) if not c[a][b][m].is_zero()]
+    by_first: dict[int, list] = {}
+    for a, b, m, v in nonzero:
+        by_first.setdefault(a, []).append((b, m, v))
+    out: dict[tuple[int, int, int, int], Scalar] = {}
+    for a, b, m, v in nonzero:
+        if a == b:
+            continue
+        for x, l, w in by_first.get(m, ()):
+            if x == a or x == b:
+                continue
+            if ((a > b) + (b > x) + (a > x)) % 2:  # an odd permutation
+                continue
+            key = (*sorted((a, b, x)), l)
+            term = v * w
+            out[key] = out[key] + term if key in out else term
+    return out
+
+
 def validate(model: FrameModel) -> ValidationReport:
     failures: list[str] = []
     warnings: list[str] = []
@@ -99,19 +127,11 @@ def validate(model: FrameModel) -> ValidationReport:
                     failures.append(
                         f"antisymmetry fails at c^{k + 1}_({i + 1},{j + 1})")
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for l in range(n):
-                    s = ZERO
-                    for m in range(n):
-                        s = (s + c[i][j][m] * c[m][k][l]
-                             + c[j][k][m] * c[m][i][l]
-                             + c[k][i][m] * c[m][j][l])
-                    if not s.is_zero():
-                        failures.append(
-                            f"Jacobi identity fails on (u{i + 1},u{j + 1},u{k + 1}) "
-                            f"component u{l + 1}")
+    for (i, j, k, l), s in sorted(_jacobiators(c, n).items()):
+        if not s.is_zero():
+            failures.append(
+                f"Jacobi identity fails on (u{i + 1},u{j + 1},u{k + 1}) "
+                f"component u{l + 1}")
 
     for i in range(p):
         for j in range(p):

@@ -20,7 +20,9 @@ used instead:
   shift-invert Lanczos solve for the lowest h_i per flux value and the
   eigenvalues of the small fiber blocks of E give both sectors.
 
-Floating point lives only here; the symbolic layer stays exact.
+Floating point lives only here; the symbolic layer stays exact.  numpy and
+scipy are imported by the functions that use them, so importing this module
+(as the command line does for every subcommand) loads neither.
 """
 
 from __future__ import annotations
@@ -28,16 +30,17 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-
-import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from typing import TYPE_CHECKING
 
 from .clifford_fiber import ComplexStructure, skew_invariants, two_form_action
 from .exact import I as IUNIT
 from .frame_geometry import FrameModel, ModelError, require_valid
 from .matrices import Mat
 from .operator_calculus import DiffOp
+
+if TYPE_CHECKING:
+    import numpy as np
+    import scipy.sparse as sp
 
 TWO_PI = 2.0 * math.pi
 
@@ -95,6 +98,9 @@ def hop_matrices(N: int, flux_quanta: int) -> tuple[sp.csr_matrix, sp.csr_matrix
     """Forward hop operators (U_x psi)(x,y) = e^{i theta} psi(x+1,y) etc. in
     Landau gauge with a twisted boundary column; total flux 2*pi*flux_quanta.
     Site (x, y) has index x*N + y."""
+    import numpy as np
+    import scipy.sparse as sp
+
     dim = N * N
     a = TWO_PI * flux_quanta
     site = np.arange(dim)
@@ -111,6 +117,8 @@ def hop_matrices(N: int, flux_quanta: int) -> tuple[sp.csr_matrix, sp.csr_matrix
 def magnetic_bochner(N: int, flux_quanta: int) -> sp.csr_matrix:
     """sum over the two transverse directions of (2 - U - U^dagger)/h^2 with
     h = 1/N: the positive magnetic Bochner Laplacian."""
+    import scipy.sparse as sp
+
     Ux, Uy = hop_matrices(N, flux_quanta)
     dim = N * N
     h2 = 1.0 / (N * N)
@@ -127,6 +135,8 @@ def _constant_endomorphism(model: FrameModel, k: int) -> np.ndarray:
 
     On a flat torus every other constant of the verified second-order form
     vanishes (tau = 0, K = 0, integrability = 0)."""
+    import numpy as np
+
     J = ComplexStructure.from_matrix(model.jmat) if model.jmat is not None \
         else ComplexStructure.standard(model.q)
     dim = 1 << J.l
@@ -143,6 +153,8 @@ def parity_blocks(model: FrameModel, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of the constant endomorphism on the (even, odd) spinors.
     It is grading-even, so the two sectors of the Dirac square decouple
     exactly."""
+    import numpy as np
+
     E = _constant_endomorphism(model, k)
     odd = np.array([bin(m).count("1") % 2 == 1 for m in range(E.shape[0])])
     if np.any(E[np.ix_(~odd, odd)]):
@@ -161,6 +173,9 @@ def eigen(M: sp.spmatrix, count: int) -> np.ndarray:
     Shift-invert Lanczos (ARPACK) about sigma = -1: the shift lies below the
     spectrum, so the eigenvalues nearest it are the lowest.  ARPACK needs
     count < dim - 1; smaller problems take a dense eigvalsh."""
+    import numpy as np
+    import scipy.sparse.linalg as spla
+
     dim = M.shape[0]
     count = min(count, dim)
     if count >= dim - 1:
@@ -207,6 +222,8 @@ def spectrum_report(model: FrameModel, k: int, N: int,
 
     At least k*c + KERNEL_MARGIN eigenvalues are taken per sector, so the
     kernel count is not capped by `count`."""
+    import numpy as np
+
     t0 = time.perf_counter()
     lam, m = invariants_2pi(model)
     require_flat_torus(model)
@@ -270,6 +287,8 @@ def _split_coefficient(M1: Mat | None, M0: Mat | None, dim: int) -> np.ndarray:
     """Physical float coefficient from the exact pair (with-B, zero-B): the
     line-bundle curvature enters the symbolic layer in units of 2*pi, and
     operator coefficients are affine in it, so phys = M0 + 2*pi (M1 - M0)."""
+    import numpy as np
+
     out0 = np.zeros((dim, dim), dtype=complex)
     out1 = np.zeros((dim, dim), dtype=complex)
     if M0 is not None:
@@ -300,6 +319,9 @@ def discretize_diffop(op_pair: tuple[DiffOp, DiffOp], N: int) -> LatticeOperator
     2*pi of the physical curvature.  Leaf derivatives act as zero on the
     reduced sector.  Monomials map to central/second differences with link
     phases; equal exact operators yield identical matrices."""
+    import numpy as np
+    import scipy.sparse as sp
+
     op1, op0 = op_pair
     setup = op1.setup
     model = setup.model
@@ -355,6 +377,8 @@ def cross_validate(lhs_pair: tuple[DiffOp, DiffOp],
     """Apply both discretized operators to random sections; max relative
     deviation.  Exactly equal symbolic operators give identical matrices, so
     the residual isolates assembly and normal-form faults."""
+    import numpy as np
+
     ML = discretize_diffop(lhs_pair, N).matrix
     MR = discretize_diffop(rhs_pair, N).matrix
     worst = 0.0

@@ -9,6 +9,10 @@ integers exactly and floats to a relative 1e-9."""
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -18,6 +22,7 @@ from transdirac import operator_calculus as oc
 from transdirac.exact import rational
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -92,3 +97,33 @@ def test_failed_identity_reports_worst_monomial(capsys, monkeypatch):
     for key in "bcefgh":
         assert by_key[key]["status"] == "pass"
         assert "worst_monomial" not in by_key[key]["residual"]
+
+
+def test_exact_subcommands_do_not_load_numpy_or_scipy():
+    """verify and fiber compute exactly; only gap and crosscheck need the
+    float stack, and it is loaded when one of them runs."""
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        import transdirac.cli as cli
+
+        def run(*argv):
+            with contextlib.redirect_stdout(io.StringIO()), \\
+                    contextlib.redirect_stderr(io.StringIO()):
+                return cli.main(list(argv))
+
+        def loaded():
+            return sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+
+        assert loaded() == [], loaded()
+        assert run("verify", "--model", "heisenberg") == cli.EXIT_PASS
+        assert run("verify", "--model", "bad_bundlelike") == cli.EXIT_INVALID
+        assert run("fiber", "--q", "4", "--trials", "2") == cli.EXIT_PASS
+        assert loaded() == [], loaded()
+        assert run("gap", "--model", "t3_landau", "--k", "1", "--N", "16") == cli.EXIT_PASS
+        assert loaded() == ["numpy", "scipy"], loaded()
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -1,15 +1,18 @@
 """Clifford/exterior fiber algebra: relations, spinor module, curvature facts."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 import multivector_oracle as mv
 from transdirac import clifford_fiber as cf
-from transdirac.exact import I, ONE, SQRT2, ZERO, rational
+from transdirac.exact import F0, I, ONE, SQRT2, ZERO, Scalar, parse_real, rational
 from transdirac.matrices import Mat
 
 
@@ -265,6 +268,82 @@ def test_skew_invariants_sqrt2_values():
     got, lam, m = cf.skew_invariants(cf.block_two_form(mus))
     assert set(got) == set(mus)
     assert lam == sum(mus, ZERO) and m == rational(1, 2)
+
+
+@pytest.mark.parametrize("mus", [
+    (Fraction(1001, 1000), Fraction(1003, 1000), Fraction(1007, 1000)),
+    (Fraction(1, 1000003), Fraction(1, 1000033), Fraction(1, 999983)),
+])
+def test_skew_invariants_close_and_tiny_mus(mus):
+    # float roots rounded with limit_denominator reported these valid forms
+    # as "eigenvalue data does not lie in Q(sqrt2)"
+    mus = tuple(rational(mu) for mu in mus)
+    got, lam, m = cf.skew_invariants(cf.block_two_form(mus))
+    assert got == tuple(sorted(mus, key=float, reverse=True))
+    assert lam == sum(mus, ZERO) and m == min(mus, key=float)
+
+
+@pytest.mark.parametrize("mus", [("1+√2", "2+√2", "1/3+5√2"),   # every mu^2 = a + b√2, b > 0
+                                 ("3-√2", "2-√2", "1/3-1/5√2"),  # b < 0
+                                 ("1+√2", "2+√2", "1/3+5√2", "7/2+√2")])  # q = 8
+def test_skew_invariants_no_rational_root(mus):
+    mus = tuple(parse_real(mu) for mu in mus)
+    got, lam, m = cf.skew_invariants(cf.block_two_form(mus))
+    assert got == tuple(sorted(mus, key=float, reverse=True))
+    assert lam == sum(mus, ZERO) and m == got[-1]
+
+
+def test_real_roots_outside_the_field_raise():
+    with pytest.raises(ValueError, match="Q\\(sqrt2\\)"):
+        cf._real_roots_in_field([ONE, ZERO, ZERO, rational(-2)])  # y^3 - 2
+    with pytest.raises(ValueError, match="Q\\(sqrt2\\)"):  # (y - 3)(y^2 - 3)
+        cf._real_roots_in_field([ONE, rational(-3), rational(-3), rational(9)])
+    with pytest.raises(ValueError, match="Q\\(sqrt2\\)"):  # y^3 + y + 1: one real root
+        cf._real_roots_in_field([ONE, ZERO, ONE, ONE])
+
+
+R2 = sympy.sqrt(2)
+QQ_SQRT2 = sympy.QQ.algebraic_field(R2)
+
+
+def _sympy_real(s):
+    return (sympy.Rational(s.ra.numerator, s.ra.denominator)
+            + sympy.Rational(s.rb.numerator, s.rb.denominator) * R2)
+
+
+def sympy_mu_squares(B):
+    """mu_j^2 of a two-form by sympy alone: the characteristic polynomial of
+    K = iB over Q(sqrt2), written in y = -x^2 and factored there."""
+    q = B.n
+    K = sympy.Matrix(q, q, lambda a, b: _sympy_real(I * B.entry(a, b)))
+    cp = DomainMatrix.from_Matrix(K).convert_to(QQ_SQRT2).charpoly()
+    y = sympy.Symbol("y")
+    phi = sympy.Poly([cp[2 * j] * (-1) ** j for j in range(q // 2 + 1)], y, domain=QQ_SQRT2)
+    out = []
+    for factor, mult in phi.factor_list()[1]:
+        assert factor.degree() == 1
+        a, b = factor.all_coeffs()
+        out += [-b / a] * mult
+    return sorted(out, key=float)
+
+
+heights = st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**12))
+
+
+@given(st.lists(st.tuples(heights, heights), min_size=1, max_size=4), st.booleans())
+@settings(max_examples=20, deadline=None)
+def test_skew_invariants_match_sympy_on_block_forms(parts, repeat):
+    mus = [Scalar._mk(a, b, F0, F0) for a, b in parts]
+    assume(all(not mu.is_zero() for mu in mus))
+    if repeat and len(mus) < 4:
+        mus.append(mus[0])
+    B = cf.block_two_form(mus)
+    got, lam, m = cf.skew_invariants(B)
+    expected = sympy_mu_squares(B)
+    assert [sympy.expand(_sympy_real(mu * mu) - e) for mu, e in
+            zip(sorted(got, key=float), expected)] == [0] * len(mus)
+    assert all(mu.sign() > 0 for mu in got)
+    assert lam == sum(got, ZERO) and m == got[-1]
 
 
 def test_check_rl1_exact_and_incompatible():

@@ -100,7 +100,7 @@ def test_small_grid_takes_dense_fallback(monkeypatch):
     def no_arpack(*args, **kwargs):
         raise AssertionError("ARPACK called with count >= dim - 1")
 
-    monkeypatch.setattr(spectral.spla, "eigsh", no_arpack)
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_arpack)
     np.testing.assert_array_equal(spectral.eigen(H, 40), dense)
     np.testing.assert_array_equal(spectral.eigen(H, 15), dense[:15])
 

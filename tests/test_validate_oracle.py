@@ -1,0 +1,159 @@
+"""The sparse Jacobi check of `validate` against the dense reference loop.
+
+`dense_validate` is `frame_geometry.validate` as it was before the Jacobi
+check visited only nonzero structure constants: the Jacobiator of every
+triple i < j < k is summed over all m, zero products included.  Both must
+return equal reports -- the same failures in the same order -- on any
+model, admissible or not, including tensors that are not antisymmetric."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from transdirac import clifford_fiber as cf
+from transdirac import frame_geometry as fg
+from transdirac.clifford_fiber import validate_two_form
+from transdirac.exact import SQRT2, ZERO, Scalar, format_scalar
+from transdirac.frame_geometry import FrameModel, ValidationReport
+
+
+def dense_validate(model: FrameModel) -> ValidationReport:
+    failures: list[str] = []
+    warnings: list[str] = []
+    n, p = model.n, model.p
+    c = model.c
+
+    if model.q % 2:
+        failures.append(f"codimension q={model.q} must be even")
+
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if c[i][j][k] != -c[j][i][k]:
+                    failures.append(
+                        f"antisymmetry fails at c^{k + 1}_({i + 1},{j + 1})")
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                for l in range(n):
+                    s = ZERO
+                    for m in range(n):
+                        s = (s + c[i][j][m] * c[m][k][l]
+                             + c[j][k][m] * c[m][i][l]
+                             + c[k][i][m] * c[m][j][l])
+                    if not s.is_zero():
+                        failures.append(
+                            f"Jacobi identity fails on (u{i + 1},u{j + 1},u{k + 1}) "
+                            f"component u{l + 1}")
+
+    for i in range(p):
+        for j in range(p):
+            for a in range(p, n):
+                if not c[i][j][a].is_zero():
+                    failures.append(
+                        f"involutivity fails: c^{a + 1}_({i + 1},{j + 1}) != 0")
+
+    for i in range(p):
+        for a in range(p, n):
+            for b in range(p, n):
+                s = c[i][a][b] + c[i][b][a]
+                if not s.is_zero():
+                    failures.append(
+                        f"bundle-like condition fails: c^{b + 1}_({i + 1},{a + 1}) "
+                        f"+ c^{a + 1}_({i + 1},{b + 1}) = {format_scalar(s)}")
+
+    for i in range(n):
+        tr = ZERO
+        for k in range(n):
+            tr = tr + c[k][i][k]
+        if not tr.is_zero():
+            warnings.append(
+                f"non-unimodular frame: tr(ad u{i + 1}) = {format_scalar(tr)} != 0 "
+                "(no compact quotient with invariant volume)")
+
+    if model.line_b is not None:
+        if model.line_b.n != model.q:
+            failures.append("line bundle curvature must be q x q")
+        else:
+            try:
+                validate_two_form(model.line_b)
+            except ValueError as exc:
+                failures.append(f"line bundle curvature: {exc}")
+
+    return ValidationReport(ok=not failures, failures=tuple(failures),
+                            warnings=tuple(warnings))
+
+
+coefficients = st.sampled_from([Scalar.of(1), Scalar.of(-1), Scalar.of(2),
+                                Scalar.of(Fraction(-1, 2)), SQRT2, -SQRT2])
+
+
+@st.composite
+def bracket_models(draw):
+    """Models from random bracket data; most fail Jacobi, some do not."""
+    n = draw(st.integers(1, 6))
+    p = draw(st.integers(0, n))
+    index = st.integers(1, n)
+    brackets = draw(st.lists(st.tuples(index, index, index, coefficients), max_size=8))
+    line_b = draw(st.sampled_from([None, "block", "bad"]))
+    if line_b == "block":
+        line_b = cf.block_two_form([Scalar.of(j + 1) for j in range((n - p) // 2)])
+    elif line_b == "bad":
+        line_b = cf.block_two_form([Scalar.of(1)]).scale(cf.I)  # real, not a two-form
+    return fg.make_model("random", p, n - p, brackets, line_b=line_b)
+
+
+@st.composite
+def two_step_nilpotent_models(draw):
+    """Brackets of non-central directions land in central ones, so Jacobi
+    holds whatever the coefficients; the other checks may still fail."""
+    n = draw(st.integers(2, 6))
+    central = draw(st.integers(1, n - 1))
+    outer = st.integers(central + 1, n)
+    brackets = draw(st.lists(st.tuples(outer, outer, st.integers(1, central), coefficients),
+                             max_size=8))
+    p = draw(st.integers(0, n))
+    return fg.make_model("nilpotent", p, n - p, brackets)
+
+
+@st.composite
+def raw_tensor_models(draw):
+    """A FrameModel built directly from a tensor that need not be
+    antisymmetric, so the Jacobi sums run over the raw constants."""
+    n = draw(st.integers(1, 5))
+    p = draw(st.integers(0, n))
+    entry = st.one_of(st.just(ZERO), st.just(ZERO), coefficients)
+    c = tuple(tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
+              for _ in range(n))
+    return FrameModel(name="raw", p=p, q=n - p, c=c)
+
+
+@given(st.one_of(bracket_models(), two_step_nilpotent_models(), raw_tensor_models()))
+@settings(max_examples=100, deadline=None)
+def test_sparse_validate_matches_dense_loop(model):
+    assert fg.validate(model) == dense_validate(model)
+
+
+def test_oracle_sees_jacobi_failures_and_passes():
+    failing = fg.make_model("f", 0, 4, [(1, 2, 3, 1), (2, 3, 4, 1), (3, 4, 1, 1)])
+    rep = dense_validate(failing)
+    assert any("Jacobi" in f for f in rep.failures)
+    assert fg.validate(failing) == rep
+    for name in fg.bundled_model_names():
+        model = fg.load_bundled(name)
+        assert fg.validate(model) == dense_validate(model)
+
+
+def test_raw_tensor_with_failing_antisymmetry_and_jacobi():
+    n = 3
+    c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    c[0][1][2] = Scalar.of(1)  # [u1, u2] = u3 without [u2, u1] = -u3
+    c[2][2][0] = Scalar.of(1)  # [u3, u3] = u1
+    frozen = tuple(tuple(tuple(row) for row in plane) for plane in c)
+    model = FrameModel(name="raw", p=1, q=2, c=frozen)
+    rep = fg.validate(model)
+    assert rep == dense_validate(model)
+    assert rep.failures[0].startswith("antisymmetry fails")
+    assert "Jacobi identity fails on (u1,u2,u3) component u1" in rep.failures
