@@ -7,8 +7,9 @@ Subcommands:
   crosscheck  lattice cross-validation of the symbolic identity pairs
 
 Exit codes: 0 pass, 1 mathematical violation, 2 invalid input, 3 numerical
-failure.  Reports are deterministic for a fixed seed (the runtime_ms column
-is measurement, not content).
+failure.  Reports are deterministic for a fixed seed, `gap` included: its
+eigensolver starts from a fixed vector (the runtime_ms column is
+measurement, not content).
 
 Only `gap` and `crosscheck` compute in floating point: numpy and scipy are
 loaded when one of them runs, so `verify` and `fiber` load neither.
@@ -151,11 +152,11 @@ def cmd_gap(config: RunConfig) -> int:
     if isinstance(model, int):
         return model
     try:
-        spec.require_flat_torus(model)
+        torus = spec.flat_torus(model)
         if model.line_b is None:
             print("error: gap scan requires a line bundle", file=sys.stderr)
             return EXIT_INVALID
-        c = spec.chern_number(model)
+        c = torus.c
     except fg.ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -170,7 +171,7 @@ def cmd_gap(config: RunConfig) -> int:
               f"--tol {config.tol:g}; increase N", file=sys.stderr)
         return EXIT_INVALID
     try:
-        reports = spec.gap_scan(model, ks, config.N)
+        reports = spec.gap_scan(torus, ks, config.N)
     except spec.SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

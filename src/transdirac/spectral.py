@@ -91,6 +91,22 @@ def invariants_2pi(model: FrameModel) -> tuple[float, float]:
     return TWO_PI * float(lam), TWO_PI * float(m)
 
 
+@dataclass(frozen=True)
+class FlatTorus:
+    """A model that passed `require_flat_torus`, with what every flux value
+    of a scan shares: the Chern number c and (lambda, m) of 2*pi*B."""
+    model: FrameModel
+    c: int
+    lam: float
+    m: float
+
+
+def flat_torus(model: FrameModel) -> FlatTorus:
+    require_flat_torus(model)
+    lam, m = invariants_2pi(model)
+    return FlatTorus(model, chern_number(model), lam, m)
+
+
 # ---------------------------------------------------------------------------
 # link phases and the magnetic Bochner Laplacian
 
@@ -180,8 +196,12 @@ def eigen(M: sp.spmatrix, count: int) -> np.ndarray:
     count = min(count, dim)
     if count >= dim - 1:
         return np.linalg.eigvalsh(M.toarray())[:count]
+    # a fixed generic start vector makes the result repeatable; a structured
+    # one (all ones, say) could be orthogonal to part of a degenerate level
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     try:
-        vals = spla.eigsh(M.tocsc(), k=count, sigma=-1.0,
+        vals = spla.eigsh(M.tocsc(), k=count, sigma=-1.0, v0=v0,
                           return_eigenvectors=False)
     except spla.ArpackNoConvergence as exc:
         raise SolverError(
@@ -215,7 +235,7 @@ class SpectrumReport:
         }
 
 
-def spectrum_report(model: FrameModel, k: int, N: int,
+def spectrum_report(torus: FlatTorus, k: int, N: int,
                     count: int = 40) -> SpectrumReport:
     """Eigenvalue report for one k: kernel clusters per parity sector, the
     gap above them, and the fitted defect C = max(0, 2km - gap).
@@ -225,11 +245,10 @@ def spectrum_report(model: FrameModel, k: int, N: int,
     import numpy as np
 
     t0 = time.perf_counter()
-    lam, m = invariants_2pi(model)
-    require_flat_torus(model)
-    kc = k * chern_number(model)
+    lam, m = torus.lam, torus.m
+    kc = k * torus.c
     H = magnetic_bochner(N, kc)
-    e_even, e_odd = parity_blocks(model, k)
+    e_even, e_odd = parity_blocks(torus.model, k)
     h = eigen(H, max(count, abs(kc) + KERNEL_MARGIN))
     ev_even, ev_odd = (np.sort(np.add.outer(h, e).ravel())[:len(h)]
                        for e in (e_even, e_odd))
@@ -248,8 +267,8 @@ def spectrum_report(model: FrameModel, k: int, N: int,
                           runtime_ms=ms)
 
 
-def gap_scan(model: FrameModel, k_values, N: int, count: int = 40) -> list[SpectrumReport]:
-    return [spectrum_report(model, k, N, count) for k in k_values]
+def gap_scan(torus: FlatTorus, k_values, N: int, count: int = 40) -> list[SpectrumReport]:
+    return [spectrum_report(torus, k, N, count) for k in k_values]
 
 
 @dataclass
@@ -269,14 +288,12 @@ def lemma1_estimate(model: FrameModel, k_values, N: int) -> list[LowerBoundRepor
     """Lower-bound scan for the plain line-bundle Bochner Laplacian: reports
     C_k = max(0, k*lambda - min eig), which the estimate asserts is bounded
     uniformly in k (on the torus the integrability term is absent)."""
-    require_flat_torus(model)
-    c = chern_number(model)
-    lam, _ = invariants_2pi(model)
+    torus = flat_torus(model)
     out = []
     for k in k_values:
-        low = float(eigen(magnetic_bochner(N, k * c), 1)[0])
-        out.append(LowerBoundReport(k=k, N=N, min_eigenvalue=low, k_lambda=k * lam,
-                                    defect=max(0.0, k * lam - low)))
+        low = float(eigen(magnetic_bochner(N, k * torus.c), 1)[0])
+        out.append(LowerBoundReport(k=k, N=N, min_eigenvalue=low, k_lambda=k * torus.lam,
+                                    defect=max(0.0, k * torus.lam - low)))
     return out
 
 

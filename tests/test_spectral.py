@@ -18,6 +18,11 @@ def landau():
     return fg.resolve_model("t3_landau")
 
 
+@pytest.fixture(scope="module")
+def torus(landau):
+    return spectral.flat_torus(landau)
+
+
 # -- link phases -------------------------------------------------------------
 
 def loop_hop_matrices(N, flux_quanta):
@@ -72,8 +77,8 @@ def assembled_parity_blocks(model, k, N):
 
 @pytest.mark.parametrize("N", [8, 12])
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_kronecker_sum_matches_dense_parity_blocks(landau, N, k):
-    rep = spectral.spectrum_report(landau, k, N)
+def test_kronecker_sum_matches_dense_parity_blocks(landau, torus, N, k):
+    rep = spectral.spectrum_report(torus, k, N)
     count = len(rep.eigenvalues) // 2
     even, odd = (np.linalg.eigvalsh(B.toarray())[:count]
                  for B in assembled_parity_blocks(landau, k, N))
@@ -84,11 +89,27 @@ def test_kronecker_sum_matches_dense_parity_blocks(landau, N, k):
     assert rep.kernel_dim_odd == np.sum(odd < thr) == 0
 
 
-def test_kernel_count_is_not_capped_by_requested_count(landau):
-    rep = spectral.spectrum_report(landau, k=12, N=32, count=8)
+def test_kernel_count_is_not_capped_by_requested_count(torus):
+    rep = spectral.spectrum_report(torus, k=12, N=32, count=8)
     assert rep.kernel_dim_even == 12
     assert rep.kernel_dim_odd == 0
     assert not rep.ambiguous
+
+
+def test_gap_scan_rows_repeat_exactly(torus):
+    # N = 16 takes the Lanczos path, whose start vector decides the last digits
+    first, second = ([{**r.row(), "runtime_ms": None} for r in spectral.gap_scan(torus, [1, 2], 16)]
+                     for _ in range(2))
+    assert first == second
+
+
+def test_flat_torus_carries_the_scan_invariants(landau):
+    torus = spectral.flat_torus(landau)
+    assert torus.model is landau
+    assert torus.c == spectral.chern_number(landau) == 1
+    assert (torus.lam, torus.m) == spectral.invariants_2pi(landau)
+    with pytest.raises(fg.ModelError, match="not a flat torus"):
+        spectral.flat_torus(fg.resolve_model("heisenberg"))
 
 
 def test_small_grid_takes_dense_fallback(monkeypatch):
