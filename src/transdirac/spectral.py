@@ -288,12 +288,14 @@ def lemma1_estimate(model: FrameModel, k_values, N: int) -> list[LowerBoundRepor
     """Lower-bound scan for the plain line-bundle Bochner Laplacian: reports
     C_k = max(0, k*lambda - min eig), which the estimate asserts is bounded
     uniformly in k (on the torus the integrability term is absent)."""
-    torus = flat_torus(model)
+    require_flat_torus(model)
+    c = chern_number(model)
+    lam, _ = invariants_2pi(model)
     out = []
     for k in k_values:
-        low = float(eigen(magnetic_bochner(N, k * torus.c), 1)[0])
-        out.append(LowerBoundReport(k=k, N=N, min_eigenvalue=low, k_lambda=k * torus.lam,
-                                    defect=max(0.0, k * torus.lam - low)))
+        low = float(eigen(magnetic_bochner(N, k * c), 1)[0])
+        out.append(LowerBoundReport(k=k, N=N, min_eigenvalue=low, k_lambda=k * lam,
+                                    defect=max(0.0, k * lam - low)))
     return out
 
 
