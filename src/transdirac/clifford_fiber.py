@@ -238,14 +238,6 @@ class ComplexStructure:
         return hash((self.jmat, self.frame))
 
 
-def spinor_action(f, J: ComplexStructure) -> Mat:
-    """Matrix of c(f) = sqrt2 (ext of the (1,0)-dual - int of the (0,1)-part)
-    on the spinor fiber, for a vector f given by components."""
-    if len(f) != J.q:
-        raise ValueError(f"vector length {len(f)} != q={J.q}")
-    return vector_action(f, spinor_cliffords(J))
-
-
 def spinor_cliffords(J: ComplexStructure, twist_dim: int = 1) -> tuple[Mat, ...]:
     """c(f_alpha) for the standard basis vectors, alpha = 1..q.
 
@@ -630,10 +622,6 @@ def odd_lower_bound(B: Mat, J: ComplexStructure, twist_dim: int = 1,
 
 # ---------------------------------------------------------------------------
 # random exact data for batteries
-
-def random_rational(rng: random.Random, max_num: int = 9, max_den: int = 6) -> Scalar:
-    return rational(rng.randint(-max_num, max_num), rng.randint(1, max_den))
-
 
 def random_orthogonal(rng: random.Random, q: int, rounds: int = 2) -> Mat:
     """Exact orthogonal matrix: rational Givens rotations, an occasional

@@ -308,19 +308,6 @@ def divergence(model: FrameModel, direction: int, gamma=None) -> Scalar:
     return s
 
 
-def divergence_closed_horizontal(model: FrameModel, a: int,
-                                 transverse=None, tau=None) -> Scalar:
-    """div f_a = -g(tau + sum_b nabla_{f_b} f_b, f_a), the closed horizontal
-    formula; must agree with the trace divergence on every valid model."""
-    q, p = model.q, model.p
-    A = transverse if transverse is not None else transverse_connection(model)
-    tau = tau if tau is not None else mean_curvature(model)
-    s = tau[a]
-    for b in range(q):
-        s = s + A[p + b].entry(a, b)
-    return -s
-
-
 @dataclass(frozen=True)
 class ConnectionData:
     """All derived geometric data of a validated model, exact."""

@@ -281,10 +281,6 @@ def zero_op(setup: BundleSetup) -> DiffOp:
     return DiffOp(setup, {})
 
 
-def identity_op(setup: BundleSetup) -> DiffOp:
-    return DiffOp(setup, {(): Mat.identity(setup.fiber.dim)})
-
-
 def endo_op(setup: BundleSetup, M: Mat) -> DiffOp:
     return DiffOp(setup, {(): M})
 
@@ -424,25 +420,6 @@ def bochner(setup: BundleSetup) -> DiffOp:
         na = nabla(setup, setup.model.p + a)
         acc = acc + compose(adjoint(na), na)
     return acc
-
-
-def bochner_divergence_form(setup: BundleSetup) -> DiffOp:
-    """The same operator written -sum nabla^2 + nabla_tau + nabla_{sum_b nabla_{f_b} f_b};
-    independent assembly used to cross-check the adjoint engine."""
-    model, geom = setup.model, setup.geom
-    p, q = model.p, model.q
-    eye = Mat.identity(setup.fiber.dim)
-    acc: dict[tuple, Mat] = {}
-    for a in range(q):
-        accumulate(acc, (p + a, p + a), -eye)
-    # nabla along the horizontal vector tau + sum_b nabla_{f_b} f_b
-    for a in range(q):
-        comp = geom.tau[a]
-        for b in range(q):
-            comp = comp + geom.transverse[p + b].entry(a, b)
-        if not comp.is_zero():
-            accumulate(acc, (p + a,), eye.scale(comp))
-    return DiffOp(setup, acc)
 
 
 def _pair_contraction(left: tuple[Mat, ...], right: tuple[Mat, ...],
@@ -688,20 +665,6 @@ def basic_tau_rhs(setup: BundleSetup) -> DiffOp:
     acc = bochner(setup) + endo_op(setup, eye.scale(scalar))
     return acc + _clifford_curvature_term(
         setup, lambda a, b: twisting_curvature(setup, a, b))
-
-
-# ---------------------------------------------------------------------------
-# structural checks
-
-def is_grading_odd(op: DiffOp) -> bool:
-    """Every coefficient anticommutes with the fiber parity (the derivative
-    generators preserve parity since the connection matrices are even)."""
-    P = op.setup.grading()
-    return all((P @ M @ P + M).is_zero() for M in op.terms.values())
-
-
-def is_self_adjoint(op: DiffOp) -> bool:
-    return adjoint(op) == op
 
 
 # ---------------------------------------------------------------------------

@@ -2,23 +2,27 @@
 
 The torus fixtures have one leaf direction and a two-dimensional transverse
 torus carrying a line bundle whose curvature two-form is stored in units of
-2*pi, so the integer entries of i*B are Chern numbers.  The Dirac square is
-never discretized through the first-order operator (central differences of
-first order double the spectrum); its verified second-order normal form --
-magnetic Bochner Laplacian plus a constant curvature endomorphism E -- is
-used instead:
+2*pi, so the integer entries of i*B are Chern numbers.  The spectra come
+from the verified second-order normal form of the Dirac square -- magnetic
+Bochner Laplacian plus a constant curvature endomorphism E:
 
 * the Bochner Laplacian H is assembled on an N x N lattice with U(1) link
-  phases: plaquette flux 2*pi*k*c / N^2 per cell in Landau gauge, with the
-  boundary column of x-links twisted by -2*pi*k*c*y/N so every plaquette,
-  wrap-around included, carries the same flux (this is where integrality
-  of k*c enters);
+  phases: each plaquette loop is exp(h^2 F_12), F = 2*pi*k*B the physical
+  curvature, in Landau gauge with the boundary column of x-links twisted
+  so every plaquette, wrap-around included, carries the same flux (this
+  is where integrality of k*c enters);
 * the Dirac square contains no leaf derivatives, so the leafwise-constant
   sector carries the whole transverse spectrum;
 * E is grading-even, and each parity block is the Kronecker sum
   H (x) I + I (x) E_parity, whose spectrum is {h_i + e_j}.  One
   shift-invert Lanczos solve for the lowest h_i per flux value and the
   eigenvalues of the small fiber blocks of E give both sectors.
+
+`crosscheck_rows` ties that operator to the first-order D: it squares the
+central-difference D_h on the two lowest levels of H and asserts the
+O(h^2) convergence of D_h^2 to H (x) I + I (x) E as N doubles.  The square
+of a central difference has doublers at the top of the lattice spectrum,
+so D_h^2 is compared only on those smooth low levels, never diagonalised.
 
 Floating point lives only here; the symbolic layer stays exact.  numpy and
 scipy are imported by the functions that use them, so importing this module
@@ -32,11 +36,11 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .clifford_fiber import ComplexStructure, skew_invariants, two_form_action
+from .clifford_fiber import (ComplexStructure, ext_matrix, int_matrix, skew_invariants,
+                             spinor_cliffords, two_form_action)
 from .exact import I as IUNIT
 from .frame_geometry import FrameModel, ModelError, require_valid
 from .matrices import Mat
-from .operator_calculus import DiffOp
 
 if TYPE_CHECKING:
     import numpy as np
@@ -113,7 +117,11 @@ def flat_torus(model: FrameModel) -> FlatTorus:
 def hop_matrices(N: int, flux_quanta: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Forward hop operators (U_x psi)(x,y) = e^{i theta} psi(x+1,y) etc. in
     Landau gauge with a twisted boundary column; total flux 2*pi*flux_quanta.
-    Site (x, y) has index x*N + y."""
+    Site (x, y) has index x*N + y.
+
+    The phases carry the curvature F_12 = -2*pi*i*flux_quanta that the exact
+    layer gives i*B_12 = flux_quanta: every plaquette loop
+    U_x U_y U_x^dagger U_y^dagger is exp(h^2 F_12)."""
     import numpy as np
     import scipy.sparse as sp
 
@@ -123,8 +131,8 @@ def hop_matrices(N: int, flux_quanta: int) -> tuple[sp.csr_matrix, sp.csr_matrix
     x, y = np.divmod(site, N)
     jx = (x + 1) % N * N + y
     jy = x * N + (y + 1) % N
-    phase_x = np.where(x == N - 1, -a * y / N, 0.0)
-    phase_y = a * x / (N * N)
+    phase_x = np.where(x == N - 1, a * y / N, 0.0)
+    phase_y = -a * x / (N * N)
     Ux = sp.csr_matrix((np.exp(1j * phase_x), (site, jx)), shape=(dim, dim))
     Uy = sp.csr_matrix((np.exp(1j * phase_y), (site, jy)), shape=(dim, dim))
     return Ux, Uy
@@ -146,6 +154,20 @@ def magnetic_bochner(N: int, flux_quanta: int) -> sp.csr_matrix:
 # ---------------------------------------------------------------------------
 # the constant fiber term
 
+def _dense(M: Mat) -> np.ndarray:
+    import numpy as np
+
+    out = np.zeros((M.n, M.m), dtype=complex)
+    for (i, j), v in M.d.items():
+        out[i, j] = complex(v)
+    return out
+
+
+def _complex_structure(model: FrameModel) -> ComplexStructure:
+    return ComplexStructure.from_matrix(model.jmat) if model.jmat is not None \
+        else ComplexStructure.standard(model.q)
+
+
 def _constant_endomorphism(model: FrameModel, k: int) -> np.ndarray:
     """Float matrix of the constant fiber term k c(R^L) in physical units.
 
@@ -153,16 +175,10 @@ def _constant_endomorphism(model: FrameModel, k: int) -> np.ndarray:
     vanishes (tau = 0, K = 0, integrability = 0)."""
     import numpy as np
 
-    J = ComplexStructure.from_matrix(model.jmat) if model.jmat is not None \
-        else ComplexStructure.standard(model.q)
-    dim = 1 << J.l
+    J = _complex_structure(model)
     if model.line_b is None or k == 0:
-        return np.zeros((dim, dim), dtype=complex)
-    act = two_form_action(model.line_b, J)
-    out = np.zeros((dim, dim), dtype=complex)
-    for (i, j), v in act.d.items():
-        out[i, j] = complex(v)
-    return TWO_PI * k * out
+        return np.zeros((1 << J.l, 1 << J.l), dtype=complex)
+    return TWO_PI * k * _dense(two_form_action(model.line_b, J))
 
 
 def parity_blocks(model: FrameModel, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -182,32 +198,35 @@ def parity_blocks(model: FrameModel, k: int) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # eigensolver
 
-def eigen(M: sp.spmatrix, count: int) -> np.ndarray:
-    """Lowest `count` eigenvalues of the positive semidefinite Hermitian M,
-    ascending.
+def eigen(M: sp.spmatrix, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest `count` eigenpairs of the positive semidefinite Hermitian M:
+    eigenvalues ascending, eigenvectors as columns.
 
     Shift-invert Lanczos (ARPACK) about sigma = -1: the shift lies below the
     spectrum, so the eigenvalues nearest it are the lowest.  ARPACK needs
-    count < dim - 1; smaller problems take a dense eigvalsh."""
+    count < dim - 1; smaller problems take a dense eigh.  eigsh takes a
+    complex M through ARPACK's non-Hermitian driver, so its eigenvectors
+    within a degenerate level span it but are not orthogonal."""
     import numpy as np
     import scipy.sparse.linalg as spla
 
     dim = M.shape[0]
     count = min(count, dim)
     if count >= dim - 1:
-        return np.linalg.eigvalsh(M.toarray())[:count]
+        vals, vecs = np.linalg.eigh(M.toarray())
+        return vals[:count], vecs[:, :count]
     # a fixed generic start vector makes the result repeatable; a structured
     # one (all ones, say) could be orthogonal to part of a degenerate level
     rng = np.random.default_rng(0)
     v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     try:
-        vals = spla.eigsh(M.tocsc(), k=count, sigma=-1.0, v0=v0,
-                          return_eigenvectors=False)
+        vals, vecs = spla.eigsh(M.tocsc(), k=count, sigma=-1.0, v0=v0)
     except spla.ArpackNoConvergence as exc:
         raise SolverError(
             f"shift-invert Lanczos did not converge: "
             f"{len(exc.eigenvalues)}/{count} eigenvalues") from exc
-    return np.sort(vals)
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +254,12 @@ class SpectrumReport:
         }
 
 
-def spectrum_report(torus: FlatTorus, k: int, N: int,
-                    count: int = 40) -> SpectrumReport:
+def spectrum_report(torus: FlatTorus, k: int, N: int) -> SpectrumReport:
     """Eigenvalue report for one k: kernel clusters per parity sector, the
     gap above them, and the fitted defect C = max(0, 2km - gap).
 
-    At least k*c + KERNEL_MARGIN eigenvalues are taken per sector, so the
-    kernel count is not capped by `count`."""
+    The lowest k*c + KERNEL_MARGIN eigenvalues of H are taken, so the
+    kernel count is never capped by the request."""
     import numpy as np
 
     t0 = time.perf_counter()
@@ -249,7 +267,7 @@ def spectrum_report(torus: FlatTorus, k: int, N: int,
     kc = k * torus.c
     H = magnetic_bochner(N, kc)
     e_even, e_odd = parity_blocks(torus.model, k)
-    h = eigen(H, max(count, abs(kc) + KERNEL_MARGIN))
+    h, _ = eigen(H, abs(kc) + KERNEL_MARGIN)
     ev_even, ev_odd = (np.sort(np.add.outer(h, e).ravel())[:len(h)]
                        for e in (e_even, e_odd))
     allvals = np.sort(np.concatenate([ev_even, ev_odd]))
@@ -267,146 +285,57 @@ def spectrum_report(torus: FlatTorus, k: int, N: int,
                           runtime_ms=ms)
 
 
-def gap_scan(torus: FlatTorus, k_values, N: int, count: int = 40) -> list[SpectrumReport]:
-    return [spectrum_report(torus, k, N, count) for k in k_values]
-
-
-@dataclass
-class LowerBoundReport:
-    k: int
-    N: int
-    min_eigenvalue: float
-    k_lambda: float
-    defect: float  # max(0, k*lambda - min eig); Lemma-style constant
-
-    def row(self) -> dict:
-        return {"k": self.k, "N": self.N, "min_eig": self.min_eigenvalue,
-                "k_lambda": self.k_lambda, "C_k": self.defect}
-
-
-def lemma1_estimate(model: FrameModel, k_values, N: int) -> list[LowerBoundReport]:
-    """Lower-bound scan for the plain line-bundle Bochner Laplacian: reports
-    C_k = max(0, k*lambda - min eig), which the estimate asserts is bounded
-    uniformly in k (on the torus the integrability term is absent)."""
-    require_flat_torus(model)
-    c = chern_number(model)
-    lam, _ = invariants_2pi(model)
-    out = []
-    for k in k_values:
-        low = float(eigen(magnetic_bochner(N, k * c), 1)[0])
-        out.append(LowerBoundReport(k=k, N=N, min_eigenvalue=low, k_lambda=k * lam,
-                                    defect=max(0.0, k * lam - low)))
-    return out
+def gap_scan(torus: FlatTorus, k_values, N: int) -> list[SpectrumReport]:
+    return [spectrum_report(torus, k, N) for k in k_values]
 
 
 # ---------------------------------------------------------------------------
-# cross-validation of symbolic operators on the lattice
+# the first-order D on the lattice, squared
 
-def _split_coefficient(M1: Mat | None, M0: Mat | None, dim: int) -> np.ndarray:
-    """Physical float coefficient from the exact pair (with-B, zero-B): the
-    line-bundle curvature enters the symbolic layer in units of 2*pi, and
-    operator coefficients are affine in it, so phys = M0 + 2*pi (M1 - M0)."""
-    import numpy as np
-
-    out0 = np.zeros((dim, dim), dtype=complex)
-    out1 = np.zeros((dim, dim), dtype=complex)
-    if M0 is not None:
-        for (i, j), v in M0.d.items():
-            out0[i, j] = complex(v)
-    if M1 is not None:
-        for (i, j), v in M1.d.items():
-            out1[i, j] = complex(v)
-    return out0 + TWO_PI * (out1 - out0)
-
-
-@dataclass
-class LatticeOperator:
-    model_name: str
-    k: int
-    N: int
-    fiber_dim: int
-    matrix: sp.csr_matrix
-    label: str = ""
-
-
-def discretize_diffop(op_pair: tuple[DiffOp, DiffOp], N: int) -> LatticeOperator:
-    """Term-by-term stencil discretization of a normal-ordered operator on
-    the leafwise-reduced lattice sections.
-
-    `op_pair` is (operator, operator rebuilt with the line bundle zeroed);
-    the pair disentangles which part of each coefficient scales with the
-    2*pi of the physical curvature.  Leaf derivatives act as zero on the
-    reduced sector.  Monomials map to central/second differences with link
-    phases; equal exact operators yield identical matrices."""
-    import numpy as np
+def lattice_dirac(cliffords, N: int, kc: int) -> sp.csr_matrix:
+    """sum_a (U_a - U_a^dagger)/(2h) (x) c(f_a): central differences of
+    D = sum_a c(f_a) nabla_a, with h = 1/N and the generators as arrays."""
     import scipy.sparse as sp
 
-    op1, op0 = op_pair
-    setup = op1.setup
-    model = setup.model
-    require_flat_torus(model)
-    c = chern_number(model)
-    k = setup.k
-    Ux, Uy = hop_matrices(N, k * c)
-    dim_site = N * N
-    h = 1.0 / N
-    eye = sp.identity(dim_site, dtype=complex, format="csr")
-    hops = (Ux, Uy)
-
-    def site_op(word) -> sp.csr_matrix | None:
-        p = model.p
-        horiz = []
-        for u in word:
-            if u < p:
-                return None  # leaf derivative: zero on the reduced sector
-            horiz.append(u - p)
-        if not horiz:
-            return eye
-        if len(horiz) == 1:
-            U = hops[horiz[0]]
-            return (U - U.getH()) / (2 * h)
-        if len(horiz) == 2:
-            a, b = horiz
-            if a == b:
-                U = hops[a]
-                return (U + U.getH() - 2 * eye) / (h * h)
-            Da = (hops[a] - hops[a].getH()) / (2 * h)
-            Db = (hops[b] - hops[b].getH()) / (2 * h)
-            return (Da @ Db).tocsr()
-        raise ModelError("stencils implemented for degree <= 2")
-
-    fdim = setup.fiber.dim
-    acc = sp.csr_matrix((dim_site * fdim, dim_site * fdim), dtype=complex)
-    words = set(op1.terms) | set(op0.terms)
-    for w in sorted(words):
-        S = site_op(w)
-        if S is None:
-            continue
-        coeff = _split_coefficient(op1.terms.get(w), op0.terms.get(w), fdim)
-        if np.max(np.abs(coeff)) == 0.0:
-            continue
-        acc = acc + sp.kron(S, sp.csr_matrix(coeff), format="csr")
-    return LatticeOperator(model_name=model.name, k=k, N=N, fiber_dim=fdim,
-                           matrix=acc.tocsr(), label="diffop")
+    return sum(sp.kron((U - U.getH()) * (N / 2), C, format="csr")
+               for U, C in zip(hop_matrices(N, kc), cliffords))
 
 
-def cross_validate(lhs_pair: tuple[DiffOp, DiffOp],
-                   rhs_pair: tuple[DiffOp, DiffOp],
-                   N: int, trials: int, rng: np.random.Generator) -> float:
-    """Apply both discretized operators to random sections; max relative
-    deviation.  Exactly equal symbolic operators give identical matrices, so
-    the residual isolates assembly and normal-form faults."""
+def square_residual(cliffords, E: np.ndarray, N: int, kc: int) -> float:
+    """r = |(D_h^2 - R_h) V|_F / max(|R_h V|_F, |V|_F), R_h = H (x) I + I (x) E.
+
+    V is an orthonormal basis of the two lowest levels of H (2|kc|
+    eigenvectors, or the 5 of the constant and the first Fourier modes at
+    kc = 0) tensored with the fiber; whole levels make r independent of the
+    basis the eigensolver returns."""
     import numpy as np
 
-    ML = discretize_diffop(lhs_pair, N).matrix
-    MR = discretize_diffop(rhs_pair, N).matrix
-    worst = 0.0
-    dim = ML.shape[0]
-    for _ in range(max(1, trials)):
-        s = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        ls = ML @ s
-        rs = MR @ s
-        denom = max(np.linalg.norm(ls), np.linalg.norm(rs), 1e-30)
-        worst = max(worst, float(np.linalg.norm(ls - rs) / denom))
-    return worst
+    H = magnetic_bochner(N, kc)
+    vecs, _ = np.linalg.qr(eigen(H, 2 * abs(kc) if kc else 5)[1])
+    eye = np.eye(E.shape[0])
+    V = np.kron(vecs, eye)
+    RV = np.kron(H @ vecs, eye) + np.kron(vecs, E)
+    D = lattice_dirac(cliffords, N, kc)
+    return float(np.linalg.norm(D @ (D @ V) - RV)
+                 / max(np.linalg.norm(RV), np.linalg.norm(V)))
 
+
+def crosscheck_rows(torus: FlatTorus, k_values, N: int) -> list[dict]:
+    """Convergence of D_h^2 to the operator `gap` diagonalises, at N and 2N:
+    on the spinor fiber for each k (identities a, b and c coincide on a flat
+    torus), and on the untwisted forms with the generators eps - iota and
+    E = 0 (identities e and g).  O(h^2) gives ratio = r(N)/r(2N) near 4."""
+    import numpy as np
+
+    model, q = torus.model, torus.model.q
+    spinor = [_dense(C) for C in spinor_cliffords(_complex_structure(model))]
+    forms = [_dense(ext_matrix(q, a) - int_matrix(q, a)) for a in range(q)]
+    cases = [("spinor", "abc", k, spinor, _constant_endomorphism(model, k))
+             for k in k_values]
+    cases.append(("forms", "eg", 0, forms, np.zeros((1 << q, 1 << q))))
+    rows = []
+    for fiber, keys, k, gens, E in cases:
+        r_N, r_2N = (square_residual(gens, E, n, k * torus.c) for n in (N, 2 * N))
+        rows.append({"fiber": fiber, "identities": keys, "k": k, "kc": k * torus.c,
+                     "r_N": r_N, "r_2N": r_2N, "ratio": r_N / r_2N})
+    return rows

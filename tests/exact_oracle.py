@@ -1,0 +1,71 @@
+"""Test oracles for the exact layer: second routes to quantities the package
+computes one way, the predicates the operator tests assert, and random
+exact data.  The package itself has no use for them.
+"""
+
+from __future__ import annotations
+
+import random
+
+from transdirac import operator_calculus as oc
+from transdirac.clifford_fiber import ComplexStructure, spinor_cliffords, vector_action
+from transdirac.exact import Scalar, rational
+from transdirac.frame_geometry import FrameModel, mean_curvature, transverse_connection
+from transdirac.matrices import Mat, accumulate
+
+
+def random_rational(rng: random.Random, max_num: int = 9, max_den: int = 6) -> Scalar:
+    return rational(rng.randint(-max_num, max_num), rng.randint(1, max_den))
+
+
+def spinor_action(f, J: ComplexStructure) -> Mat:
+    """Matrix of c(f) = sqrt2 (ext of the (1,0)-dual - int of the (0,1)-part)
+    on the spinor fiber, for a vector f given by components."""
+    if len(f) != J.q:
+        raise ValueError(f"vector length {len(f)} != q={J.q}")
+    return vector_action(f, spinor_cliffords(J))
+
+
+def divergence_closed_horizontal(model: FrameModel, a: int) -> Scalar:
+    """div f_a = -g(tau + sum_b nabla_{f_b} f_b, f_a), the closed horizontal
+    formula; must agree with the trace divergence on every valid model."""
+    q, p = model.q, model.p
+    A = transverse_connection(model)
+    s = mean_curvature(model)[a]
+    for b in range(q):
+        s = s + A[p + b].entry(a, b)
+    return -s
+
+
+def identity_op(setup: oc.BundleSetup) -> oc.DiffOp:
+    return oc.DiffOp(setup, {(): Mat.identity(setup.fiber.dim)})
+
+
+def bochner_divergence_form(setup: oc.BundleSetup) -> oc.DiffOp:
+    """The Bochner operator written -sum nabla^2 + nabla_tau +
+    nabla_{sum_b nabla_{f_b} f_b}; assembled without the adjoint engine."""
+    model, geom = setup.model, setup.geom
+    p, q = model.p, model.q
+    eye = Mat.identity(setup.fiber.dim)
+    acc: dict[tuple, Mat] = {}
+    for a in range(q):
+        accumulate(acc, (p + a, p + a), -eye)
+    # nabla along the horizontal vector tau + sum_b nabla_{f_b} f_b
+    for a in range(q):
+        comp = geom.tau[a]
+        for b in range(q):
+            comp = comp + geom.transverse[p + b].entry(a, b)
+        if not comp.is_zero():
+            accumulate(acc, (p + a,), eye.scale(comp))
+    return oc.DiffOp(setup, acc)
+
+
+def is_grading_odd(op: oc.DiffOp) -> bool:
+    """Every coefficient anticommutes with the fiber parity (the derivative
+    generators preserve parity since the connection matrices are even)."""
+    P = op.setup.grading()
+    return all((P @ M @ P + M).is_zero() for M in op.terms.values())
+
+
+def is_self_adjoint(op: oc.DiffOp) -> bool:
+    return oc.adjoint(op) == op

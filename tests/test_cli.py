@@ -2,9 +2,9 @@
 
 The files under tests/golden/ hold the reports as the CLI printed them; a
 refactor of the exact layer must reproduce `verify` and `fiber` byte for
-byte.  The `gap` report carries floats from an iterative eigensolver and a
-measured `runtime_ms`, so it is compared with the measurement removed,
-integers exactly and floats to a relative 1e-9."""
+byte.  The `gap` and `crosscheck` reports carry floats from an iterative
+eigensolver, and `gap` a measured `runtime_ms`, so they are compared with
+the measurement removed, integers exactly and floats to a relative 1e-9."""
 
 import dataclasses
 import json
@@ -75,6 +75,13 @@ def test_gap_report_matches_golden(capsys):
         del row["runtime_ms"]
     want = json.loads((GOLDEN / "gap_t3_landau_k1-2_N16.json").read_text(encoding="utf-8"))
     assert_close_tree(report, want)
+
+
+def test_crosscheck_report_matches_golden(capsys):
+    code, out = run_cli(capsys, "crosscheck", "--model", "t3_landau", "--k", "1..2", "--N", "16")
+    assert code == cli.EXIT_PASS
+    want = json.loads((GOLDEN / "crosscheck_t3_landau_k1-2_N16.json").read_text(encoding="utf-8"))
+    assert_close_tree(json.loads(out), want)
 
 
 def test_failed_identity_reports_worst_monomial(capsys, monkeypatch):

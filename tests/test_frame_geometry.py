@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import exact_oracle as eo
 from transdirac import clifford_fiber as cf
 from transdirac import frame_geometry as fg
 from transdirac.exact import ONE, ZERO, rational
@@ -174,7 +175,7 @@ def test_divergence_dual_route(name):
     m = fg.load_bundled(name)
     for a in range(m.q):
         trace_route = fg.divergence(m, m.p + a)
-        closed_route = fg.divergence_closed_horizontal(m, a)
+        closed_route = eo.divergence_closed_horizontal(m, a)
         assert trace_route == closed_route
 
 
@@ -210,7 +211,7 @@ def test_spin_connection_commutator_identity(name):
         for b in range(m.q):
             lhs = spins[u] @ cs[b] - cs[b] @ spins[u]
             vec = tuple(A[u].entry(g, b) for g in range(m.q))
-            assert lhs == cf.spinor_action(vec, J)
+            assert lhs == eo.spinor_action(vec, J)
 
 
 def test_spin_connection_skew_hermitian(sol):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import exact_oracle as eo
 from transdirac import clifford_fiber as cf
 from transdirac import frame_geometry as fg
 from transdirac import operator_calculus as oc
@@ -60,8 +61,8 @@ def test_compose_heisenberg_rewrite(heis_setup):
 def test_compose_identity_law(sol_setup):
     s = sol_setup
     D = oc.dirac(s)
-    assert oc.compose(oc.identity_op(s), D) == D
-    assert oc.compose(D, oc.identity_op(s)) == D
+    assert oc.compose(eo.identity_op(s), D) == D
+    assert oc.compose(D, eo.identity_op(s)) == D
 
 
 def test_torus_twisted_commutator():
@@ -136,7 +137,7 @@ def test_adjoint_with_divergence():
     s = oc.spinor_setup(m, k=0)
     # div f1 = -1 here, so (nabla_{f1})^* = -nabla_{f1} + 1
     got = oc.adjoint(oc.nabla(s, 1))
-    expect = -oc.nabla(s, 1) + oc.identity_op(s)
+    expect = -oc.nabla(s, 1) + eo.identity_op(s)
     assert oc.residual(got, expect).exact_zero
 
 
@@ -158,14 +159,14 @@ def test_dirac_self_adjoint_and_odd(name, k):
     m = fg.load_bundled(name)
     s = oc.spinor_setup(m, k=k if m.line_b is not None else 0)
     D = oc.dirac(s)
-    assert oc.is_self_adjoint(D)
-    assert oc.is_grading_odd(D)
+    assert eo.is_self_adjoint(D)
+    assert eo.is_grading_odd(D)
     Dp = oc.dirac_prime(s)
-    assert oc.is_grading_odd(Dp)
+    assert eo.is_grading_odd(Dp)
 
 
 def test_dirac_prime_self_adjoint_when_tau_zero(heis_setup):
-    assert oc.is_self_adjoint(oc.dirac_prime(heis_setup))
+    assert eo.is_self_adjoint(oc.dirac_prime(heis_setup))
 
 
 # -- Bochner ---------------------------------------------------------------------
@@ -174,7 +175,7 @@ def test_bochner_two_routes_all_models():
     for name in ("flat_t3", "heisenberg", "sol"):
         m = fg.load_bundled(name)
         s = oc.spinor_setup(m, k=1 if m.line_b is not None else 0)
-        assert oc.residual(oc.bochner(s), oc.bochner_divergence_form(s)).exact_zero
+        assert oc.residual(oc.bochner(s), eo.bochner_divergence_form(s)).exact_zero
 
 
 def test_bochner_sol_is_plain_sum_of_squares(sol_setup):

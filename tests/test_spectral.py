@@ -1,5 +1,6 @@
-"""Lattice spectra on the flat torus: link phases, the Kronecker-sum
-eigenvalues of the Dirac square against a dense assembly, and the gap CLI."""
+"""Lattice spectra on the flat torus: link phases and their flux sign, the
+Kronecker-sum eigenvalues of the Dirac square against a dense assembly, the
+squared lattice D, and the gap and crosscheck CLI."""
 
 import json
 import math
@@ -7,8 +8,10 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as sla
 
 from transdirac import cli
+from transdirac import clifford_fiber as cf
 from transdirac import frame_geometry as fg
 from transdirac import spectral
 
@@ -33,8 +36,8 @@ def loop_hop_matrices(N, flux_quanta):
     for x in range(N):
         for y in range(N):
             i = x * N + y
-            Ux[i, (x + 1) % N * N + y] = np.exp(1j * (-a * y / N if x == N - 1 else 0.0))
-            Uy[i, x * N + (y + 1) % N] = np.exp(1j * (a * x / (N * N)))
+            Ux[i, (x + 1) % N * N + y] = np.exp(1j * (a * y / N if x == N - 1 else 0.0))
+            Uy[i, x * N + (y + 1) % N] = np.exp(-1j * (a * x / (N * N)))
     return Ux, Uy
 
 
@@ -44,20 +47,34 @@ def test_hop_matrices_match_site_loop(N, kc):
         np.testing.assert_array_equal(got.toarray(), want)
 
 
-@pytest.mark.parametrize("N,kc", [(8, 1), (12, 5), (10, -3)])
-def test_every_plaquette_carries_the_same_holonomy(N, kc):
+def plaquette_loops(N, kc):
+    """U_x U_y U_x^dagger U_y^dagger around the cell at each site."""
     Ux, Uy = (U.toarray() for U in spectral.hop_matrices(N, kc))
     x, y = np.divmod(np.arange(N * N), N)
     right = (x + 1) % N * N + y
     up = x * N + (y + 1) % N
     corner = (x + 1) % N * N + (y + 1) % N
     site = np.arange(N * N)
-    loop = (Ux[site, right] * Uy[right, corner]
+    return (Ux[site, right] * Uy[right, corner]
             * Ux[up, corner].conj() * Uy[site, up].conj())
-    angle = np.angle(loop)
+
+
+@pytest.mark.parametrize("N,kc", [(8, 1), (12, 5), (10, -3)])
+def test_every_plaquette_carries_the_same_holonomy(N, kc):
+    angle = np.angle(plaquette_loops(N, kc))
     np.testing.assert_allclose(angle, angle[0], atol=1e-12)
     assert abs(angle[0]) == pytest.approx(2 * math.pi * abs(kc) / N ** 2, abs=1e-12)
     assert abs(angle.sum()) == pytest.approx(2 * math.pi * abs(kc), abs=1e-9)
+
+
+@pytest.mark.parametrize("k", [1, -1, 3, -3])
+def test_plaquette_loop_is_exp_of_the_exact_curvature(landau, k):
+    """The loop is exp(h^2 F_12) for the physical curvature F = 2*pi*k*B of
+    the exact layer, not its conjugate."""
+    N = 10
+    F12 = 2 * math.pi * k * complex(landau.line_b.entry(0, 1))
+    loops = plaquette_loops(N, k * spectral.chern_number(landau))
+    np.testing.assert_allclose(loops, np.exp(F12 / N ** 2), atol=1e-12)
 
 
 # -- eigenvalues -------------------------------------------------------------
@@ -90,7 +107,7 @@ def test_kronecker_sum_matches_dense_parity_blocks(landau, torus, N, k):
 
 
 def test_kernel_count_is_not_capped_by_requested_count(torus):
-    rep = spectral.spectrum_report(torus, k=12, N=32, count=8)
+    rep = spectral.spectrum_report(torus, k=12, N=32)
     assert rep.kernel_dim_even == 12
     assert rep.kernel_dim_odd == 0
     assert not rep.ambiguous
@@ -114,26 +131,62 @@ def test_flat_torus_carries_the_scan_invariants(landau):
 
 def test_small_grid_takes_dense_fallback(monkeypatch):
     H = spectral.magnetic_bochner(4, 1)
-    dense = np.linalg.eigvalsh(H.toarray())
-    lanczos = spectral.eigen(H, 14)
+    dense, dense_vecs = np.linalg.eigh(H.toarray())
+    lanczos, vecs = spectral.eigen(H, 14)
     np.testing.assert_allclose(lanczos, dense[:14], atol=1e-9)
+    np.testing.assert_allclose(H @ vecs, vecs * lanczos, atol=1e-9)
 
     def no_arpack(*args, **kwargs):
         raise AssertionError("ARPACK called with count >= dim - 1")
 
     monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_arpack)
-    np.testing.assert_array_equal(spectral.eigen(H, 40), dense)
-    np.testing.assert_array_equal(spectral.eigen(H, 15), dense[:15])
+    vals, vecs = spectral.eigen(H, 40)
+    np.testing.assert_array_equal(vals, dense)
+    np.testing.assert_array_equal(vecs, dense_vecs)
+    vals, vecs = spectral.eigen(H, 15)
+    np.testing.assert_array_equal(vals, dense[:15])
+    assert vecs.shape == (16, 15)
 
 
-def test_lemma1_lowest_level_sits_at_k_lambda(landau):
-    reps = spectral.lemma1_estimate(landau, [1, 2], 16)
-    for rep in reps:
-        assert rep.min_eigenvalue == pytest.approx(rep.k_lambda, rel=2 * rep.k / 16 ** 2)
-        assert rep.defect == rep.k_lambda - rep.min_eigenvalue
+# -- the squared lattice D -----------------------------------------------------
+
+@pytest.mark.parametrize("kc", [0, 1, 3])
+def test_squared_lattice_dirac_converges_at_second_order(torus, kc):
+    (row,) = (r for r in spectral.crosscheck_rows(torus, [kc], 16) if r["fiber"] == "spinor")
+    assert row["kc"] == kc
+    assert row["ratio"] >= 3
+    assert row["r_N"] > row["r_2N"] > 0
 
 
-# -- the gap command ---------------------------------------------------------
+def test_square_residual_does_not_depend_on_the_eigenbasis(monkeypatch, landau):
+    """The residual on ARPACK's vectors of the two kc-fold levels matches the
+    one on dense eigh's orthonormal basis of the same levels."""
+    gens = [spectral._dense(C) for C in cf.spinor_cliffords(spectral._complex_structure(landau))]
+    E = spectral._constant_endomorphism(landau, 3)
+    lanczos = spectral.square_residual(gens, E, 16, 3)
+
+    def dense(M, count):
+        vals, vecs = np.linalg.eigh(M.toarray())
+        return vals[:count], vecs[:, :count]
+
+    monkeypatch.setattr(spectral, "eigen", dense)
+    assert spectral.square_residual(gens, E, 16, 3) == pytest.approx(lanczos, rel=1e-10)
+
+
+def test_crosscheck_fails_on_the_conjugate_flux(monkeypatch, capsys):
+    """Links carrying -F instead of F leave H's spectrum as it was but break
+    D_h^2 -> H + E: the spinor rows stop converging."""
+    hops = spectral.hop_matrices
+    monkeypatch.setattr(spectral, "hop_matrices",
+                        lambda N, kc: tuple(U.conj() for U in hops(N, kc)))
+    assert cli.main(["crosscheck", "--model", "t3_landau", "--k", "1..2", "--N", "16"]) == 1
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [(r["fiber"], r["ok"]) for r in rows] == \
+        [("spinor", False), ("spinor", False), ("forms", True)]
+    assert all(r["ratio"] < 1.1 for r in rows[:2])
+
+
+# -- the gap and crosscheck commands ----------------------------------------
 
 def test_gap_cli_passes_on_resolved_grid(capsys):
     assert cli.main(["gap", "--model", "t3_landau", "--k", "1..4", "--N", "24"]) == 0
@@ -148,6 +201,35 @@ def test_gap_cli_rejects_under_resolved_flux(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "under-resolved" in captured.err
+
+
+@pytest.mark.parametrize("command,argv,message", [
+    ("crosscheck", ["--model", "t3_landau", "--k", "45", "--N", "16"], "under-resolved"),
+    ("gap", ["--model", "heisenberg", "--N", "16"], "not a flat torus"),
+    ("crosscheck", ["--model", "heisenberg", "--N", "16"], "not a flat torus"),
+    ("gap", ["--model", "t3_landau", "--k=-1", "--N", "16"], "k=-1 < 0"),
+    ("crosscheck", ["--model", "t3_landau", "--k=-1", "--N", "16"], "k=-1 < 0"),
+    ("gap", ["--model", "t3_landau", "--k=-2..2", "--N", "16"], "k=-2 < 0"),
+    ("crosscheck", ["--model", "t3_landau", "--k=-2..2", "--N", "16"], "k=-2 < 0"),
+])
+def test_lattice_cli_rejects_inputs_it_cannot_resolve(capsys, command, argv, message):
+    assert cli.main([command, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def no_convergence(*args, **kwargs):
+    raise sla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("command", ["gap", "crosscheck"])
+def test_lattice_cli_exits_3_when_the_eigensolver_fails(monkeypatch, capsys, command):
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_convergence)
+    assert cli.main([command, "--model", "t3_landau", "--k", "1", "--N", "16"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "did not converge" in captured.err
 
 
 @pytest.mark.parametrize("change,code,message", [
