@@ -1,19 +1,27 @@
 """Command-line front end.
 
-Subcommands:
+Subcommands, each with the flags it reads (all take --format and --out):
   verify      run the exact operator-identity suite on a model file
+              --model, --k K (default 1; 0 on a model without a line bundle)
   gap         spectral gap / kernel scan of the Dirac square on a torus model
+              --model, --k A..B or K (default 1..4), --N (even, >= 4), --tol
   fiber       randomized exact battery on the spinor fiber (no model needed)
+              --q (even), --trials (>= 1), --seed
   crosscheck  O(h^2) convergence of the squared lattice D to the operator
               `gap` diagonalises, on the spinors and the forms
+              --model, --k A..B or K (default 1..4), --N (even, >= 4), --tol
+
+A flag that a subcommand does not read is rejected (exit 2).  Every model
+must carry its transverse complex structure "J": the theorem assumes one,
+so a model file without it is invalid input for every subcommand.
 
 Exit codes: 0 pass, 1 mathematical violation, 2 invalid input, 3 numerical
 failure.  Reports are deterministic for a fixed seed, `gap` included: its
 eigensolver starts from a fixed vector (the runtime_ms column is
 measurement, not content).
 
-`gap` and `crosscheck` read neither --trials nor --seed.  Both exit 2 on
-k < 0 and on flux too dense for the grid (2kc/N^2 above --tol).
+`gap` and `crosscheck` exit 2 on k < 0 and on flux too dense for the grid
+(2kc/N^2 above --tol).
 
 Only `gap` and `crosscheck` compute in floating point: numpy and scipy are
 loaded when one of them runs, so `verify` and `fiber` load neither.
@@ -28,7 +36,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import clifford_fiber as cf
@@ -46,63 +53,37 @@ EXIT_NUMERICAL = 3
 MIN_RATIO = 3.0
 
 
-@dataclass
-class RunConfig:
-    command: str
-    model: str | None = None
-    k_min: int = 1
-    k_max: int = 4
-    N: int = 32
-    q: int = 4
-    trials: int = 100
-    seed: int = 0
-    tol: float = 0.05
-    fmt: str = "json"
-    out: str | None = None
-
-    def validate(self) -> str | None:
-        if self.k_min > self.k_max:
-            return f"empty k range {self.k_min}..{self.k_max}"
-        if self.N < 4 or self.N % 2:
-            return f"N={self.N} must be even and >= 4"
-        if self.trials < 0:
-            return "trials must be >= 0"
-        return None
+def _k_range(text: str) -> tuple[int, int]:
+    """--k of `gap` and `crosscheck`: A..B, or K for the range K..K."""
+    lo, sep, hi = text.partition("..")
+    try:
+        return int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected A..B or K, got {text!r}") from None
 
 
-def _parse_k_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    v = int(text)
-    return v, v
-
-
-def _emit(config: RunConfig, payload: dict, csv_rows: list[dict] | None = None):
-    """Write the report atomically (or print it); CSV only when rows given."""
-    if config.fmt == "csv" and csv_rows is not None:
+def _emit(args: argparse.Namespace, payload: dict, csv_rows: list[dict]):
+    """Write the report atomically (or print it); --format csv writes the rows."""
+    if args.fmt == "csv":
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(csv_rows[0].keys()) if csv_rows else ["empty"])
+        writer = csv.DictWriter(buf, fieldnames=list(csv_rows[0]))
         writer.writeheader()
         for row in csv_rows:
             writer.writerow(row)
         text = buf.getvalue()
     else:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if config.out:
-        tmp = Path(config.out).with_suffix(".tmp")
+    if args.out:
+        tmp = Path(args.out).with_suffix(".tmp")
         tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, config.out)
+        os.replace(tmp, args.out)
     else:
         sys.stdout.write(text)
 
 
-def _load_model(config: RunConfig) -> fg.FrameModel | int:
-    if not config.model:
-        print("error: --model is required", file=sys.stderr)
-        return EXIT_INVALID
+def _load_model(args: argparse.Namespace) -> fg.FrameModel | int:
     try:
-        model = fg.resolve_model(config.model)
+        model = fg.resolve_model(args.model)
     except fg.ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -118,11 +99,11 @@ def _load_model(config: RunConfig) -> fg.FrameModel | int:
 
 # ---------------------------------------------------------------------------
 
-def cmd_verify(config: RunConfig) -> int:
-    model = _load_model(config)
+def cmd_verify(args: argparse.Namespace) -> int:
+    model = _load_model(args)
     if isinstance(model, int):
         return model
-    k = config.k_min if model.line_b is not None else 0
+    k = args.k if model.line_b is not None else 0
     try:
         report = oc.verify_suite(model, k=k)
     except (oc.SetupError, fg.ModelError, ValueError) as exc:
@@ -150,16 +131,23 @@ def cmd_verify(config: RunConfig) -> int:
     payload = {"command": "verify", "model": report.model, "k": report.k,
                "identities": items, "passed": report.all_passed,
                "identities_passed": report.counted_passes()}
-    _emit(config, payload, rows)
+    _emit(args, payload, rows)
     return EXIT_PASS if report.all_passed else EXIT_VIOLATION
 
 
-def _lattice_scan(config: RunConfig, require_bundle: bool) \
+def _lattice_scan(args: argparse.Namespace, require_bundle: bool) \
         -> tuple[spec.FlatTorus, list[int]] | int:
     """The flat torus and the k values of `gap` or `crosscheck` (k = 0 on a
     model without a line bundle), or the exit code of an input they cannot
     resolve."""
-    model = _load_model(config)
+    k_min, k_max = args.k
+    if k_min > k_max:
+        print(f"error: empty k range {k_min}..{k_max}", file=sys.stderr)
+        return EXIT_INVALID
+    if args.N < 4 or args.N % 2:
+        print(f"error: N={args.N} must be even and >= 4", file=sys.stderr)
+        return EXIT_INVALID
+    model = _load_model(args)
     if isinstance(model, int):
         return model
     try:
@@ -170,32 +158,32 @@ def _lattice_scan(config: RunConfig, require_bundle: bool) \
     if require_bundle and model.line_b is None:
         print("error: gap scan requires a line bundle", file=sys.stderr)
         return EXIT_INVALID
-    if config.k_min < 0:
-        print(f"error: k={config.k_min} < 0: L^k then carries the reversed "
+    if k_min < 0:
+        print(f"error: k={k_min} < 0: L^k then carries the reversed "
               "curvature, outside the theorem's regime of positive powers",
               file=sys.stderr)
         return EXIT_INVALID
-    ks = list(range(config.k_min, config.k_max + 1)) if model.line_b is not None else [0]
+    ks = list(range(k_min, k_max + 1)) if model.line_b is not None else [0]
     # The lattice lowers the gap by about 1.95*kc/N^2 relative to 2km
     # (measured for flux per plaquette kc/N^2 from 0.004 to 0.18), so a finer
     # --tol than 2*kc/N^2 cannot separate a violation from grid error.
-    flux = max(abs(k * torus.c) for k in ks) / config.N ** 2
-    if 2 * flux > config.tol:
+    flux = max(abs(k * torus.c) for k in ks) / args.N ** 2
+    if 2 * flux > args.tol:
         print(f"error: under-resolved: flux per plaquette kc/N^2 = {flux:.4g} "
               f"gives a lattice gap error near 2kc/N^2 = {2 * flux:.3g}, above "
-              f"--tol {config.tol:g}; increase N", file=sys.stderr)
+              f"--tol {args.tol:g}; increase N", file=sys.stderr)
         return EXIT_INVALID
     return torus, ks
 
 
-def cmd_gap(config: RunConfig) -> int:
-    scan = _lattice_scan(config, require_bundle=True)
+def cmd_gap(args: argparse.Namespace) -> int:
+    scan = _lattice_scan(args, require_bundle=True)
     if isinstance(scan, int):
         return scan
     torus, ks = scan
     c = torus.c
     try:
-        reports = spec.gap_scan(torus, ks, config.N)
+        reports = spec.gap_scan(torus, ks, args.N)
     except spec.SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -221,54 +209,56 @@ def cmd_gap(config: RunConfig) -> int:
             notes.append(f"k={r.k}: even kernel dimension {r.kernel_dim_even} "
                          f"!= kc = {r.k * c} (Riemann-Roch)")
         target = 2 * r.k * r.m
-        if r.gap < target * (1 - config.tol):
+        if r.gap < target * (1 - args.tol):
             ok = False
             notes.append(f"k={r.k}: gap {r.gap:.6g} below 2km(1-tol) "
-                         f"= {target * (1 - config.tol):.6g}")
+                         f"= {target * (1 - args.tol):.6g}")
     fitted = max((r.fitted_C for r in reports), default=0.0)
-    payload = {"command": "gap", "model": torus.model.name, "N": config.N,
+    payload = {"command": "gap", "model": torus.model.name, "N": args.N,
                "rows": rows, "fitted_C": fitted, "notes": notes, "passed": ok}
-    _emit(config, payload, rows)
+    _emit(args, payload, rows)
     return EXIT_PASS if ok else EXIT_VIOLATION
 
 
-def cmd_fiber(config: RunConfig) -> int:
-    if config.q % 2 or config.q < 2:
+def cmd_fiber(args: argparse.Namespace) -> int:
+    if args.q % 2 or args.q < 2:
         print("error: codimension must be even and >= 2", file=sys.stderr)
         return EXIT_INVALID
-    rng = random.Random(config.seed)
-    result = cf.fiber_battery(rng, config.q, config.trials)
+    if args.trials < 1:
+        print(f"error: trials={args.trials}: a battery of no pairs checks "
+              "nothing; give --trials >= 1", file=sys.stderr)
+        return EXIT_INVALID
+    rng = random.Random(args.seed)
+    result = cf.fiber_battery(rng, args.q, args.trials)
     payload = {
-        "command": "fiber", "q": config.q, "trials": result.trials,
-        "seed": config.seed,
+        "command": "fiber", "q": args.q, "trials": result.trials,
+        "seed": args.seed,
         "bottom_eigenvalue_exact": result.all_exact,
         "odd_bound_margin_nonnegative": result.all_margin_nonneg,
         "failures": list(result.failures),
         "passed": result.ok,
     }
-    if config.trials == 0:
-        payload["note"] = "zero-trial no-op report"
-    rows = [{"q": config.q, "trials": result.trials, "passed": result.ok}]
-    _emit(config, payload, rows)
+    rows = [{"q": args.q, "trials": result.trials, "passed": result.ok}]
+    _emit(args, payload, rows)
     return EXIT_PASS if result.ok else EXIT_VIOLATION
 
 
-def cmd_crosscheck(config: RunConfig) -> int:
-    scan = _lattice_scan(config, require_bundle=False)
+def cmd_crosscheck(args: argparse.Namespace) -> int:
+    scan = _lattice_scan(args, require_bundle=False)
     if isinstance(scan, int):
         return scan
     torus, ks = scan
     try:
-        rows = spec.crosscheck_rows(torus, ks, config.N)
+        rows = spec.crosscheck_rows(torus, ks, args.N)
     except spec.SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     for row in rows:
         row["ok"] = row["ratio"] >= MIN_RATIO
     ok = all(row["ok"] for row in rows)
-    payload = {"command": "crosscheck", "model": torus.model.name, "N": config.N,
+    payload = {"command": "crosscheck", "model": torus.model.name, "N": args.N,
                "min_ratio": MIN_RATIO, "rows": rows, "passed": ok}
-    _emit(config, payload, rows)
+    _emit(args, payload, rows)
     return EXIT_PASS if ok else EXIT_VIOLATION
 
 
@@ -281,53 +271,42 @@ def build_parser() -> argparse.ArgumentParser:
                     "on foliated frame models.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, model_required=True):
-        if model_required:
-            p.add_argument("--model", required=True,
-                           help="model file path or bundled name "
-                                f"({', '.join(fg.bundled_model_names())})")
-        p.add_argument("--k", default="1..4", help="tensor power range A..B or single K")
-        p.add_argument("--N", type=int, default=32, help="grid points per transverse direction")
-        p.add_argument("--trials", type=int, default=100)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=0.05)
+    def model_arg(p):
+        p.add_argument("--model", required=True,
+                       help="model file path or bundled name "
+                            f"({', '.join(fg.bundled_model_names())})")
+
+    def output_args(p):
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="json")
-        p.add_argument("--out", default=None, help="output path (atomic write)")
+        p.add_argument("--out", help="output path (atomic write)")
 
     pv = sub.add_parser("verify", help="exact operator-identity suite")
-    common(pv)
-    pg = sub.add_parser("gap", help="spectral gap and kernel scan")
-    common(pg)
+    model_arg(pv)
+    pv.add_argument("--k", type=int, default=1,
+                    help="tensor power K of the line bundle (0 without one)")
+    output_args(pv)
+    for name, text in (("gap", "spectral gap and kernel scan"),
+                       ("crosscheck", "O(h^2) convergence of the squared lattice D")):
+        p = sub.add_parser(name, help=text)
+        model_arg(p)
+        p.add_argument("--k", type=_k_range, default="1..4", metavar="A..B",
+                       help="tensor power range A..B or single K")
+        p.add_argument("--N", type=int, default=32, help="grid points per transverse direction")
+        p.add_argument("--tol", type=float, default=0.05)
+        output_args(p)
     pf = sub.add_parser("fiber", help="random fiber battery")
-    common(pf, model_required=False)
     pf.add_argument("--q", type=int, default=4, help="even codimension")
-    pc = sub.add_parser("crosscheck", help="O(h^2) convergence of the squared lattice D")
-    common(pc)
+    pf.add_argument("--trials", type=int, default=100)
+    pf.add_argument("--seed", type=int, default=0)
+    output_args(pf)
     return ap
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    k_min, k_max = _parse_k_range(args.k)
-    return RunConfig(command=args.command, model=getattr(args, "model", None),
-                     k_min=k_min, k_max=k_max, N=args.N,
-                     q=getattr(args, "q", 4), trials=args.trials,
-                     seed=args.seed, tol=args.tol, fmt=args.fmt, out=args.out)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        config = config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    err = config.validate()
-    if err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID
     handler = {"verify": cmd_verify, "gap": cmd_gap,
-               "fiber": cmd_fiber, "crosscheck": cmd_crosscheck}[config.command]
-    return handler(config)
+               "fiber": cmd_fiber, "crosscheck": cmd_crosscheck}[args.command]
+    return handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -107,18 +107,6 @@ def spin_lift(A: Mat, cliffords: tuple[Mat, ...]) -> Mat:
     return acc
 
 
-def pair_action(B: Mat, left: tuple[Mat, ...], right: tuple[Mat, ...]) -> Mat:
-    """sum_{a<b} B_ab left[a] right[b] for a scalar two-form B; with the
-    Clifford actions on both sides this is (1/2) sum_{a,b} B_ab c(f_a) c(f_b)."""
-    acc = Mat.zero(left[0].n, right[0].m)
-    for a in range(len(left)):
-        for b in range(a + 1, len(left)):
-            coeff = B.entry(a, b)
-            if not coeff.is_zero():
-                acc = acc + (left[a] @ right[b]).scale(coeff)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # complex structures and the spinor fiber
 
@@ -315,17 +303,23 @@ def k_matrix(B: Mat) -> Mat:
     return K
 
 
-def two_form_action(B: Mat, J: ComplexStructure,
-                    cliffords: tuple[Mat, ...] | None = None) -> Mat:
-    """Clifford action (1/2) sum_{ab} c(f_a) c(f_b) B_ab on the spinor fiber.
+def two_form_action(B: Mat, J: ComplexStructure) -> Mat:
+    """Clifford action (1/2) sum_{ab} c(f_a) c(f_b) B_ab on the spinor fiber:
+    the curvature action of B that both fiber certificates read.
 
     By antisymmetry this is sum_{a<b} B_ab c(f_a) c(f_b); the result is
     Hermitian and grading-even."""
     validate_two_form(B)
     if B.n != J.q:
         raise ValueError(f"two-form rank {B.n} != q={J.q}")
-    cs = cliffords if cliffords is not None else spinor_cliffords(J)
-    return pair_action(B, cs, cs)
+    cs = spinor_cliffords(J)
+    acc = Mat.zero(cs[0].n)
+    for a in range(J.q):
+        for b in range(a + 1, J.q):
+            coeff = B.entry(a, b)
+            if not coeff.is_zero():
+                acc = acc + (cs[a] @ cs[b]).scale(coeff)
+    return acc
 
 
 # -- exact root extraction for the skew eigenproblem -------------------------
@@ -551,23 +545,11 @@ class BottomEigenReport:
     max_abs: float
 
 
-def check_rl1(B: Mat, J: ComplexStructure,
-              cliffords: tuple[Mat, ...] | None = None) -> BottomEigenReport:
-    """Verify that the curvature action is multiplication by -lambda on the
-    bottom (0-degree) component of the spinor fiber, exactly.  A twist factor
-    acts diagonally and would not change the residual column."""
-    lam = trace_plus(B, J)
-    cs = cliffords if cliffords is not None else spinor_cliffords(J)
-    q = J.q
-    col = {0: ONE}
-    out: dict[int, Scalar] = {}
-    for a in range(q):
-        for b in range(a + 1, q):
-            coeff = B.entry(a, b)
-            if coeff.is_zero():
-                continue
-            for ix, v in apply_to_vector(cs[a], apply_to_vector(cs[b], col)).items():
-                accumulate(out, ix, coeff * v)
+def check_rl1(A: Mat, lam: Scalar) -> BottomEigenReport:
+    """Verify that the curvature action A = two_form_action(B, J) is
+    multiplication by -lambda on the bottom (0-degree) component of the
+    spinor fiber, exactly, with lambda = tr(KJ)/2 from `trace_plus`."""
+    out = {i: v for (i, j), v in A.d.items() if j == 0}
     accumulate(out, 0, lam)  # residual = action + lambda on the bottom vector
     residual_max = max((v.abs_float() for v in out.values()), default=0.0)
     return BottomEigenReport(lam=lam, exact_zero=not out, max_abs=residual_max)
@@ -585,31 +567,23 @@ class OddBoundReport:
     margin: Scalar | None          # exact 0 when attained
 
 
-def odd_lower_bound(B: Mat, J: ComplexStructure, twist_dim: int = 1,
-                    mus: tuple[Scalar, ...] | None = None,
-                    cliffords: tuple[Mat, ...] | None = None,
-                    assume_compatible: bool = False) -> OddBoundReport:
-    """Certify (curvature action u, u) >= -(lambda - 2m) |u|^2 on the odd part.
+def odd_lower_bound(A: Mat, B: Mat,
+                    mus: tuple[Scalar, ...] | None = None) -> OddBoundReport:
+    """Certify (A u, u) >= -(lambda - 2m) |u|^2 on the odd part, for the
+    curvature action A = two_form_action(B, J) of a compatible pair; `mus`,
+    when the caller knows them, spare the root isolation of B.
 
-    The shifted action on the odd subspace is certified positive
-    semidefinite through its characteristic polynomial, and the bound is
-    reported attained when the shifted matrix is singular."""
-    if not assume_compatible:
-        check_compatible(B, J)
+    The shifted odd-odd block of A is certified positive semidefinite
+    through its characteristic polynomial, and the bound is reported
+    attained when the shifted matrix is singular."""
     if mus is None:
         mus, lam, m = skew_invariants(B)
     else:
         lam = sum(mus, ZERO)
         m = min(mus, key=float)
     bound = rational(2) * m - lam
-    cs = cliffords if cliffords is not None else spinor_cliffords(J)
-    # c(f) swaps the parity blocks, so the odd-odd block of c(f_a) c(f_b) is
-    # the (odd, even) block of c(f_a) times the (even, odd) block of c(f_b)
-    even, odd = parity_indices(J.l, 1)
-    sub = pair_action(B, tuple(c.submatrix(odd, even) for c in cs),
-                      tuple(c.submatrix(even, odd) for c in cs))
-    if twist_dim > 1:
-        sub = sub.kron(Mat.identity(twist_dim))
+    _, odd = parity_indices(A.n.bit_length() - 1)
+    sub = A.submatrix(odd, odd)
     shifted = sub - Mat.identity(sub.n).scale(bound)
     psd = shifted.is_psd()
     attained = shifted.det().is_zero()
@@ -623,15 +597,15 @@ def odd_lower_bound(B: Mat, J: ComplexStructure, twist_dim: int = 1,
 # ---------------------------------------------------------------------------
 # random exact data for batteries
 
-def random_orthogonal(rng: random.Random, q: int, rounds: int = 2) -> Mat:
-    """Exact orthogonal matrix: rational Givens rotations, an occasional
-    sqrt2/2 rotation, and a signed permutation.
+def random_orthogonal(rng: random.Random, q: int) -> Mat:
+    """Exact orthogonal matrix: two rational Givens rotations, each
+    occasionally a sqrt2/2 rotation, and a signed permutation.
 
-    Few rounds with small tangents keep downstream fraction heights low;
+    Two rounds with small tangents keep downstream fraction heights low;
     the signed permutation still mixes every coordinate."""
     O = Mat.identity(q)
     half_sqrt2 = SQRT2 * rational(1, 2)
-    for _ in range(rounds):
+    for _ in range(2):
         i, j = rng.sample(range(q), 2)
         if rng.random() < 0.25:
             c, s = half_sqrt2, half_sqrt2
@@ -703,7 +677,8 @@ def fiber_battery(rng: random.Random, q: int, trials: int) -> BatteryResult:
     curvature action is -lambda on the bottom component (zero residual) and
     that the odd-part lower bound holds with nonnegative margin.
 
-    Compatibility is validated once per pair; the mu-list sampled by the
+    Compatibility is validated once per pair, the curvature action built
+    once and read by both certificates; the mu-list sampled by the
     generator is cross-checked against tr(KJ)/2."""
     if q % 2:
         raise ValueError("codimension must be even")
@@ -712,13 +687,14 @@ def fiber_battery(rng: random.Random, q: int, trials: int) -> BatteryResult:
     all_nonneg = True
     for trial in range(trials):
         B, J, mus = random_compatible_pair(rng, q)
-        cs = spinor_cliffords(J)
-        rep = check_rl1(B, J, cliffords=cs)
-        if not rep.exact_zero or rep.lam != sum(mus, ZERO):
+        lam = trace_plus(B, J)
+        A = two_form_action(B, J)
+        rep = check_rl1(A, lam)
+        if not rep.exact_zero or lam != sum(mus, ZERO):
             all_exact = False
             failures.append(_pair_failure(trial, "bottom-eigenvalue", B, J))
             continue
-        ob = odd_lower_bound(B, J, mus=mus, cliffords=cs, assume_compatible=True)
+        ob = odd_lower_bound(A, B, mus=mus)
         if not (ob.psd_ok and ob.attained):
             all_nonneg = all_nonneg and ob.psd_ok
             failures.append(_pair_failure(trial, "odd-lower-bound", B, J))

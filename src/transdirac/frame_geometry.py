@@ -339,6 +339,20 @@ def derive_connection(model: FrameModel) -> ConnectionData:
     )
 
 
+def complex_structure(model: FrameModel):
+    """The model's transverse complex structure J with an exact adapted frame.
+
+    The vanishing theorem assumes a transversely almost complex structure,
+    so every command refuses a model file without "J" rather than pick
+    one."""
+    from .clifford_fiber import ComplexStructure
+
+    if model.jmat is None:
+        raise ModelError(f"model {model.name!r} carries no complex structure: "
+                         "give its \"J\" matrix in the model file")
+    return ComplexStructure.from_matrix(model.jmat)
+
+
 def spin_connection(model: FrameModel, J, transverse=None) -> tuple[Mat, ...]:
     """Connection matrices on the spinor fiber, one per frame direction:
     Gamma_u = (1/4) sum_{b,g} (A_u)_{gb} c(f_b) c(f_g).

@@ -26,12 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .clifford_fiber import (ComplexStructure, ext_matrix, grading_matrix,
-                             int_matrix, spin_lift, spinor_cliffords,
-                             vector_action)
+from .clifford_fiber import (ext_matrix, grading_matrix, int_matrix, spin_lift,
+                             spinor_cliffords, vector_action)
 from .exact import ONE, ZERO, Scalar, rational
-from .frame_geometry import (ConnectionData, FrameModel, derive_connection,
-                             require_valid, spin_connection)
+from .frame_geometry import (ConnectionData, FrameModel, complex_structure,
+                             derive_connection, require_valid, spin_connection)
 from .matrices import Mat, accumulate, commutator
 
 
@@ -162,8 +161,7 @@ class BundleSetup:
         return grading_matrix(n_masks.bit_length() - 1, self.fiber.twist)
 
 
-def spinor_setup(model: FrameModel, J: ComplexStructure | None = None,
-                 k: int = 0, twist_dim: int | None = None,
+def spinor_setup(model: FrameModel, k: int = 0, twist_dim: int | None = None,
                  theta: tuple[Mat, ...] | None = None,
                  geom: ConnectionData | None = None) -> BundleSetup:
     """Bundle setup on the spinor fiber twisted by a rank-`twist_dim` bundle
@@ -171,10 +169,7 @@ def spinor_setup(model: FrameModel, J: ComplexStructure | None = None,
     model's line bundle (its curvature enters as a formal scalar)."""
     require_valid(model)
     geom = geom if geom is not None else derive_connection(model)
-    if J is None:
-        if model.jmat is None:
-            raise SetupError("model carries no complex structure; pass J")
-        J = ComplexStructure.from_matrix(model.jmat)
+    J = complex_structure(model)
     r = twist_dim if twist_dim is not None else model.twist_dim
     cs = spinor_cliffords(J, r)
     dim = cs[0].n
@@ -700,8 +695,7 @@ class SuiteReport:
         return sum(1 for it in self.items if it.passed and not it.skipped)
 
 
-def verify_suite(model: FrameModel, J: ComplexStructure | None = None,
-                 k: int = 1, twist_dim: int | None = None,
+def verify_suite(model: FrameModel, k: int = 1, twist_dim: int | None = None,
                  geom: ConnectionData | None = None,
                  theta: tuple[Mat, ...] | None = None) -> SuiteReport:
     """Run the full exact identity suite on one model.
@@ -712,7 +706,7 @@ def verify_suite(model: FrameModel, J: ComplexStructure | None = None,
     geom = geom if geom is not None else derive_connection(model)
     if model.line_b is None:
         k = 0
-    sp = spinor_setup(model, J=J, k=k, twist_dim=twist_dim, theta=theta, geom=geom)
+    sp = spinor_setup(model, k=k, twist_dim=twist_dim, theta=theta, geom=geom)
     fo = forms_setup(model, geom=geom)
     items: list[IdentityResult] = []
 

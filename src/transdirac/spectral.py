@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 from .clifford_fiber import (ComplexStructure, ext_matrix, int_matrix, skew_invariants,
                              spinor_cliffords, two_form_action)
 from .exact import I as IUNIT
-from .frame_geometry import FrameModel, ModelError, require_valid
+from .frame_geometry import FrameModel, ModelError, complex_structure, require_valid
 from .matrices import Mat
 
 if TYPE_CHECKING:
@@ -98,8 +98,10 @@ def invariants_2pi(model: FrameModel) -> tuple[float, float]:
 @dataclass(frozen=True)
 class FlatTorus:
     """A model that passed `require_flat_torus`, with what every flux value
-    of a scan shares: the Chern number c and (lambda, m) of 2*pi*B."""
+    of a scan shares: its complex structure J, the Chern number c and
+    (lambda, m) of 2*pi*B."""
     model: FrameModel
+    J: ComplexStructure
     c: int
     lam: float
     m: float
@@ -108,7 +110,7 @@ class FlatTorus:
 def flat_torus(model: FrameModel) -> FlatTorus:
     require_flat_torus(model)
     lam, m = invariants_2pi(model)
-    return FlatTorus(model, chern_number(model), lam, m)
+    return FlatTorus(model, complex_structure(model), chern_number(model), lam, m)
 
 
 # ---------------------------------------------------------------------------
@@ -163,31 +165,26 @@ def _dense(M: Mat) -> np.ndarray:
     return out
 
 
-def _complex_structure(model: FrameModel) -> ComplexStructure:
-    return ComplexStructure.from_matrix(model.jmat) if model.jmat is not None \
-        else ComplexStructure.standard(model.q)
-
-
-def _constant_endomorphism(model: FrameModel, k: int) -> np.ndarray:
+def _constant_endomorphism(torus: FlatTorus, k: int) -> np.ndarray:
     """Float matrix of the constant fiber term k c(R^L) in physical units.
 
     On a flat torus every other constant of the verified second-order form
     vanishes (tau = 0, K = 0, integrability = 0)."""
     import numpy as np
 
-    J = _complex_structure(model)
-    if model.line_b is None or k == 0:
+    J, line_b = torus.J, torus.model.line_b
+    if line_b is None or k == 0:
         return np.zeros((1 << J.l, 1 << J.l), dtype=complex)
-    return TWO_PI * k * _dense(two_form_action(model.line_b, J))
+    return TWO_PI * k * _dense(two_form_action(line_b, J))
 
 
-def parity_blocks(model: FrameModel, k: int) -> tuple[np.ndarray, np.ndarray]:
+def parity_blocks(torus: FlatTorus, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of the constant endomorphism on the (even, odd) spinors.
     It is grading-even, so the two sectors of the Dirac square decouple
     exactly."""
     import numpy as np
 
-    E = _constant_endomorphism(model, k)
+    E = _constant_endomorphism(torus, k)
     odd = np.array([bin(m).count("1") % 2 == 1 for m in range(E.shape[0])])
     if np.any(E[np.ix_(~odd, odd)]):
         raise ModelError("curvature endomorphism is not grading-even")
@@ -266,7 +263,7 @@ def spectrum_report(torus: FlatTorus, k: int, N: int) -> SpectrumReport:
     lam, m = torus.lam, torus.m
     kc = k * torus.c
     H = magnetic_bochner(N, kc)
-    e_even, e_odd = parity_blocks(torus.model, k)
+    e_even, e_odd = parity_blocks(torus, k)
     h, _ = eigen(H, abs(kc) + KERNEL_MARGIN)
     ev_even, ev_odd = (np.sort(np.add.outer(h, e).ravel())[:len(h)]
                        for e in (e_even, e_odd))
@@ -327,10 +324,10 @@ def crosscheck_rows(torus: FlatTorus, k_values, N: int) -> list[dict]:
     E = 0 (identities e and g).  O(h^2) gives ratio = r(N)/r(2N) near 4."""
     import numpy as np
 
-    model, q = torus.model, torus.model.q
-    spinor = [_dense(C) for C in spinor_cliffords(_complex_structure(model))]
+    q = torus.model.q
+    spinor = [_dense(C) for C in spinor_cliffords(torus.J)]
     forms = [_dense(ext_matrix(q, a) - int_matrix(q, a)) for a in range(q)]
-    cases = [("spinor", "abc", k, spinor, _constant_endomorphism(model, k))
+    cases = [("spinor", "abc", k, spinor, _constant_endomorphism(torus, k))
              for k in k_values]
     cases.append(("forms", "eg", 0, forms, np.zeros((1 << q, 1 << q))))
     rows = []

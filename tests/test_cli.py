@@ -22,7 +22,8 @@ from transdirac import operator_calculus as oc
 from transdirac.exact import rational
 
 GOLDEN = Path(__file__).parent / "golden"
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def run_cli(capsys, *argv):
@@ -48,6 +49,60 @@ def test_fiber_report_matches_golden(capsys):
     code, out = run_cli(capsys, "fiber", "--q", "4", "--trials", "10", "--seed", "3")
     assert code == cli.EXIT_PASS
     assert out == (GOLDEN / "fiber_q4_trials10_seed3.json").read_text(encoding="utf-8")
+
+
+def test_fiber_without_trials_exits_2_without_report(capsys):
+    """A battery of no pairs would pass without checking anything."""
+    code, out = run_cli(capsys, "fiber", "--trials", "0")
+    assert code == cli.EXIT_INVALID
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("gap", "--model", "t3_landau", "--seed", "1"),
+    ("crosscheck", "--model", "t3_landau", "--trials", "3"),
+    ("verify", "--model", "sol", "--N", "8"),
+    ("fiber", "--N", "8"),
+    ("verify", "--model", "t3_landau", "--k", "2..3"),
+])
+def test_flag_a_subcommand_does_not_read_exits_2(capsys, argv):
+    """Each subcommand declares only the flags it reads, and `verify` takes
+    one tensor power, not a range it would cut down to its first value."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == cli.EXIT_INVALID
+    assert capsys.readouterr().out == ""
+
+
+def test_every_benchmark_argv_parses(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench import run
+
+    jobs = run.exact_suite(1, tmp_path) + run.fiber_gap(1, tmp_path)
+    assert jobs
+    for job in jobs:
+        args = cli.build_parser().parse_args(list(job.argv))
+        assert args.command == job.argv[0]
+
+
+def test_model_without_complex_structure_exits_2_in_every_command(capsys, tmp_path):
+    """The theorem assumes a transverse complex structure, so `verify`,
+    `gap` and `crosscheck` all refuse a model file without "J", for the
+    same reason, instead of choosing a J for it."""
+    model = {"name": "t3_landau_no_j", "p": 1, "q": 2, "brackets": [],
+             "line_bundle": {"B": [["0", "-1i"], ["1i", "0"]]}}
+    path = tmp_path / "t3_landau_no_j.json"
+    path.write_text(json.dumps(model), encoding="utf-8")
+    errors = []
+    for argv in (["verify"], ["gap", "--k", "1", "--N", "16"],
+                 ["crosscheck", "--k", "1", "--N", "16"]):
+        code = cli.main(argv + ["--model", str(path)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INVALID
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert "carries no complex structure" in errors[0]
+    assert errors == [errors[0]] * 3
 
 
 def assert_close_tree(got, want, path="$"):

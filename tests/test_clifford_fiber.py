@@ -351,7 +351,7 @@ def test_check_rl1_exact_and_incompatible():
     rng = random.Random(31)
     for q in (2, 4, 6):
         B, J, mus = cf.random_compatible_pair(rng, q)
-        rep = cf.check_rl1(B, J)
+        rep = cf.check_rl1(cf.two_form_action(B, J), cf.trace_plus(B, J))
         assert rep.exact_zero and rep.max_abs == 0.0
         assert rep.lam == sum(mus, ZERO)
     # orientation flip: J -> -J breaks positivity
@@ -360,20 +360,21 @@ def test_check_rl1_exact_and_incompatible():
                                tuple(tuple(-x for x in v) if i % 2 else v
                                      for i, v in enumerate(J.frame)))
     with pytest.raises(cf.IncompatiblePair):
-        cf.check_rl1(B, Jneg)
+        cf.trace_plus(B, Jneg)
 
 
 def test_check_rl1_q4_distinct_mus():
     J = cf.ComplexStructure.standard(4)
     B = cf.block_two_form([rational(4), rational(1)])
-    rep = cf.check_rl1(B, J)
+    rep = cf.check_rl1(cf.two_form_action(B, J), cf.trace_plus(B, J))
     assert rep.exact_zero and rep.lam == rational(5)
 
 
 def test_odd_lower_bound_q2_tight():
     J = cf.ComplexStructure.standard(2)
     mu = rational(3)
-    rep = cf.odd_lower_bound(cf.block_two_form([mu]), J)
+    B = cf.block_two_form([mu])
+    rep = cf.odd_lower_bound(cf.two_form_action(B, J), B)
     assert rep.bound == mu  # -(lambda - 2m) = mu here
     assert rep.psd_ok and rep.attained
     assert rep.min_eigenvalue == mu and rep.margin == ZERO
@@ -389,7 +390,7 @@ def test_odd_lower_bound_q4_equal_mus_oracle():
     sub = np_mat(act.submatrix(odd, odd))
     evs = np.linalg.eigvalsh(sub)
     assert abs(evs.min()) < 1e-12       # min eigenvalue on the odd part is 0
-    rep = cf.odd_lower_bound(B, J)
+    rep = cf.odd_lower_bound(act, B)
     assert rep.bound == ZERO            # 2m - lambda = 0 at equal mus
     assert rep.psd_ok and rep.attained and rep.margin == ZERO
 
@@ -399,19 +400,12 @@ def test_odd_lower_bound_matches_numpy_min():
     for q in (2, 4, 6):
         for _ in range(5):
             B, J, mus = cf.random_compatible_pair(rng, q)
-            rep = cf.odd_lower_bound(B, J, mus=mus)
-            assert rep.psd_ok and rep.attained
             act = cf.two_form_action(B, J)
+            rep = cf.odd_lower_bound(act, B, mus=mus)
+            assert rep.psd_ok and rep.attained
             _, odd = cf.parity_indices(J.l)
             evs = np.linalg.eigvalsh(np_mat(act.submatrix(odd, odd)))
             assert abs(evs.min() - float(rep.bound)) < 1e-9
-
-
-def test_twist_dim_replicates_spectrum():
-    J = cf.ComplexStructure.standard(2)
-    B = cf.block_two_form([rational(2)])
-    rep = cf.odd_lower_bound(B, J, twist_dim=3)
-    assert rep.psd_ok and rep.attained
 
 
 def test_fiber_battery_small():

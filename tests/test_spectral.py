@@ -79,11 +79,11 @@ def test_plaquette_loop_is_exp_of_the_exact_curvature(landau, k):
 
 # -- eigenvalues -------------------------------------------------------------
 
-def assembled_parity_blocks(model, k, N):
+def assembled_parity_blocks(torus, k, N):
     """Test oracle: the explicit (even, odd) blocks H (x) I + I (x) E_parity
     of the lattice Dirac square."""
-    H = spectral.magnetic_bochner(N, k * spectral.chern_number(model))
-    E = spectral._constant_endomorphism(model, k)
+    H = spectral.magnetic_bochner(N, k * spectral.chern_number(torus.model))
+    E = spectral._constant_endomorphism(torus, k)
     odd = np.array([bin(m).count("1") % 2 == 1 for m in range(E.shape[0])])
     blocks = []
     for ix in (~odd, odd):
@@ -94,11 +94,11 @@ def assembled_parity_blocks(model, k, N):
 
 @pytest.mark.parametrize("N", [8, 12])
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_kronecker_sum_matches_dense_parity_blocks(landau, torus, N, k):
+def test_kronecker_sum_matches_dense_parity_blocks(torus, N, k):
     rep = spectral.spectrum_report(torus, k, N)
     count = len(rep.eigenvalues) // 2
     even, odd = (np.linalg.eigvalsh(B.toarray())[:count]
-                 for B in assembled_parity_blocks(landau, k, N))
+                 for B in assembled_parity_blocks(torus, k, N))
     np.testing.assert_allclose(rep.eigenvalues, np.sort(np.concatenate([even, odd])),
                                rtol=1e-10, atol=1e-8)
     thr = 2 * k * rep.m / 10
@@ -158,11 +158,11 @@ def test_squared_lattice_dirac_converges_at_second_order(torus, kc):
     assert row["r_N"] > row["r_2N"] > 0
 
 
-def test_square_residual_does_not_depend_on_the_eigenbasis(monkeypatch, landau):
+def test_square_residual_does_not_depend_on_the_eigenbasis(monkeypatch, torus):
     """The residual on ARPACK's vectors of the two kc-fold levels matches the
     one on dense eigh's orthonormal basis of the same levels."""
-    gens = [spectral._dense(C) for C in cf.spinor_cliffords(spectral._complex_structure(landau))]
-    E = spectral._constant_endomorphism(landau, 3)
+    gens = [spectral._dense(C) for C in cf.spinor_cliffords(torus.J)]
+    E = spectral._constant_endomorphism(torus, 3)
     lanczos = spectral.square_residual(gens, E, 16, 3)
 
     def dense(M, count):
