@@ -4,24 +4,30 @@ Subcommands, each with the flags it reads (all take --format and --out):
   verify      run the exact operator-identity suite on a model file
               --model, --k K (default 1; 0 on a model without a line bundle)
   gap         spectral gap / kernel scan of the Dirac square on a torus model
-              --model, --k A..B or K (default 1..4), --N (even, >= 4), --tol
+              --model, --k A..B or K (default 1..4), --N (even, >= 4),
+              --tol (0 < tol < 1, default 0.05)
   fiber       randomized exact battery on the spinor fiber (no model needed)
               --q (even), --trials (>= 1), --seed
   crosscheck  O(h^2) convergence of the squared lattice D to the operator
               `gap` diagonalises, on the spinors and the forms
-              --model, --k A..B or K (default 1..4), --N (even, >= 4), --tol
+              --model, --k A..B or K (default 1..4), --N (even, >= 4),
+              --tol (0 < tol < 1, default 0.05)
 
-A flag that a subcommand does not read is rejected (exit 2).  Every model
-must carry its transverse complex structure "J": the theorem assumes one,
-so a model file without it is invalid input for every subcommand.
+A flag that a subcommand does not read is rejected (exit 2), and so is an
+--out that names a directory or a file in a missing one.  Every model must carry its
+transverse complex structure "J", a q x q orthogonal matrix with J^2 = -1:
+the theorem assumes one, so a model file without it, or with any other
+"J", is invalid input for every subcommand, as is a model file whose JSON
+top level is not an object.
 
 Exit codes: 0 pass, 1 mathematical violation, 2 invalid input, 3 numerical
 failure.  Reports are deterministic for a fixed seed, `gap` included: its
 eigensolver starts from a fixed vector (the runtime_ms column is
 measurement, not content).
 
-`gap` and `crosscheck` exit 2 on k < 0 and on flux too dense for the grid
-(2kc/N^2 above --tol).
+`gap` and `crosscheck` exit 2 on k < 0, on flux too dense for the grid
+(2kc/N^2 above --tol), and on a line bundle that is not positive for J
+(i B(v, Jv) > 0 fails, a degenerate B included): the theorem's hypothesis.
 
 Only `gap` and `crosscheck` compute in floating point: numpy and scipy are
 loaded when one of them runs, so `verify` and `fiber` load neither.
@@ -60,6 +66,25 @@ def _k_range(text: str) -> tuple[int, int]:
         return int(lo), int(hi if sep else lo)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected A..B or K, got {text!r}") from None
+
+
+def _tol(text: str) -> float:
+    """--tol of `gap` and `crosscheck`: the relative gap tolerance.  At
+    tol >= 1 the bound 2km(1 - tol) is vacuous, and NaN passes every check."""
+    tol = float(text)
+    if not 0 < tol < 1:
+        raise argparse.ArgumentTypeError(f"expected 0 < tol < 1, got {text!r}")
+    return tol
+
+
+def _out_path(text: str) -> str:
+    """--out: a file in an existing directory, checked before any work."""
+    path = Path(text)
+    if not path.parent.is_dir():
+        raise argparse.ArgumentTypeError(f"no directory {str(path.parent)!r} for {text!r}")
+    if path.is_dir():
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory, not a file")
+    return text
 
 
 def _emit(args: argparse.Namespace, payload: dict, csv_rows: list[dict]):
@@ -278,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def output_args(p):
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="json")
-        p.add_argument("--out", help="output path (atomic write)")
+        p.add_argument("--out", type=_out_path, help="output path (atomic write)")
 
     pv = sub.add_parser("verify", help="exact operator-identity suite")
     model_arg(pv)
@@ -292,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=_k_range, default="1..4", metavar="A..B",
                        help="tensor power range A..B or single K")
         p.add_argument("--N", type=int, default=32, help="grid points per transverse direction")
-        p.add_argument("--tol", type=float, default=0.05)
+        p.add_argument("--tol", type=_tol, default=0.05,
+                       help="relative gap tolerance, 0 < tol < 1")
         output_args(p)
     pf = sub.add_parser("fiber", help="random fiber battery")
     pf.add_argument("--q", type=int, default=4, help="even codimension")

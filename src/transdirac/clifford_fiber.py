@@ -11,10 +11,12 @@ action is a matrix on that basis; the two fibers in play are
   c(f) = sqrt(2) (ext of the (1,0)-part dual - int of the (0,1)-part).
 
 A vector v acts through the generators by linearity, c(v) = sum_a v_a c(f_a)
-(`vector_action`), and a skew endomorphism A through its spin lift
-(1/4) sum A_gb c(f_b) c(f_g) (`spin_lift`).  Multivector and Clifford-element
-arithmetic is not part of the package: tests/multivector_oracle.py computes
-the same actions term by term, as an independent oracle for these matrices.
+(`vector_action`), a two-form X by sum_{a<b} X_ab c(f_a) c(f_b)
+(`pair_action`), and a skew endomorphism A through its spin lift
+(1/4) sum A_gb c(f_b) c(f_g), which is -(1/2) pair_action(A) (`spin_lift`).
+Multivector and Clifford-element arithmetic is not part of the package:
+tests/multivector_oracle.py computes the same actions term by term, as an
+independent oracle for these matrices.
 
 Everything is exact; the module also certifies the two fiberwise facts the
 vanishing argument rests on: the curvature action is the constant -lambda
@@ -97,14 +99,21 @@ def vector_action(vec, gens: tuple[Mat, ...]) -> Mat:
     return acc
 
 
+def pair_action(X: Mat, cliffords: tuple[Mat, ...]) -> Mat:
+    """sum_{a<b} X_ab c(f_a) c(f_b); for an antisymmetric X this is
+    (1/2) sum_{a,b} X_ab c(f_a) c(f_b)."""
+    acc = Mat.zero(cliffords[0].n)
+    for (a, b), coeff in X.d.items():
+        if a < b:
+            acc = acc + (cliffords[a] @ cliffords[b]).scale(coeff)
+    return acc
+
+
 def spin_lift(A: Mat, cliffords: tuple[Mat, ...]) -> Mat:
     """(1/4) sum_{g,b} A_gb c(f_b) c(f_g) for a skew endomorphism A of the
-    horizontal space; its commutator with c(v) is c(A v)."""
-    quarter = rational(1, 4)
-    acc = Mat.zero(cliffords[0].n)
-    for (g, b), coeff in A.d.items():
-        acc = acc + (cliffords[b] @ cliffords[g]).scale(coeff * quarter)
-    return acc
+    horizontal space; its commutator with c(v) is c(A v).  The Clifford
+    generators anticommute, so this is -(1/2) sum_{a<b} A_ab c(f_a) c(f_b)."""
+    return pair_action(A, cliffords).scale(rational(-1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +226,8 @@ class ComplexStructure:
             frame.append(tuple(jv.get(i, ZERO) for i in range(q)))
         return ComplexStructure(jmat, tuple(frame))
 
-    def __eq__(self, other):
-        if not isinstance(other, ComplexStructure):
-            return NotImplemented
-        return self.jmat == other.jmat and self.frame == other.frame
 
-    def __hash__(self):
-        return hash((self.jmat, self.frame))
-
-
-def spinor_cliffords(J: ComplexStructure, twist_dim: int = 1) -> tuple[Mat, ...]:
+def spinor_cliffords(J: ComplexStructure) -> tuple[Mat, ...]:
     """c(f_alpha) for the standard basis vectors, alpha = 1..q.
 
     In the adapted frame the sqrt2 cancels:
@@ -256,28 +257,16 @@ def spinor_cliffords(J: ComplexStructure, twist_dim: int = 1) -> tuple[Mat, ...]
                     v = -chibar if sg > 0 else chibar
                     key = (new, mask)
                     entries[key] = entries.get(key, ZERO) + v
-        M = Mat(dim, dim, entries)
-        if twist_dim > 1:
-            M = M.kron(Mat.identity(twist_dim))
-        out.append(M)
+        out.append(Mat(dim, dim, entries))
     return tuple(out)
 
 
-def parity_indices(l: int, twist_dim: int = 1) -> tuple[list[int], list[int]]:
-    """(even, odd) fiber indices of the spinor basis ordered mask-major."""
+def parity_indices(l: int) -> tuple[list[int], list[int]]:
+    """(even, odd) basis indices of the exterior algebra on l generators."""
     even, odd = [], []
     for mask in range(1 << l):
-        target = odd if mask.bit_count() & 1 else even
-        for t in range(twist_dim):
-            target.append(mask * twist_dim + t)
+        (odd if mask.bit_count() & 1 else even).append(mask)
     return even, odd
-
-
-def grading_matrix(l: int, twist_dim: int = 1) -> Mat:
-    even, odd = parity_indices(l, twist_dim)
-    entries = {(i, i): ONE for i in even}
-    entries.update({(i, i): -ONE for i in odd})
-    return Mat((1 << l) * twist_dim, (1 << l) * twist_dim, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +285,7 @@ def validate_two_form(B: Mat):
 def k_matrix(B: Mat) -> Mat:
     """The real skew matrix K with g(v, Kw) = i B(v, w)."""
     validate_two_form(B)
-    K = B.scale(I)
-    for v in K.d.values():
-        if not v.is_real():  # pragma: no cover - guarded by validate_two_form
-            raise ValueError("K must be real")
-    return K
+    return B.scale(I)
 
 
 def two_form_action(B: Mat, J: ComplexStructure) -> Mat:
@@ -312,14 +297,7 @@ def two_form_action(B: Mat, J: ComplexStructure) -> Mat:
     validate_two_form(B)
     if B.n != J.q:
         raise ValueError(f"two-form rank {B.n} != q={J.q}")
-    cs = spinor_cliffords(J)
-    acc = Mat.zero(cs[0].n)
-    for a in range(J.q):
-        for b in range(a + 1, J.q):
-            coeff = B.entry(a, b)
-            if not coeff.is_zero():
-                acc = acc + (cs[a] @ cs[b]).scale(coeff)
-    return acc
+    return pair_action(B, spinor_cliffords(J))
 
 
 # -- exact root extraction for the skew eigenproblem -------------------------
@@ -567,20 +545,16 @@ class OddBoundReport:
     margin: Scalar | None          # exact 0 when attained
 
 
-def odd_lower_bound(A: Mat, B: Mat,
-                    mus: tuple[Scalar, ...] | None = None) -> OddBoundReport:
+def odd_lower_bound(A: Mat, mus: tuple[Scalar, ...]) -> OddBoundReport:
     """Certify (A u, u) >= -(lambda - 2m) |u|^2 on the odd part, for the
-    curvature action A = two_form_action(B, J) of a compatible pair; `mus`,
-    when the caller knows them, spare the root isolation of B.
+    curvature action A = two_form_action(B, J) of a compatible pair whose
+    two-form B has the invariants `mus` (see `skew_invariants`).
 
     The shifted odd-odd block of A is certified positive semidefinite
     through its characteristic polynomial, and the bound is reported
     attained when the shifted matrix is singular."""
-    if mus is None:
-        mus, lam, m = skew_invariants(B)
-    else:
-        lam = sum(mus, ZERO)
-        m = min(mus, key=float)
+    lam = sum(mus, ZERO)
+    m = min(mus, key=float)
     bound = rational(2) * m - lam
     _, odd = parity_indices(A.n.bit_length() - 1)
     sub = A.submatrix(odd, odd)
@@ -694,7 +668,7 @@ def fiber_battery(rng: random.Random, q: int, trials: int) -> BatteryResult:
             all_exact = False
             failures.append(_pair_failure(trial, "bottom-eigenvalue", B, J))
             continue
-        ob = odd_lower_bound(A, B, mus=mus)
+        ob = odd_lower_bound(A, mus)
         if not (ob.psd_ok and ob.attained):
             all_nonneg = all_nonneg and ob.psd_ok
             failures.append(_pair_failure(trial, "odd-lower-bound", B, J))

@@ -13,10 +13,19 @@ data -- Levi-Civita coefficients through the Koszul formula, the transverse
 connection, mean curvature, integrability tensor, curvature, divergences,
 spin connection coefficients -- are exact field elements.
 
-Model files are JSON: indices 1-based, leaves first; scalar strings like
-"-1/2" or "1/2+1/4√2"; line-bundle entries are imaginary strings ("-1i")
-and are stored in units of 2*pi, so the integer entries of i*B are Chern
-numbers of the transverse planes.
+Model files are JSON objects with the keys
+
+    "name"         optional, default "unnamed"
+    "p", "q"       leaf dimension and codimension
+    "brackets"     list of [i, j, k, coeff]: [u_i, u_j] += coeff u_k
+    "line_bundle"  optional, {"B": q x q rows}: curvature of the line bundle
+    "J"            q x q rows of the transverse complex structure; optional
+                   here, but every command refuses a model without it
+
+Indices are 1-based, leaves first; scalar strings like "-1/2" or
+"1/2+1/4√2"; line-bundle entries are imaginary strings ("-1i") and are
+stored in units of 2*pi, so the integer entries of i*B are Chern numbers of
+the transverse planes.  Any other key is ignored.
 """
 
 from __future__ import annotations
@@ -42,7 +51,6 @@ class FrameModel:
     c: tuple  # c[i][j][k], 0-based, [u_i,u_j] = sum_k c[i][j][k] u_k
     line_b: Mat | None = None  # q x q imaginary two-form, units of 2*pi
     jmat: Mat | None = None    # q x q complex structure matrix
-    twist_dim: int = 1
 
     @property
     def n(self) -> int:
@@ -51,8 +59,7 @@ class FrameModel:
 
 def make_model(name: str, p: int, q: int,
                brackets: list[tuple[int, int, int, Scalar]],
-               line_b: Mat | None = None, jmat: Mat | None = None,
-               twist_dim: int = 1) -> FrameModel:
+               line_b: Mat | None = None, jmat: Mat | None = None) -> FrameModel:
     """Build a model from sparse 1-based bracket data [u_i, u_j] += coeff u_k."""
     n = p + q
     tensor = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
@@ -66,8 +73,7 @@ def make_model(name: str, p: int, q: int,
         tensor[i - 1][j - 1][k - 1] = tensor[i - 1][j - 1][k - 1] + v
         tensor[j - 1][i - 1][k - 1] = tensor[j - 1][i - 1][k - 1] - v
     frozen = tuple(tuple(tuple(row) for row in plane) for plane in tensor)
-    return FrameModel(name=name, p=p, q=q, c=frozen, line_b=line_b,
-                      jmat=jmat, twist_dim=twist_dim)
+    return FrameModel(name=name, p=p, q=q, c=frozen, line_b=line_b, jmat=jmat)
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +205,12 @@ def levi_civita(model: FrameModel) -> tuple:
     return tuple(out)
 
 
-def transverse_connection(model: FrameModel, gamma=None) -> tuple[Mat, ...]:
+def transverse_connection(model: FrameModel, gamma: tuple) -> tuple[Mat, ...]:
     """Connection matrices A_u on the horizontal bundle, one per frame
     direction: (A_u)_{gb} = <nabla_u f_b, f_g>.  Leafwise directions
     differentiate by the horizontal part of the bracket, horizontal
     directions by the projected Levi-Civita derivative."""
     n, p, q = model.n, model.p, model.q
-    gamma = gamma if gamma is not None else levi_civita(model)
     mats = []
     for u in range(n):
         entries = {}
@@ -221,9 +226,8 @@ def transverse_connection(model: FrameModel, gamma=None) -> tuple[Mat, ...]:
     return tuple(mats)
 
 
-def mean_curvature(model: FrameModel, gamma=None) -> tuple[Scalar, ...]:
+def mean_curvature(model: FrameModel, gamma: tuple) -> tuple[Scalar, ...]:
     """tau = sum_i P_H(nabla_{e_i} e_i), components in the horizontal frame."""
-    gamma = gamma if gamma is not None else levi_civita(model)
     p, q = model.p, model.q
     out = []
     for a in range(q):
@@ -259,11 +263,12 @@ def integrability_tensor(model: FrameModel) -> dict[tuple[int, int], tuple[Scala
     return out
 
 
-def curvature(model: FrameModel, transverse=None) -> dict[tuple[int, int], Mat]:
-    """R(u, v) = [A_u, A_v] - sum_m c^m_{uv} A_m as endomorphisms of the
-    horizontal bundle, for all frame direction pairs u < v."""
+def curvature(model: FrameModel, A: tuple[Mat, ...]) -> dict[tuple[int, int], Mat]:
+    """R(u, v) = [A_u, A_v] - sum_m c^m_{uv} A_m for connection matrices A_u,
+    one per frame direction, on any fiber: for all frame direction pairs
+    u < v.  With the transverse connection this is the curvature of the
+    horizontal bundle."""
     n = model.n
-    A = transverse if transverse is not None else transverse_connection(model)
     out = {}
     for u in range(n):
         for v in range(u + 1, n):
@@ -276,13 +281,12 @@ def curvature(model: FrameModel, transverse=None) -> dict[tuple[int, int], Mat]:
     return out
 
 
-def scalar_curvature(model: FrameModel, curv=None) -> Scalar:
+def scalar_curvature(model: FrameModel, curv: dict[tuple[int, int], Mat]) -> Scalar:
     """K = sum_{a,b} g(R(f_a, f_b) f_a, f_b) -- note the index order: this is
     the negative of the usual scalar-curvature contraction, and comes out +2
     on the transverse hyperbolic plane.  The operator identities consume -K/4
     (verified exactly by the curvature-contraction identity)."""
     p, q = model.p, model.q
-    curv = curv if curv is not None else curvature(model)
     K = ZERO
     for a in range(q):
         for b in range(q):
@@ -296,12 +300,11 @@ def scalar_curvature(model: FrameModel, curv=None) -> Scalar:
     return K
 
 
-def divergence(model: FrameModel, direction: int, gamma=None) -> Scalar:
+def divergence(model: FrameModel, direction: int, gamma: tuple) -> Scalar:
     """Riemannian divergence div u_i = sum_k <nabla_{u_k} u_i, u_k>, which for
     constant structure constants reduces to sum_k c^k_{ki}."""
     if not 0 <= direction < model.n:
         raise ModelError(f"direction {direction} out of range")
-    gamma = gamma if gamma is not None else levi_civita(model)
     s = ZERO
     for k in range(model.n):
         s = s + gamma[k][direction][k]
@@ -311,7 +314,6 @@ def divergence(model: FrameModel, direction: int, gamma=None) -> Scalar:
 @dataclass(frozen=True)
 class ConnectionData:
     """All derived geometric data of a validated model, exact."""
-    levi_civita: tuple
     transverse: tuple[Mat, ...]
     tau: tuple[Scalar, ...]
     nabla_tau: tuple[tuple[Scalar, ...], ...]   # nabla_{f_a} tau, per a
@@ -328,7 +330,6 @@ def derive_connection(model: FrameModel) -> ConnectionData:
     curv = curvature(model, A)
     tau = mean_curvature(model, gamma)
     return ConnectionData(
-        levi_civita=gamma,
         transverse=A,
         tau=tau,
         nabla_tau=mean_curvature_derivative(model, A, tau),
@@ -347,21 +348,29 @@ def complex_structure(model: FrameModel):
     one."""
     from .clifford_fiber import ComplexStructure
 
-    if model.jmat is None:
+    jmat = model.jmat
+    if jmat is None:
         raise ModelError(f"model {model.name!r} carries no complex structure: "
                          "give its \"J\" matrix in the model file")
-    return ComplexStructure.from_matrix(model.jmat)
+    if (jmat.n, jmat.m) != (model.q, model.q):
+        raise ModelError(f"model {model.name!r}: \"J\" is {jmat.n} x {jmat.m}, "
+                         f"not q x q with q={model.q}")
+    try:
+        return ComplexStructure.from_matrix(jmat)
+    except ValueError as exc:
+        raise ModelError(f"model {model.name!r}: \"J\" is not an orthogonal "
+                         f"complex structure: {exc}") from exc
 
 
-def spin_connection(model: FrameModel, J, transverse=None) -> tuple[Mat, ...]:
+def spin_connection(model: FrameModel, J, A: tuple[Mat, ...]) -> tuple[Mat, ...]:
     """Connection matrices on the spinor fiber, one per frame direction:
-    Gamma_u = (1/4) sum_{b,g} (A_u)_{gb} c(f_b) c(f_g).
+    Gamma_u = (1/4) sum_{b,g} (A_u)_{gb} c(f_b) c(f_g) for the transverse
+    connection matrices A_u.
 
     Requires nabla J = 0 (each A_u commutes with J), otherwise the spinor
     fiber is not parallel; the error names the offending direction."""
     from .clifford_fiber import spin_lift, spinor_cliffords
 
-    A = transverse if transverse is not None else transverse_connection(model)
     if J.q != model.q:
         raise ModelError(f"J has rank {J.q}, model has q={model.q}")
     for u, Au in enumerate(A):
@@ -377,6 +386,9 @@ def spin_connection(model: FrameModel, J, transverse=None) -> tuple[Mat, ...]:
 # JSON model files
 
 def model_from_dict(data: dict) -> FrameModel:
+    if not isinstance(data, dict):
+        raise ModelError("malformed model file: the top level must be a JSON "
+                         f"object, not {type(data).__name__}")
     try:
         name = data.get("name", "unnamed")
         p = int(data["p"])
@@ -390,11 +402,9 @@ def model_from_dict(data: dict) -> FrameModel:
         jmat = None
         if "J" in data and data["J"] is not None:
             jmat = Mat.from_rows([[parse_real(x) for x in row] for row in data["J"]])
-        twist = int(data.get("twist_dim", 1))
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed model file: {exc}") from exc
-    return make_model(name, p, q, brackets, line_b=line_b, jmat=jmat,
-                      twist_dim=twist)
+    return make_model(name, p, q, brackets, line_b=line_b, jmat=jmat)
 
 
 def load_model(path: str | Path) -> FrameModel:

@@ -26,10 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .clifford_fiber import (ext_matrix, grading_matrix, int_matrix, spin_lift,
-                             spinor_cliffords, vector_action)
+from .clifford_fiber import ext_matrix, int_matrix, spin_lift, spinor_cliffords, vector_action
 from .exact import ONE, ZERO, Scalar, rational
-from .frame_geometry import (ConnectionData, FrameModel, complex_structure,
+from .frame_geometry import (ConnectionData, FrameModel, complex_structure, curvature,
                              derive_connection, require_valid, spin_connection)
 from .matrices import Mat, accumulate, commutator
 
@@ -42,11 +41,7 @@ class SetupError(ValueError):
 class Fiber:
     kind: str       # "spinor" or "forms"
     q: int
-    twist: int
     dim: int
-
-    def __repr__(self):
-        return f"Fiber({self.kind}, q={self.q}, twist={self.twist}, dim={self.dim})"
 
 
 class BundleSetup:
@@ -80,30 +75,16 @@ class BundleSetup:
         self.curv = self._curvatures()
         self._validate()
 
-    # -- curvature of the declared connection + formal scalar piece --------
-
-    def _scalar_curv(self, u: int, v: int) -> Scalar:
-        p = self.model.p
-        if self.k and self.line_b is not None and u >= p and v >= p:
-            return self.line_b.entry(u - p, v - p) * rational(self.k)
-        return ZERO
-
     def _curvatures(self) -> dict[tuple[int, int], Mat]:
-        n = self.model.n
-        dim = self.fiber.dim
-        eye = Mat.identity(dim)
-        out = {}
-        for u in range(n):
-            for v in range(u + 1, n):
-                F = commutator(self.gamma[u], self.gamma[v])
-                for m in range(n):
-                    coeff = self.model.c[u][v][m]
-                    if not coeff.is_zero():
-                        F = F - self.gamma[m].scale(coeff)
-                s = self._scalar_curv(u, v)
+        """Curvature of the declared connection plus the formal scalar piece
+        k B of L^k on horizontal pairs."""
+        out = curvature(self.model, self.gamma)
+        if self.k and self.line_b is not None:
+            p, eye = self.model.p, Mat.identity(self.fiber.dim)
+            for (u, v), F in out.items():
+                s = self.line_b.entry(u - p, v - p) if u >= p else ZERO  # u < v
                 if not s.is_zero():
-                    F = F + eye.scale(s)
-                out[(u, v)] = F
+                    out[(u, v)] = F + eye.scale(s * rational(self.k))
         return out
 
     def fcurv(self, u: int, v: int) -> Mat:
@@ -155,44 +136,26 @@ class BundleSetup:
                             f"curvature data violates the Jacobi consistency "
                             f"condition on (u{u + 1},u{v + 1},u{w + 1})")
 
-    def grading(self) -> Mat:
-        """Fiber parity operator: +1 on even degrees, -1 on odd."""
-        n_masks = self.fiber.dim // self.fiber.twist
-        return grading_matrix(n_masks.bit_length() - 1, self.fiber.twist)
 
-
-def spinor_setup(model: FrameModel, k: int = 0, twist_dim: int | None = None,
-                 theta: tuple[Mat, ...] | None = None,
-                 geom: ConnectionData | None = None) -> BundleSetup:
-    """Bundle setup on the spinor fiber twisted by a rank-`twist_dim` bundle
-    with constant connection matrices `theta` and by the k-th power of the
-    model's line bundle (its curvature enters as a formal scalar)."""
+def spinor_setup(model: FrameModel, geom: ConnectionData, k: int) -> BundleSetup:
+    """Bundle setup on the spinor fiber twisted by the k-th power of the
+    model's line bundle (its curvature enters as a formal scalar), over the
+    connection data `geom` of the model."""
     require_valid(model)
-    geom = geom if geom is not None else derive_connection(model)
     J = complex_structure(model)
-    r = twist_dim if twist_dim is not None else model.twist_dim
-    cs = spinor_cliffords(J, r)
-    dim = cs[0].n
-    spin = spin_connection(model, J, transverse=geom.transverse)
-    eye_tw = Mat.identity(r)
-    gamma = []
-    for u in range(model.n):
-        G = spin[u].kron(eye_tw)
-        if theta is not None:
-            G = G + Mat.identity(dim // r).kron(theta[u])
-        gamma.append(G)
+    cs = spinor_cliffords(J)
+    gamma = spin_connection(model, J, geom.transverse)
     line_b = model.line_b
     if k and line_b is None:
         raise SetupError("k != 0 requires a line bundle on the model")
-    fiber = Fiber(kind="spinor", q=model.q, twist=r, dim=dim)
+    fiber = Fiber(kind="spinor", q=model.q, dim=cs[0].n)
     return BundleSetup(model, geom, fiber, cs, gamma, k, line_b, J)
 
 
-def forms_setup(model: FrameModel,
-                geom: ConnectionData | None = None) -> BundleSetup:
-    """Bundle setup on the full horizontal exterior algebra (untwisted)."""
+def forms_setup(model: FrameModel, geom: ConnectionData) -> BundleSetup:
+    """Bundle setup on the full horizontal exterior algebra (untwisted), over
+    the connection data `geom` of the model."""
     require_valid(model)
-    geom = geom if geom is not None else derive_connection(model)
     q = model.q
     eps = tuple(ext_matrix(q, a) for a in range(q))
     iota = tuple(int_matrix(q, a) for a in range(q))
@@ -204,7 +167,7 @@ def forms_setup(model: FrameModel,
         for (g, b), coeff in Au.d.items():
             acc = acc + (eps[g] @ iota[b]).scale(coeff)
         gamma.append(acc)
-    fiber = Fiber(kind="forms", q=q, twist=1, dim=1 << q)
+    fiber = Fiber(kind="forms", q=q, dim=1 << q)
     return BundleSetup(model, geom, fiber, cliff, gamma, 0, None, None,
                        eps=eps, iota=iota)
 
@@ -255,9 +218,6 @@ class DiffOp:
             return NotImplemented
         return self.setup is other.setup and self.terms == other.terms
 
-    def __hash__(self):   # pragma: no cover
-        return hash(frozenset((w, M) for w, M in self.terms.items()))
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -270,10 +230,6 @@ class DiffOp:
             mono = "*".join(f"∇{u + 1}" for u in w) if w else "1"
             names.append(mono)
         return f"DiffOp[{', '.join(names)}]"
-
-
-def zero_op(setup: BundleSetup) -> DiffOp:
-    return DiffOp(setup, {})
 
 
 def endo_op(setup: BundleSetup, M: Mat) -> DiffOp:
@@ -370,10 +326,6 @@ class Residual:
     max_abs: float
     worst_monomial: str = ""
 
-    @property
-    def ok(self) -> bool:
-        return self.exact_zero
-
     def __str__(self):
         if self.exact_zero:
             return "0 (exact)"
@@ -410,7 +362,7 @@ def dirac(setup: BundleSetup) -> DiffOp:
 
 def bochner(setup: BundleSetup) -> DiffOp:
     """sum_a (nabla_{f_a})^* nabla_{f_a}, assembled through the adjoint engine."""
-    acc = zero_op(setup)
+    acc = DiffOp(setup, {})
     for a in range(setup.model.q):
         na = nabla(setup, setup.model.p + a)
         acc = acc + compose(adjoint(na), na)
@@ -617,26 +569,13 @@ def dh_star_square_rhs(setup: BundleSetup) -> DiffOp:
 # ---------------------------------------------------------------------------
 # mean curvature form diagnostics
 
-def dtau_components(model: FrameModel, geom: ConnectionData) \
-        -> dict[tuple[int, int], Scalar]:
-    """dtau(u_i, u_j) = -tau([u_i, u_j]) for the invariant mean curvature form."""
-    n, p = model.n, model.p
-    tau_full = [ZERO] * p + list(geom.tau)
-    out = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = ZERO
-            for m in range(n):
-                if not model.c[i][j][m].is_zero():
-                    s = s - model.c[i][j][m] * tau_full[m]
-            out[(i, j)] = s
-    return out
-
-
 def tau_is_basic(model: FrameModel, geom: ConnectionData) -> bool:
     """tau is basic iff it has no leaf components (automatic here) and is
-    closed as an invariant form."""
-    return all(v.is_zero() for v in dtau_components(model, geom).values())
+    closed as an invariant form: dtau(u_i, u_j) = -tau([u_i, u_j]) = 0."""
+    n, p = model.n, model.p
+    return all(sum((model.c[i][j][p + a] * t for a, t in enumerate(geom.tau)
+                    if not t.is_zero()), ZERO).is_zero()
+               for i in range(n) for j in range(i + 1, n))
 
 
 def codifferential_of_tau(setup: BundleSetup) -> Scalar:
@@ -695,30 +634,28 @@ class SuiteReport:
         return sum(1 for it in self.items if it.passed and not it.skipped)
 
 
-def verify_suite(model: FrameModel, k: int = 1, twist_dim: int | None = None,
-                 geom: ConnectionData | None = None,
-                 theta: tuple[Mat, ...] | None = None) -> SuiteReport:
-    """Run the full exact identity suite on one model.
+def verify_suite(model: FrameModel, k: int) -> SuiteReport:
+    """Run the full exact identity suite on one model, with the k-th power
+    of its line bundle (k = 0 on a model without one).
 
     Items (a)-(g) and (i) are hard identities (exact zero residual
     expected); item (h) holds classically but is checked per model and
     reported rather than assumed."""
-    geom = geom if geom is not None else derive_connection(model)
+    geom = derive_connection(model)
     if model.line_b is None:
         k = 0
-    sp = spinor_setup(model, k=k, twist_dim=twist_dim, theta=theta, geom=geom)
-    fo = forms_setup(model, geom=geom)
+    sp = spinor_setup(model, geom, k)
+    fo = forms_setup(model, geom)
     items: list[IdentityResult] = []
 
     D = dirac(sp)
     D2 = compose(D, D)
     Dp = dirac_prime(sp)
 
-    def run(key, label, lhs, rhs, reported_only=False):
+    def run(key, label, lhs, rhs):
         r = residual(lhs, rhs)
         items.append(IdentityResult(key=key, label=label, residual=r,
-                                    passed=r.exact_zero,
-                                    reported_only=reported_only))
+                                    passed=r.exact_zero))
 
     run("a", "dirac square equals curvature-decomposed right-hand side",
         D2, lichnerowicz_rhs(sp))

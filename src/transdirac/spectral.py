@@ -36,8 +36,9 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .clifford_fiber import (ComplexStructure, ext_matrix, int_matrix, skew_invariants,
-                             spinor_cliffords, two_form_action)
+from .clifford_fiber import (ComplexStructure, IncompatiblePair, check_compatible,
+                             ext_matrix, int_matrix, skew_invariants, spinor_cliffords,
+                             two_form_action)
 from .exact import I as IUNIT
 from .frame_geometry import FrameModel, ModelError, complex_structure, require_valid
 from .matrices import Mat
@@ -108,16 +109,25 @@ class FlatTorus:
 
 
 def flat_torus(model: FrameModel) -> FlatTorus:
+    """The scan data of a flat torus; its line bundle, if any, must be
+    positive for J, the theorem's hypothesis behind the gap checks."""
     require_flat_torus(model)
+    J = complex_structure(model)
+    try:
+        if model.line_b is not None:
+            check_compatible(model.line_b, J)
+    except IncompatiblePair as exc:
+        raise ModelError(f"model {model.name!r}: the line bundle is not positive "
+                         f"for J ({exc}), outside the theorem's hypothesis") from exc
     lam, m = invariants_2pi(model)
-    return FlatTorus(model, complex_structure(model), chern_number(model), lam, m)
+    return FlatTorus(model, J, chern_number(model), lam, m)
 
 
 # ---------------------------------------------------------------------------
 # link phases and the magnetic Bochner Laplacian
 
 def hop_matrices(N: int, flux_quanta: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Forward hop operators (U_x psi)(x,y) = e^{i theta} psi(x+1,y) etc. in
+    """Forward hop operators (U_x psi)(x,y) = e^{i phase} psi(x+1,y) etc. in
     Landau gauge with a twisted boundary column; total flux 2*pi*flux_quanta.
     Site (x, y) has index x*N + y.
 

@@ -9,8 +9,9 @@ import random
 
 from transdirac import operator_calculus as oc
 from transdirac.clifford_fiber import ComplexStructure, spinor_cliffords, vector_action
-from transdirac.exact import Scalar, rational
-from transdirac.frame_geometry import FrameModel, mean_curvature, transverse_connection
+from transdirac.exact import ONE, Scalar, rational
+from transdirac.frame_geometry import (FrameModel, derive_connection, levi_civita,
+                                       mean_curvature, transverse_connection)
 from transdirac.matrices import Mat, accumulate
 
 
@@ -26,12 +27,19 @@ def spinor_action(f, J: ComplexStructure) -> Mat:
     return vector_action(f, spinor_cliffords(J))
 
 
+def grading_matrix(l: int) -> Mat:
+    """Parity operator of the exterior algebra on l generators: +1 on even
+    degrees, -1 on odd."""
+    return Mat.diag([-ONE if mask.bit_count() & 1 else ONE for mask in range(1 << l)])
+
+
 def divergence_closed_horizontal(model: FrameModel, a: int) -> Scalar:
     """div f_a = -g(tau + sum_b nabla_{f_b} f_b, f_a), the closed horizontal
     formula; must agree with the trace divergence on every valid model."""
     q, p = model.q, model.p
-    A = transverse_connection(model)
-    s = mean_curvature(model)[a]
+    gamma = levi_civita(model)
+    A = transverse_connection(model, gamma)
+    s = mean_curvature(model, gamma)[a]
     for b in range(q):
         s = s + A[p + b].entry(a, b)
     return -s
@@ -63,9 +71,24 @@ def bochner_divergence_form(setup: oc.BundleSetup) -> oc.DiffOp:
 def is_grading_odd(op: oc.DiffOp) -> bool:
     """Every coefficient anticommutes with the fiber parity (the derivative
     generators preserve parity since the connection matrices are even)."""
-    P = op.setup.grading()
+    P = grading_matrix(op.setup.fiber.dim.bit_length() - 1)
     return all((P @ M @ P + M).is_zero() for M in op.terms.values())
 
 
 def is_self_adjoint(op: oc.DiffOp) -> bool:
     return oc.adjoint(op) == op
+
+
+def twisted_spinor_setup(model: FrameModel, k: int, theta: tuple[Mat, ...]) -> oc.BundleSetup:
+    """The spinor bundle with L^k, twisted further by a trivial rank-r bundle
+    with constant skew-Hermitian connection matrices theta[u] (r x r, one per
+    frame direction): Clifford matrices c(f_a) (x) I_r and connection
+    Gamma_u (x) I_r + I (x) theta_u.  Its twisting curvature R^{E/S} is not
+    a scalar, unlike that of L^k alone."""
+    base = oc.spinor_setup(model, derive_connection(model), k)
+    eye_r = Mat.identity(theta[0].n)
+    eye_s = Mat.identity(base.fiber.dim)
+    cliff = [c.kron(eye_r) for c in base.cliff]
+    gamma = [G.kron(eye_r) + eye_s.kron(t) for G, t in zip(base.gamma, theta)]
+    fiber = oc.Fiber(kind="spinor", q=model.q, dim=base.fiber.dim * theta[0].n)
+    return oc.BundleSetup(model, base.geom, fiber, cliff, gamma, k, model.line_b, base.J)

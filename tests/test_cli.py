@@ -85,24 +85,119 @@ def test_every_benchmark_argv_parses(monkeypatch, tmp_path):
         assert args.command == job.argv[0]
 
 
+MODEL_COMMANDS = (["verify"], ["gap", "--k", "1", "--N", "16"],
+                  ["crosscheck", "--k", "1", "--N", "16"])
+
+
+def write_landau(tmp_path, name, **changes):
+    """t3_landau as a model file, with some keys replaced (None drops one)."""
+    model = {"name": name, "p": 1, "q": 2, "brackets": [],
+             "line_bundle": {"B": [["0", "-1i"], ["1i", "0"]]},
+             "J": [["0", "-1"], ["1", "0"]]}
+    model.update(changes)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({k: v for k, v in model.items() if v is not None}),
+                    encoding="utf-8")
+    return str(path)
+
+
+def invalid_input_errors(capsys, commands, path):
+    """stderr of each command on the model file, which must exit 2 without
+    a report."""
+    errors = []
+    for argv in commands:
+        code = cli.main(argv + ["--model", path])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INVALID, (argv, captured.err)
+        assert captured.out == ""
+        errors.append(captured.err)
+    return errors
+
+
 def test_model_without_complex_structure_exits_2_in_every_command(capsys, tmp_path):
     """The theorem assumes a transverse complex structure, so `verify`,
     `gap` and `crosscheck` all refuse a model file without "J", for the
     same reason, instead of choosing a J for it."""
-    model = {"name": "t3_landau_no_j", "p": 1, "q": 2, "brackets": [],
-             "line_bundle": {"B": [["0", "-1i"], ["1i", "0"]]}}
-    path = tmp_path / "t3_landau_no_j.json"
-    path.write_text(json.dumps(model), encoding="utf-8")
-    errors = []
-    for argv in (["verify"], ["gap", "--k", "1", "--N", "16"],
-                 ["crosscheck", "--k", "1", "--N", "16"]):
-        code = cli.main(argv + ["--model", str(path)])
-        captured = capsys.readouterr()
-        assert code == cli.EXIT_INVALID
-        assert captured.out == ""
-        errors.append(captured.err)
+    errors = invalid_input_errors(capsys, MODEL_COMMANDS,
+                                  write_landau(tmp_path, "t3_landau_no_j", J=None))
     assert "carries no complex structure" in errors[0]
     assert errors == [errors[0]] * 3
+
+
+@pytest.mark.parametrize("jrows, reason", [
+    ([["1", "0"], ["0", "1"]], "J^2 != -Identity"),
+    ([["1", "-2"], ["1", "-1"]], "J not orthogonal"),
+    ([["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "1"]], "not q x q"),
+])
+def test_model_with_invalid_complex_structure_exits_2_in_every_command(
+        capsys, tmp_path, jrows, reason):
+    """A "J" that is not an orthogonal complex structure on the transverse
+    space is invalid input for every command, for the same reason."""
+    errors = invalid_input_errors(capsys, MODEL_COMMANDS,
+                                  write_landau(tmp_path, "t3_landau_bad_j", J=jrows))
+    assert reason in errors[0]
+    assert errors == [errors[0]] * 3
+
+
+@pytest.mark.parametrize("brows", [
+    [["0", "0"], ["0", "0"]],            # degenerate
+    [["0", "1i"], ["-1i", "0"]],         # i B_12 = -1: reversed orientation
+])
+def test_line_bundle_not_positive_for_j_exits_2_on_the_lattice(capsys, tmp_path, brows):
+    """The gap and Riemann-Roch checks assume the theorem's positive line
+    bundle; outside it `gap` and `crosscheck` exit 2, not 1."""
+    path = write_landau(tmp_path, "t3_not_positive", line_bundle={"B": brows})
+    errors = invalid_input_errors(capsys, MODEL_COMMANDS[1:], path)
+    assert "not positive for J" in errors[0]
+    assert errors == [errors[0]] * 2
+
+
+def test_model_file_not_a_json_object_exits_2_in_every_command(capsys, tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[]", encoding="utf-8")
+    errors = invalid_input_errors(capsys, MODEL_COMMANDS, str(path))
+    assert "must be a JSON object" in errors[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--model", "sol"),
+    ("fiber", "--q", "2", "--trials", "1"),
+    ("gap", "--model", "t3_landau", "--k", "1", "--N", "16"),
+])
+def test_out_into_missing_directory_exits_2(capsys, tmp_path, argv):
+    out = tmp_path / "missing" / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv) + ["--out", str(out)])
+    assert exc.value.code == cli.EXIT_INVALID
+    assert "no directory" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
+def test_out_naming_a_directory_exits_2(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fiber", "--q", "2", "--trials", "1", "--out", str(tmp_path)])
+    assert exc.value.code == cli.EXIT_INVALID
+    assert "is a directory" in capsys.readouterr().err
+    assert list(tmp_path.parent.glob(tmp_path.name + ".tmp")) == []
+
+
+@pytest.mark.parametrize("tol", ["nan", "1", "1.5", "inf", "0", "-0.05", "x"])
+def test_gap_tol_outside_unit_interval_exits_2(capsys, tol):
+    """At tol >= 1 the bound 2km(1 - tol) is vacuous, and NaN fails no
+    comparison, so only 0 < tol < 1 is accepted."""
+    for command in ("gap", "crosscheck"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--model", "t3_landau", "--k", "1", "--N", "16",
+                      "--tol", tol])
+        assert exc.value.code == cli.EXIT_INVALID
+        assert "--tol" in capsys.readouterr().err
+
+
+def test_gap_tol_default_is_inside_the_unit_interval(capsys):
+    assert cli.build_parser().parse_args(["gap", "--model", "t3_landau"]).tol == 0.05
+    code, _ = run_cli(capsys, "gap", "--model", "t3_landau", "--k", "1", "--N", "16",
+                      "--tol", "0.05")
+    assert code == cli.EXIT_PASS
 
 
 def assert_close_tree(got, want, path="$"):

@@ -190,7 +190,7 @@ def test_spinor_action_anticommutators_orthonormal():
 
 def test_spinor_action_is_odd():
     J = cf.ComplexStructure.standard(4)
-    P = cf.grading_matrix(J.l)
+    P = eo.grading_matrix(J.l)
     for M in cf.spinor_cliffords(J):
         assert (P @ M @ P + M).is_zero()
 
@@ -226,7 +226,7 @@ def test_two_form_action_even_and_hermitian_random():
         B, J, _ = cf.random_compatible_pair(rng, q)
         act = cf.two_form_action(B, J)
         assert act.is_hermitian()
-        P = cf.grading_matrix(J.l)
+        P = eo.grading_matrix(J.l)
         assert (P @ act @ P - act).is_zero()
 
 
@@ -374,7 +374,7 @@ def test_odd_lower_bound_q2_tight():
     J = cf.ComplexStructure.standard(2)
     mu = rational(3)
     B = cf.block_two_form([mu])
-    rep = cf.odd_lower_bound(cf.two_form_action(B, J), B)
+    rep = cf.odd_lower_bound(cf.two_form_action(B, J), cf.skew_invariants(B)[0])
     assert rep.bound == mu  # -(lambda - 2m) = mu here
     assert rep.psd_ok and rep.attained
     assert rep.min_eigenvalue == mu and rep.margin == ZERO
@@ -390,7 +390,7 @@ def test_odd_lower_bound_q4_equal_mus_oracle():
     sub = np_mat(act.submatrix(odd, odd))
     evs = np.linalg.eigvalsh(sub)
     assert abs(evs.min()) < 1e-12       # min eigenvalue on the odd part is 0
-    rep = cf.odd_lower_bound(act, B)
+    rep = cf.odd_lower_bound(act, cf.skew_invariants(B)[0])
     assert rep.bound == ZERO            # 2m - lambda = 0 at equal mus
     assert rep.psd_ok and rep.attained and rep.margin == ZERO
 
@@ -401,7 +401,7 @@ def test_odd_lower_bound_matches_numpy_min():
         for _ in range(5):
             B, J, mus = cf.random_compatible_pair(rng, q)
             act = cf.two_form_action(B, J)
-            rep = cf.odd_lower_bound(act, B, mus=mus)
+            rep = cf.odd_lower_bound(act, mus)
             assert rep.psd_ok and rep.attained
             _, odd = cf.parity_indices(J.l)
             evs = np.linalg.eigvalsh(np_mat(act.submatrix(odd, odd)))

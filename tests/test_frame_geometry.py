@@ -11,6 +11,10 @@ from transdirac.exact import ONE, ZERO, rational
 from transdirac.matrices import Mat
 
 
+def transverse(model):
+    return fg.transverse_connection(model, fg.levi_civita(model))
+
+
 @pytest.fixture(scope="module")
 def torus():
     return fg.load_bundled("flat_t3")
@@ -64,7 +68,7 @@ def test_unimodularity_warning():
     rep = fg.validate(m)
     assert rep.ok
     assert any("non-unimodular" in w for w in rep.warnings)
-    assert fg.divergence(m, 1) == rational(-1)  # div f1 = -tr(ad f1)
+    assert fg.divergence(m, 1, fg.levi_civita(m)) == rational(-1)  # div f1 = -tr(ad f1)
 
 
 # -- Levi-Civita through Koszul --------------------------------------------------
@@ -101,10 +105,10 @@ def test_levi_civita_torsion_and_metric(name):
 # -- transverse connection --------------------------------------------------------
 
 def test_transverse_connection_values(torus, heis, sol):
-    assert all(A.is_zero() for A in fg.transverse_connection(torus))
-    A_h = fg.transverse_connection(heis)
+    assert all(A.is_zero() for A in transverse(torus))
+    A_h = transverse(heis)
     assert all(A.is_zero() for A in A_h)  # nabla_{f1} f2 = P_H(e1/2) = 0
-    A_s = fg.transverse_connection(sol)
+    A_s = transverse(sol)
     assert A_s[1].is_zero()                       # nabla_{f1} = 0
     assert A_s[2] == Mat.from_rows([[0, -1], [1, 0]])  # f1 -> f2, f2 -> -f1
 
@@ -112,7 +116,7 @@ def test_transverse_connection_values(torus, heis, sol):
 @pytest.mark.parametrize("name", ["heisenberg", "sol"])
 def test_transverse_connection_metric(name):
     m = fg.load_bundled(name)
-    for A in fg.transverse_connection(m):
+    for A in transverse(m):
         assert (A + A.transpose()).is_zero()
 
 
@@ -120,7 +124,7 @@ def test_torsion_identity_vs_integrability(heis, sol, torus):
     """nabla_{f_a} f_b - nabla_{f_b} f_a - [f_a, f_b] decomposes as zero
     horizontally and as the integrability tensor leafwise."""
     for m in (heis, sol, torus):
-        A = fg.transverse_connection(m)
+        A = transverse(m)
         R = fg.integrability_tensor(m)
         p, q = m.p, m.q
         for a in range(q):
@@ -134,9 +138,9 @@ def test_torsion_identity_vs_integrability(heis, sol, torus):
 
 
 def test_mean_curvature(torus, heis, sol):
-    assert all(t.is_zero() for t in fg.mean_curvature(torus))
-    assert all(t.is_zero() for t in fg.mean_curvature(heis))
-    assert fg.mean_curvature(sol) == (ONE, ZERO)
+    assert all(t.is_zero() for t in fg.mean_curvature(torus, fg.levi_civita(torus)))
+    assert all(t.is_zero() for t in fg.mean_curvature(heis, fg.levi_civita(heis)))
+    assert fg.mean_curvature(sol, fg.levi_civita(sol)) == (ONE, ZERO)
 
 
 def test_integrability_values(heis, sol):
@@ -148,23 +152,23 @@ def test_integrability_values(heis, sol):
 
 def test_curvature_flat_and_heisenberg(torus, heis):
     for m in (torus, heis):
-        curv = fg.curvature(m)
+        curv = fg.curvature(m, transverse(m))
         assert all(R.is_zero() for R in curv.values())
-        assert fg.scalar_curvature(m).is_zero()
+        assert fg.scalar_curvature(m, fg.curvature(m, transverse(m))).is_zero()
 
 
 def test_curvature_sol(sol):
-    curv = fg.curvature(sol)
+    curv = fg.curvature(sol, transverse(sol))
     R12 = curv[(1, 2)]   # R(f1, f2)
     assert R12.entry(1, 0) == ONE    # g(R(f1,f2) f1, f2) = 1
     assert R12.entry(0, 1) == -ONE
-    assert fg.scalar_curvature(sol) == rational(2)
+    assert fg.scalar_curvature(sol, fg.curvature(sol, transverse(sol))) == rational(2)
     # leaf-direction curvature vanishes (leafwise flat transverse connection)
     assert curv[(0, 1)].is_zero() and curv[(0, 2)].is_zero()
 
 
 def test_curvature_antisymmetry_as_endomorphism(sol):
-    for R in fg.curvature(sol).values():
+    for R in fg.curvature(sol, transverse(sol)).values():
         assert (R + R.transpose()).is_zero()
 
 
@@ -174,7 +178,7 @@ def test_curvature_antisymmetry_as_endomorphism(sol):
 def test_divergence_dual_route(name):
     m = fg.load_bundled(name)
     for a in range(m.q):
-        trace_route = fg.divergence(m, m.p + a)
+        trace_route = fg.divergence(m, m.p + a, fg.levi_civita(m))
         closed_route = eo.divergence_closed_horizontal(m, a)
         assert trace_route == closed_route
 
@@ -182,16 +186,16 @@ def test_divergence_dual_route(name):
 def test_divergence_values(torus, heis, sol):
     for m in (torus, heis, sol):
         for u in range(m.n):
-            assert fg.divergence(m, u).is_zero()
+            assert fg.divergence(m, u, fg.levi_civita(m)).is_zero()
 
 
 # -- spin connection ------------------------------------------------------------------
 
 def test_spin_connection_values(torus, heis, sol):
     J = cf.ComplexStructure.standard(2)
-    assert all(G.is_zero() for G in fg.spin_connection(torus, J))
-    assert all(G.is_zero() for G in fg.spin_connection(heis, J))
-    spins = fg.spin_connection(sol, J)
+    assert all(G.is_zero() for G in fg.spin_connection(torus, J, transverse(torus)))
+    assert all(G.is_zero() for G in fg.spin_connection(heis, J, transverse(heis)))
+    spins = fg.spin_connection(sol, J, transverse(sol))
     cs = cf.spinor_cliffords(J)
     # oracle: the commutator identity pins the sign, giving
     # Gamma_{f2} = (1/4)(c(f1)c(f2) - c(f2)c(f1))
@@ -204,8 +208,8 @@ def test_spin_connection_values(torus, heis, sol):
 def test_spin_connection_commutator_identity(name):
     m = fg.load_bundled(name)
     J = cf.ComplexStructure.standard(2)
-    A = fg.transverse_connection(m)
-    spins = fg.spin_connection(m, J)
+    A = transverse(m)
+    spins = fg.spin_connection(m, J, A)
     cs = cf.spinor_cliffords(J)
     for u in range(m.n):
         for b in range(m.q):
@@ -216,7 +220,7 @@ def test_spin_connection_commutator_identity(name):
 
 def test_spin_connection_skew_hermitian(sol):
     J = cf.ComplexStructure.standard(2)
-    for G in fg.spin_connection(sol, J):
+    for G in fg.spin_connection(sol, J, transverse(sol)):
         assert G.is_skew_hermitian()
 
 
@@ -227,7 +231,7 @@ def test_spin_connection_requires_parallel_j():
     assert fg.validate(m).ok
     J = cf.ComplexStructure.standard(4)
     with pytest.raises(fg.ModelError, match="u1"):
-        fg.spin_connection(m, J)
+        fg.spin_connection(m, J, transverse(m))
 
 
 # -- model files -----------------------------------------------------------------------
@@ -245,12 +249,11 @@ def test_load_model_roundtrip(tmp_path):
         "brackets": [[2, 3, 1, "1/2+1/4√2"]],
         "line_bundle": {"B": [["0", "-2i"], ["2i", "0"]]},
         "J": [["0", "-1"], ["1", "0"]],
-        "twist_dim": 2,
+        "twist_dim": 1,   # an unknown key, ignored
     }
     path = tmp_path / "custom.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     m = fg.load_model(path)
-    assert m.twist_dim == 2
     assert m.c[1][2][0] == fg.parse_real("1/2+1/4√2")
     assert m.line_b.entry(0, 1) == fg.parse_imaginary("-2i")
     assert fg.resolve_model(str(path)).name == "custom"

@@ -13,6 +13,14 @@ from transdirac.exact import I, ONE, ZERO, rational
 from transdirac.matrices import Mat
 
 
+def spinor(model, k):
+    return oc.spinor_setup(model, fg.derive_connection(model), k)
+
+
+def forms(model):
+    return oc.forms_setup(model, fg.derive_connection(model))
+
+
 @pytest.fixture(scope="module")
 def heis_plain():
     m = fg.load_bundled("heisenberg")
@@ -27,12 +35,12 @@ def sol_plain():
 
 @pytest.fixture(scope="module")
 def heis_setup(heis_plain):
-    return oc.spinor_setup(heis_plain, k=0)
+    return spinor(heis_plain, k=0)
 
 
 @pytest.fixture(scope="module")
 def sol_setup(sol_plain):
-    return oc.spinor_setup(sol_plain, k=0)
+    return spinor(sol_plain, k=0)
 
 
 # model with non-basic mean curvature: tau = f1 but dtau(e1, f2) = 1
@@ -67,7 +75,7 @@ def test_compose_identity_law(sol_setup):
 
 def test_torus_twisted_commutator():
     m = fg.load_bundled("t3_landau")
-    s = oc.spinor_setup(m, k=3)
+    s = spinor(m, k=3)
     lhs = (oc.compose(oc.nabla(s, 1), oc.nabla(s, 2))
            - oc.compose(oc.nabla(s, 2), oc.nabla(s, 1)))
     # F(f1, f2) = k B_12 Id with B_12 = -i in reduced units
@@ -101,7 +109,7 @@ def test_normal_form_sorted(sol_setup):
 
 def test_adjoint_of_nabla_flat():
     m = fg.load_bundled("flat_t3")
-    s = oc.spinor_setup(m, k=0)
+    s = spinor(m, k=0)
     assert oc.adjoint(oc.nabla(s, 1)) == -oc.nabla(s, 1)
 
 
@@ -134,7 +142,7 @@ def test_adjoint_degree_cap(sol_setup):
 def test_adjoint_with_divergence():
     m = fg.make_model("affine", 1, 2, [(2, 1, 1, "1")],
                       jmat=Mat.from_rows([[0, -1], [1, 0]]))
-    s = oc.spinor_setup(m, k=0)
+    s = spinor(m, k=0)
     # div f1 = -1 here, so (nabla_{f1})^* = -nabla_{f1} + 1
     got = oc.adjoint(oc.nabla(s, 1))
     expect = -oc.nabla(s, 1) + eo.identity_op(s)
@@ -157,7 +165,7 @@ def test_dirac_forms(heis_setup, sol_setup):
                                      ("heisenberg", 1), ("sol", 1)])
 def test_dirac_self_adjoint_and_odd(name, k):
     m = fg.load_bundled(name)
-    s = oc.spinor_setup(m, k=k if m.line_b is not None else 0)
+    s = spinor(m, k=k if m.line_b is not None else 0)
     D = oc.dirac(s)
     assert eo.is_self_adjoint(D)
     assert eo.is_grading_odd(D)
@@ -174,7 +182,7 @@ def test_dirac_prime_self_adjoint_when_tau_zero(heis_setup):
 def test_bochner_two_routes_all_models():
     for name in ("flat_t3", "heisenberg", "sol"):
         m = fg.load_bundled(name)
-        s = oc.spinor_setup(m, k=1 if m.line_b is not None else 0)
+        s = spinor(m, k=1 if m.line_b is not None else 0)
         assert oc.residual(oc.bochner(s), eo.bochner_divergence_form(s)).exact_zero
 
 
@@ -197,7 +205,7 @@ def test_bochner_second_order_coefficients(sol_setup):
 def test_lichnerowicz_rhs_torus_with_twist():
     m = fg.load_bundled("t3_landau")
     k = 2
-    s = oc.spinor_setup(m, k=k)
+    s = spinor(m, k=k)
     rhs = oc.lichnerowicz_rhs(s)
     # Delta + k c(R^L): curvature action of the reduced two-form times k
     cRL = cf.two_form_action(m.line_b, s.J).scale(rational(k))
@@ -232,20 +240,20 @@ def test_lichnerowicz_scalar_sign(sol_setup):
 
 def test_dh_star_contains_itau():
     m = fg.load_bundled("sol")
-    s = oc.forms_setup(m)
+    s = forms(m)
     dhs = oc.d_horizontal_star(s)
     assert dhs.terms[()] == s.iota[0]  # iota(tau) with tau = f1
 
 
 def test_dh_adjoint_is_dh_star():
     for name in ("flat_t3", "heisenberg", "sol"):
-        s = oc.forms_setup(fg.load_bundled(name))
+        s = forms(fg.load_bundled(name))
         assert oc.residual(oc.adjoint(oc.d_horizontal(s)),
                            oc.d_horizontal_star(s)).exact_zero
 
 
 def test_hodge_laplacian_flat_is_sum_of_squares():
-    s = oc.forms_setup(fg.load_bundled("flat_t3"))
+    s = forms(fg.load_bundled("flat_t3"))
     eye = Mat.identity(s.fiber.dim)
     expect = oc.DiffOp(s, {(1, 1): -eye, (2, 2): -eye})
     assert oc.residual(oc.hodge_laplacian(s), expect).exact_zero
@@ -257,7 +265,7 @@ def test_forms_ops_require_forms_fiber(sol_setup):
 
 
 def test_codifferential_of_tau_sol():
-    s = oc.spinor_setup(fg.load_bundled("sol"), k=1)
+    s = spinor(fg.load_bundled("sol"), k=1)
     assert oc.codifferential_of_tau(s) == ZERO
 
 
@@ -275,12 +283,23 @@ def test_suite_all_pass(name):
 
 
 def test_suite_with_rank_two_twist():
+    """A rank-2 twist whose curvature R^{E/S} is not scalar: identities (a),
+    (b), (c) and (i) hold for any twisting connection, not only for L^k."""
     m = fg.load_bundled("heisenberg")
     t1 = Mat.from_rows([[0, 1], [-1, 0]])             # real antisymmetric
     t2 = Mat.diag([I, -I])                            # imaginary diagonal
     theta = (t1, t2, t1.scale(rational(1, 2)))
-    rep = oc.verify_suite(m, k=1, twist_dim=2, theta=theta)
-    assert rep.all_passed
+    s = eo.twisted_spinor_setup(m, 1, theta)
+    W = oc.twisting_curvature(s, 0, 1)
+    assert W != Mat.identity(s.fiber.dim).scale(W.entry(0, 0))
+    D = oc.dirac(s)
+    D2 = oc.compose(D, D)
+    Dp = oc.dirac_prime(s)
+    for lhs, rhs in ((D2, oc.lichnerowicz_rhs(s)),
+                     (oc.compose(Dp, Dp), oc.dirac_prime_square_rhs(s)),
+                     (D2, oc.dirac_square_full_curvature_rhs(s)),
+                     (D2, oc.basic_tau_rhs(s))):
+        assert oc.residual(lhs, rhs).exact_zero
 
 
 def test_suite_skips_nonbasic_tau(twisted_sol):
@@ -301,11 +320,12 @@ def test_suite_basic_tau_runs_on_sol():
     assert not item.skipped and item.passed
 
 
-def test_mutation_sensitivity_localized():
+def test_mutation_sensitivity_localized(monkeypatch):
     m = fg.load_bundled("sol")
     geom = fg.derive_connection(m)
     tweaked = dataclasses.replace(geom, K=geom.K + rational(1, 7))
-    rep = oc.verify_suite(m, k=1, geom=tweaked)
+    monkeypatch.setattr(oc, "derive_connection", lambda model: tweaked)
+    rep = oc.verify_suite(m, k=1)
     by_key = {it.key: it for it in rep.items}
     assert not by_key["a"].passed
     assert not by_key["d"].passed
@@ -325,7 +345,7 @@ def test_inconsistent_formal_curvature_rejected():
         jmat=cf.standard_j_matrix(4))
     assert fg.validate(m).ok
     with pytest.raises(oc.SetupError, match="Jacobi consistency"):
-        oc.spinor_setup(m, k=1)
+        spinor(m, k=1)
 
 
 def test_residual_reports_worst_monomial(sol_setup):
