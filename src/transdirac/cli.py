@@ -18,7 +18,9 @@ A flag that a subcommand does not read is rejected (exit 2), and so is an
 transverse complex structure "J", a q x q orthogonal matrix with J^2 = -1:
 the theorem assumes one, so a model file without it, or with any other
 "J", is invalid input for every subcommand, as is a model file whose JSON
-top level is not an object.
+top level is not an object, or that holds a malformed value (p, q or a
+bracket index that is not a nonnegative JSON integer, a scalar that is not
+a string, a zero denominator).
 
 Exit codes: 0 pass, 1 mathematical violation, 2 invalid input, 3 numerical
 failure.  Reports are deterministic for a fixed seed, `gap` included: its

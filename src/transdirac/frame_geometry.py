@@ -22,8 +22,9 @@ Model files are JSON objects with the keys
     "J"            q x q rows of the transverse complex structure; optional
                    here, but every command refuses a model without it
 
-Indices are 1-based, leaves first; scalar strings like "-1/2" or
-"1/2+1/4√2"; line-bundle entries are imaginary strings ("-1i") and are
+p, q and the 1-based bracket indices (leaves first) are JSON integers;
+every scalar is a string, like "-1/2" or "1/2+1/4√2", and a malformed
+value is a ModelError.  Line-bundle entries are imaginary strings ("-1i"),
 stored in units of 2*pi, so the integer entries of i*B are Chern numbers of
 the transverse planes.  Any other key is ignored.
 """
@@ -385,16 +386,22 @@ def spin_connection(model: FrameModel, J, A: tuple[Mat, ...]) -> tuple[Mat, ...]
 # ---------------------------------------------------------------------------
 # JSON model files
 
+def _json_int(value, what: str) -> int:
+    """A nonnegative JSON integer; a bool, float or string is malformed."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{what} must be a nonnegative integer, not {value!r}")
+    return value
+
+
 def model_from_dict(data: dict) -> FrameModel:
     if not isinstance(data, dict):
         raise ModelError("malformed model file: the top level must be a JSON "
                          f"object, not {type(data).__name__}")
     try:
         name = data.get("name", "unnamed")
-        p = int(data["p"])
-        q = int(data["q"])
-        brackets = [(int(i), int(j), int(k), parse_real(coeff))
-                    for (i, j, k, coeff) in data.get("brackets", [])]
+        p, q = _json_int(data["p"], "p"), _json_int(data["q"], "q")
+        brackets = [(*(_json_int(ix, "bracket index") for ix in (i, j, k)),
+                     parse_real(coeff)) for (i, j, k, coeff) in data.get("brackets", [])]
         line_b = None
         if "line_bundle" in data and data["line_bundle"] is not None:
             rows = data["line_bundle"]["B"]

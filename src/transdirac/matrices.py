@@ -5,9 +5,10 @@ up to p+q), so all products are done entry-exactly.  Spectral facts about
 Hermitian matrices are certified without extracting eigenvalues:
 
 * characteristic polynomials via the trace recursion (Faddeev-LeVerrier),
-* positive semidefiniteness from the sign alternation of the coefficients
-  (the elementary symmetric functions of a real spectrum),
-* positive definiteness from leading principal minors.
+* the inertia (eigenvalue sign counts) by Descartes' rule of signs over
+  the charpoly, exact on a real spectrum: PSD is no negative count, and
+  singular is a nonzero zero count (there is no determinant),
+* positive definiteness by Sylvester's criterion (leading principal minors).
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ class Mat:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def zero(n: int, m: int | None = None) -> "Mat":
-        return Mat(n, m if m is not None else n)
+    def zero(n: int) -> "Mat":
+        return Mat(n, n)
 
     @staticmethod
     def identity(n: int) -> "Mat":
@@ -201,35 +202,6 @@ class Mat:
             M = Mk + eye.scale(ck)
         return coeffs
 
-    def det(self) -> Scalar:
-        if self.n != self.m:
-            raise ValueError("det of a non-square matrix")
-        if self.n == 0:
-            return ONE
-        A = self.rows()
-        n = self.n
-        sign = 1
-        acc = ONE
-        for k in range(n):
-            p = next((i for i in range(k, n) if not A[i][k].is_zero()), None)
-            if p is None:
-                return ZERO
-            if p != k:
-                A[k], A[p] = A[p], A[k]
-                sign = -sign
-            piv = A[k][k]
-            acc = acc * piv
-            inv = piv.inverse()
-            for i in range(k + 1, n):
-                f = A[i][k] * inv
-                if f.is_zero():
-                    continue
-                row_i, row_k = A[i], A[k]
-                for j in range(k + 1, n):
-                    if not row_k[j].is_zero():
-                        row_i[j] = row_i[j] - f * row_k[j]
-        return acc if sign > 0 else -acc
-
     def submatrix(self, rows, cols) -> "Mat":
         rset = {r: i for i, r in enumerate(rows)}
         cset = {c: j for j, c in enumerate(cols)}
@@ -239,21 +211,25 @@ class Mat:
                 entries[(rset[i], cset[j])] = v
         return Mat(len(rows), len(cols), entries)
 
-    def is_psd(self) -> bool:
-        """Certify a Hermitian matrix as positive semidefinite, eigen-free.
-
-        All roots of the characteristic polynomial are >= 0 iff the
-        coefficients alternate in sign: (-1)^k c_k >= 0 for every k.
-        """
+    def inertia(self) -> tuple[int, int, int]:
+        """(positive, zero, negative) eigenvalue counts of a Hermitian matrix:
+        its charpoly has real roots only, so by Descartes' rule the sign
+        changes of the nonzero coefficients count the positive roots."""
         if not self.is_hermitian():
-            raise ValueError("is_psd requires a Hermitian matrix")
+            raise ValueError("inertia requires a Hermitian matrix")
+        signs, last = [], 0
         for k, ck in enumerate(self.charpoly()):
             if not ck.is_real():
                 raise ValueError("non-real charpoly coefficient on Hermitian input")
-            signed = ck if k % 2 == 0 else -ck
-            if signed.sign() < 0:
-                return False
-        return True
+            if not ck.is_zero():
+                signs.append(ck.sign())
+                last = k
+        positive = sum(u != v for u, v in zip(signs, signs[1:]))
+        return positive, self.n - last, last - positive
+
+    def is_psd(self) -> bool:
+        """Positive semidefinite: no negative eigenvalue (`inertia`)."""
+        return self.inertia()[2] == 0
 
     def is_pd(self) -> bool:
         """Sylvester test via exact symmetric elimination: a Hermitian matrix

@@ -535,16 +535,14 @@ def hodge_bochner_rhs(setup: BundleSetup) -> DiffOp:
     sum nabla^* nabla + sum_a eps(f_a) iota(nabla_{f_a} tau)
     - sum_{a,b} eps(f_a) iota(f_b) (F(f_a,f_b) - nabla_{R(f_a,f_b)})."""
     _require_forms(setup)
-    p, q = setup.model.p, setup.model.q
+    p = setup.model.p
     acc = bochner(setup)
     acc = acc + endo_op(setup, _tau_derivative_term(setup, setup.eps, setup.iota))
-    curv_term = Mat.zero(setup.fiber.dim)
-    for a in range(q):
-        for b in range(q):
-            F = setup.fcurv(p + a, p + b)
-            if not F.is_zero():
-                curv_term = curv_term + setup.eps[a] @ setup.iota[b] @ F
-    acc = acc - endo_op(setup, curv_term)
+    # eps_b iota_a = -iota_a eps_b for a != b: the sum over all (a, b) is the
+    # sum over a < b of (eps_a iota_b + iota_a eps_b) F_ab
+    curv = [_pair_contraction(x, y, lambda a, b: setup.fcurv(p + a, p + b))
+            for x, y in ((setup.eps, setup.iota), (setup.iota, setup.eps))]
+    acc = acc - endo_op(setup, curv[0] + curv[1])
     acc = acc + integrability_first_order(
         setup, lambda a, b: setup.eps[a] @ setup.iota[b] - setup.eps[b] @ setup.iota[a])
     return acc

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .clifford_fiber import (ComplexStructure, IncompatiblePair, check_compatible,
-                             ext_matrix, int_matrix, skew_invariants, spinor_cliffords,
-                             two_form_action)
+                             ext_matrix, int_matrix, parity_indices, skew_invariants,
+                             spinor_cliffords, two_form_action)
 from .exact import I as IUNIT
 from .frame_geometry import FrameModel, ModelError, complex_structure, require_valid
 from .matrices import Mat
@@ -195,10 +195,10 @@ def parity_blocks(torus: FlatTorus, k: int) -> tuple[np.ndarray, np.ndarray]:
     import numpy as np
 
     E = _constant_endomorphism(torus, k)
-    odd = np.array([bin(m).count("1") % 2 == 1 for m in range(E.shape[0])])
-    if np.any(E[np.ix_(~odd, odd)]):
+    even, odd = parity_indices(E.shape[0].bit_length() - 1)
+    if np.any(E[np.ix_(even, odd)]):
         raise ModelError("curvature endomorphism is not grading-even")
-    return (np.linalg.eigvalsh(E[np.ix_(~odd, ~odd)]),
+    return (np.linalg.eigvalsh(E[np.ix_(even, even)]),
             np.linalg.eigvalsh(E[np.ix_(odd, odd)]))
 
 

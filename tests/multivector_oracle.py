@@ -12,8 +12,8 @@ and symbol/quantize are the mutually inverse symbol map and quantization.
 from __future__ import annotations
 
 from transdirac.clifford_fiber import ext_bit, int_bit
-from transdirac.exact import ONE, ZERO, Scalar, rational
-from transdirac.matrices import accumulate
+from transdirac.exact import I, ONE, ZERO, Scalar, rational
+from transdirac.matrices import Mat, accumulate
 
 
 class Multivector:
@@ -234,3 +234,23 @@ def symbol(a: CliffordElement) -> Multivector:
 
 def quantize(omega: Multivector) -> CliffordElement:
     return CliffordElement(omega)
+
+
+def spinor_cliffords_by_masks(J) -> tuple[Mat, ...]:
+    """c(f_a) on the spinor fiber, column by column: on the monomial `mask`,
+    c(f_a) = sum_j chi_ja ext_j - conj(chi_ja) int_j with
+    chi_ja = g(f_a, v_j) + i g(f_a, J v_j), each term read off `ext_bit` and
+    `int_bit`; an oracle for `clifford_fiber.spinor_cliffords`."""
+    out = []
+    for a in range(J.q):
+        entries: dict[tuple[int, int], Scalar] = {}
+        for j in range(J.l):
+            chi = J.frame[2 * j][a] + I * J.frame[2 * j + 1][a]
+            for mask in range(1 << J.l):
+                for (new, sg), coeff in ((ext_bit(mask, j), chi),
+                                         (int_bit(mask, j), -chi.conjugate())):
+                    if sg:
+                        key = (new, mask)
+                        entries[key] = entries.get(key, ZERO) + coeff * rational(sg)
+        out.append(Mat(1 << J.l, 1 << J.l, entries))
+    return tuple(out)

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from transdirac import cli
+from transdirac import clifford_fiber as cf
 from transdirac import operator_calculus as oc
 from transdirac.exact import rational
 
@@ -49,6 +50,19 @@ def test_fiber_report_matches_golden(capsys):
     code, out = run_cli(capsys, "fiber", "--q", "4", "--trials", "10", "--seed", "3")
     assert code == cli.EXIT_PASS
     assert out == (GOLDEN / "fiber_q4_trials10_seed3.json").read_text(encoding="utf-8")
+
+
+def test_fiber_fails_when_it_lists_a_failure(capsys, monkeypatch):
+    """A battery that records a failed pair does not pass, whichever flag
+    the failure left set."""
+    real = cf.odd_lower_bound
+    monkeypatch.setattr(cf, "odd_lower_bound", lambda A, mus: dataclasses.replace(
+        real(A, mus), attained=False))
+    code, out = run_cli(capsys, "fiber", "--q", "4", "--trials", "3", "--seed", "1")
+    report = json.loads(out)
+    assert code == cli.EXIT_VIOLATION
+    assert report["passed"] is False
+    assert [f["check"] for f in report["failures"]] == ["odd-lower-bound"] * 3
 
 
 def test_fiber_without_trials_exits_2_without_report(capsys):
@@ -150,6 +164,31 @@ def test_line_bundle_not_positive_for_j_exits_2_on_the_lattice(capsys, tmp_path,
     errors = invalid_input_errors(capsys, MODEL_COMMANDS[1:], path)
     assert "not positive for J" in errors[0]
     assert errors == [errors[0]] * 2
+
+
+@pytest.mark.parametrize("changes, reason", [
+    ({"brackets": [[2, 3, 1, "1/0"]]}, "zero denominator"),
+    ({"J": [["0", "-1/0"], ["1", "0"]]}, "zero denominator"),
+    ({"line_bundle": {"B": [["0", "-1/0i"], ["1/0i", "0"]]}}, "zero denominator"),
+    ({"brackets": [[2, 3, 1, 4]]}, "must be a string"),
+    ({"J": [[0, -1], [1, 0]]}, "must be a string"),
+    ({"line_bundle": {"B": [[0, "-1i"], ["1i", "0"]]}}, "must be a string"),
+    ({"p": -1}, "p must be a nonnegative integer"),
+    ({"p": 1.5}, "p must be a nonnegative integer"),
+    ({"p": True}, "p must be a nonnegative integer"),
+    ({"q": "2"}, "q must be a nonnegative integer"),
+    ({"brackets": [[2, 3, 1.9, "1"]]}, "bracket index must be"),
+    ({"q": 0, "line_bundle": None, "J": []}, "codimension must be even and >= 2"),
+], ids=["bracket-1/0", "J-1/0", "B-1/0", "bracket-number", "J-numbers", "B-number",
+        "p-negative", "p-float", "p-bool", "q-string", "index-float", "q-zero"])
+def test_malformed_model_value_exits_2_in_every_command(capsys, tmp_path, changes, reason):
+    """A malformed value is invalid input, not a traceback (a zero
+    denominator, a JSON number for a scalar string) and not a different
+    model ("p": 1.5 read as 1)."""
+    errors = invalid_input_errors(capsys, MODEL_COMMANDS,
+                                  write_landau(tmp_path, "t3_malformed", **changes))
+    assert all(err.startswith("error: ") for err in errors)
+    assert reason in errors[0]  # `verify`'s; the lattice commands may refuse q first
 
 
 def test_model_file_not_a_json_object_exits_2_in_every_command(capsys, tmp_path):

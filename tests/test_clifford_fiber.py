@@ -177,33 +177,54 @@ def test_spinor_action_squares_and_adjoints():
             assert (M + M.dagger()).is_zero()
 
 
+def spinor_structures():
+    """At every even q up to 8, the standard structure and two conjugated by
+    `random_orthogonal` (sqrt2/2 rotations included)."""
+    rng = random.Random(8)
+    out = []
+    for q in (2, 4, 6, 8):
+        out.append(cf.ComplexStructure.standard(q))
+        out += [cf.ComplexStructure.from_orthogonal(cf.random_orthogonal(rng, q))
+                for _ in range(2)]
+    return out
+
+
+SPINOR_STRUCTURES = spinor_structures()
+
+
+def assert_anticommutators(cs):
+    eye = Mat.identity(cs[0].n)
+    for a in range(len(cs)):
+        for b in range(a, len(cs)):
+            anti = cs[a] @ cs[b] + cs[b] @ cs[a]
+            assert anti == eye.scale(rational(-2 if a == b else 0))
+
+
 def test_spinor_action_anticommutators_orthonormal():
-    for q in (2, 4, 6):
-        J = cf.ComplexStructure.standard(q)
-        cs = cf.spinor_cliffords(J)
-        for a in range(q):
-            for b in range(q):
-                anti = cs[a] @ cs[b] + cs[b] @ cs[a]
-                expect = Mat.identity(cs[0].n).scale(rational(-2 if a == b else 0))
-                assert anti == expect
+    for q in (2, 4, 6, 8):
+        assert_anticommutators(cf.spinor_cliffords(cf.ComplexStructure.standard(q)))
 
 
 def test_spinor_action_is_odd():
-    J = cf.ComplexStructure.standard(4)
-    P = eo.grading_matrix(J.l)
-    for M in cf.spinor_cliffords(J):
-        assert (P @ M @ P + M).is_zero()
+    for J in SPINOR_STRUCTURES:
+        P = eo.grading_matrix(J.l)
+        for M in cf.spinor_cliffords(J):
+            assert (P @ M @ P + M).is_zero()
 
 
 def test_spinor_action_conjugated_frame():
-    rng = random.Random(17)
-    O = cf.random_orthogonal(rng, 4)
-    J = cf.ComplexStructure.from_orthogonal(O)
-    cs = cf.spinor_cliffords(J)
-    for a in range(4):
-        for b in range(4):
-            anti = cs[a] @ cs[b] + cs[b] @ cs[a]
-            assert anti == Mat.identity(4).scale(rational(-2 if a == b else 0))
+    irrational = [J.q for J in SPINOR_STRUCTURES
+                  if any(not x.is_rational() for v in J.frame for x in v)]
+    assert set(irrational) == {2, 4, 6, 8}  # sqrt2/2 rotations at every q
+    for J in SPINOR_STRUCTURES:
+        assert_anticommutators(cf.spinor_cliffords(J))
+
+
+@pytest.mark.parametrize("J", SPINOR_STRUCTURES,
+                         ids=[f"q{J.q}-frame{i % 3}" for i, J in enumerate(SPINOR_STRUCTURES)])
+def test_spinor_cliffords_match_mask_loops(J):
+    """The ext/int construction equals the column-by-column oracle."""
+    assert cf.spinor_cliffords(J) == mv.spinor_cliffords_by_masks(J)
 
 
 # -- two-form actions and invariants ------------------------------------------
@@ -377,7 +398,16 @@ def test_odd_lower_bound_q2_tight():
     rep = cf.odd_lower_bound(cf.two_form_action(B, J), cf.skew_invariants(B)[0])
     assert rep.bound == mu  # -(lambda - 2m) = mu here
     assert rep.psd_ok and rep.attained
-    assert rep.min_eigenvalue == mu and rep.margin == ZERO
+
+
+@pytest.mark.parametrize("claimed, psd_ok", [(2, True), (4, False)])
+def test_odd_lower_bound_strict_and_violated(claimed, psd_ok):
+    """On q = 2 the odd eigenvalue is mu = 3; a bound claimed for another mu
+    lies strictly below it (holds, not attained) or above it (fails)."""
+    A = cf.two_form_action(cf.block_two_form([rational(3)]), cf.ComplexStructure.standard(2))
+    rep = cf.odd_lower_bound(A, (rational(claimed),))
+    assert rep.bound == rational(claimed)
+    assert (rep.psd_ok, rep.attained) == (psd_ok, False)
 
 
 def test_odd_lower_bound_q4_equal_mus_oracle():
@@ -392,12 +422,12 @@ def test_odd_lower_bound_q4_equal_mus_oracle():
     assert abs(evs.min()) < 1e-12       # min eigenvalue on the odd part is 0
     rep = cf.odd_lower_bound(act, cf.skew_invariants(B)[0])
     assert rep.bound == ZERO            # 2m - lambda = 0 at equal mus
-    assert rep.psd_ok and rep.attained and rep.margin == ZERO
+    assert rep.psd_ok and rep.attained
 
 
 def test_odd_lower_bound_matches_numpy_min():
     rng = random.Random(37)
-    for q in (2, 4, 6):
+    for q in (2, 4, 6, 8):
         for _ in range(5):
             B, J, mus = cf.random_compatible_pair(rng, q)
             act = cf.two_form_action(B, J)

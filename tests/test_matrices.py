@@ -42,19 +42,57 @@ def test_dagger_and_flags():
     assert S.is_skew_hermitian() and S.is_antisymmetric()
 
 
+def numpy_inertia(M):
+    evs = np.linalg.eigvalsh(to_numpy(M))
+    return (int(np.sum(evs > 1e-9)), int(np.sum(abs(evs) <= 1e-9)),
+            int(np.sum(evs < -1e-9)))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_charpoly_and_det_against_numpy(n):
+    """The charpoly matches numpy's, and so does its constant coefficient
+    (-1)^n det M; the inertia of the Hermitian part matches the signs of
+    numpy's eigenvalues."""
     rng = random.Random(n)
     M = random_int_mat(rng, n)
     cp = M.charpoly()
     np_cp = np.poly(to_numpy(M))
     assert max(abs(complex(c) - z) for c, z in zip(cp, np_cp)) < 1e-6
-    assert abs(complex(M.det()) - np.linalg.det(to_numpy(M))) < 1e-6
+    assert abs((-1) ** n * complex(cp[n]) - np.linalg.det(to_numpy(M))) < 1e-6
+    H = M + M.dagger()
+    assert H.inertia() == numpy_inertia(H)
 
 
 def test_det_singular():
+    """A singular Hermitian matrix: charpoly constant zero, one zero
+    eigenvalue, and positive semidefinite but not definite."""
     M = Mat.from_rows([[1, 2], [2, 4]])
-    assert M.det() == ZERO
+    assert M.charpoly()[2] == ZERO
+    assert M.inertia() == (1, 1, 0)
+    assert M.is_psd() and not M.is_pd()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_inertia_matches_numpy_on_singular_and_indefinite(n):
+    """X D X^dagger with an invertible integer X has the inertia of the
+    diagonal D (Sylvester's law of inertia); D mixes positive, zero and
+    negative entries, so the cases are rank-deficient and indefinite."""
+    rng = random.Random(100 + n)
+    for _ in range(30):
+        X = random_int_mat(rng, n)
+        if abs(np.linalg.det(to_numpy(X))) < 0.5:
+            continue
+        D = Mat.diag([rational(rng.choice((-3, -1, 0, 0, 1, 2))) for _ in range(n)])
+        H = X @ D @ X.dagger()
+        signs = [float(v) for v in (D.entry(i, i) for i in range(n))]
+        want = (sum(v > 0 for v in signs), signs.count(0.0), sum(v < 0 for v in signs))
+        assert H.inertia() == want == numpy_inertia(H)
+        assert H.is_psd() == (want[2] == 0)
+
+
+def test_inertia_rejects_non_hermitian():
+    with pytest.raises(ValueError):
+        Mat.from_rows([[0, 1], [0, 0]]).inertia()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
