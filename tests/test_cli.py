@@ -65,6 +65,16 @@ def test_fiber_fails_when_it_lists_a_failure(capsys, monkeypatch):
     assert [f["check"] for f in report["failures"]] == ["odd-lower-bound"] * 3
 
 
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_main_defaults_blas_to_one_thread(capsys, monkeypatch, preset, expected):
+    """The CLI asks OpenBLAS for one thread unless the caller chose a count."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset or "")  # restored at teardown
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    run_cli(capsys, "fiber", "--q", "2", "--trials", "1")
+    assert os.environ["OPENBLAS_NUM_THREADS"] == expected
+
+
 def test_fiber_without_trials_exits_2_without_report(capsys):
     """A battery of no pairs would pass without checking anything."""
     code, out = run_cli(capsys, "fiber", "--trials", "0")
