@@ -19,20 +19,22 @@ transverse complex structure "J", a q x q orthogonal matrix with J^2 = -1:
 the theorem assumes one, so a model file without it, or with any other
 "J", is invalid input for every subcommand, as is a model file whose JSON
 top level is not an object, or that holds a malformed value (p, q or a
-bracket index that is not a nonnegative JSON integer, a scalar that is not
-a string, a zero denominator).
+bracket index that is not a nonnegative JSON integer, a name or scalar that
+is not a string, a zero denominator).
 
 Exit codes: 0 pass, 1 mathematical violation, 2 invalid input, 3 numerical
-failure.  Reports are deterministic for a fixed seed, `gap` included: its
-eigensolver starts from a fixed vector (the runtime_ms column is
+failure (an eigensolver that did not converge, an ambiguous kernel
+cluster).  Reports are deterministic for a fixed seed, `gap` included: its
+eigensolver starts from fixed vectors (the runtime_ms column is
 measurement, not content).
 
 `gap` and `crosscheck` exit 2 on k < 0, on flux too dense for the grid
 (2kc/N^2 above --tol), and on a line bundle that is not positive for J
 (i B(v, Jv) > 0 fails, a degenerate B included): the theorem's hypothesis.
 
-Only `gap` and `crosscheck` compute in floating point: numpy and scipy are
-loaded when one of them runs, so `verify` and `fiber` load neither.
+Only `gap` and `crosscheck` compute in floating point, and they load the
+float stack when they run: `gap` loads numpy only, `crosscheck` numpy and
+scipy.sparse.  `verify` and `fiber` load neither.
 """
 
 from __future__ import annotations

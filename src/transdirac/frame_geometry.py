@@ -15,7 +15,7 @@ spin connection coefficients -- are exact field elements.
 
 Model files are JSON objects with the keys
 
-    "name"         optional, default "unnamed"
+    "name"         optional string, default "unnamed"
     "p", "q"       leaf dimension and codimension
     "brackets"     list of [i, j, k, coeff]: [u_i, u_j] += coeff u_k
     "line_bundle"  optional, {"B": q x q rows}: curvature of the line bundle
@@ -399,6 +399,8 @@ def model_from_dict(data: dict) -> FrameModel:
                          f"object, not {type(data).__name__}")
     try:
         name = data.get("name", "unnamed")
+        if not isinstance(name, str):
+            raise ValueError(f"name must be a string, not {name!r}")
         p, q = _json_int(data["p"], "p"), _json_int(data["q"], "q")
         brackets = [(*(_json_int(ix, "bracket index") for ix in (i, j, k)),
                      parse_real(coeff)) for (i, j, k, coeff) in data.get("brackets", [])]

@@ -6,27 +6,34 @@ torus carrying a line bundle whose curvature two-form is stored in units of
 from the verified second-order normal form of the Dirac square -- magnetic
 Bochner Laplacian plus a constant curvature endomorphism E:
 
-* the Bochner Laplacian H is assembled on an N x N lattice with U(1) link
-  phases: each plaquette loop is exp(h^2 F_12), F = 2*pi*k*B the physical
+* the Bochner Laplacian H lives on an N x N lattice with U(1) link phases:
+  each plaquette loop is exp(h^2 F_12), F = 2*pi*k*B the physical
   curvature, in Landau gauge with the boundary column of x-links twisted
   so every plaquette, wrap-around included, carries the same flux (this
   is where integrality of k*c enters);
+* in that gauge a Fourier transform in y reduces H exactly to N^2 times a
+  direct sum of g = gcd(kc, N) real cyclic Harper chains of length N^2/g
+  (Hofstadter 1976; the magnetic translations of Zak 1964), and numpy
+  finds the lowest eigenpairs of each chain by shift-invert subspace
+  iteration with an exact block solve;
 * the Dirac square contains no leaf derivatives, so the leafwise-constant
   sector carries the whole transverse spectrum;
 * E is grading-even, and each parity block is the Kronecker sum
-  H (x) I + I (x) E_parity, whose spectrum is {h_i + e_j}.  One
-  shift-invert Lanczos solve for the lowest h_i per flux value and the
-  eigenvalues of the small fiber blocks of E give both sectors.
+  H (x) I + I (x) E_parity, whose spectrum is {h_i + e_j}.  One solve for
+  the lowest h_i per flux value and the eigenvalues of the small fiber
+  blocks of E give both sectors.
 
 `crosscheck_rows` ties that operator to the first-order D: it squares the
-central-difference D_h on the two lowest levels of H and asserts the
+central-difference D_h, built independently in the site basis from
+`hop_matrices`, on the two lowest levels of H and asserts the
 O(h^2) convergence of D_h^2 to H (x) I + I (x) E as N doubles.  The square
 of a central difference has doublers at the top of the lattice spectrum,
 so D_h^2 is compared only on those smooth low levels, never diagonalised.
 
 Floating point lives only here; the symbolic layer stays exact.  numpy and
 scipy are imported by the functions that use them, so importing this module
-(as the command line does for every subcommand) loads neither.
+(as the command line does for every subcommand) loads neither, and `gap`
+loads numpy only: scipy.sparse builds D_h for `crosscheck`.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ KERNEL_MARGIN = 8
 
 
 class SolverError(RuntimeError):
-    """Eigensolver failed to converge; carries partial residual information."""
+    """The eigensolver did not converge."""
 
 
 def require_flat_torus(model: FrameModel) -> None:
@@ -150,17 +157,37 @@ def hop_matrices(N: int, flux_quanta: int) -> tuple[sp.csr_matrix, sp.csr_matrix
     return Ux, Uy
 
 
-def magnetic_bochner(N: int, flux_quanta: int) -> sp.csr_matrix:
-    """sum over the two transverse directions of (2 - U - U^dagger)/h^2 with
-    h = 1/N: the positive magnetic Bochner Laplacian."""
-    import scipy.sparse as sp
+@dataclass(frozen=True)
+class HarperRings:
+    """The magnetic Bochner Laplacian of `hop_matrices`' links, summed over
+    the two transverse directions as (2 - U - U^dagger)/h^2 with h = 1/N,
+    in the y-Fourier basis psi(x,y) = N^{-1/2} sum_n e^{2 pi i n y/N} phi_n(x).
 
-    Ux, Uy = hop_matrices(N, flux_quanta)
-    dim = N * N
-    h2 = 1.0 / (N * N)
-    eye = sp.identity(dim, format="csr", dtype=complex)
-    H = (4.0 * eye - Ux - Ux.getH() - Uy - Uy.getH()) / h2
-    return H.tocsr()
+    There it is N^2 times a direct sum of g = gcd(kc, N) real cyclic chains
+    T_c (g = N at kc = 0) of length L = N^2/g with hops -1.  Chain c visits
+    x = s mod N in mode modes[c, s] = (c - kc floor(s/N)) mod N, and the
+    twisted boundary column carries mode n at x = N-1 to mode n - kc at
+    x = 0; diagonals[c, s] = 4 - 2 cos(2 pi (cN - kc s)/N^2)."""
+    N: int
+    diagonals: np.ndarray
+    modes: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The site-basis shape of H, N^2 x N^2."""
+        return self.N * self.N, self.N * self.N
+
+
+def magnetic_bochner(N: int, flux_quanta: int) -> HarperRings:
+    """The positive magnetic Bochner Laplacian H with total flux
+    2*pi*flux_quanta on the N x N lattice, Fourier-reduced."""
+    import numpy as np
+
+    g = math.gcd(flux_quanta, N)
+    s = np.arange(N * N // g)
+    c = np.arange(g)[:, None]
+    return HarperRings(N, 4.0 - 2.0 * np.cos(TWO_PI * (c * N - flux_quanta * s) / (N * N)),
+                       (c - flux_quanta * (s // N)) % N)
 
 
 # ---------------------------------------------------------------------------
@@ -205,35 +232,85 @@ def parity_blocks(torus: FlatTorus, k: int) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # eigensolver
 
-def eigen(M: sp.spmatrix, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest `count` eigenpairs of the positive semidefinite Hermitian M:
-    eigenvalues ascending, eigenvectors as columns.
+# Shift-invert subspace iteration on each chain: the shift below the
+# spectrum, in units of H; the vectors iterated beyond those wanted, which
+# set the convergence rate; the residual bound |Hv - theta v| <= RESIDUAL_TOL
+# max(1, theta) every wanted pair must meet; and the iteration cap.
+SHIFT = -1.0
+GUARD_VECTORS = 16
+RESIDUAL_TOL = 1e-9
+MAX_ITERATIONS = 200
 
-    Shift-invert Lanczos (ARPACK) about sigma = -1: the shift lies below the
-    spectrum, so the eigenvalues nearest it are the lowest.  ARPACK needs
-    count < dim - 1; smaller problems take a dense eigh.  eigsh takes a
-    complex M through ARPACK's non-Hermitian driver, so its eigenvectors
-    within a degenerate level span it but are not orthogonal."""
+
+def _chain_solver(shifted: np.ndarray, N: int):
+    """X -> (T_c - sigma)^{-1} X on every chain T_c at once, exactly.
+
+    `shifted` holds the diagonal of each T_c - sigma.  Each chain is cut into
+    B = L/N open blocks with inverses G_j; the hops between blocks couple
+    only their end values a_j (first) and z_j (last), and
+    x_j = G_j y_j + G_j[:, 0] z_{j-1} + G_j[:, N-1] a_{j+1}
+    closes into one 2B x 2B system for them."""
     import numpy as np
-    import scipy.sparse.linalg as spla
 
-    dim = M.shape[0]
-    count = min(count, dim)
-    if count >= dim - 1:
-        vals, vecs = np.linalg.eigh(M.toarray())
-        return vals[:count], vecs[:, :count]
-    # a fixed generic start vector makes the result repeatable; a structured
-    # one (all ones, say) could be orthogonal to part of a degenerate level
-    rng = np.random.default_rng(0)
-    v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    try:
-        vals, vecs = spla.eigsh(M.tocsc(), k=count, sigma=-1.0, v0=v0)
-    except spla.ArpackNoConvergence as exc:
-        raise SolverError(
-            f"shift-invert Lanczos did not converge: "
-            f"{len(exc.eigenvalues)}/{count} eigenvalues") from exc
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+    g, L = shifted.shape
+    B = L // N
+    i, j = np.arange(N), np.arange(B)
+    A = np.zeros((g, B, N, N))
+    A[..., i, i] = shifted.reshape(g, B, N)
+    A[..., i[1:], i[:-1]] = A[..., i[:-1], i[1:]] = -1.0
+    G = np.linalg.inv(A)
+    prev, nxt = B + (j - 1) % B, (j + 1) % B
+    C = np.zeros((g, 2 * B, 2 * B))
+    C[:, j, prev], C[:, j, nxt] = G[:, :, 0, 0], G[:, :, 0, -1]
+    C[:, B + j, prev], C[:, B + j, nxt] = G[:, :, -1, 0], G[:, :, -1, -1]
+    ends_inv = np.linalg.inv(np.eye(2 * B) - C)
+
+    def solve(Y: np.ndarray) -> np.ndarray:
+        X = G @ Y.reshape(g, B, N, -1)
+        ends = ends_inv @ np.concatenate([X[:, :, 0], X[:, :, -1]], axis=1)
+        z_prev = np.roll(ends[:, B:], 1, axis=1)[:, :, None]
+        a_next = np.roll(ends[:, :B], -1, axis=1)[:, :, None]
+        X += G[..., :1] * z_prev + G[..., -1:] * a_next
+        return X.reshape(Y.shape)
+
+    return solve
+
+
+def eigen(H: HarperRings, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest `count` eigenpairs of H: eigenvalues ascending, orthonormal
+    site-basis eigenvectors as columns.
+
+    Each chain's lowest min(count, L) pairs come from subspace iteration
+    with (T_c - sigma)^{-1} on min(count + GUARD_VECTORS, L) vectors from a
+    seeded start and a Rayleigh-Ritz step per iteration (exact at once when
+    that is all L); the inverse y-Fourier transform maps them to sites."""
+    import numpy as np
+
+    N, d = H.N, H.diagonals
+    g, L = d.shape
+    n2 = N * N
+    count = min(count, n2)
+    m, p = min(count, L), min(count + GUARD_VECTORS, L)
+    solve = _chain_solver(d - SHIFT / n2, N)
+    Q = np.random.default_rng(0).standard_normal((g, L, p))
+    for _ in range(MAX_ITERATIONS):
+        Q = np.linalg.qr(solve(Q))[0]
+        TQ = d[..., None] * Q - np.roll(Q, 1, axis=1) - np.roll(Q, -1, axis=1)
+        theta, W = np.linalg.eigh(Q.transpose(0, 2, 1) @ TQ)
+        theta, W = theta[:, :m], W[..., :m]
+        X = Q @ W
+        residual = np.linalg.norm(TQ @ W - X * theta[:, None], axis=1)
+        if np.all(n2 * residual <= RESIDUAL_TOL * np.maximum(1.0, n2 * theta)):
+            break
+    else:
+        raise SolverError(f"shift-invert subspace iteration did not converge in "
+                          f"{MAX_ITERATIONS} iterations")
+    order = np.argsort(theta, axis=None, kind="stable")[:count]
+    chain, col = np.divmod(order, m)
+    phi = np.zeros((count, N, N), dtype=complex)  # [pair, y mode, x]
+    phi[np.arange(count)[:, None], H.modes[chain], np.arange(L) % N] = X[chain, :, col]
+    psi = np.fft.ifft(phi, axis=1) * math.sqrt(N)  # [pair, y, x]
+    return n2 * theta.ravel()[order], psi.transpose(2, 1, 0).reshape(n2, count)
 
 
 # ---------------------------------------------------------------------------
@@ -313,15 +390,14 @@ def square_residual(cliffords, E: np.ndarray, N: int, kc: int) -> float:
 
     V is an orthonormal basis of the two lowest levels of H (2|kc|
     eigenvectors, or the 5 of the constant and the first Fourier modes at
-    kc = 0) tensored with the fiber; whole levels make r independent of the
-    basis the eigensolver returns."""
+    kc = 0) tensored with the fiber, so H V = V theta; whole levels make r
+    independent of the basis the eigensolver returns."""
     import numpy as np
 
-    H = magnetic_bochner(N, kc)
-    vecs, _ = np.linalg.qr(eigen(H, 2 * abs(kc) if kc else 5)[1])
+    theta, vecs = eigen(magnetic_bochner(N, kc), 2 * abs(kc) if kc else 5)
     eye = np.eye(E.shape[0])
     V = np.kron(vecs, eye)
-    RV = np.kron(H @ vecs, eye) + np.kron(vecs, E)
+    RV = np.kron(vecs * theta, eye) + np.kron(vecs, E)
     D = lattice_dirac(cliffords, N, kc)
     return float(np.linalg.norm(D @ (D @ V) - RV)
                  / max(np.linalg.norm(RV), np.linalg.norm(V)))

@@ -113,13 +113,14 @@ MODEL_COMMANDS = (["verify"], ["gap", "--k", "1", "--N", "16"],
                   ["crosscheck", "--k", "1", "--N", "16"])
 
 
-def write_landau(tmp_path, name, **changes):
-    """t3_landau as a model file, with some keys replaced (None drops one)."""
-    model = {"name": name, "p": 1, "q": 2, "brackets": [],
+def write_landau(tmp_path, stem, **changes):
+    """t3_landau as a model file named `stem`, with some keys replaced
+    (None drops one)."""
+    model = {"name": stem, "p": 1, "q": 2, "brackets": [],
              "line_bundle": {"B": [["0", "-1i"], ["1i", "0"]]},
              "J": [["0", "-1"], ["1", "0"]]}
     model.update(changes)
-    path = tmp_path / f"{name}.json"
+    path = tmp_path / f"{stem}.json"
     path.write_text(json.dumps({k: v for k, v in model.items() if v is not None}),
                     encoding="utf-8")
     return str(path)
@@ -189,8 +190,10 @@ def test_line_bundle_not_positive_for_j_exits_2_on_the_lattice(capsys, tmp_path,
     ({"q": "2"}, "q must be a nonnegative integer"),
     ({"brackets": [[2, 3, 1.9, "1"]]}, "bracket index must be"),
     ({"q": 0, "line_bundle": None, "J": []}, "codimension must be even and >= 2"),
+    ({"name": {"a": 1}}, "name must be a string"),
 ], ids=["bracket-1/0", "J-1/0", "B-1/0", "bracket-number", "J-numbers", "B-number",
-        "p-negative", "p-float", "p-bool", "q-string", "index-float", "q-zero"])
+        "p-negative", "p-float", "p-bool", "q-string", "index-float", "q-zero",
+        "name-object"])
 def test_malformed_model_value_exits_2_in_every_command(capsys, tmp_path, changes, reason):
     """A malformed value is invalid input, not a traceback (a zero
     denominator, a JSON number for a scalar string) and not a different
@@ -307,7 +310,8 @@ def test_failed_identity_reports_worst_monomial(capsys, monkeypatch):
 
 def test_exact_subcommands_do_not_load_numpy_or_scipy():
     """verify and fiber compute exactly; only gap and crosscheck need the
-    float stack, and it is loaded when one of them runs."""
+    float stack, and it is loaded when one of them runs: numpy for gap,
+    and scipy.sparse, without its linalg, for crosscheck's site-basis D."""
     script = textwrap.dedent("""
         import contextlib, io, sys
         import transdirac.cli as cli
@@ -326,7 +330,10 @@ def test_exact_subcommands_do_not_load_numpy_or_scipy():
         assert run("fiber", "--q", "4", "--trials", "2") == cli.EXIT_PASS
         assert loaded() == [], loaded()
         assert run("gap", "--model", "t3_landau", "--k", "1", "--N", "16") == cli.EXIT_PASS
+        assert loaded() == ["numpy"], loaded()
+        assert run("crosscheck", "--model", "t3_landau", "--k", "1", "--N", "16") == cli.EXIT_PASS
         assert loaded() == ["numpy", "scipy"], loaded()
+        assert "scipy.sparse.linalg" not in sys.modules
     """)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))

@@ -1,6 +1,7 @@
 """Lattice spectra on the flat torus: link phases and their flux sign, the
-Kronecker-sum eigenvalues of the Dirac square against a dense assembly, the
-squared lattice D, and the gap and crosscheck CLI."""
+Fourier-reduced magnetic Laplacian and its solver against the site-basis
+operator, the Kronecker-sum eigenvalues of the Dirac square against a dense
+assembly, the squared lattice D, and the gap and crosscheck CLI."""
 
 import json
 import math
@@ -8,7 +9,6 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as sla
 
 from transdirac import cli
 from transdirac import clifford_fiber as cf
@@ -77,12 +77,60 @@ def test_plaquette_loop_is_exp_of_the_exact_curvature(landau, k):
     np.testing.assert_allclose(loops, np.exp(F12 / N ** 2), atol=1e-12)
 
 
+# -- the magnetic Laplacian and its eigensolver -------------------------------
+
+def site_bochner(N, kc):
+    """Test oracle: the magnetic Bochner Laplacian assembled on the N x N
+    sites, sum over the two directions of (2 - U - U^dagger)/h^2, h = 1/N."""
+    Ux, Uy = spectral.hop_matrices(N, kc)
+    eye = sp.identity(N * N, format="csr", dtype=complex)
+    return ((4.0 * eye - Ux - Ux.getH() - Uy - Uy.getH()) * (N * N)).tocsr()
+
+
+@pytest.mark.parametrize("N,kc", [(6, 0), (6, 1), (6, 3), (8, -2)])
+def test_chain_solver_inverts_each_shifted_chain(N, kc):
+    """One open block per chain (kc = 0), two, and N, against a dense solve
+    of the cyclic chain with hops -1."""
+    d = spectral.magnetic_bochner(N, kc).diagonals + 1.0 / N ** 2
+    g, L = d.shape
+    Y = np.random.default_rng(1).standard_normal((g, L, 3))
+    X = spectral._chain_solver(d, N)(Y)
+    hops = np.roll(np.eye(L), 1, axis=1) + np.roll(np.eye(L), -1, axis=1)
+    for c in range(g):
+        np.testing.assert_allclose((np.diag(d[c]) - hops) @ X[c], Y[c], atol=1e-10)
+
+
+@pytest.mark.parametrize("kc", [0, 1, -1, 2, 3, 4, 6, 8])
+@pytest.mark.parametrize("N", [4, 6, 8, 12, 16])
+def test_eigen_matches_the_site_basis_operator(N, kc):
+    """The reduction and its solver against dense eigh of the site-basis H,
+    with g = gcd(kc, N) chains from 1 to N.  Eigenvectors mapped back to
+    the sites must be eigenvectors of H, which a reversed flux would break."""
+    H = spectral.magnetic_bochner(N, kc)
+    assert H.shape == (N * N, N * N)
+    assert H.diagonals.shape[0] == math.gcd(kc, N)
+    dense = np.linalg.eigvalsh(site_bochner(N, kc).toarray())
+    # at N = 4 also count >= dim - 1, where every chain is solved whole
+    counts = [abs(kc) + spectral.KERNEL_MARGIN] + ([15, 16, 40] if N == 4 else [])
+    for count in counts:
+        vals, vecs = spectral.eigen(H, count)
+        count = min(count, N * N)
+        assert vals.shape == (count,) and vecs.shape == (N * N, count)
+        np.testing.assert_allclose(vals, dense[:count], rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(count), atol=1e-10)
+        residual = np.linalg.norm(site_bochner(N, kc) @ vecs - vecs * vals, axis=0)
+        assert np.all(residual <= 1e-8 * np.maximum(1.0, vals))
+        again = spectral.eigen(spectral.magnetic_bochner(N, kc), count)
+        np.testing.assert_array_equal(again[0], vals)
+        np.testing.assert_array_equal(again[1], vecs)
+
+
 # -- eigenvalues -------------------------------------------------------------
 
 def assembled_parity_blocks(torus, k, N):
     """Test oracle: the explicit (even, odd) blocks H (x) I + I (x) E_parity
     of the lattice Dirac square."""
-    H = spectral.magnetic_bochner(N, k * spectral.chern_number(torus.model))
+    H = site_bochner(N, k * spectral.chern_number(torus.model))
     E = spectral._constant_endomorphism(torus, k)
     odd = np.array([bin(m).count("1") % 2 == 1 for m in range(E.shape[0])])
     blocks = []
@@ -114,7 +162,7 @@ def test_kernel_count_is_not_capped_by_requested_count(torus):
 
 
 def test_gap_scan_rows_repeat_exactly(torus):
-    # N = 16 takes the Lanczos path, whose start vector decides the last digits
+    # the solver's start vectors decide the last digits
     first, second = ([{**r.row(), "runtime_ms": None} for r in spectral.gap_scan(torus, [1, 2], 16)]
                      for _ in range(2))
     assert first == second
@@ -129,25 +177,6 @@ def test_flat_torus_carries_the_scan_invariants(landau):
         spectral.flat_torus(fg.resolve_model("heisenberg"))
 
 
-def test_small_grid_takes_dense_fallback(monkeypatch):
-    H = spectral.magnetic_bochner(4, 1)
-    dense, dense_vecs = np.linalg.eigh(H.toarray())
-    lanczos, vecs = spectral.eigen(H, 14)
-    np.testing.assert_allclose(lanczos, dense[:14], atol=1e-9)
-    np.testing.assert_allclose(H @ vecs, vecs * lanczos, atol=1e-9)
-
-    def no_arpack(*args, **kwargs):
-        raise AssertionError("ARPACK called with count >= dim - 1")
-
-    monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_arpack)
-    vals, vecs = spectral.eigen(H, 40)
-    np.testing.assert_array_equal(vals, dense)
-    np.testing.assert_array_equal(vecs, dense_vecs)
-    vals, vecs = spectral.eigen(H, 15)
-    np.testing.assert_array_equal(vals, dense[:15])
-    assert vecs.shape == (16, 15)
-
-
 # -- the squared lattice D -----------------------------------------------------
 
 @pytest.mark.parametrize("kc", [0, 1, 3])
@@ -159,18 +188,18 @@ def test_squared_lattice_dirac_converges_at_second_order(torus, kc):
 
 
 def test_square_residual_does_not_depend_on_the_eigenbasis(monkeypatch, torus):
-    """The residual on ARPACK's vectors of the two kc-fold levels matches the
-    one on dense eigh's orthonormal basis of the same levels."""
+    """The residual on the solver's vectors of the two kc-fold levels matches
+    the one on dense eigh's basis of the same levels of the site-basis H."""
     gens = [spectral._dense(C) for C in cf.spinor_cliffords(torus.J)]
     E = spectral._constant_endomorphism(torus, 3)
-    lanczos = spectral.square_residual(gens, E, 16, 3)
+    reduced = spectral.square_residual(gens, E, 16, 3)
 
-    def dense(M, count):
-        vals, vecs = np.linalg.eigh(M.toarray())
+    def dense(H, count):
+        vals, vecs = np.linalg.eigh(site_bochner(H.N, 3).toarray())
         return vals[:count], vecs[:, :count]
 
     monkeypatch.setattr(spectral, "eigen", dense)
-    assert spectral.square_residual(gens, E, 16, 3) == pytest.approx(lanczos, rel=1e-10)
+    assert spectral.square_residual(gens, E, 16, 3) == pytest.approx(reduced, rel=1e-10)
 
 
 def test_crosscheck_fails_on_the_conjugate_flux(monkeypatch, capsys):
@@ -219,13 +248,9 @@ def test_lattice_cli_rejects_inputs_it_cannot_resolve(capsys, command, argv, mes
     assert message in captured.err
 
 
-def no_convergence(*args, **kwargs):
-    raise sla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
-
-
 @pytest.mark.parametrize("command", ["gap", "crosscheck"])
 def test_lattice_cli_exits_3_when_the_eigensolver_fails(monkeypatch, capsys, command):
-    monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_convergence)
+    monkeypatch.setattr(spectral, "MAX_ITERATIONS", 0)
     assert cli.main([command, "--model", "t3_landau", "--k", "1", "--N", "16"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
