@@ -109,7 +109,8 @@ def test_eigen_matches_the_site_basis_operator(N, kc):
     H = spectral.magnetic_bochner(N, kc)
     assert H.shape == (N * N, N * N)
     assert H.diagonals.shape[0] == math.gcd(kc, N)
-    dense = np.linalg.eigvalsh(site_bochner(N, kc).toarray())
+    site = site_bochner(N, kc)
+    dense = np.linalg.eigvalsh(site.toarray())
     # at N = 4 also count >= dim - 1, where every chain is solved whole
     counts = [abs(kc) + spectral.KERNEL_MARGIN] + ([15, 16, 40] if N == 4 else [])
     for count in counts:
@@ -118,7 +119,7 @@ def test_eigen_matches_the_site_basis_operator(N, kc):
         assert vals.shape == (count,) and vecs.shape == (N * N, count)
         np.testing.assert_allclose(vals, dense[:count], rtol=1e-10, atol=1e-10)
         np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(count), atol=1e-10)
-        residual = np.linalg.norm(site_bochner(N, kc) @ vecs - vecs * vals, axis=0)
+        residual = np.linalg.norm(site @ vecs - vecs * vals, axis=0)
         assert np.all(residual <= 1e-8 * np.maximum(1.0, vals))
         again = spectral.eigen(spectral.magnetic_bochner(N, kc), count)
         np.testing.assert_array_equal(again[0], vals)
