@@ -23,10 +23,11 @@ bracket index that is not a nonnegative JSON integer, a name or scalar that
 is not a string, a zero denominator).
 
 Exit codes: 0 pass, 1 mathematical violation, 2 invalid input, 3 numerical
-failure (an eigensolver that did not converge, an ambiguous kernel
-cluster).  Reports are deterministic for a fixed seed, `gap` included: its
-eigensolver starts from fixed vectors (the runtime_ms column is
-measurement, not content).
+failure (an eigensolver that did not converge, no value above the kernel
+threshold in the whole lattice spectrum, an ambiguous kernel cluster).
+Reports are deterministic for a fixed seed, `gap` included: its eigensolver
+starts from fixed vectors (the runtime_ms column is measurement, not
+content).
 
 `gap` and `crosscheck` exit 2 on k < 0, on flux too dense for the grid
 (2kc/N^2 above --tol), and on a line bundle that is not positive for J

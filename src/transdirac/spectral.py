@@ -56,14 +56,9 @@ if TYPE_CHECKING:
 
 TWO_PI = 2.0 * math.pi
 
-# Eigenvalues requested beyond the k*c of the lowest Landau level, so the
-# even kernel count is never capped by the request and the level above it
-# is seen in both sectors.
-KERNEL_MARGIN = 8
-
 
 class SolverError(RuntimeError):
-    """The eigensolver did not converge."""
+    """The eigensolver did not converge, or found no value above the kernel."""
 
 
 def require_flat_torus(model: FrameModel) -> None:
@@ -282,7 +277,8 @@ def eigen(H: HarperRings, count: int) -> tuple[np.ndarray, np.ndarray]:
 
     Each chain's lowest min(count, L) pairs come from subspace iteration
     with (T_c - sigma)^{-1} on min(count + GUARD_VECTORS, L) vectors from a
-    seeded start and a Rayleigh-Ritz step per iteration (exact at once when
+    fixed Weyl-sequence start, frac((s + 1) sqrt(j + 2.5)) - 1/2 at site s of
+    vector j, and a Rayleigh-Ritz step per iteration (exact at once when
     that is all L); the inverse y-Fourier transform maps them to sites."""
     import numpy as np
 
@@ -292,7 +288,8 @@ def eigen(H: HarperRings, count: int) -> tuple[np.ndarray, np.ndarray]:
     count = min(count, n2)
     m, p = min(count, L), min(count + GUARD_VECTORS, L)
     solve = _chain_solver(d - SHIFT / n2, N)
-    Q = np.random.default_rng(0).standard_normal((g, L, p))
+    weyl = (np.arange(1, L + 1)[:, None] * np.sqrt(np.arange(p) + 2.5)) % 1.0 - 0.5
+    Q = np.broadcast_to(weyl, (g, L, p))
     for _ in range(MAX_ITERATIONS):
         Q = np.linalg.qr(solve(Q))[0]
         TQ = d[..., None] * Q - np.roll(Q, 1, axis=1) - np.roll(Q, -1, axis=1)
@@ -320,7 +317,6 @@ def eigen(H: HarperRings, count: int) -> tuple[np.ndarray, np.ndarray]:
 class SpectrumReport:
     k: int
     N: int
-    eigenvalues: np.ndarray
     gap: float
     kernel_dim_even: int
     kernel_dim_odd: int
@@ -342,8 +338,9 @@ def spectrum_report(torus: FlatTorus, k: int, N: int) -> SpectrumReport:
     """Eigenvalue report for one k: kernel clusters per parity sector, the
     gap above them, and the fitted defect C = max(0, 2km - gap).
 
-    The lowest k*c + KERNEL_MARGIN eigenvalues of H are taken, so the
-    kernel count is never capped by the request."""
+    The first request is the |kc| + 1 lowest eigenvalues h of H.  Those left
+    out are >= h[-1], so if h[-1] + min(e_even, e_odd) >= the gap, the gap and
+    both kernel counts are exact; if not, the request doubles, up to N^2."""
     import numpy as np
 
     t0 = time.perf_counter()
@@ -351,22 +348,23 @@ def spectrum_report(torus: FlatTorus, k: int, N: int) -> SpectrumReport:
     kc = k * torus.c
     H = magnetic_bochner(N, kc)
     e_even, e_odd = parity_blocks(torus, k)
-    h, _ = eigen(H, abs(kc) + KERNEL_MARGIN)
-    ev_even, ev_odd = (np.sort(np.add.outer(h, e).ravel())[:len(h)]
-                       for e in (e_even, e_odd))
-    allvals = np.sort(np.concatenate([ev_even, ev_odd]))
     thr = (2 * k * m) / 10.0 if k >= 1 and m > 0 else 1e-6
-    kernel_even = int(np.sum(ev_even < thr))
-    kernel_odd = int(np.sum(ev_odd < thr))
-    above = allvals[allvals >= thr]
-    gap = float(above[0]) if len(above) else math.inf
+    count = abs(kc) + 1
+    while True:
+        h, _ = eigen(H, count)
+        ev_even, ev_odd = (np.add.outer(h, e).ravel() for e in (e_even, e_odd))
+        values = np.concatenate([ev_even, ev_odd])
+        gap = float(values[values >= thr].min(initial=math.inf))
+        if h[-1] + min(e_even.min(), e_odd.min()) >= gap or count >= N * N:
+            break
+        count *= 2
+    if math.isinf(gap):
+        raise SolverError(f"no sector value at k={k}, N={N} lies above the kernel threshold")
     ambiguous = bool(gap < 4 * thr) if k >= 1 and m > 0 else False
-    fitted = max(0.0, 2 * k * m - gap)
-    ms = (time.perf_counter() - t0) * 1000.0
-    return SpectrumReport(k=k, N=N, eigenvalues=allvals, gap=gap,
-                          kernel_dim_even=kernel_even, kernel_dim_odd=kernel_odd,
-                          fitted_C=fitted, lam=lam, m=m, ambiguous=ambiguous,
-                          runtime_ms=ms)
+    return SpectrumReport(k=k, N=N, gap=gap, kernel_dim_even=int(np.sum(ev_even < thr)),
+                          kernel_dim_odd=int(np.sum(ev_odd < thr)),
+                          fitted_C=max(0.0, 2 * k * m - gap), lam=lam, m=m, ambiguous=ambiguous,
+                          runtime_ms=(time.perf_counter() - t0) * 1000.0)
 
 
 def gap_scan(torus: FlatTorus, k_values, N: int) -> list[SpectrumReport]:

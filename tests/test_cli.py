@@ -310,8 +310,9 @@ def test_failed_identity_reports_worst_monomial(capsys, monkeypatch):
 
 def test_exact_subcommands_do_not_load_numpy_or_scipy():
     """verify and fiber compute exactly; only gap and crosscheck need the
-    float stack, and it is loaded when one of them runs: numpy for gap,
-    and scipy.sparse, without its linalg, for crosscheck's site-basis D."""
+    float stack, and it is loaded when one of them runs: numpy, without
+    numpy.random, for gap, and scipy.sparse, without its linalg, for
+    crosscheck's site-basis D."""
     script = textwrap.dedent("""
         import contextlib, io, sys
         import transdirac.cli as cli
@@ -331,6 +332,7 @@ def test_exact_subcommands_do_not_load_numpy_or_scipy():
         assert loaded() == [], loaded()
         assert run("gap", "--model", "t3_landau", "--k", "1", "--N", "16") == cli.EXIT_PASS
         assert loaded() == ["numpy"], loaded()
+        assert "numpy.random" not in sys.modules
         assert run("crosscheck", "--model", "t3_landau", "--k", "1", "--N", "16") == cli.EXIT_PASS
         assert loaded() == ["numpy", "scipy"], loaded()
         assert "scipy.sparse.linalg" not in sys.modules

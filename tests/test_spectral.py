@@ -111,8 +111,9 @@ def test_eigen_matches_the_site_basis_operator(N, kc):
     assert H.diagonals.shape[0] == math.gcd(kc, N)
     site = site_bochner(N, kc)
     dense = np.linalg.eigvalsh(site.toarray())
-    # at N = 4 also count >= dim - 1, where every chain is solved whole
-    counts = [abs(kc) + spectral.KERNEL_MARGIN] + ([15, 16, 40] if N == 4 else [])
+    # the first request of spectrum_report, one spanning several levels,
+    # and at N = 4 also count >= dim - 1, where every chain is solved whole
+    counts = [abs(kc) + 1, abs(kc) + 8] + ([15, 16, 40] if N == 4 else [])
     for count in counts:
         vals, vecs = spectral.eigen(H, count)
         count = min(count, N * N)
@@ -144,15 +145,51 @@ def assembled_parity_blocks(torus, k, N):
 @pytest.mark.parametrize("N", [8, 12])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_kronecker_sum_matches_dense_parity_blocks(torus, N, k):
+    """The report against the full dense spectrum of both assembled blocks."""
     rep = spectral.spectrum_report(torus, k, N)
-    count = len(rep.eigenvalues) // 2
-    even, odd = (np.linalg.eigvalsh(B.toarray())[:count]
-                 for B in assembled_parity_blocks(torus, k, N))
-    np.testing.assert_allclose(rep.eigenvalues, np.sort(np.concatenate([even, odd])),
-                               rtol=1e-10, atol=1e-8)
+    even, odd = (np.linalg.eigvalsh(B.toarray()) for B in assembled_parity_blocks(torus, k, N))
+    allvals = np.sort(np.concatenate([even, odd]))
     thr = 2 * k * rep.m / 10
     assert rep.kernel_dim_even == np.sum(even < thr) == k
     assert rep.kernel_dim_odd == np.sum(odd < thr) == 0
+    assert rep.gap == pytest.approx(allvals[allvals >= thr][0], rel=1e-10)
+
+
+def test_uncertified_request_is_enlarged(monkeypatch, torus):
+    """With the odd block moved far below the even one, the first request's
+    bound h_last + min(e) lies below its gap; the report after doubling the
+    request matches one taken from all N^2 eigenvalues of the site-basis H."""
+    N, k = 8, 1
+    even, odd = spectral.parity_blocks(torus, k)
+    monkeypatch.setattr(spectral, "parity_blocks", lambda t, k: (even, odd - 10 * torus.m))
+    solve, counts = spectral.eigen, []
+
+    def recorded(H, count):
+        counts.append(count)
+        return solve(H, count)
+
+    monkeypatch.setattr(spectral, "eigen", recorded)
+    got = spectral.spectrum_report(torus, k, N)
+    assert counts[0] == abs(k * torus.c) + 1 and len(counts) > 2
+    assert counts[1:] == [2 * c for c in counts[:-1]]
+
+    full = np.linalg.eigvalsh(site_bochner(N, k * torus.c).toarray())
+    monkeypatch.setattr(spectral, "eigen", lambda H, count: (full, None))
+    want = spectral.spectrum_report(torus, k, N)
+    assert (got.kernel_dim_even, got.kernel_dim_odd, got.ambiguous) == \
+        (want.kernel_dim_even, want.kernel_dim_odd, want.ambiguous)
+    assert got.kernel_dim_odd > 0
+    assert got.gap == pytest.approx(want.gap, rel=1e-10)
+    assert got.fitted_C == pytest.approx(want.fitted_C, rel=1e-10, abs=1e-10)
+
+
+def test_report_without_a_gap_raises(monkeypatch, torus):
+    """Every sector value below the kernel threshold: even all N^2
+    eigenvalues of H cannot certify a gap."""
+    low = np.array([-1e6])
+    monkeypatch.setattr(spectral, "parity_blocks", lambda t, k: (low, low))
+    with pytest.raises(spectral.SolverError, match="lies above the kernel threshold"):
+        spectral.spectrum_report(torus, 1, 4)
 
 
 def test_kernel_count_is_not_capped_by_requested_count(torus):
@@ -265,7 +302,7 @@ def test_lattice_cli_exits_3_when_the_eigensolver_fails(monkeypatch, capsys, com
 def test_gap_cli_exit_codes_on_bad_reports(monkeypatch, capsys, change, code, message):
     def fake_scan(model, ks, N):
         m = 2 * math.pi
-        base = dict(k=1, N=N, eigenvalues=np.zeros(0), gap=2 * m,
+        base = dict(k=1, N=N, gap=2 * m,
                     kernel_dim_even=1, kernel_dim_odd=0, fitted_C=0.0, lam=m, m=m,
                     ambiguous=False, runtime_ms=0.0)
         return [spectral.SpectrumReport(**{**base, **change})]
