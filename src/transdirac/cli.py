@@ -23,19 +23,19 @@ bracket index that is not a nonnegative JSON integer, a name or scalar that
 is not a string, a zero denominator).
 
 Exit codes: 0 pass, 1 mathematical violation, 2 invalid input, 3 numerical
-failure (an eigensolver that did not converge, no value above the kernel
-threshold in the whole lattice spectrum, an ambiguous kernel cluster).
-Reports are deterministic for a fixed seed, `gap` included: its eigensolver
-starts from fixed vectors (the runtime_ms column is measurement, not
-content).
+failure (for `crosscheck`, an eigensolver that did not converge; for `gap`,
+no value above the kernel threshold in the whole lattice spectrum, or an
+ambiguous kernel cluster).  Reports are deterministic for a fixed seed:
+`gap` counts and bisects eigenvalues, and `crosscheck`'s eigensolver starts
+from fixed vectors (the runtime_ms column is measurement, not content).
 
 `gap` and `crosscheck` exit 2 on k < 0, on flux too dense for the grid
 (2kc/N^2 above --tol), and on a line bundle that is not positive for J
 (i B(v, Jv) > 0 fails, a degenerate B included): the theorem's hypothesis.
 
-Only `gap` and `crosscheck` compute in floating point, and they load the
-float stack when they run: `gap` loads numpy only, `crosscheck` numpy and
-scipy.sparse.  `verify` and `fiber` load neither.
+Only `gap` and `crosscheck` compute in floating point.  `gap` does so in
+plain Python floats and loads neither numpy nor scipy, like `verify` and
+`fiber`; `crosscheck` loads numpy and scipy.sparse when it runs.
 """
 
 from __future__ import annotations
@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     # One BLAS thread (unless the caller sets one): on the small lattice solves
-    # a second one only spins, adding ~50% to the CPU time of `gap`, not speed.
+    # of `crosscheck` a second one only spins, adding CPU time, not speed.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     handler = {"verify": cmd_verify, "gap": cmd_gap,

@@ -13,15 +13,16 @@ Bochner Laplacian plus a constant curvature endomorphism E:
   is where integrality of k*c enters);
 * in that gauge a Fourier transform in y reduces H exactly to N^2 times a
   direct sum of g = gcd(kc, N) real cyclic Harper chains of length N^2/g
-  (Hofstadter 1976; the magnetic translations of Zak 1964), and numpy
-  finds the lowest eigenpairs of each chain by shift-invert subspace
-  iteration with an exact block solve;
+  (Hofstadter 1976; the magnetic translations of Zak 1964);
 * the Dirac square contains no leaf derivatives, so the leafwise-constant
   sector carries the whole transverse spectrum;
 * E is grading-even, and each parity block is the Kronecker sum
-  H (x) I + I (x) E_parity, whose spectrum is {h_i + e_j}.  One solve for
-  the lowest h_i per flux value and the eigenvalues of the small fiber
-  blocks of E give both sectors.
+  H (x) I + I (x) E_parity, whose spectrum is {h_i + e_j}.  The exact
+  eigenvalues e_j of the small fiber blocks of E and, for each, the number
+  of h_i below the kernel threshold minus e_j and the next h_i above it
+  give both sectors.  Those numbers come from Sturm counts on the chains
+  in plain floats (Sylvester's law of inertia; Barth, Martin and Wilkinson
+  1967), exact over the whole spectrum, and bisection on them.
 
 `crosscheck_rows` ties that operator to the first-order D: it squares the
 central-difference D_h, built independently in the site basis from
@@ -29,11 +30,13 @@ central-difference D_h, built independently in the site basis from
 O(h^2) convergence of D_h^2 to H (x) I + I (x) E as N doubles.  The square
 of a central difference has doublers at the top of the lattice spectrum,
 so D_h^2 is compared only on those smooth low levels, never diagonalised.
+Their eigenvectors come from `eigen`: numpy's shift-invert subspace
+iteration on the chains with an exact block solve.
 
 Floating point lives only here; the symbolic layer stays exact.  numpy and
 scipy are imported by the functions that use them, so importing this module
-(as the command line does for every subcommand) loads neither, and `gap`
-loads numpy only: scipy.sparse builds D_h for `crosscheck`.
+(as the command line does for every subcommand) loads neither, and neither
+does `gap`: numpy and scipy.sparse serve `crosscheck` only.
 """
 
 from __future__ import annotations
@@ -43,9 +46,9 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .clifford_fiber import (ComplexStructure, IncompatiblePair, check_compatible,
-                             ext_matrix, int_matrix, parity_indices, skew_invariants,
-                             spinor_cliffords, two_form_action)
+from .clifford_fiber import (ComplexStructure, IncompatiblePair, _real_roots_in_field,
+                             check_compatible, ext_matrix, int_matrix, parity_indices,
+                             skew_invariants, spinor_cliffords, two_form_action)
 from .exact import I as IUNIT
 from .frame_geometry import FrameModel, ModelError, complex_structure, require_valid
 from .matrices import Mat
@@ -160,12 +163,12 @@ class HarperRings:
 
     There it is N^2 times a direct sum of g = gcd(kc, N) real cyclic chains
     T_c (g = N at kc = 0) of length L = N^2/g with hops -1.  Chain c visits
-    x = s mod N in mode modes[c, s] = (c - kc floor(s/N)) mod N, and the
-    twisted boundary column carries mode n at x = N-1 to mode n - kc at
-    x = 0; diagonals[c, s] = 4 - 2 cos(2 pi (cN - kc s)/N^2)."""
+    x = s mod N in mode (c - kc floor(s/N)) mod N, and the twisted boundary
+    column carries mode n at x = N-1 to mode n - kc at x = 0;
+    diagonals[c][s] = 4 - 2 cos(2 pi (cN - kc s)/N^2)."""
     N: int
-    diagonals: np.ndarray
-    modes: np.ndarray
+    flux_quanta: int
+    diagonals: list[list[float]]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -176,13 +179,11 @@ class HarperRings:
 def magnetic_bochner(N: int, flux_quanta: int) -> HarperRings:
     """The positive magnetic Bochner Laplacian H with total flux
     2*pi*flux_quanta on the N x N lattice, Fourier-reduced."""
-    import numpy as np
-
+    n2 = N * N
     g = math.gcd(flux_quanta, N)
-    s = np.arange(N * N // g)
-    c = np.arange(g)[:, None]
-    return HarperRings(N, 4.0 - 2.0 * np.cos(TWO_PI * (c * N - flux_quanta * s) / (N * N)),
-                       (c - flux_quanta * (s // N)) % N)
+    return HarperRings(N, flux_quanta,
+                       [[4.0 - 2.0 * math.cos(TWO_PI * (c * N - flux_quanta * s) / n2)
+                         for s in range(n2 // g)] for c in range(g)])
 
 
 # ---------------------------------------------------------------------------
@@ -210,18 +211,21 @@ def _constant_endomorphism(torus: FlatTorus, k: int) -> np.ndarray:
     return TWO_PI * k * _dense(two_form_action(line_b, J))
 
 
-def parity_blocks(torus: FlatTorus, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of the constant endomorphism on the (even, odd) spinors.
-    It is grading-even, so the two sectors of the Dirac square decouple
-    exactly."""
-    import numpy as np
-
-    E = _constant_endomorphism(torus, k)
-    even, odd = parity_indices(E.shape[0].bit_length() - 1)
-    if np.any(E[np.ix_(even, odd)]):
+def parity_blocks(torus: FlatTorus, k: int) -> tuple[list[float], list[float]]:
+    """Eigenvalues of the constant endomorphism on the (even, odd) spinors,
+    found exactly in Q(sqrt2) as the roots of each block's characteristic
+    polynomial and then scaled by 2*pi*k.  It is grading-even, so the two
+    sectors of the Dirac square decouple exactly."""
+    J, line_b = torus.J, torus.model.line_b
+    even, odd = parity_indices(J.l)
+    if line_b is None or k == 0:
+        return [0.0] * len(even), [0.0] * len(odd)
+    A = two_form_action(line_b, J)
+    if not A.submatrix(even, odd).is_zero():
         raise ModelError("curvature endomorphism is not grading-even")
-    return (np.linalg.eigvalsh(E[np.ix_(even, even)]),
-            np.linalg.eigvalsh(E[np.ix_(odd, odd)]))
+    return tuple([TWO_PI * k * float(e)
+                  for e in _real_roots_in_field(A.submatrix(ix, ix).charpoly())]
+                 for ix in (even, odd))
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +286,7 @@ def eigen(H: HarperRings, count: int) -> tuple[np.ndarray, np.ndarray]:
     that is all L); the inverse y-Fourier transform maps them to sites."""
     import numpy as np
 
-    N, d = H.N, H.diagonals
+    N, d = H.N, np.array(H.diagonals)
     g, L = d.shape
     n2 = N * N
     count = min(count, n2)
@@ -305,9 +309,94 @@ def eigen(H: HarperRings, count: int) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(theta, axis=None, kind="stable")[:count]
     chain, col = np.divmod(order, m)
     phi = np.zeros((count, N, N), dtype=complex)  # [pair, y mode, x]
-    phi[np.arange(count)[:, None], H.modes[chain], np.arange(L) % N] = X[chain, :, col]
+    modes = (np.arange(g)[:, None] - H.flux_quanta * (np.arange(L) // N)) % N
+    phi[np.arange(count)[:, None], modes[chain], np.arange(L) % N] = X[chain, :, col]
     psi = np.fft.ifft(phi, axis=1) * math.sqrt(N)  # [pair, y, x]
     return n2 * theta.ravel()[order], psi.transpose(2, 1, 0).reshape(n2, count)
+
+
+# ---------------------------------------------------------------------------
+# Sturm counts
+
+# A cut site's fill below FILL_FLOOR is dropped: that site no longer sees the
+# far end of the chain.  ZERO_PIVOT stands in for an exact zero pivot, whose
+# count is the limit from above.  Bisection stops once its bracket is
+# narrower than BISECTION_RTOL times max(1, its upper end).
+FILL_FLOOR = 1e-150
+ZERO_PIVOT = 1e-150
+BISECTION_RTOL = 1e-14
+
+
+def _ring_count(d: list[float], x: float, cut: int) -> int:
+    """The number of eigenvalues below x of the ring diag(d) - hops, hops -1.
+
+    By Sylvester's law of inertia it is the number of negative pivots of
+    an LDL^T sweep (Barth, Martin and Wilkinson 1967).  The ring is cut at
+    sites 0..cut-1.  By Haynsworth's inertia additivity the count is that of
+    the open chain M on the other sites plus the negative eigenvalues of the
+    Schur complement S on the cut sites.  S reads G = (M - x)^{-1} only at
+    the first (f) and last (l) sites of M:
+    * the forward sweep over M counts its negative pivots and gives
+      G_ll = 1/(last pivot) and G_fl = 1/det(M - x), the product of the
+      inverse pivots.  That product is carried as fill only until it falls
+      below FILL_FLOOR, and G_fl is then 0.  On the long chains of a flux
+      it falls there near the bottom of the spectrum;
+    * a backward sweep over the sites the fill reached gives G_ff.
+
+    Two cut sites (S is 2 x 2) keep the eigenvalues of the ring out of M,
+    since an eigenvector that vanishes at two neighbouring sites vanishes.
+    With one, a constant ring's double levels are also levels of M, and S
+    cancels to sqrt(eps) there.  Where x is an eigenvalue of the two-cut M,
+    one site is cut instead."""
+    n, r, y, reach = 0, 0.0, 1.0, cut
+    sites = iter(d[cut:])
+    for di in sites:
+        r = 1.0 / ((di - x - r) or ZERO_PIVOT)
+        if r < 0.0:
+            n += 1
+        y *= r
+        reach += 1
+        if -FILL_FLOOR < y < FILL_FLOOR:
+            y = 0.0
+            break
+    for di in sites:
+        r = 1.0 / ((di - x - r) or ZERO_PIVOT)
+        if r < 0.0:
+            n += 1
+    g_ff = 0.0
+    for di in reversed(d[cut:reach]):
+        g_ff = 1.0 / ((di - x - g_ff) or ZERO_PIVOT)
+    if cut == 1:
+        return n + (d[0] - x - g_ff - r - 2.0 * y < 0.0)
+    if 1.0 / ZERO_PIVOT in (r, g_ff):
+        return _ring_count(d, x, 1)
+    a, b, c = d[0] - x - r, -1.0 - y, d[1] - x - g_ff
+    det = a * c - b * b
+    if det < 0.0:
+        return n + 1
+    if det > 0.0:
+        return n + 2 * (a < 0.0)
+    return n + (a + c < 0.0)
+
+
+def eigenvalues_below(H: HarperRings, x: float) -> int:
+    """The number of eigenvalues of H below x: Sturm counts on its rings."""
+    t = x / (H.N * H.N)
+    return sum(_ring_count(d, t, 2) for d in H.diagonals)
+
+
+def next_eigenvalue(H: HarperRings, x: float, below: int) -> float:
+    """The least eigenvalue of H at or above x, given that `below` < N^2 of
+    them lie below x: bisection on Sturm counts between x and the
+    Gershgorin bound N^2 (max d + 2)."""
+    lo, hi = x, (max(map(max, H.diagonals)) + 2.0) * H.N * H.N
+    while hi - lo > BISECTION_RTOL * max(hi, 1.0):
+        mid = 0.5 * (lo + hi)
+        if eigenvalues_below(H, mid) > below:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -338,31 +427,24 @@ def spectrum_report(torus: FlatTorus, k: int, N: int) -> SpectrumReport:
     """Eigenvalue report for one k: kernel clusters per parity sector, the
     gap above them, and the fitted defect C = max(0, 2km - gap).
 
-    The first request is the |kc| + 1 lowest eigenvalues h of H.  Those left
-    out are >= h[-1], so if h[-1] + min(e_even, e_odd) >= the gap, the gap and
-    both kernel counts are exact; if not, the request doubles, up to N^2."""
-    import numpy as np
-
+    A sector value h + e, with h an eigenvalue of H and e one of the sector's
+    block of E, lies below the threshold when h < thr - e.  So each kernel
+    dimension is a sum of Sturm counts of H, and the gap is the least
+    e + (the next eigenvalue of H at or above thr - e), bisected.  The counts
+    are exact over the whole spectrum of H, so no eigenvalue can be missed."""
     t0 = time.perf_counter()
     lam, m = torus.lam, torus.m
-    kc = k * torus.c
-    H = magnetic_bochner(N, kc)
+    H = magnetic_bochner(N, k * torus.c)
     e_even, e_odd = parity_blocks(torus, k)
     thr = (2 * k * m) / 10.0 if k >= 1 and m > 0 else 1e-6
-    count = abs(kc) + 1
-    while True:
-        h, _ = eigen(H, count)
-        ev_even, ev_odd = (np.add.outer(h, e).ravel() for e in (e_even, e_odd))
-        values = np.concatenate([ev_even, ev_odd])
-        gap = float(values[values >= thr].min(initial=math.inf))
-        if h[-1] + min(e_even.min(), e_odd.min()) >= gap or count >= N * N:
-            break
-        count *= 2
+    below = {e: eigenvalues_below(H, thr - e) for e in {*e_even, *e_odd}}
+    gap = min((e + next_eigenvalue(H, thr - e, n) for e, n in below.items() if n < N * N),
+              default=math.inf)
     if math.isinf(gap):
         raise SolverError(f"no sector value at k={k}, N={N} lies above the kernel threshold")
     ambiguous = bool(gap < 4 * thr) if k >= 1 and m > 0 else False
-    return SpectrumReport(k=k, N=N, gap=gap, kernel_dim_even=int(np.sum(ev_even < thr)),
-                          kernel_dim_odd=int(np.sum(ev_odd < thr)),
+    return SpectrumReport(k=k, N=N, gap=gap, kernel_dim_even=sum(below[e] for e in e_even),
+                          kernel_dim_odd=sum(below[e] for e in e_odd),
                           fitted_C=max(0.0, 2 * k * m - gap), lam=lam, m=m, ambiguous=ambiguous,
                           runtime_ms=(time.perf_counter() - t0) * 1000.0)
 

@@ -1,7 +1,8 @@
 """Lattice spectra on the flat torus: link phases and their flux sign, the
-Fourier-reduced magnetic Laplacian and its solver against the site-basis
-operator, the Kronecker-sum eigenvalues of the Dirac square against a dense
-assembly, the squared lattice D, and the gap and crosscheck CLI."""
+Fourier-reduced magnetic Laplacian, its Sturm counts and its eigensolver
+against the site-basis operator, the Kronecker-sum eigenvalues of the Dirac
+square against a dense assembly, the squared lattice D, and the gap and
+crosscheck CLI."""
 
 import json
 import math
@@ -91,7 +92,7 @@ def site_bochner(N, kc):
 def test_chain_solver_inverts_each_shifted_chain(N, kc):
     """One open block per chain (kc = 0), two, and N, against a dense solve
     of the cyclic chain with hops -1."""
-    d = spectral.magnetic_bochner(N, kc).diagonals + 1.0 / N ** 2
+    d = np.array(spectral.magnetic_bochner(N, kc).diagonals) + 1.0 / N ** 2
     g, L = d.shape
     Y = np.random.default_rng(1).standard_normal((g, L, 3))
     X = spectral._chain_solver(d, N)(Y)
@@ -108,11 +109,11 @@ def test_eigen_matches_the_site_basis_operator(N, kc):
     the sites must be eigenvectors of H, which a reversed flux would break."""
     H = spectral.magnetic_bochner(N, kc)
     assert H.shape == (N * N, N * N)
-    assert H.diagonals.shape[0] == math.gcd(kc, N)
+    assert len(H.diagonals) == math.gcd(kc, N)
     site = site_bochner(N, kc)
     dense = np.linalg.eigvalsh(site.toarray())
-    # the first request of spectrum_report, one spanning several levels,
-    # and at N = 4 also count >= dim - 1, where every chain is solved whole
+    # one level and its neighbour, one spanning several levels, and at N = 4
+    # also count >= dim - 1, where every chain is solved whole
     counts = [abs(kc) + 1, abs(kc) + 8] + ([15, 16, 40] if N == 4 else [])
     for count in counts:
         vals, vecs = spectral.eigen(H, count)
@@ -125,6 +126,58 @@ def test_eigen_matches_the_site_basis_operator(N, kc):
         again = spectral.eigen(spectral.magnetic_bochner(N, kc), count)
         np.testing.assert_array_equal(again[0], vals)
         np.testing.assert_array_equal(again[1], vecs)
+
+
+CLUSTER_GAP = 1e-9
+
+
+def dense_levels(N, kc):
+    """Eigenvalues of the site-basis oracle, and the midpoints between its
+    clusters more than CLUSTER_GAP apart, with the count below each."""
+    vals = np.linalg.eigvalsh(site_bochner(N, kc).toarray())
+    ends = np.flatnonzero(np.diff(vals) > CLUSTER_GAP)
+    return vals, [((vals[i] + vals[i + 1]) / 2, i + 1) for i in ends]
+
+
+@pytest.mark.parametrize("N,kc", [(N, kc) for N in (4, 6, 8, 12, 16, 24)
+                                  for kc in (0, 1, -1, 2, 3, 4, 6, 8, 12) if 2 * abs(kc) <= N * N])
+def test_sturm_count_matches_the_site_basis_operator(N, kc):
+    """The ring counts against dense eigh of the site-basis H, at every gap
+    between its eigenvalue clusters over the whole spectrum, and the
+    bisected next eigenvalue above each gap (only at the bottom of the
+    spectrum for N > 8, where bisecting every level would be slow)."""
+    H = spectral.magnetic_bochner(N, kc)
+    vals, gaps = dense_levels(N, kc)
+    assert spectral.eigenvalues_below(H, vals[0] - 1.0) == 0
+    assert spectral.eigenvalues_below(H, vals[-1] + 1.0) == N * N
+    for x, below in gaps:
+        assert spectral.eigenvalues_below(H, x) == below, x
+    for x, below in gaps if N <= 8 else gaps[:6]:
+        assert spectral.next_eigenvalue(H, x, below) == pytest.approx(vals[below], rel=1e-12)
+
+
+@pytest.mark.parametrize("N,kc,x", [(6, 6, 4.0), (4, 0, 5.0), (4, 0, 7.0), (4, 8, 5.0)])
+def test_sturm_count_through_exact_zero_pivots(N, kc, x):
+    """Diagonals that are small integers up to rounding give pivots that are
+    exactly zero.  At N = 6, kc = 6 (one ring is 3, 2, 3, 5, 6, 5) they fall
+    inside the sweeps at x = 4.  At N = 4 the open chain left by cutting two
+    sites of a ring with diagonal 4 or 6 (kc = 0) or 2 and 6 (kc = 8) is
+    singular at x = 5 or 7, and the count cuts one site instead."""
+    H = spectral.magnetic_bochner(N, kc)
+    for d in H.diagonals:
+        L = len(d)
+        ring = np.diag(d) - np.roll(np.eye(L), 1, axis=1) - np.roll(np.eye(L), -1, axis=1)
+        assert spectral._ring_count(d, x, 2) == np.sum(np.linalg.eigvalsh(ring) < x)
+    assert spectral.eigenvalues_below(H, N * N * x) == np.sum(dense_levels(N, kc)[0] < N * N * x)
+
+
+@pytest.mark.parametrize("N", [16, 24, 32, 48, 64, 128])
+def test_zero_flux_gap_is_the_first_fourier_level(torus, N):
+    """At k = 0 the rings have constant diagonals and doubly degenerate
+    levels; the gap above the constant mode is N^2 (2 - 2 cos(2 pi/N))."""
+    rep = spectral.spectrum_report(torus, 0, N)
+    assert (rep.kernel_dim_even, rep.kernel_dim_odd) == (1, 1)
+    assert rep.gap == pytest.approx(N * N * (2 - 2 * math.cos(2 * math.pi / N)), rel=1e-12)
 
 
 # -- eigenvalues -------------------------------------------------------------
@@ -142,52 +195,39 @@ def assembled_parity_blocks(torus, k, N):
     return blocks
 
 
-@pytest.mark.parametrize("N", [8, 12])
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_kronecker_sum_matches_dense_parity_blocks(torus, N, k):
-    """The report against the full dense spectrum of both assembled blocks."""
+# (k, N, how far the odd block of E is moved down, in units of m)
+KRONECKER_CASES = [pytest.param(k, N, 0, id=f"{k}-{N}") for k in (0, 1, 2, 3) for N in (8, 12)]
+KRONECKER_CASES.append(pytest.param(1, 8, 10, id="1-8-odd-block-10m-below"))
+
+
+@pytest.mark.parametrize("k,N,odd_drop", KRONECKER_CASES)
+def test_kronecker_sum_matches_dense_parity_blocks(monkeypatch, torus, k, N, odd_drop):
+    """The report against the full dense spectrum of both assembled blocks:
+    at k = 0, where E vanishes and the constant lies in both kernels; and
+    with the odd block moved 10m below the even one, so that the odd kernel
+    holds several Landau levels and the gap lies far up the spectrum of H."""
+    shift = odd_drop * torus.m
+    even_e, odd_e = spectral.parity_blocks(torus, k)
+    monkeypatch.setattr(spectral, "parity_blocks",
+                        lambda t, k: (even_e, [e - shift for e in odd_e]))
     rep = spectral.spectrum_report(torus, k, N)
     even, odd = (np.linalg.eigvalsh(B.toarray()) for B in assembled_parity_blocks(torus, k, N))
+    odd -= shift
     allvals = np.sort(np.concatenate([even, odd]))
-    thr = 2 * k * rep.m / 10
-    assert rep.kernel_dim_even == np.sum(even < thr) == k
-    assert rep.kernel_dim_odd == np.sum(odd < thr) == 0
+    thr = 2 * k * rep.m / 10 if k else 1e-6
+    assert rep.kernel_dim_even == np.sum(even < thr)
+    assert rep.kernel_dim_odd == np.sum(odd < thr)
     assert rep.gap == pytest.approx(allvals[allvals >= thr][0], rel=1e-10)
-
-
-def test_uncertified_request_is_enlarged(monkeypatch, torus):
-    """With the odd block moved far below the even one, the first request's
-    bound h_last + min(e) lies below its gap; the report after doubling the
-    request matches one taken from all N^2 eigenvalues of the site-basis H."""
-    N, k = 8, 1
-    even, odd = spectral.parity_blocks(torus, k)
-    monkeypatch.setattr(spectral, "parity_blocks", lambda t, k: (even, odd - 10 * torus.m))
-    solve, counts = spectral.eigen, []
-
-    def recorded(H, count):
-        counts.append(count)
-        return solve(H, count)
-
-    monkeypatch.setattr(spectral, "eigen", recorded)
-    got = spectral.spectrum_report(torus, k, N)
-    assert counts[0] == abs(k * torus.c) + 1 and len(counts) > 2
-    assert counts[1:] == [2 * c for c in counts[:-1]]
-
-    full = np.linalg.eigvalsh(site_bochner(N, k * torus.c).toarray())
-    monkeypatch.setattr(spectral, "eigen", lambda H, count: (full, None))
-    want = spectral.spectrum_report(torus, k, N)
-    assert (got.kernel_dim_even, got.kernel_dim_odd, got.ambiguous) == \
-        (want.kernel_dim_even, want.kernel_dim_odd, want.ambiguous)
-    assert got.kernel_dim_odd > 0
-    assert got.gap == pytest.approx(want.gap, rel=1e-10)
-    assert got.fitted_C == pytest.approx(want.fitted_C, rel=1e-10, abs=1e-10)
+    if k and not odd_drop:
+        assert (rep.kernel_dim_even, rep.kernel_dim_odd) == (k, 0)
+    if odd_drop:
+        assert rep.kernel_dim_odd > rep.kernel_dim_even == k
 
 
 def test_report_without_a_gap_raises(monkeypatch, torus):
-    """Every sector value below the kernel threshold: even all N^2
-    eigenvalues of H cannot certify a gap."""
-    low = np.array([-1e6])
-    monkeypatch.setattr(spectral, "parity_blocks", lambda t, k: (low, low))
+    """Every sector value below the kernel threshold: all N^2 eigenvalues
+    of H are counted below it, and there is no gap to report."""
+    monkeypatch.setattr(spectral, "parity_blocks", lambda t, k: ([-1e6], [-1e6]))
     with pytest.raises(spectral.SolverError, match="lies above the kernel threshold"):
         spectral.spectrum_report(torus, 1, 4)
 
@@ -286,13 +326,23 @@ def test_lattice_cli_rejects_inputs_it_cannot_resolve(capsys, command, argv, mes
     assert message in captured.err
 
 
-@pytest.mark.parametrize("command", ["gap", "crosscheck"])
+@pytest.mark.parametrize("command", ["crosscheck"])
 def test_lattice_cli_exits_3_when_the_eigensolver_fails(monkeypatch, capsys, command):
+    """crosscheck's eigenvectors come from an iteration that can fail to
+    converge; gap only counts and bisects."""
     monkeypatch.setattr(spectral, "MAX_ITERATIONS", 0)
     assert cli.main([command, "--model", "t3_landau", "--k", "1", "--N", "16"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "did not converge" in captured.err
+
+
+def test_gap_cli_exits_3_without_a_gap(monkeypatch, capsys):
+    monkeypatch.setattr(spectral, "parity_blocks", lambda t, k: ([-1e6], [-1e6]))
+    assert cli.main(["gap", "--model", "t3_landau", "--k", "1", "--N", "16"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "lies above the kernel threshold" in captured.err
 
 
 @pytest.mark.parametrize("change,code,message", [
