@@ -41,8 +41,6 @@ plain Python floats and loads neither numpy nor scipy, like `verify` and
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import random
@@ -95,6 +93,9 @@ def _out_path(text: str) -> str:
 def _emit(args: argparse.Namespace, payload: dict, csv_rows: list[dict]):
     """Write the report atomically (or print it); --format csv writes the rows."""
     if args.fmt == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(csv_rows[0]))
         writer.writeheader()
@@ -300,11 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact transverse-Dirac identity suite and lattice spectra "
                     "on foliated frame models.")
     sub = ap.add_subparsers(dest="command", required=True)
+    bundled = ", ".join(fg.bundled_model_names())
 
     def model_arg(p):
         p.add_argument("--model", required=True,
-                       help="model file path or bundled name "
-                            f"({', '.join(fg.bundled_model_names())})")
+                       help=f"model file path or bundled name ({bundled})")
 
     def output_args(p):
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="json")

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exact import F0, I, ONE, SQRT2, ZERO, Scalar, _pair_sign, rational
@@ -497,12 +497,9 @@ def trace_plus(B: Mat, J: ComplexStructure) -> Scalar:
     return P.trace() * rational(1, 2)
 
 
-@dataclass(frozen=True)
-class BottomEigenReport:
+class BottomEigenReport(namedtuple("BottomEigenReport", "lam exact_zero max_abs")):
     """Residual of (curvature action + lambda) on the bottom component."""
-    lam: Scalar
-    exact_zero: bool
-    max_abs: float
+    __slots__ = ()
 
 
 def check_rl1(A: Mat, lam: Scalar) -> BottomEigenReport:
@@ -515,14 +512,11 @@ def check_rl1(A: Mat, lam: Scalar) -> BottomEigenReport:
     return BottomEigenReport(lam=lam, exact_zero=not out, max_abs=residual_max)
 
 
-@dataclass(frozen=True)
-class OddBoundReport:
-    """Exact lower-bound certificate for the curvature action on the odd part."""
-    bound: Scalar                 # -(lambda - 2m)
-    lam: Scalar
-    m: Scalar
-    psd_ok: bool                  # action restricted to odd part >= bound
-    attained: bool                # bound is an eigenvalue
+class OddBoundReport(namedtuple("OddBoundReport", "bound lam m psd_ok attained")):
+    """Exact lower-bound certificate for the curvature action on the odd
+    part: bound = -(lambda - 2m); psd_ok, the action restricted to the odd
+    part is >= bound; attained, the bound is an eigenvalue."""
+    __slots__ = ()
 
 
 def odd_lower_bound(A: Mat, mus: tuple[Scalar, ...]) -> OddBoundReport:
@@ -609,12 +603,8 @@ def random_compatible_pair(rng: random.Random, q: int) \
     return B, J, mus
 
 
-@dataclass(frozen=True)
-class BatteryResult:
-    trials: int
-    all_exact: bool
-    all_margin_nonneg: bool
-    failures: tuple[dict, ...]
+class BatteryResult(namedtuple("BatteryResult", "trials all_exact all_margin_nonneg failures")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -32,8 +32,7 @@ the transverse planes.  Any other key is ignored.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from importlib import resources
+from collections import namedtuple
 from pathlib import Path
 
 from .exact import ZERO, Scalar, format_scalar, parse_imaginary, parse_real, rational
@@ -44,14 +43,11 @@ class ModelError(ValueError):
     """Invalid frame model (failed admissibility or malformed input)."""
 
 
-@dataclass(frozen=True)
-class FrameModel:
-    name: str
-    p: int
-    q: int
-    c: tuple  # c[i][j][k], 0-based, [u_i,u_j] = sum_k c[i][j][k] u_k
-    line_b: Mat | None = None  # q x q imaginary two-form, units of 2*pi
-    jmat: Mat | None = None    # q x q complex structure matrix
+class FrameModel(namedtuple("FrameModel", "name p q c line_b jmat", defaults=(None, None))):
+    """c[i][j][k], 0-based: [u_i,u_j] = sum_k c[i][j][k] u_k.  line_b, the
+    q x q imaginary two-form in units of 2*pi, and jmat, the q x q complex
+    structure matrix, may be None."""
+    __slots__ = ()
 
     @property
     def n(self) -> int:
@@ -80,11 +76,8 @@ def make_model(name: str, p: int, q: int,
 # ---------------------------------------------------------------------------
 # validation
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    failures: tuple[str, ...]
-    warnings: tuple[str, ...]
+class ValidationReport(namedtuple("ValidationReport", "ok failures warnings")):
+    __slots__ = ()
 
     def first_failure(self) -> str | None:
         return self.failures[0] if self.failures else None
@@ -312,16 +305,11 @@ def divergence(model: FrameModel, direction: int, gamma: tuple) -> Scalar:
     return s
 
 
-@dataclass(frozen=True)
-class ConnectionData:
-    """All derived geometric data of a validated model, exact."""
-    transverse: tuple[Mat, ...]
-    tau: tuple[Scalar, ...]
-    nabla_tau: tuple[tuple[Scalar, ...], ...]   # nabla_{f_a} tau, per a
-    integrability: dict[tuple[int, int], tuple[Scalar, ...]]
-    curvature: dict[tuple[int, int], Mat]
-    K: Scalar
-    div: tuple[Scalar, ...]
+class ConnectionData(namedtuple("ConnectionData",
+                                "transverse tau nabla_tau integrability curvature K div")):
+    """All derived geometric data of a validated model, exact; nabla_tau
+    holds nabla_{f_a} tau, one per a."""
+    __slots__ = ()
 
 
 def derive_connection(model: FrameModel) -> ConnectionData:
@@ -425,15 +413,16 @@ def load_model(path: str | Path) -> FrameModel:
     return model_from_dict(data)
 
 
+MODELS = Path(__file__).with_name("models")
+
+
 def bundled_model_names() -> list[str]:
-    files = resources.files("transdirac.models")
-    return sorted(f.name[:-5] for f in files.iterdir() if f.name.endswith(".json"))
+    return sorted(f.name[:-5] for f in MODELS.iterdir() if f.name.endswith(".json"))
 
 
 def load_bundled(name: str) -> FrameModel:
-    ref = resources.files("transdirac.models").joinpath(f"{name}.json")
     try:
-        data = json.loads(ref.read_text(encoding="utf-8"))
+        data = json.loads((MODELS / f"{name}.json").read_text(encoding="utf-8"))
     except (FileNotFoundError, OSError) as exc:
         raise ModelError(f"no bundled model {name!r}; have {bundled_model_names()}") from exc
     return model_from_dict(data)

@@ -24,7 +24,7 @@ conjugate transposes, valid for the L^2 pairing with invariant volume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .clifford_fiber import ext_matrix, int_matrix, spin_lift, spinor_cliffords, vector_action
 from .exact import ONE, ZERO, Scalar, rational
@@ -37,11 +37,8 @@ class SetupError(ValueError):
     """Inconsistent bundle data (connection, curvature, or fiber mismatch)."""
 
 
-@dataclass(frozen=True)
-class Fiber:
-    kind: str       # "spinor" or "forms"
-    q: int
-    dim: int
+class Fiber(namedtuple("Fiber", "kind q dim")):  # kind: "spinor" or "forms"
+    __slots__ = ()
 
 
 class BundleSetup:
@@ -320,11 +317,8 @@ def adjoint(A: DiffOp) -> DiffOp:
 # ---------------------------------------------------------------------------
 # residuals
 
-@dataclass(frozen=True)
-class Residual:
-    exact_zero: bool
-    max_abs: float
-    worst_monomial: str = ""
+class Residual(namedtuple("Residual", "exact_zero max_abs worst_monomial", defaults=("",))):
+    __slots__ = ()
 
     def __str__(self):
         if self.exact_zero:
@@ -602,15 +596,10 @@ def basic_tau_rhs(setup: BundleSetup) -> DiffOp:
 # ---------------------------------------------------------------------------
 # the identity suite
 
-@dataclass(frozen=True)
-class IdentityResult:
-    key: str
-    label: str
-    residual: Residual | None
-    passed: bool
-    skipped: bool = False
-    reason: str = ""
-    reported_only: bool = False
+class IdentityResult(namedtuple("IdentityResult",
+                                "key label residual passed skipped reason reported_only",
+                                defaults=(False, "", False))):
+    __slots__ = ()
 
     def status(self) -> str:
         if self.skipped:
@@ -618,11 +607,8 @@ class IdentityResult:
         return "pass" if self.passed else "FAIL"
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    model: str
-    k: int
-    items: tuple[IdentityResult, ...]
+class SuiteReport(namedtuple("SuiteReport", "model k items")):
+    __slots__ = ()
 
     @property
     def all_passed(self) -> bool:

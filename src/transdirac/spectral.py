@@ -43,16 +43,16 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from collections import namedtuple
 
-from .clifford_fiber import (ComplexStructure, IncompatiblePair, _real_roots_in_field,
-                             check_compatible, ext_matrix, int_matrix, parity_indices,
-                             skew_invariants, spinor_cliffords, two_form_action)
+from .clifford_fiber import (IncompatiblePair, _real_roots_in_field, check_compatible,
+                             ext_matrix, int_matrix, parity_indices, skew_invariants,
+                             spinor_cliffords, two_form_action)
 from .exact import I as IUNIT
 from .frame_geometry import FrameModel, ModelError, complex_structure, require_valid
 from .matrices import Mat
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
     import scipy.sparse as sp
@@ -101,16 +101,11 @@ def invariants_2pi(model: FrameModel) -> tuple[float, float]:
     return TWO_PI * float(lam), TWO_PI * float(m)
 
 
-@dataclass(frozen=True)
-class FlatTorus:
+class FlatTorus(namedtuple("FlatTorus", "model J c lam m")):
     """A model that passed `require_flat_torus`, with what every flux value
     of a scan shares: its complex structure J, the Chern number c and
     (lambda, m) of 2*pi*B."""
-    model: FrameModel
-    J: ComplexStructure
-    c: int
-    lam: float
-    m: float
+    __slots__ = ()
 
 
 def flat_torus(model: FrameModel) -> FlatTorus:
@@ -155,8 +150,7 @@ def hop_matrices(N: int, flux_quanta: int) -> tuple[sp.csr_matrix, sp.csr_matrix
     return Ux, Uy
 
 
-@dataclass(frozen=True)
-class HarperRings:
+class HarperRings(namedtuple("HarperRings", "N flux_quanta diagonals")):
     """The magnetic Bochner Laplacian of `hop_matrices`' links, summed over
     the two transverse directions as (2 - U - U^dagger)/h^2 with h = 1/N,
     in the y-Fourier basis psi(x,y) = N^{-1/2} sum_n e^{2 pi i n y/N} phi_n(x).
@@ -166,9 +160,7 @@ class HarperRings:
     x = s mod N in mode (c - kc floor(s/N)) mod N, and the twisted boundary
     column carries mode n at x = N-1 to mode n - kc at x = 0;
     diagonals[c][s] = 4 - 2 cos(2 pi (cN - kc s)/N^2)."""
-    N: int
-    flux_quanta: int
-    diagonals: list[list[float]]
+    __slots__ = ()
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -380,20 +372,41 @@ def _ring_count(d: list[float], x: float, cut: int) -> int:
 
 
 def eigenvalues_below(H: HarperRings, x: float) -> int:
-    """The number of eigenvalues of H below x: Sturm counts on its rings."""
+    """The number of eigenvalues of H below x: Sturm counts on its rings.
+
+    With g rings and h = gcd(kc/g, g), ring c is a cyclic shift of ring
+    c mod h (a magnetic translation; Zak 1964), so the first h rings are
+    counted, each g/h times."""
     t = x / (H.N * H.N)
-    return sum(_ring_count(d, t, 2) for d in H.diagonals)
+    g = len(H.diagonals)
+    h = math.gcd(H.flux_quanta // g, g)
+    return g // h * sum(_ring_count(d, t, 2) for d in H.diagonals[:h])
 
 
-def next_eigenvalue(H: HarperRings, x: float, below: int) -> float:
-    """The least eigenvalue of H at or above x, given that `below` < N^2 of
-    them lie below x: bisection on Sturm counts between x and the
-    Gershgorin bound N^2 (max d + 2)."""
-    lo, hi = x, (max(map(max, H.diagonals)) + 2.0) * H.N * H.N
+def least_value_above(H: HarperRings, thr: float, below: dict[float, int]) -> float:
+    """The least e + h at or above thr, over the shifts e in `below` and the
+    eigenvalues h of H, given that below[e] of them lie below thr - e; inf
+    when every below[e] is N^2.
+
+    One bisection on v serves every e.  Its bracket grows from thr by a step
+    doubled from max(|thr|, 1) until some e counts more than below[e]
+    eigenvalues below v - e, and each midpoint keeps only the e whose count
+    rose there: no other can give the least value."""
+    live = [e for e, n in below.items() if n < H.N * H.N]
+    if not live:
+        return math.inf
+
+    def risen(v, shifts):
+        return [e for e in shifts if eigenvalues_below(H, v - e) > below[e]]
+
+    lo, step = thr, max(abs(thr), 1.0)
+    while not (rose := risen(thr + step, live)):
+        lo, step = thr + step, 2.0 * step
+    hi, live = thr + step, rose
     while hi - lo > BISECTION_RTOL * max(hi, 1.0):
         mid = 0.5 * (lo + hi)
-        if eigenvalues_below(H, mid) > below:
-            hi = mid
+        if rose := risen(mid, live):
+            hi, live = mid, rose
         else:
             lo = mid
     return 0.5 * (lo + hi)
@@ -402,18 +415,9 @@ def next_eigenvalue(H: HarperRings, x: float, below: int) -> float:
 # ---------------------------------------------------------------------------
 # spectrum reports
 
-@dataclass
-class SpectrumReport:
-    k: int
-    N: int
-    gap: float
-    kernel_dim_even: int
-    kernel_dim_odd: int
-    fitted_C: float
-    lam: float
-    m: float
-    ambiguous: bool
-    runtime_ms: float
+class SpectrumReport(namedtuple("SpectrumReport", "k N gap kernel_dim_even kernel_dim_odd "
+                                                  "fitted_C lam m ambiguous runtime_ms")):
+    __slots__ = ()
 
     def row(self) -> dict:
         return {
@@ -429,17 +433,16 @@ def spectrum_report(torus: FlatTorus, k: int, N: int) -> SpectrumReport:
 
     A sector value h + e, with h an eigenvalue of H and e one of the sector's
     block of E, lies below the threshold when h < thr - e.  So each kernel
-    dimension is a sum of Sturm counts of H, and the gap is the least
-    e + (the next eigenvalue of H at or above thr - e), bisected.  The counts
-    are exact over the whole spectrum of H, so no eigenvalue can be missed."""
+    dimension is a sum of Sturm counts of H, and the gap is the least sector
+    value at or above thr, bisected.  The counts are exact over the whole
+    spectrum of H, so no eigenvalue can be missed."""
     t0 = time.perf_counter()
     lam, m = torus.lam, torus.m
     H = magnetic_bochner(N, k * torus.c)
     e_even, e_odd = parity_blocks(torus, k)
     thr = (2 * k * m) / 10.0 if k >= 1 and m > 0 else 1e-6
     below = {e: eigenvalues_below(H, thr - e) for e in {*e_even, *e_odd}}
-    gap = min((e + next_eigenvalue(H, thr - e, n) for e, n in below.items() if n < N * N),
-              default=math.inf)
+    gap = least_value_above(H, thr, below)
     if math.isinf(gap):
         raise SolverError(f"no sector value at k={k}, N={N} lies above the kernel threshold")
     ambiguous = bool(gap < 4 * thr) if k >= 1 and m > 0 else False

@@ -6,7 +6,8 @@ byte.  The `gap` and `crosscheck` reports carry floats from an iterative
 eigensolver, and `gap` a measured `runtime_ms`, so they are compared with
 the measurement removed, integers exactly and floats to a relative 1e-9."""
 
-import dataclasses
+import csv
+import io
 import json
 import math
 import os
@@ -56,8 +57,8 @@ def test_fiber_fails_when_it_lists_a_failure(capsys, monkeypatch):
     """A battery that records a failed pair does not pass, whichever flag
     the failure left set."""
     real = cf.odd_lower_bound
-    monkeypatch.setattr(cf, "odd_lower_bound", lambda A, mus: dataclasses.replace(
-        real(A, mus), attained=False))
+    monkeypatch.setattr(cf, "odd_lower_bound",
+                        lambda A, mus: real(A, mus)._replace(attained=False))
     code, out = run_cli(capsys, "fiber", "--q", "4", "--trials", "3", "--seed", "1")
     report = json.loads(out)
     assert code == cli.EXIT_VIOLATION
@@ -80,6 +81,16 @@ def test_fiber_without_trials_exits_2_without_report(capsys):
     code, out = run_cli(capsys, "fiber", "--trials", "0")
     assert code == cli.EXIT_INVALID
     assert out == ""
+
+
+def test_parser_lists_the_bundled_models_once(monkeypatch):
+    """Every run builds the parser; the three subcommands that take --model
+    share one listing of the models directory."""
+    calls = []
+    real = cli.fg.bundled_model_names
+    monkeypatch.setattr(cli.fg, "bundled_model_names", lambda: calls.append(1) or real())
+    cli.build_parser()
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -294,7 +305,7 @@ def test_failed_identity_reports_worst_monomial(capsys, monkeypatch):
 
     def tweaked(model):
         geom = derive(model)
-        return dataclasses.replace(geom, K=geom.K + rational(1, 7))
+        return geom._replace(K=geom.K + rational(1, 7))
 
     monkeypatch.setattr(oc, "derive_connection", tweaked)
     code, out = run_cli(capsys, "verify", "--model", "sol")
@@ -306,6 +317,60 @@ def test_failed_identity_reports_worst_monomial(capsys, monkeypatch):
     for key in "bcefgh":
         assert by_key[key]["status"] == "pass"
         assert "worst_monomial" not in by_key[key]["residual"]
+
+
+def test_a_run_imports_only_what_it_uses():
+    """Importing the CLI loads every module the benchmark tracer wraps, and
+    verify, fiber and gap load none of the standard-library machinery they
+    do not use.  python -S keeps site from preloading any of it."""
+    script = textwrap.dedent("""
+        import io, sys
+        import transdirac.cli as cli
+        after_import = set(sys.modules)
+
+        def run(*argv):
+            stdout, sys.stdout = sys.stdout, io.StringIO()
+            try:
+                return cli.main(list(argv))
+            finally:
+                sys.stdout = stdout
+
+        assert run("verify", "--model", "heisenberg") == cli.EXIT_PASS
+        assert run("fiber", "--q", "4", "--trials", "2") == cli.EXIT_PASS
+        assert run("gap", "--model", "t3_landau", "--k", "0..2", "--N", "16") == cli.EXIT_PASS
+        unused = ("dataclasses", "inspect", "typing", "importlib.resources", "csv")
+        loaded = [m for m in unused if m in sys.modules]
+        assert loaded == [], loaded
+        from perfbench.tracer import SPANNED
+        missing = {f"transdirac.{mod}" for _, mod, _, _ in SPANNED} - after_import
+        assert not missing, missing
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), str(ROOT), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv, header", [
+    (("verify", "--model", "sol"), ["key", "status", "max_abs"]),
+    (("gap", "--model", "t3_landau", "--k", "1..2", "--N", "16"),
+     ["k", "N", "gap", "2km", "fitted_C", "kernel_odd", "kernel_even", "runtime_ms"]),
+    (("fiber", "--q", "4", "--trials", "2"), ["q", "trials", "passed"]),
+])
+def test_csv_format_writes_the_report_rows(capsys, argv, header):
+    """--format csv writes one line per row of the JSON report: its
+    identities, its rows, or the report itself for fiber."""
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    assert code == cli.EXIT_PASS
+    rows = list(csv.DictReader(io.StringIO(out)))
+    report = json.loads(run_cli(capsys, *argv)[1])
+    want = report.get("rows") or report.get("identities") or [report]
+    assert len(rows) == len(want)
+    for row, entry in zip(rows, want):
+        assert list(row) == header
+        for key in set(row) & set(entry) - {"runtime_ms"}:
+            assert row[key] == str(entry[key]), key
 
 
 def test_exact_subcommands_do_not_load_numpy_or_scipy():

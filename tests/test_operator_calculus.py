@@ -1,6 +1,5 @@
 """Normal-ordered operator engine: rewriting, adjoints, identity suite."""
 
-import dataclasses
 import random
 
 import pytest
@@ -24,13 +23,13 @@ def forms(model):
 @pytest.fixture(scope="module")
 def heis_plain():
     m = fg.load_bundled("heisenberg")
-    return dataclasses.replace(m, line_b=None)
+    return m._replace(line_b=None)
 
 
 @pytest.fixture(scope="module")
 def sol_plain():
     m = fg.load_bundled("sol")
-    return dataclasses.replace(m, line_b=None)
+    return m._replace(line_b=None)
 
 
 @pytest.fixture(scope="module")
@@ -323,7 +322,7 @@ def test_suite_basic_tau_runs_on_sol():
 def test_mutation_sensitivity_localized(monkeypatch):
     m = fg.load_bundled("sol")
     geom = fg.derive_connection(m)
-    tweaked = dataclasses.replace(geom, K=geom.K + rational(1, 7))
+    tweaked = geom._replace(K=geom.K + rational(1, 7))
     monkeypatch.setattr(oc, "derive_connection", lambda model: tweaked)
     rep = oc.verify_suite(m, k=1)
     by_key = {it.key: it for it in rep.items}

@@ -153,7 +153,8 @@ def test_sturm_count_matches_the_site_basis_operator(N, kc):
     for x, below in gaps:
         assert spectral.eigenvalues_below(H, x) == below, x
     for x, below in gaps if N <= 8 else gaps[:6]:
-        assert spectral.next_eigenvalue(H, x, below) == pytest.approx(vals[below], rel=1e-12)
+        assert (spectral.least_value_above(H, x, {0.0: below})
+                == pytest.approx(vals[below], rel=1e-12))
 
 
 @pytest.mark.parametrize("N,kc,x", [(6, 6, 4.0), (4, 0, 5.0), (4, 0, 7.0), (4, 8, 5.0)])
@@ -165,10 +166,35 @@ def test_sturm_count_through_exact_zero_pivots(N, kc, x):
     singular at x = 5 or 7, and the count cuts one site instead."""
     H = spectral.magnetic_bochner(N, kc)
     for d in H.diagonals:
-        L = len(d)
-        ring = np.diag(d) - np.roll(np.eye(L), 1, axis=1) - np.roll(np.eye(L), -1, axis=1)
-        assert spectral._ring_count(d, x, 2) == np.sum(np.linalg.eigvalsh(ring) < x)
+        assert spectral._ring_count(d, x, 2) == np.sum(np.linalg.eigvalsh(dense_ring(d)) < x)
     assert spectral.eigenvalues_below(H, N * N * x) == np.sum(dense_levels(N, kc)[0] < N * N * x)
+
+
+def dense_ring(d):
+    """Test oracle: the ring diag(d) - hops, hops -1, as a dense matrix."""
+    L = len(d)
+    return np.diag(d) - np.roll(np.eye(L), 1, axis=1) - np.roll(np.eye(L), -1, axis=1)
+
+
+@pytest.mark.parametrize("N", [4, 6, 8, 12, 16, 24, 32])
+def test_each_ring_has_the_spectrum_of_its_class(N):
+    """eigenvalues_below counts only the first h = gcd(kc/g, g) of the g
+    rings, g/h times each, because ring c is a magnetic translate of ring
+    c mod h.  Dense spectra of every ring, for 0 < |kc| < 2N, and the counts
+    of all rings between the levels of the first, against that rule."""
+    for kc in (kc for kc in range(1 - 2 * N, 2 * N) if kc):
+        H = spectral.magnetic_bochner(N, kc)
+        g = len(H.diagonals)
+        h = math.gcd(kc // g, g)
+        if h == g:
+            continue
+        spectra = [np.linalg.eigvalsh(dense_ring(d)) for d in H.diagonals]
+        for c in range(h, g):
+            np.testing.assert_allclose(spectra[c], spectra[c % h], rtol=1e-12, atol=1e-12)
+        levels = np.unique(np.round(np.concatenate(spectra[:h]), 9))
+        for t in (levels[1:] + levels[:-1])[::max(1, len(levels) // 8)] / 2:
+            assert (spectral.eigenvalues_below(H, N * N * t)
+                    == sum(np.sum(s < t) for s in spectra)), (kc, t)
 
 
 @pytest.mark.parametrize("N", [16, 24, 32, 48, 64, 128])
