@@ -157,6 +157,12 @@ def test_sturm_count_matches_the_site_basis_operator(N, kc):
                 == pytest.approx(vals[below], rel=1e-12))
 
 
+def dense_ring(d):
+    """Test oracle: the ring diag(d) - hops, hops -1, as a dense matrix."""
+    L = len(d)
+    return np.diag(d) - np.roll(np.eye(L), 1, axis=1) - np.roll(np.eye(L), -1, axis=1)
+
+
 @pytest.mark.parametrize("N,kc,x", [(6, 6, 4.0), (4, 0, 5.0), (4, 0, 7.0), (4, 8, 5.0)])
 def test_sturm_count_through_exact_zero_pivots(N, kc, x):
     """Diagonals that are small integers up to rounding give pivots that are
@@ -170,19 +176,13 @@ def test_sturm_count_through_exact_zero_pivots(N, kc, x):
     assert spectral.eigenvalues_below(H, N * N * x) == np.sum(dense_levels(N, kc)[0] < N * N * x)
 
 
-def dense_ring(d):
-    """Test oracle: the ring diag(d) - hops, hops -1, as a dense matrix."""
-    L = len(d)
-    return np.diag(d) - np.roll(np.eye(L), 1, axis=1) - np.roll(np.eye(L), -1, axis=1)
-
-
 @pytest.mark.parametrize("N", [4, 6, 8, 12, 16, 24, 32])
 def test_each_ring_has_the_spectrum_of_its_class(N):
     """eigenvalues_below counts only the first h = gcd(kc/g, g) of the g
     rings, g/h times each, because ring c is a magnetic translate of ring
-    c mod h.  Dense spectra of every ring, for 0 < |kc| < 2N, and the counts
-    of all rings between the levels of the first, against that rule."""
-    for kc in (kc for kc in range(1 - 2 * N, 2 * N) if kc):
+    c mod h.  Dense spectra of every ring, for |kc| < 2N, and the counts of
+    all rings between the levels of the first, against that rule."""
+    for kc in range(1 - 2 * N, 2 * N):
         H = spectral.magnetic_bochner(N, kc)
         g = len(H.diagonals)
         h = math.gcd(kc // g, g)
