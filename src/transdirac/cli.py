@@ -34,8 +34,8 @@ from fixed vectors (the runtime_ms column is measurement, not content).
 (i B(v, Jv) > 0 fails, a degenerate B included): the theorem's hypothesis.
 
 Only `gap` and `crosscheck` compute in floating point.  `gap` does so in
-plain Python floats and loads neither numpy nor scipy, like `verify` and
-`fiber`; `crosscheck` loads numpy and scipy.sparse when it runs.
+plain Python floats and does not load numpy, like `verify` and `fiber`;
+`crosscheck` loads numpy when it runs.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def _emit(args: argparse.Namespace, payload: dict, csv_rows: list[dict]):
     else:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.out:
-        tmp = Path(args.out).with_suffix(".tmp")
+        tmp = Path(f"{args.out}.tmp")  # r.json -> r.json.tmp, never r.tmp
         tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, args.out)
     else:

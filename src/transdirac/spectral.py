@@ -25,18 +25,18 @@ Bochner Laplacian plus a constant curvature endomorphism E:
   1967), exact over the whole spectrum, and bisection on them.
 
 `crosscheck_rows` ties that operator to the first-order D: it squares the
-central-difference D_h, built independently in the site basis from
-`hop_matrices`, on the two lowest levels of H and asserts the
-O(h^2) convergence of D_h^2 to H (x) I + I (x) E as N doubles.  The square
-of a central difference has doublers at the top of the lattice spectrum,
-so D_h^2 is compared only on those smooth low levels, never diagonalised.
-Their eigenvectors come from `eigen`: numpy's shift-invert subspace
-iteration on the chains with an exact block solve.
+central-difference D_h, applied independently in the site basis from
+`link_phases`, on the two lowest levels of H and asserts the O(h^2)
+convergence of D_h^2 to H (x) I + I (x) E as N doubles.  The square of a
+central difference has doublers at the top of the lattice spectrum, so
+D_h^2 is compared only on those smooth low levels, never diagonalised.
+Their eigenvectors come from `eigen`: shift-invert subspace iteration on
+the chains, with an exact block solve, sized by Sturm counts below a cut.
 
-Floating point lives only here; the symbolic layer stays exact.  numpy and
-scipy are imported by the functions that use them, so importing this module
-(as the command line does for every subcommand) loads neither, and neither
-does `gap`: numpy and scipy.sparse serve `crosscheck` only.
+Floating point lives only here; the symbolic layer stays exact.  numpy is
+imported by the functions that use it, so importing this module (as the
+command line does for every subcommand) does not load it, and neither does
+`gap`: numpy serves `crosscheck` only.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .matrices import Mat
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
-    import scipy.sparse as sp
 
 TWO_PI = 2.0 * math.pi
 
@@ -126,32 +125,23 @@ def flat_torus(model: FrameModel) -> FlatTorus:
 # ---------------------------------------------------------------------------
 # link phases and the magnetic Bochner Laplacian
 
-def hop_matrices(N: int, flux_quanta: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Forward hop operators (U_x psi)(x,y) = e^{i phase} psi(x+1,y) etc. in
-    Landau gauge with a twisted boundary column; total flux 2*pi*flux_quanta.
-    Site (x, y) has index x*N + y.
+def link_phases(N: int, flux_quanta: int) -> tuple[np.ndarray, np.ndarray]:
+    """Links U_x, U_y of the hops (U_x psi)(x,y) = U_x[x,y] psi(x+1,y) etc.,
+    as (N, N) arrays indexed [x, y], in Landau gauge with a twisted boundary
+    column; total flux 2*pi*flux_quanta.
 
     The phases carry the curvature F_12 = -2*pi*i*flux_quanta that the exact
     layer gives i*B_12 = flux_quanta: every plaquette loop
     U_x U_y U_x^dagger U_y^dagger is exp(h^2 F_12)."""
     import numpy as np
-    import scipy.sparse as sp
 
-    dim = N * N
     a = TWO_PI * flux_quanta
-    site = np.arange(dim)
-    x, y = np.divmod(site, N)
-    jx = (x + 1) % N * N + y
-    jy = x * N + (y + 1) % N
-    phase_x = np.where(x == N - 1, a * y / N, 0.0)
-    phase_y = -a * x / (N * N)
-    Ux = sp.csr_matrix((np.exp(1j * phase_x), (site, jx)), shape=(dim, dim))
-    Uy = sp.csr_matrix((np.exp(1j * phase_y), (site, jy)), shape=(dim, dim))
-    return Ux, Uy
+    x, y = np.indices((N, N))
+    return np.exp(1j * np.where(x == N - 1, a * y / N, 0.0)), np.exp(-1j * (a * x / (N * N)))
 
 
 class HarperRings(namedtuple("HarperRings", "N flux_quanta diagonals")):
-    """The magnetic Bochner Laplacian of `hop_matrices`' links, summed over
+    """The magnetic Bochner Laplacian of `link_phases`' links, summed over
     the two transverse directions as (2 - U - U^dagger)/h^2 with h = 1/N,
     in the y-Fourier basis psi(x,y) = N^{-1/2} sum_n e^{2 pi i n y/N} phi_n(x).
 
@@ -223,12 +213,9 @@ def parity_blocks(torus: FlatTorus, k: int) -> tuple[list[float], list[float]]:
 # ---------------------------------------------------------------------------
 # eigensolver
 
-# Shift-invert subspace iteration on each chain: the shift below the
-# spectrum, in units of H; the vectors iterated beyond those wanted, which
-# set the convergence rate; the residual bound |Hv - theta v| <= RESIDUAL_TOL
-# max(1, theta) every wanted pair must meet; and the iteration cap.
-SHIFT = -1.0
-GUARD_VECTORS = 16
+# Shift-invert subspace iteration on each chain: the residual bound
+# |Hv - theta v| <= RESIDUAL_TOL max(1, theta) every wanted pair must meet,
+# and the iteration cap.
 RESIDUAL_TOL = 1e-9
 MAX_ITERATIONS = 200
 
@@ -267,44 +254,48 @@ def _chain_solver(shifted: np.ndarray, N: int):
     return solve
 
 
-def eigen(H: HarperRings, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest `count` eigenpairs of H: eigenvalues ascending, orthonormal
+def eigen(H: HarperRings, cut: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every eigenpair of H below `cut`: eigenvalues ascending, orthonormal
     site-basis eigenvectors as columns.
 
-    Each chain's lowest min(count, L) pairs come from subspace iteration
-    with (T_c - sigma)^{-1} on min(count + GUARD_VECTORS, L) vectors from a
-    fixed Weyl-sequence start, frac((s + 1) sqrt(j + 2.5)) - 1/2 at site s of
-    vector j, and a Rayleigh-Ritz step per iteration (exact at once when
-    that is all L); the inverse y-Fourier transform maps them to sites."""
+    Chain c has m_c eigenvalues below the cut (a Sturm count), the m_c
+    nearest the shift cut/2 since H >= 0.  Subspace iteration with
+    (T_c - cut/2)^{-1} on max m_c vectors from a fixed Weyl-sequence start,
+    frac((s + 1) sqrt(j + 2.5)) - 1/2 at site s of vector j, and a
+    Rayleigh-Ritz step per iteration stops once each chain's m_c lowest Ritz
+    pairs meet RESIDUAL_TOL and lie below the cut, which certifies them as
+    its eigenpairs there; the inverse y-Fourier transform maps them to sites."""
     import numpy as np
 
     N, d = H.N, np.array(H.diagonals)
     g, L = d.shape
-    n2 = N * N
-    count = min(count, n2)
-    m, p = min(count, L), min(count + GUARD_VECTORS, L)
-    solve = _chain_solver(d - SHIFT / n2, N)
+    n2, t = N * N, cut / (N * N)
+    m = np.array([_ring_count(dc, t, 2) for dc in H.diagonals])
+    p = m.max()
+    wanted = np.arange(p) < m[:, None]
+    solve = _chain_solver(d - t / 2, N)
     weyl = (np.arange(1, L + 1)[:, None] * np.sqrt(np.arange(p) + 2.5)) % 1.0 - 0.5
     Q = np.broadcast_to(weyl, (g, L, p))
     for _ in range(MAX_ITERATIONS):
         Q = np.linalg.qr(solve(Q))[0]
         TQ = d[..., None] * Q - np.roll(Q, 1, axis=1) - np.roll(Q, -1, axis=1)
         theta, W = np.linalg.eigh(Q.transpose(0, 2, 1) @ TQ)
-        theta, W = theta[:, :m], W[..., :m]
         X = Q @ W
         residual = np.linalg.norm(TQ @ W - X * theta[:, None], axis=1)
-        if np.all(n2 * residual <= RESIDUAL_TOL * np.maximum(1.0, n2 * theta)):
+        if np.all(~wanted | ((theta < t)
+                             & (n2 * residual <= RESIDUAL_TOL * np.maximum(1.0, n2 * theta)))):
             break
     else:
         raise SolverError(f"shift-invert subspace iteration did not converge in "
                           f"{MAX_ITERATIONS} iterations")
-    order = np.argsort(theta, axis=None, kind="stable")[:count]
-    chain, col = np.divmod(order, m)
+    chain, col = np.nonzero(wanted)
+    order = np.argsort(theta[chain, col], kind="stable")
+    chain, col, count = chain[order], col[order], len(order)
     phi = np.zeros((count, N, N), dtype=complex)  # [pair, y mode, x]
     modes = (np.arange(g)[:, None] - H.flux_quanta * (np.arange(L) // N)) % N
     phi[np.arange(count)[:, None], modes[chain], np.arange(L) % N] = X[chain, :, col]
     psi = np.fft.ifft(phi, axis=1) * math.sqrt(N)  # [pair, y, x]
-    return n2 * theta.ravel()[order], psi.transpose(2, 1, 0).reshape(n2, count)
+    return n2 * theta[chain, col], psi.transpose(2, 1, 0).reshape(n2, count)
 
 
 # ---------------------------------------------------------------------------
@@ -459,31 +450,38 @@ def gap_scan(torus: FlatTorus, k_values, N: int) -> list[SpectrumReport]:
 # ---------------------------------------------------------------------------
 # the first-order D on the lattice, squared
 
-def lattice_dirac(cliffords, N: int, kc: int) -> sp.csr_matrix:
-    """sum_a (U_a - U_a^dagger)/(2h) (x) c(f_a): central differences of
-    D = sum_a c(f_a) nabla_a, with h = 1/N and the generators as arrays."""
-    import scipy.sparse as sp
+def lattice_dirac(cliffords, N: int, kc: int, V: np.ndarray) -> np.ndarray:
+    """D_h V for D_h = sum_a (U_a - U_a^dagger)/(2h) (x) c(f_a), the central
+    differences of D = sum_a c(f_a) nabla_a with h = 1/N, on V shaped
+    (N, N, F, m): sites [x, y], fiber, columns.  The generators are arrays."""
+    import numpy as np
 
-    return sum(sp.kron((U - U.getH()) * (N / 2), C, format="csr")
-               for U, C in zip(hop_matrices(N, kc), cliffords))
+    links = [U[..., None, None] for U in link_phases(N, kc)]
+    diffs = [U * np.roll(V, -1, a) - np.roll(U.conj() * V, 1, a) for a, U in enumerate(links)]
+    return np.einsum("afg,axygm->xyfm", np.array(cliffords), np.array(diffs)) * (N / 2)
+
+
+def two_level_cut(kc: int) -> float:
+    """A cut between the second and third Landau levels of H, 3 and 5 times
+    2*pi|kc|; at kc = 0 between (2 pi)^2 and 2 (2 pi)^2."""
+    return 8.0 * math.pi * abs(kc) if kc else 6.0 * math.pi ** 2
 
 
 def square_residual(cliffords, E: np.ndarray, N: int, kc: int) -> float:
     """r = |(D_h^2 - R_h) V|_F / max(|R_h V|_F, |V|_F), R_h = H (x) I + I (x) E.
 
-    V is an orthonormal basis of the two lowest levels of H (2|kc|
-    eigenvectors, or the 5 of the constant and the first Fourier modes at
-    kc = 0) tensored with the fiber, so H V = V theta; whole levels make r
-    independent of the basis the eigensolver returns."""
+    V is an orthonormal basis of the two lowest levels of H, below
+    `two_level_cut` (2|kc| eigenvectors, or the 5 of the constant and the
+    first Fourier modes at kc = 0), tensored with the fiber, so H V = V theta;
+    whole levels make r independent of the basis the eigensolver returns."""
     import numpy as np
 
-    theta, vecs = eigen(magnetic_bochner(N, kc), 2 * abs(kc) if kc else 5)
-    eye = np.eye(E.shape[0])
-    V = np.kron(vecs, eye)
-    RV = np.kron(vecs * theta, eye) + np.kron(vecs, E)
-    D = lattice_dirac(cliffords, N, kc)
-    return float(np.linalg.norm(D @ (D @ V) - RV)
-                 / max(np.linalg.norm(RV), np.linalg.norm(V)))
+    theta, vecs = eigen(magnetic_bochner(N, kc), two_level_cut(kc))
+    vecs, eye = vecs.reshape(N, N, 1, -1, 1), np.eye(len(E))[:, None, :]
+    V = (vecs * eye).reshape(N, N, len(E), -1)
+    RV = (vecs * theta[:, None] * eye + vecs * E[:, None, :]).reshape(N, N, len(E), -1)
+    DDV = lattice_dirac(cliffords, N, kc, lattice_dirac(cliffords, N, kc, V))
+    return float(np.linalg.norm(DDV - RV) / max(np.linalg.norm(RV), np.linalg.norm(V)))
 
 
 def crosscheck_rows(torus: FlatTorus, k_values, N: int) -> list[dict]:

@@ -236,6 +236,22 @@ def test_out_into_missing_directory_exits_2(capsys, tmp_path, argv):
     assert not out.parent.exists()
 
 
+def test_out_leaves_a_sibling_tmp_file_alone(capsys, tmp_path):
+    """The report goes through a temporary file named after the whole
+    output name, so neither report.tmp nor the other format's output is
+    touched."""
+    sibling = tmp_path / "report.tmp"
+    sibling.write_text("keep", encoding="utf-8")
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"report.{fmt}"
+        argv = ["fiber", "--q", "2", "--trials", "1", "--format", fmt, "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_PASS
+        assert out.read_text(encoding="utf-8")
+    assert sibling.read_text(encoding="utf-8") == "keep"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv", "report.json", "report.tmp"]
+    assert capsys.readouterr().out == ""
+
+
 def test_out_naming_a_directory_exits_2(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["fiber", "--q", "2", "--trials", "1", "--out", str(tmp_path)])
@@ -375,9 +391,8 @@ def test_csv_format_writes_the_report_rows(capsys, argv, header):
 
 def test_exact_subcommands_do_not_load_numpy_or_scipy():
     """verify and fiber compute exactly, and gap counts eigenvalues in plain
-    floats; only crosscheck needs the float stack, and it is loaded when
-    crosscheck runs: numpy for its eigenvectors, and scipy.sparse, without
-    its linalg, for its site-basis D."""
+    floats; only crosscheck needs numpy, for its eigenvectors and its
+    site-basis D, and loads it when it runs.  Nothing loads scipy."""
     script = textwrap.dedent("""
         import contextlib, io, sys
         import transdirac.cli as cli
@@ -398,8 +413,7 @@ def test_exact_subcommands_do_not_load_numpy_or_scipy():
         assert run("gap", "--model", "t3_landau", "--k", "0..2", "--N", "16") == cli.EXIT_PASS
         assert loaded() == [], loaded()
         assert run("crosscheck", "--model", "t3_landau", "--k", "1", "--N", "16") == cli.EXIT_PASS
-        assert loaded() == ["numpy", "scipy"], loaded()
-        assert "scipy.sparse.linalg" not in sys.modules
+        assert loaded() == ["numpy"], loaded()
     """)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))

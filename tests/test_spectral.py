@@ -9,7 +9,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from transdirac import cli
 from transdirac import clifford_fiber as cf
@@ -29,42 +28,35 @@ def torus(landau):
 
 # -- link phases -------------------------------------------------------------
 
-def loop_hop_matrices(N, flux_quanta):
-    """Site-by-site reference for the vectorised hop_matrices."""
+def loop_link_phases(N, flux_quanta):
+    """Site-by-site reference for the vectorised link_phases."""
     a = 2.0 * math.pi * flux_quanta
-    Ux = np.zeros((N * N, N * N), dtype=complex)
-    Uy = np.zeros((N * N, N * N), dtype=complex)
+    Ux = np.zeros((N, N), dtype=complex)
+    Uy = np.zeros((N, N), dtype=complex)
     for x in range(N):
         for y in range(N):
-            i = x * N + y
-            Ux[i, (x + 1) % N * N + y] = np.exp(1j * (a * y / N if x == N - 1 else 0.0))
-            Uy[i, x * N + (y + 1) % N] = np.exp(-1j * (a * x / (N * N)))
+            Ux[x, y] = np.exp(1j * (a * y / N if x == N - 1 else 0.0))
+            Uy[x, y] = np.exp(-1j * (a * x / (N * N)))
     return Ux, Uy
 
 
 @pytest.mark.parametrize("N,kc", [(4, 0), (6, 1), (10, -3)])
-def test_hop_matrices_match_site_loop(N, kc):
-    for got, want in zip(spectral.hop_matrices(N, kc), loop_hop_matrices(N, kc)):
-        np.testing.assert_array_equal(got.toarray(), want)
+def test_link_phases_match_site_loop(N, kc):
+    for got, want in zip(spectral.link_phases(N, kc), loop_link_phases(N, kc)):
+        np.testing.assert_array_equal(got, want)
 
 
 def plaquette_loops(N, kc):
-    """U_x U_y U_x^dagger U_y^dagger around the cell at each site."""
-    Ux, Uy = (U.toarray() for U in spectral.hop_matrices(N, kc))
-    x, y = np.divmod(np.arange(N * N), N)
-    right = (x + 1) % N * N + y
-    up = x * N + (y + 1) % N
-    corner = (x + 1) % N * N + (y + 1) % N
-    site = np.arange(N * N)
-    return (Ux[site, right] * Uy[right, corner]
-            * Ux[up, corner].conj() * Uy[site, up].conj())
+    """U_x U_y U_x^dagger U_y^dagger around the cell at each site [x, y]."""
+    Ux, Uy = spectral.link_phases(N, kc)
+    return Ux * np.roll(Uy, -1, axis=0) * np.roll(Ux, -1, axis=1).conj() * Uy.conj()
 
 
 @pytest.mark.parametrize("N,kc", [(8, 1), (12, 5), (10, -3)])
 def test_every_plaquette_carries_the_same_holonomy(N, kc):
     angle = np.angle(plaquette_loops(N, kc))
-    np.testing.assert_allclose(angle, angle[0], atol=1e-12)
-    assert abs(angle[0]) == pytest.approx(2 * math.pi * abs(kc) / N ** 2, abs=1e-12)
+    np.testing.assert_allclose(angle, angle[0, 0], atol=1e-12)
+    assert abs(angle[0, 0]) == pytest.approx(2 * math.pi * abs(kc) / N ** 2, abs=1e-12)
     assert abs(angle.sum()) == pytest.approx(2 * math.pi * abs(kc), abs=1e-9)
 
 
@@ -80,52 +72,56 @@ def test_plaquette_loop_is_exp_of_the_exact_curvature(landau, k):
 
 # -- the magnetic Laplacian and its eigensolver -------------------------------
 
+def dense_ring(d):
+    """Test oracle: the ring diag(d) - hops, hops -1, as a dense matrix."""
+    L = len(d)
+    return np.diag(d) - np.roll(np.eye(L), 1, axis=1) - np.roll(np.eye(L), -1, axis=1)
+
+
+def dense_hops(N, kc):
+    """The forward hops U_x, U_y of link_phases as dense site-basis
+    matrices, site (x, y) at index x*N + y."""
+    site = np.arange(N * N).reshape(N, N)
+    hops = []
+    for axis, U in enumerate(spectral.link_phases(N, kc)):
+        M = np.zeros((N * N, N * N), dtype=complex)
+        M[site.ravel(), np.roll(site, -1, axis).ravel()] = U.ravel()
+        hops.append(M)
+    return hops
+
+
 def site_bochner(N, kc):
     """Test oracle: the magnetic Bochner Laplacian assembled on the N x N
     sites, sum over the two directions of (2 - U - U^dagger)/h^2, h = 1/N."""
-    Ux, Uy = spectral.hop_matrices(N, kc)
-    eye = sp.identity(N * N, format="csr", dtype=complex)
-    return ((4.0 * eye - Ux - Ux.getH() - Uy - Uy.getH()) * (N * N)).tocsr()
+    Ux, Uy = dense_hops(N, kc)
+    return (4.0 * np.eye(N * N) - Ux - Ux.conj().T - Uy - Uy.conj().T) * (N * N)
+
+
+def test_lattice_dirac_matches_the_assembled_central_differences(torus):
+    """The matrix-free D_h against sum_a (U_a - U_a^dagger) N/2 (x) c(f_a)
+    assembled from the dense hops."""
+    N, kc = 6, 2
+    gens = [spectral._dense(C) for C in cf.spinor_cliffords(torus.J)]
+    D = sum(np.kron((U - U.conj().T) * (N / 2), C) for U, C in zip(dense_hops(N, kc), gens))
+    F = gens[0].shape[0]
+    rng = np.random.default_rng(2)
+    V = rng.standard_normal((N * N * F, 3)) + 1j * rng.standard_normal((N * N * F, 3))
+    got = spectral.lattice_dirac(gens, N, kc, V.reshape(N, N, F, 3))
+    np.testing.assert_allclose(got.reshape(-1, 3), D @ V, atol=1e-12)
 
 
 @pytest.mark.parametrize("N,kc", [(6, 0), (6, 1), (6, 3), (8, -2)])
 def test_chain_solver_inverts_each_shifted_chain(N, kc):
     """One open block per chain (kc = 0), two, and N, against a dense solve
-    of the cyclic chain with hops -1."""
-    d = np.array(spectral.magnetic_bochner(N, kc).diagonals) + 1.0 / N ** 2
+    of the cyclic chain with hops -1, at eigen's shift inside the spectrum:
+    half of crosscheck's cut."""
+    d = (np.array(spectral.magnetic_bochner(N, kc).diagonals)
+         - spectral.two_level_cut(kc) / 2 / N ** 2)
     g, L = d.shape
     Y = np.random.default_rng(1).standard_normal((g, L, 3))
     X = spectral._chain_solver(d, N)(Y)
-    hops = np.roll(np.eye(L), 1, axis=1) + np.roll(np.eye(L), -1, axis=1)
     for c in range(g):
-        np.testing.assert_allclose((np.diag(d[c]) - hops) @ X[c], Y[c], atol=1e-10)
-
-
-@pytest.mark.parametrize("kc", [0, 1, -1, 2, 3, 4, 6, 8])
-@pytest.mark.parametrize("N", [4, 6, 8, 12, 16])
-def test_eigen_matches_the_site_basis_operator(N, kc):
-    """The reduction and its solver against dense eigh of the site-basis H,
-    with g = gcd(kc, N) chains from 1 to N.  Eigenvectors mapped back to
-    the sites must be eigenvectors of H, which a reversed flux would break."""
-    H = spectral.magnetic_bochner(N, kc)
-    assert H.shape == (N * N, N * N)
-    assert len(H.diagonals) == math.gcd(kc, N)
-    site = site_bochner(N, kc)
-    dense = np.linalg.eigvalsh(site.toarray())
-    # one level and its neighbour, one spanning several levels, and at N = 4
-    # also count >= dim - 1, where every chain is solved whole
-    counts = [abs(kc) + 1, abs(kc) + 8] + ([15, 16, 40] if N == 4 else [])
-    for count in counts:
-        vals, vecs = spectral.eigen(H, count)
-        count = min(count, N * N)
-        assert vals.shape == (count,) and vecs.shape == (N * N, count)
-        np.testing.assert_allclose(vals, dense[:count], rtol=1e-10, atol=1e-10)
-        np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(count), atol=1e-10)
-        residual = np.linalg.norm(site @ vecs - vecs * vals, axis=0)
-        assert np.all(residual <= 1e-8 * np.maximum(1.0, vals))
-        again = spectral.eigen(spectral.magnetic_bochner(N, kc), count)
-        np.testing.assert_array_equal(again[0], vals)
-        np.testing.assert_array_equal(again[1], vecs)
+        np.testing.assert_allclose(dense_ring(d[c]) @ X[c], Y[c], atol=1e-10)
 
 
 CLUSTER_GAP = 1e-9
@@ -134,9 +130,74 @@ CLUSTER_GAP = 1e-9
 def dense_levels(N, kc):
     """Eigenvalues of the site-basis oracle, and the midpoints between its
     clusters more than CLUSTER_GAP apart, with the count below each."""
-    vals = np.linalg.eigvalsh(site_bochner(N, kc).toarray())
+    vals = np.linalg.eigvalsh(site_bochner(N, kc))
     ends = np.flatnonzero(np.diff(vals) > CLUSTER_GAP)
     return vals, [((vals[i] + vals[i + 1]) / 2, i + 1) for i in ends]
+
+
+def iteration_rate(vals, cut):
+    """The convergence factor per step of shift-invert iteration at cut/2
+    for the eigenvalues below the cut against those above: a bound on each
+    chain's factor, since a chain's eigenvalues are a subset of H's."""
+    shift = cut / 2
+    return np.max(np.abs(vals[vals < cut] - shift)) / np.min(np.abs(vals[vals >= cut] - shift))
+
+
+@pytest.mark.parametrize("kc", [0, 1, -1, 2, 3, 4, 6, 8])
+@pytest.mark.parametrize("N", [4, 6, 8, 12, 16])
+def test_eigen_matches_the_site_basis_operator(N, kc):
+    """The reduction and its solver against dense eigh of the site-basis H,
+    with g = gcd(kc, N) chains from 1 to N.  The cuts: crosscheck's, where
+    crosscheck accepts the flux (2|kc|/N^2 <= 0.05); the first cluster
+    midpoints that the iteration resolves in a few dozen steps; and at N = 4
+    one above the whole spectrum, where every chain is solved whole.
+    Eigenvectors mapped back to the sites must be eigenvectors of H, which
+    a reversed flux would break."""
+    H = spectral.magnetic_bochner(N, kc)
+    assert H.shape == (N * N, N * N)
+    assert len(H.diagonals) == math.gcd(kc, N)
+    site = site_bochner(N, kc)
+    dense, gaps = dense_levels(N, kc)
+    cuts = [x for x, _ in gaps[:6] if iteration_rate(dense, x) < 0.5]
+    if 2 * abs(kc) <= 0.05 * N * N:
+        cuts.append(spectral.two_level_cut(kc))
+    if N == 4:
+        cuts.append(2 * dense[-1] + 1)
+    assert cuts
+    for cut in cuts:
+        vals, vecs = spectral.eigen(H, cut)
+        count = np.sum(dense < cut)
+        assert vals.shape == (count,) and vecs.shape == (N * N, count)
+        np.testing.assert_allclose(vals, dense[:count], rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(count), atol=1e-10)
+        residual = np.linalg.norm(site @ vecs - vecs * vals, axis=0)
+        assert np.all(residual <= 1e-8 * np.maximum(1.0, vals))
+        again = spectral.eigen(spectral.magnetic_bochner(N, kc), cut)
+        np.testing.assert_array_equal(again[0], vals)
+        np.testing.assert_array_equal(again[1], vecs)
+
+
+def test_crosscheck_cut_holds_two_levels_over_its_domain():
+    """Over every (N, kc) that crosscheck accepts at its default tolerance,
+    the cut keeps exactly the two lowest levels: 2|kc| eigenvalues, or 5 at
+    kc = 0."""
+    for N in range(4, 34, 2):
+        for kc in (kc for kc in range(N * N) if 2 * (kc / N ** 2) <= 0.05):
+            H = spectral.magnetic_bochner(N, kc)
+            assert (spectral.eigenvalues_below(H, spectral.two_level_cut(kc))
+                    == (2 * kc if kc else 5)), (N, kc)
+
+
+def test_eigen_raises_at_a_cut_in_a_narrow_gap():
+    """At N = 8, kc = 3 the first gap is narrow against its distance from
+    the shift: the iteration cannot separate the pairs below the cut from
+    those above in MAX_ITERATIONS steps, and says so instead of returning
+    unconverged pairs."""
+    vals, gaps = dense_levels(8, 3)
+    cut = gaps[0][0]
+    assert iteration_rate(vals, cut) > 0.9
+    with pytest.raises(spectral.SolverError, match="did not converge"):
+        spectral.eigen(spectral.magnetic_bochner(8, 3), cut)
 
 
 @pytest.mark.parametrize("N,kc", [(N, kc) for N in (4, 6, 8, 12, 16, 24)
@@ -155,12 +216,6 @@ def test_sturm_count_matches_the_site_basis_operator(N, kc):
     for x, below in gaps if N <= 8 else gaps[:6]:
         assert (spectral.least_value_above(H, x, {0.0: below})
                 == pytest.approx(vals[below], rel=1e-12))
-
-
-def dense_ring(d):
-    """Test oracle: the ring diag(d) - hops, hops -1, as a dense matrix."""
-    L = len(d)
-    return np.diag(d) - np.roll(np.eye(L), 1, axis=1) - np.roll(np.eye(L), -1, axis=1)
 
 
 @pytest.mark.parametrize("N,kc,x", [(6, 6, 4.0), (4, 0, 5.0), (4, 0, 7.0), (4, 8, 5.0)])
@@ -217,7 +272,7 @@ def assembled_parity_blocks(torus, k, N):
     blocks = []
     for ix in (~odd, odd):
         sub = E[np.ix_(ix, ix)]
-        blocks.append(sp.kron(H, np.eye(len(sub))) + sp.kron(sp.identity(N * N), sub))
+        blocks.append(np.kron(H, np.eye(len(sub))) + np.kron(np.eye(N * N), sub))
     return blocks
 
 
@@ -237,7 +292,7 @@ def test_kronecker_sum_matches_dense_parity_blocks(monkeypatch, torus, k, N, odd
     monkeypatch.setattr(spectral, "parity_blocks",
                         lambda t, k: (even_e, [e - shift for e in odd_e]))
     rep = spectral.spectrum_report(torus, k, N)
-    even, odd = (np.linalg.eigvalsh(B.toarray()) for B in assembled_parity_blocks(torus, k, N))
+    even, odd = (np.linalg.eigvalsh(B) for B in assembled_parity_blocks(torus, k, N))
     odd -= shift
     allvals = np.sort(np.concatenate([even, odd]))
     thr = 2 * k * rep.m / 10 if k else 1e-6
@@ -298,9 +353,9 @@ def test_square_residual_does_not_depend_on_the_eigenbasis(monkeypatch, torus):
     E = spectral._constant_endomorphism(torus, 3)
     reduced = spectral.square_residual(gens, E, 16, 3)
 
-    def dense(H, count):
-        vals, vecs = np.linalg.eigh(site_bochner(H.N, 3).toarray())
-        return vals[:count], vecs[:, :count]
+    def dense(H, cut):
+        vals, vecs = np.linalg.eigh(site_bochner(H.N, 3))
+        return vals[vals < cut], vecs[:, vals < cut]
 
     monkeypatch.setattr(spectral, "eigen", dense)
     assert spectral.square_residual(gens, E, 16, 3) == pytest.approx(reduced, rel=1e-10)
@@ -309,9 +364,9 @@ def test_square_residual_does_not_depend_on_the_eigenbasis(monkeypatch, torus):
 def test_crosscheck_fails_on_the_conjugate_flux(monkeypatch, capsys):
     """Links carrying -F instead of F leave H's spectrum as it was but break
     D_h^2 -> H + E: the spinor rows stop converging."""
-    hops = spectral.hop_matrices
-    monkeypatch.setattr(spectral, "hop_matrices",
-                        lambda N, kc: tuple(U.conj() for U in hops(N, kc)))
+    links = spectral.link_phases
+    monkeypatch.setattr(spectral, "link_phases",
+                        lambda N, kc: tuple(U.conj() for U in links(N, kc)))
     assert cli.main(["crosscheck", "--model", "t3_landau", "--k", "1..2", "--N", "16"]) == 1
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert [(r["fiber"], r["ok"]) for r in rows] == \
