@@ -27,12 +27,11 @@ below by -(lambda - 2 min mu), both as zero-residual statements.
 
 from __future__ import annotations
 
-import math
 import random
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import F0, I, ONE, SQRT2, ZERO, Scalar, _pair_sign, rational
+from .exact import I, ONE, SQRT2, ZERO, Scalar, rational
 from .matrices import Mat, accumulate, apply_to_vector
 
 
@@ -284,176 +283,36 @@ def two_form_action(B: Mat, J: ComplexStructure) -> Mat:
 
 # -- exact root extraction for the skew eigenproblem -------------------------
 
-def _poly_eval(coeffs: list[Scalar], x: Scalar) -> Scalar:
-    acc = ZERO
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
 def _real_roots_in_field(coeffs: list[Scalar]) -> list[Scalar]:
-    """All roots of a monic real polynomial (descending coefficients) known
-    to split over Q(sqrt2) with real roots.
+    """All roots of a monic real polynomial (descending coefficients) of
+    degree at most 2, known to split over Q(sqrt2) with real roots.
 
-    Degrees 1 and 2 are closed-form.  Higher degrees find one root exactly
-    (`_find_field_root`), deflate, and recurse; a root outside Q(sqrt2)
-    raises."""
+    This covers the mu^2-polynomial of a two-form and the parity blocks of
+    its curvature action for q <= 4.  Degrees 1 and 2 are closed-form, the
+    square root of the discriminant exact; a root outside Q(sqrt2) raises,
+    and so does a degree above 2."""
     deg = len(coeffs) - 1
+    if deg > 2:
+        raise ValueError("exact roots implemented up to degree 2 (q <= 4), "
+                         f"not degree {deg}")
     if deg == 0:
         return []
     if deg == 1:
         return [-coeffs[1]]
-    if deg == 2:
-        b, c = coeffs[1], coeffs[2]
-        disc = b * b - rational(4) * c
-        s = disc.sqrt()
-        half = rational(1, 2)
-        return [(-b + s) * half, (-b - s) * half]
-    root = _find_field_root(coeffs)
-    rest = _poly_divmod(coeffs, [ONE, -root])[0]
-    return [root] + _real_roots_in_field(rest)
-
-
-def _poly_divmod(num: list[Scalar], den: list[Scalar]) -> tuple[list[Scalar], list[Scalar]]:
-    """Quotient and remainder of num by den, the remainder's leading zeros
-    stripped."""
-    num = list(num)
-    inv = den[0].inverse()
-    quot = []
-    while len(num) >= len(den):
-        f = num[0] * inv
-        quot.append(f)
-        num = [a - f * b for a, b in zip(num[1:], den[1:])] + num[len(den):]
-    while num and num[0].is_zero():
-        num.pop(0)
-    return quot, num
-
-
-def _integral(poly: list[Scalar]) -> list[tuple[int, int]]:
-    """poly times the common denominator of its coefficients, as integer
-    pairs (a, b) of a + b sqrt2."""
-    den = math.lcm(*(x.denominator for c in poly for x in (c.ra, c.rb)))
-    return [(int(c.ra * den), int(c.rb * den)) for c in poly]
-
-
-def _sturm_chain(coeffs: list[Scalar]) -> tuple[list[list[tuple[int, int]]], list[tuple[int, int]]]:
-    """Sturm sequence p, p', -rem(p, p'), ... and the squarefree part
-    p / gcd(p, p'), each scaled by a positive number to integer
-    coefficients, which keeps its signs."""
-    deg = len(coeffs) - 1
-    chain = [coeffs, [c * (deg - i) for i, c in enumerate(coeffs[:-1])]]
-    while len(chain[-1]) > 1:
-        rem = _poly_divmod(chain[-2], chain[-1])[1]
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-    gcd = chain[-1]
-    squarefree = _poly_divmod(coeffs, [c / gcd[0] for c in gcd])[0]
-    return [_integral(poly) for poly in chain], _integral(squarefree)
-
-
-def _sign_at(poly: list[tuple[int, int]], num: int, e: int) -> int:
-    """Exact sign of poly at num / 2^e: Horner on 2^(e deg) poly(num / 2^e)."""
-    a = b = 0
-    scale = 1
-    for ca, cb in poly:
-        a, b = a * num + ca * scale, b * num + cb * scale
-        scale <<= e
-    return _pair_sign(a, b)
-
-
-def _sign_changes(chain: list[list[tuple[int, int]]], num: int, e: int) -> int:
-    signs = [sg for sg in (_sign_at(poly, num, e) for poly in chain) if sg]
-    return sum(u != v for u, v in zip(signs, signs[1:]))
-
-
-def _isolate(coeffs: list[Scalar], den: int) -> list[tuple[Fraction, Fraction]] | Scalar:
-    """Open intervals narrower than 1/den, one around each distinct real root
-    of a monic polynomial; or a rational root that a bisection point hit.
-
-    Sturm counts split (-2^k, 2^k) until each interval holds one root, and
-    `_refine` narrows it.  Points are dyadic, num / 2^e, so every sign is an
-    exact integer computation."""
-    chain, squarefree = _sturm_chain(coeffs)
-    # 2^k above the Cauchy bound 1 + max |c_i|, with 3/2 > sqrt2
-    bound = 1 + max(abs(c.ra) + Fraction(3, 2) * abs(c.rb) for c in coeffs[1:])
-    top = 1 << math.ceil(bound).bit_length()
-    stack = [(-top, _sign_changes(chain, -top, 0), top, _sign_changes(chain, top, 0), 0)]
-    out = []
-    while stack:
-        lo, vlo, hi, vhi, e = stack.pop()
-        if vlo - vhi == 1:
-            found = _refine(squarefree, lo, hi, e, den)
-            if isinstance(found, Scalar):
-                return found
-            out.append(found)
-        elif vlo - vhi > 1:
-            mid = lo + hi
-            if _sign_at(squarefree, mid, e + 1) == 0:
-                return Scalar._mk(Fraction(mid, 2 << e), F0, F0, F0)
-            vmid = _sign_changes(chain, mid, e + 1)
-            stack += [(2 * lo, vlo, mid, vmid, e + 1), (mid, vmid, 2 * hi, vhi, e + 1)]
-    return out
-
-
-def _refine(squarefree: list[tuple[int, int]], lo: int, hi: int, e: int,
-            den: int) -> tuple[Fraction, Fraction] | Scalar:
-    """Halve (lo, hi) / 2^e, which holds one root of the squarefree part, by
-    the sign change there, until narrower than 1/den; or return the root if
-    a midpoint hits it."""
-    sg_lo = _sign_at(squarefree, lo, e)
-    while (hi - lo) * den >= 1 << e:
-        mid = lo + hi
-        lo, hi, e = 2 * lo, 2 * hi, e + 1
-        sg = _sign_at(squarefree, mid, e)
-        if sg == 0:
-            return Scalar._mk(Fraction(mid, 1 << e), F0, F0, F0)
-        if sg == sg_lo:
-            lo = mid
-        else:
-            hi = mid
-    return Fraction(lo, 1 << e), Fraction(hi, 1 << e)
-
-
-def _find_field_root(coeffs: list[Scalar]) -> Scalar:
-    """One root in Q(sqrt2) of a monic real polynomial, found and verified
-    exactly.
-
-    D (the common denominator of the coefficients) times a root in Q(sqrt2)
-    is an algebraic integer of Q(sqrt2), that is in Z[sqrt2], so the root is
-    (m + k sqrt2)/D with m, k integers; its Galois conjugate (m - k sqrt2)/D
-    is a root of the conjugate polynomial.  The real roots of both are
-    isolated in intervals narrower than 1/(2D); each pairing of a root with
-    a conjugate root then leaves one candidate m = D(r + s)/2 and one k with
-    k sqrt2 = D r - m, checked by exact evaluation."""
-    D = math.lcm(*(x.denominator for c in coeffs for x in (c.ra, c.rb)))
-    roots = _isolate(coeffs, 2 * D)
-    if isinstance(roots, Scalar):
-        return roots
-    # a rational root of the conjugate polynomial is a root of this one
-    conj = _isolate([Scalar._mk(c.ra, -c.rb, F0, F0) for c in coeffs], 2 * D)
-    if isinstance(conj, Scalar):
-        return conj
-    for lo_r, hi_r in roots:
-        for lo_s, hi_s in conj:
-            for m in range(math.ceil(D * (lo_r + lo_s) / 2),
-                           math.floor(D * (hi_r + hi_s) / 2) + 1):
-                # k sqrt2 lies in (t, t + 1/2) for t = D lo_r - m, and t/sqrt2
-                # is irrational unless t = 0, so k = floor(t/sqrt2) + 1
-                t = D * lo_r - m
-                j = math.isqrt(math.floor(t * t / 2))
-                k = j + 1 if t >= 0 else -j
-                cand = Scalar._mk(Fraction(m, D), Fraction(k, D), F0, F0)
-                if _poly_eval(coeffs, cand).is_zero():
-                    return cand
-    raise ValueError("eigenvalue data does not lie in Q(sqrt2)")
+    b, c = coeffs[1], coeffs[2]
+    s = (b * b - rational(4) * c).sqrt()
+    half = rational(1, 2)
+    return [(-b + s) * half, (-b - s) * half]
 
 
 def skew_invariants(B: Mat) -> tuple[tuple[Scalar, ...], Scalar, Scalar]:
-    """Exact (mu-list descending, lambda, m) for a non-degenerate two-form.
+    """Exact (mu-list descending, lambda, m) for a non-degenerate two-form
+    of rank q <= 4.
 
     The mu_j are the positive numbers with spec(K) = {+-i mu_j}; lambda is
-    their sum and m their minimum."""
+    their sum and m their minimum.  The mu_j^2 are the roots of a polynomial
+    of degree q/2, found in closed form (`_real_roots_in_field`), so a
+    larger q raises ValueError."""
     K = k_matrix(B)
     q = K.n
     if q % 2:

@@ -392,6 +392,10 @@ def model_from_dict(data: dict) -> FrameModel:
         p, q = _json_int(data["p"], "p"), _json_int(data["q"], "q")
         brackets = [(*(_json_int(ix, "bracket index") for ix in (i, j, k)),
                      parse_real(coeff)) for (i, j, k, coeff) in data.get("brackets", [])]
+        for i, j, _, _ in brackets:
+            if i == j:
+                raise ValueError(f"bracket [u{i}, u{i}] of a frame vector with itself; "
+                                 "brackets are antisymmetric, so it is zero")
         line_b = None
         if "line_bundle" in data and data["line_bundle"] is not None:
             rows = data["line_bundle"]["B"]

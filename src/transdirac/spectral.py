@@ -92,18 +92,17 @@ def chern_number(model: FrameModel) -> int:
     return int(k01.ra)
 
 
-def invariants_2pi(model: FrameModel) -> tuple[float, float]:
-    """(lambda, m) of the physical curvature 2*pi*B."""
+def invariants_2pi(model: FrameModel) -> float:
+    """m, the least mu_j, of the physical curvature 2*pi*B."""
     if model.line_b is None:
-        return 0.0, 0.0
-    _, lam, m = skew_invariants(model.line_b)
-    return TWO_PI * float(lam), TWO_PI * float(m)
+        return 0.0
+    return TWO_PI * float(skew_invariants(model.line_b)[2])
 
 
-class FlatTorus(namedtuple("FlatTorus", "model J c lam m")):
+class FlatTorus(namedtuple("FlatTorus", "model J c m")):
     """A model that passed `require_flat_torus`, with what every flux value
-    of a scan shares: its complex structure J, the Chern number c and
-    (lambda, m) of 2*pi*B."""
+    of a scan shares: its complex structure J, the Chern number c and m of
+    2*pi*B."""
     __slots__ = ()
 
 
@@ -118,8 +117,7 @@ def flat_torus(model: FrameModel) -> FlatTorus:
     except IncompatiblePair as exc:
         raise ModelError(f"model {model.name!r}: the line bundle is not positive "
                          f"for J ({exc}), outside the theorem's hypothesis") from exc
-    lam, m = invariants_2pi(model)
-    return FlatTorus(model, J, chern_number(model), lam, m)
+    return FlatTorus(model, J, chern_number(model), invariants_2pi(model))
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +405,7 @@ def least_value_above(H: HarperRings, thr: float, below: dict[float, int]) -> fl
 # spectrum reports
 
 class SpectrumReport(namedtuple("SpectrumReport", "k N gap kernel_dim_even kernel_dim_odd "
-                                                  "fitted_C lam m ambiguous runtime_ms")):
+                                                  "fitted_C m ambiguous runtime_ms")):
     __slots__ = ()
 
     def row(self) -> dict:
@@ -428,7 +426,7 @@ def spectrum_report(torus: FlatTorus, k: int, N: int) -> SpectrumReport:
     value at or above thr, bisected.  The counts are exact over the whole
     spectrum of H, so no eigenvalue can be missed."""
     t0 = time.perf_counter()
-    lam, m = torus.lam, torus.m
+    m = torus.m
     H = magnetic_bochner(N, k * torus.c)
     e_even, e_odd = parity_blocks(torus, k)
     thr = (2 * k * m) / 10.0 if k >= 1 and m > 0 else 1e-6
@@ -439,7 +437,7 @@ def spectrum_report(torus: FlatTorus, k: int, N: int) -> SpectrumReport:
     ambiguous = bool(gap < 4 * thr) if k >= 1 and m > 0 else False
     return SpectrumReport(k=k, N=N, gap=gap, kernel_dim_even=sum(below[e] for e in e_even),
                           kernel_dim_odd=sum(below[e] for e in e_odd),
-                          fitted_C=max(0.0, 2 * k * m - gap), lam=lam, m=m, ambiguous=ambiguous,
+                          fitted_C=max(0.0, 2 * k * m - gap), m=m, ambiguous=ambiguous,
                           runtime_ms=(time.perf_counter() - t0) * 1000.0)
 
 

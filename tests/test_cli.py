@@ -202,13 +202,14 @@ def test_line_bundle_not_positive_for_j_exits_2_on_the_lattice(capsys, tmp_path,
     ({"brackets": [[2, 3, 1.9, "1"]]}, "bracket index must be"),
     ({"q": 0, "line_bundle": None, "J": []}, "codimension must be even and >= 2"),
     ({"name": {"a": 1}}, "name must be a string"),
+    ({"brackets": [[2, 2, 3, "5"]]}, "with itself"),
 ], ids=["bracket-1/0", "J-1/0", "B-1/0", "bracket-number", "J-numbers", "B-number",
         "p-negative", "p-float", "p-bool", "q-string", "index-float", "q-zero",
-        "name-object"])
+        "name-object", "self-bracket"])
 def test_malformed_model_value_exits_2_in_every_command(capsys, tmp_path, changes, reason):
     """A malformed value is invalid input, not a traceback (a zero
     denominator, a JSON number for a scalar string) and not a different
-    model ("p": 1.5 read as 1)."""
+    model ("p": 1.5 read as 1, a self-bracket [u2, u2] = 5 u3 dropped)."""
     errors = invalid_input_errors(capsys, MODEL_COMMANDS,
                                   write_landau(tmp_path, "t3_malformed", **changes))
     assert all(err.startswith("error: ") for err in errors)

@@ -275,26 +275,25 @@ def test_skew_invariants_degenerate():
 
 def test_skew_invariants_orthogonal_invariance():
     rng = random.Random(29)
-    for q in (4, 6):
-        for _ in range(10):
-            mus = tuple(cf.random_mu(rng) for _ in range(q // 2))
-            B = cf.block_two_form(mus)
-            O = cf.random_orthogonal(rng, q)
-            got = cf.skew_invariants(O @ B @ O.transpose())
-            assert got == cf.skew_invariants(B)
-            assert sorted(got[0], key=float) == sorted(mus, key=float)
+    for _ in range(10):
+        mus = (cf.random_mu(rng), cf.random_mu(rng))
+        B = cf.block_two_form(mus)
+        O = cf.random_orthogonal(rng, 4)
+        got = cf.skew_invariants(O @ B @ O.transpose())
+        assert got == cf.skew_invariants(B)
+        assert sorted(got[0], key=float) == sorted(mus, key=float)
 
 
 def test_skew_invariants_sqrt2_values():
-    mus = (rational(2) + SQRT2, rational(1), rational(1, 2))
+    mus = (rational(2) + SQRT2, rational(1, 2))
     got, lam, m = cf.skew_invariants(cf.block_two_form(mus))
     assert set(got) == set(mus)
     assert lam == sum(mus, ZERO) and m == rational(1, 2)
 
 
 @pytest.mark.parametrize("mus", [
-    (Fraction(1001, 1000), Fraction(1003, 1000), Fraction(1007, 1000)),
-    (Fraction(1, 1000003), Fraction(1, 1000033), Fraction(1, 999983)),
+    (Fraction(1001, 1000), Fraction(1003, 1000)),
+    (Fraction(1, 1000003), Fraction(1, 1000033)),
 ])
 def test_skew_invariants_close_and_tiny_mus(mus):
     # float roots rounded with limit_denominator reported these valid forms
@@ -305,9 +304,9 @@ def test_skew_invariants_close_and_tiny_mus(mus):
     assert lam == sum(mus, ZERO) and m == min(mus, key=float)
 
 
-@pytest.mark.parametrize("mus", [("1+√2", "2+√2", "1/3+5√2"),   # every mu^2 = a + b√2, b > 0
-                                 ("3-√2", "2-√2", "1/3-1/5√2"),  # b < 0
-                                 ("1+√2", "2+√2", "1/3+5√2", "7/2+√2")])  # q = 8
+@pytest.mark.parametrize("mus", [("1+√2", "2+√2"),         # every mu^2 = a + b√2, b > 0
+                                 ("3-√2", "1/3-1/5√2"),    # b < 0
+                                 ("1/3+5√2", "7/2-√2")])   # mixed signs
 def test_skew_invariants_no_rational_root(mus):
     mus = tuple(parse_real(mu) for mu in mus)
     got, lam, m = cf.skew_invariants(cf.block_two_form(mus))
@@ -316,12 +315,15 @@ def test_skew_invariants_no_rational_root(mus):
 
 
 def test_real_roots_outside_the_field_raise():
-    with pytest.raises(ValueError, match="Q\\(sqrt2\\)"):
-        cf._real_roots_in_field([ONE, ZERO, ZERO, rational(-2)])  # y^3 - 2
-    with pytest.raises(ValueError, match="Q\\(sqrt2\\)"):  # (y - 3)(y^2 - 3)
-        cf._real_roots_in_field([ONE, rational(-3), rational(-3), rational(9)])
-    with pytest.raises(ValueError, match="Q\\(sqrt2\\)"):  # y^3 + y + 1: one real root
-        cf._real_roots_in_field([ONE, ZERO, ONE, ONE])
+    with pytest.raises(ValueError, match="Q\\(sqrt2\\)"):  # y^2 - 3
+        cf._real_roots_in_field([ONE, ZERO, rational(-3)])
+    with pytest.raises(ValueError, match="Q\\(sqrt2\\)"):  # y^2 + 1: no real root
+        cf._real_roots_in_field([ONE, ZERO, ONE])
+    # closed forms stop at degree 2, that is at q = 4
+    with pytest.raises(ValueError, match="degree 2 \\(q <= 4\\), not degree 3"):
+        cf._real_roots_in_field([ONE, rational(-6), rational(11), rational(-6)])
+    with pytest.raises(ValueError, match="q <= 4"):
+        cf.skew_invariants(cf.block_two_form([rational(1), rational(2), rational(3)]))
 
 
 R2 = sympy.sqrt(2)
@@ -352,12 +354,12 @@ def sympy_mu_squares(B):
 heights = st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**12))
 
 
-@given(st.lists(st.tuples(heights, heights), min_size=1, max_size=4), st.booleans())
+@given(st.lists(st.tuples(heights, heights), min_size=1, max_size=2), st.booleans())
 @settings(max_examples=20, deadline=None)
 def test_skew_invariants_match_sympy_on_block_forms(parts, repeat):
     mus = [Scalar._mk(a, b, F0, F0) for a, b in parts]
     assume(all(not mu.is_zero() for mu in mus))
-    if repeat and len(mus) < 4:
+    if repeat and len(mus) < 2:
         mus.append(mus[0])
     B = cf.block_two_form(mus)
     got, lam, m = cf.skew_invariants(B)

@@ -331,7 +331,7 @@ def test_flat_torus_carries_the_scan_invariants(landau):
     torus = spectral.flat_torus(landau)
     assert torus.model is landau
     assert torus.c == spectral.chern_number(landau) == 1
-    assert (torus.lam, torus.m) == spectral.invariants_2pi(landau)
+    assert torus.m == spectral.invariants_2pi(landau) == 2 * math.pi
     with pytest.raises(fg.ModelError, match="not a flat torus"):
         spectral.flat_torus(fg.resolve_model("heisenberg"))
 
@@ -399,8 +399,20 @@ def test_gap_cli_rejects_under_resolved_flux(capsys):
     ("crosscheck", ["--model", "t3_landau", "--k=-1", "--N", "16"], "k=-1 < 0"),
     ("gap", ["--model", "t3_landau", "--k=-2..2", "--N", "16"], "k=-2 < 0"),
     ("crosscheck", ["--model", "t3_landau", "--k=-2..2", "--N", "16"], "k=-2 < 0"),
+    ("gap", ["--model", "FLAT_Q4", "--N", "16"], "transverse dimension q=2"),
+    ("crosscheck", ["--model", "FLAT_Q4", "--N", "16"], "transverse dimension q=2"),
 ])
-def test_lattice_cli_rejects_inputs_it_cannot_resolve(capsys, command, argv, message):
+def test_lattice_cli_rejects_inputs_it_cannot_resolve(capsys, tmp_path, command, argv, message):
+    """FLAT_Q4 stands for a flat q = 4 torus with a positive line bundle,
+    valid for `verify`: the lattice layer is written for q = 2 only."""
+    flat_q4 = tmp_path / "flat_q4.json"
+    flat_q4.write_text(json.dumps({
+        "name": "flat_q4", "p": 1, "q": 4, "brackets": [],
+        "line_bundle": {"B": [["0", "-1i", "0", "0"], ["1i", "0", "0", "0"],
+                              ["0", "0", "0", "-1i"], ["0", "0", "1i", "0"]]},
+        "J": [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
+              ["0", "0", "0", "-1"], ["0", "0", "1", "0"]]}), encoding="utf-8")
+    argv = [str(flat_q4) if a == "FLAT_Q4" else a for a in argv]
     assert cli.main([command, *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -434,7 +446,7 @@ def test_gap_cli_exit_codes_on_bad_reports(monkeypatch, capsys, change, code, me
     def fake_scan(model, ks, N):
         m = 2 * math.pi
         base = dict(k=1, N=N, gap=2 * m,
-                    kernel_dim_even=1, kernel_dim_odd=0, fitted_C=0.0, lam=m, m=m,
+                    kernel_dim_even=1, kernel_dim_odd=0, fitted_C=0.0, m=m,
                     ambiguous=False, runtime_ms=0.0)
         return [spectral.SpectrumReport(**{**base, **change})]
 
