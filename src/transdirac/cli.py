@@ -23,15 +23,24 @@ bracket index that is not a nonnegative JSON integer, a name or scalar that
 is not a string, a zero denominator).
 
 Exit codes: 0 pass, 1 mathematical violation, 2 invalid input, 3 numerical
-failure (for `crosscheck`, an eigensolver that did not converge; for `gap`,
-no value above the kernel threshold in the whole lattice spectrum, or an
-ambiguous kernel cluster).  Reports are deterministic for a fixed seed:
-`gap` counts and bisects eigenvalues, and `crosscheck`'s eigensolver starts
-from fixed vectors (the runtime_ms column is measurement, not content).
+failure.  Each command returns its report, or raises; `main` alone maps the
+outcome to the exit code.  A `frame_geometry.ModelError` (a model file that
+cannot be read or is not admissible), an `operator_calculus.SetupError` and
+an `InputError` (a flag value outside what the command accepts) give 2, a
+`spectral.SolverError` gives 3 (for `crosscheck`, an eigensolver that did
+not converge; for `gap`, no value above the kernel threshold in the whole
+lattice spectrum, or an ambiguous kernel cluster): each prints `error: ...`
+and writes no report.  Any other exception is a bug and propagates.
+Reports are deterministic for a fixed seed: `gap` counts and bisects
+eigenvalues, and `crosscheck`'s eigensolver starts from fixed vectors (the
+runtime_ms column is measurement, not content).
 
 `gap` and `crosscheck` exit 2 on k < 0, on flux too dense for the grid
-(2kc/N^2 above --tol), and on a line bundle that is not positive for J
+(2k|c|/N^2 above --tol), and on a line bundle that is not positive for J
 (i B(v, Jv) > 0 fails, a degenerate B included): the theorem's hypothesis.
+`gap` checks the even kernel dimension against the Riemann-Roch count
+k|c|: c = i B_12 is the Chern number in the frame's orientation, and counted
+in J's orientation, in which a bundle positive for J has c > 0, it is |c|.
 
 Only `gap` and `crosscheck` compute in floating point.  `gap` does so in
 plain Python floats and does not load numpy, like `verify` and `fiber`;
@@ -60,6 +69,10 @@ EXIT_NUMERICAL = 3
 # Least accepted r(N)/r(2N) of `crosscheck`: second-order convergence of the
 # squared lattice D gives 4, a wrong flux sign or fiber term about 1.
 MIN_RATIO = 3.0
+
+
+class InputError(ValueError):
+    """A flag value outside what the command accepts (exit 2)."""
 
 
 def _k_range(text: str) -> tuple[int, int]:
@@ -112,34 +125,21 @@ def _emit(args: argparse.Namespace, payload: dict, csv_rows: list[dict]):
         sys.stdout.write(text)
 
 
-def _load_model(args: argparse.Namespace) -> fg.FrameModel | int:
-    try:
-        model = fg.resolve_model(args.model)
-    except fg.ModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+def _load_model(args: argparse.Namespace) -> fg.FrameModel:
+    model = fg.resolve_model(args.model)
     rep = fg.validate(model)
     for w in rep.warnings:
         print(f"warning: {w}", file=sys.stderr)
     if not rep.ok:
-        print(f"error: invalid model {model.name!r}: {rep.first_failure()}",
-              file=sys.stderr)
-        return EXIT_INVALID
+        raise fg.ModelError(f"invalid model {model.name!r}: {rep.first_failure()}")
     return model
 
 
 # ---------------------------------------------------------------------------
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[dict]]:
     model = _load_model(args)
-    if isinstance(model, int):
-        return model
-    k = args.k if model.line_b is not None else 0
-    try:
-        report = oc.verify_suite(model, k=k)
-    except (oc.SetupError, fg.ModelError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    report = oc.verify_suite(model, k=args.k)
     items = []
     rows = []
     for it in report.items:
@@ -162,68 +162,44 @@ def cmd_verify(args: argparse.Namespace) -> int:
     payload = {"command": "verify", "model": report.model, "k": report.k,
                "identities": items, "passed": report.all_passed,
                "identities_passed": report.counted_passes()}
-    _emit(args, payload, rows)
-    return EXIT_PASS if report.all_passed else EXIT_VIOLATION
+    return payload, rows
 
 
 def _lattice_scan(args: argparse.Namespace, require_bundle: bool) \
-        -> tuple[spec.FlatTorus, list[int]] | int:
+        -> tuple[spec.FlatTorus, list[int]]:
     """The flat torus and the k values of `gap` or `crosscheck` (k = 0 on a
-    model without a line bundle), or the exit code of an input they cannot
-    resolve."""
+    model without a line bundle)."""
     k_min, k_max = args.k
     if k_min > k_max:
-        print(f"error: empty k range {k_min}..{k_max}", file=sys.stderr)
-        return EXIT_INVALID
+        raise InputError(f"empty k range {k_min}..{k_max}")
     if args.N < 4 or args.N % 2:
-        print(f"error: N={args.N} must be even and >= 4", file=sys.stderr)
-        return EXIT_INVALID
-    model = _load_model(args)
-    if isinstance(model, int):
-        return model
-    try:
-        torus = spec.flat_torus(model)
-    except fg.ModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    if require_bundle and model.line_b is None:
-        print("error: gap scan requires a line bundle", file=sys.stderr)
-        return EXIT_INVALID
+        raise InputError(f"N={args.N} must be even and >= 4")
+    torus = spec.flat_torus(_load_model(args))
+    if require_bundle and torus.model.line_b is None:
+        raise InputError("gap scan requires a line bundle")
     if k_min < 0:
-        print(f"error: k={k_min} < 0: L^k then carries the reversed "
-              "curvature, outside the theorem's regime of positive powers",
-              file=sys.stderr)
-        return EXIT_INVALID
-    ks = list(range(k_min, k_max + 1)) if model.line_b is not None else [0]
+        raise InputError(f"k={k_min} < 0: L^k then carries the reversed curvature, "
+                         "outside the theorem's regime of positive powers")
+    ks = list(range(k_min, k_max + 1)) if torus.model.line_b is not None else [0]
     # The lattice lowers the gap by about 1.95*kc/N^2 relative to 2km
     # (measured for flux per plaquette kc/N^2 from 0.004 to 0.18), so a finer
     # --tol than 2*kc/N^2 cannot separate a violation from grid error.
     flux = max(abs(k * torus.c) for k in ks) / args.N ** 2
     if 2 * flux > args.tol:
-        print(f"error: under-resolved: flux per plaquette kc/N^2 = {flux:.4g} "
-              f"gives a lattice gap error near 2kc/N^2 = {2 * flux:.3g}, above "
-              f"--tol {args.tol:g}; increase N", file=sys.stderr)
-        return EXIT_INVALID
+        raise InputError(f"under-resolved: flux per plaquette kc/N^2 = {flux:.4g} "
+                         f"gives a lattice gap error near 2kc/N^2 = {2 * flux:.3g}, "
+                         f"above --tol {args.tol:g}; increase N")
     return torus, ks
 
 
-def cmd_gap(args: argparse.Namespace) -> int:
-    scan = _lattice_scan(args, require_bundle=True)
-    if isinstance(scan, int):
-        return scan
-    torus, ks = scan
-    c = torus.c
-    try:
-        reports = spec.gap_scan(torus, ks, args.N)
-    except spec.SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+def cmd_gap(args: argparse.Namespace) -> tuple[dict, list[dict]]:
+    torus, ks = _lattice_scan(args, require_bundle=True)
+    reports = spec.gap_scan(torus, ks, args.N)
     for r in reports:
         if r.ambiguous:
-            print(f"error: ambiguous kernel cluster at k={r.k}, N={r.N}: gap "
-                  f"{r.gap:.6g} lies within 4x the kernel threshold 2km/10",
-                  file=sys.stderr)
-            return EXIT_NUMERICAL
+            raise spec.SolverError(
+                f"ambiguous kernel cluster at k={r.k}, N={r.N}: gap {r.gap:.6g} "
+                "lies within 4x the kernel threshold 2km/10")
     rows = [r.row() for r in reports]
     ok = True
     notes = []
@@ -235,10 +211,10 @@ def cmd_gap(args: argparse.Namespace) -> int:
         if r.kernel_dim_odd != 0:
             ok = False
             notes.append(f"k={r.k}: odd kernel dimension {r.kernel_dim_odd} != 0")
-        if r.kernel_dim_even != r.k * c:
+        if r.kernel_dim_even != r.k * abs(torus.c):
             ok = False
             notes.append(f"k={r.k}: even kernel dimension {r.kernel_dim_even} "
-                         f"!= kc = {r.k * c} (Riemann-Roch)")
+                         f"!= k|c| = {r.k * abs(torus.c)} (Riemann-Roch)")
         target = 2 * r.k * r.m
         if r.gap < target * (1 - args.tol):
             ok = False
@@ -247,20 +223,16 @@ def cmd_gap(args: argparse.Namespace) -> int:
     fitted = max((r.fitted_C for r in reports), default=0.0)
     payload = {"command": "gap", "model": torus.model.name, "N": args.N,
                "rows": rows, "fitted_C": fitted, "notes": notes, "passed": ok}
-    _emit(args, payload, rows)
-    return EXIT_PASS if ok else EXIT_VIOLATION
+    return payload, rows
 
 
-def cmd_fiber(args: argparse.Namespace) -> int:
+def cmd_fiber(args: argparse.Namespace) -> tuple[dict, list[dict]]:
     if args.q % 2 or args.q < 2:
-        print("error: codimension must be even and >= 2", file=sys.stderr)
-        return EXIT_INVALID
+        raise InputError("codimension must be even and >= 2")
     if args.trials < 1:
-        print(f"error: trials={args.trials}: a battery of no pairs checks "
-              "nothing; give --trials >= 1", file=sys.stderr)
-        return EXIT_INVALID
-    rng = random.Random(args.seed)
-    result = cf.fiber_battery(rng, args.q, args.trials)
+        raise InputError(f"trials={args.trials}: a battery of no pairs checks "
+                         "nothing; give --trials >= 1")
+    result = cf.fiber_battery(random.Random(args.seed), args.q, args.trials)
     payload = {
         "command": "fiber", "q": args.q, "trials": result.trials,
         "seed": args.seed,
@@ -269,28 +241,18 @@ def cmd_fiber(args: argparse.Namespace) -> int:
         "failures": list(result.failures),
         "passed": result.ok,
     }
-    rows = [{"q": args.q, "trials": result.trials, "passed": result.ok}]
-    _emit(args, payload, rows)
-    return EXIT_PASS if result.ok else EXIT_VIOLATION
+    return payload, [{"q": args.q, "trials": result.trials, "passed": result.ok}]
 
 
-def cmd_crosscheck(args: argparse.Namespace) -> int:
-    scan = _lattice_scan(args, require_bundle=False)
-    if isinstance(scan, int):
-        return scan
-    torus, ks = scan
-    try:
-        rows = spec.crosscheck_rows(torus, ks, args.N)
-    except spec.SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+def cmd_crosscheck(args: argparse.Namespace) -> tuple[dict, list[dict]]:
+    torus, ks = _lattice_scan(args, require_bundle=False)
+    rows = spec.crosscheck_rows(torus, ks, args.N)
     for row in rows:
         row["ok"] = row["ratio"] >= MIN_RATIO
-    ok = all(row["ok"] for row in rows)
     payload = {"command": "crosscheck", "model": torus.model.name, "N": args.N,
-               "min_ratio": MIN_RATIO, "rows": rows, "passed": ok}
-    _emit(args, payload, rows)
-    return EXIT_PASS if ok else EXIT_VIOLATION
+               "min_ratio": MIN_RATIO, "rows": rows,
+               "passed": all(row["ok"] for row in rows)}
+    return payload, rows
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +303,16 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handler = {"verify": cmd_verify, "gap": cmd_gap,
                "fiber": cmd_fiber, "crosscheck": cmd_crosscheck}[args.command]
-    return handler(args)
+    try:
+        payload, csv_rows = handler(args)
+    except (fg.ModelError, oc.SetupError, InputError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except spec.SolverError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    _emit(args, payload, csv_rows)
+    return EXIT_PASS if payload["passed"] else EXIT_VIOLATION
 
 
 if __name__ == "__main__":  # pragma: no cover

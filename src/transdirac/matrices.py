@@ -57,11 +57,6 @@ class Mat:
                 entries[(i, j)] = Scalar.of(v)
         return Mat(n, m, entries)
 
-    @staticmethod
-    def diag(values) -> "Mat":
-        vals = [Scalar.of(v) for v in values]
-        return Mat(len(vals), len(vals), {(i, i): v for i, v in enumerate(vals)})
-
     # -- access --------------------------------------------------------------
 
     def entry(self, i: int, j: int) -> Scalar:

@@ -30,7 +30,8 @@ def spinor_action(f, J: ComplexStructure) -> Mat:
 def grading_matrix(l: int) -> Mat:
     """Parity operator of the exterior algebra on l generators: +1 on even
     degrees, -1 on odd."""
-    return Mat.diag([-ONE if mask.bit_count() & 1 else ONE for mask in range(1 << l)])
+    return Mat(1 << l, 1 << l,
+               {(i, i): -ONE if i.bit_count() & 1 else ONE for i in range(1 << l)})
 
 
 def divergence_closed_horizontal(model: FrameModel, a: int) -> Scalar:

@@ -188,6 +188,55 @@ def test_line_bundle_not_positive_for_j_exits_2_on_the_lattice(capsys, tmp_path,
     assert errors == [errors[0]] * 2
 
 
+def test_line_bundle_positive_for_a_reversed_j_passes_on_the_lattice(capsys, tmp_path):
+    """t3_landau mirrored: J and B both reversed, so B is positive for J and
+    its Chern number i B_12 = -1 is negative in the frame's orientation.
+    Riemann-Roch counts k|c| even kernel states, not k*c."""
+    path = write_landau(tmp_path, "t3_mirrored", J=[["0", "1"], ["-1", "0"]],
+                        line_bundle={"B": [["0", "1i"], ["-1i", "0"]]})
+    code, out = run_cli(capsys, "gap", "--model", path, "--k", "1..2", "--N", "16")
+    assert code == cli.EXIT_PASS, out
+    report = json.loads(out)
+    assert [(r["kernel_even"], r["kernel_odd"]) for r in report["rows"]] == [(1, 0), (2, 0)]
+    assert report["notes"] == []
+    code, out = run_cli(capsys, "crosscheck", "--model", path, "--k", "1..2", "--N", "16")
+    assert code == cli.EXIT_PASS, out
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (("verify", "--model", "sol"), oc, "verify_suite"),
+    (("gap", "--model", "t3_landau", "--k", "1", "--N", "16"), cli.spec, "gap_scan"),
+    (("crosscheck", "--model", "t3_landau", "--k", "1", "--N", "16"),
+     cli.spec, "crosscheck_rows"),
+], ids=["verify", "gap", "crosscheck"])
+@pytest.mark.parametrize("error, code", [(oc.SetupError, cli.EXIT_INVALID),
+                                         (cli.spec.SolverError, cli.EXIT_NUMERICAL)],
+                         ids=["setup", "solver"])
+def test_every_command_maps_typed_errors_to_one_exit_code(
+        capsys, monkeypatch, argv, module, name, error, code):
+    """Each command's computation may raise; `main` turns a setup error
+    into exit 2 and a solver failure into exit 3, with no report."""
+    def fail(*args, **kwargs):
+        raise error("injected failure")
+
+    monkeypatch.setattr(module, name, fail)
+    assert cli.main(list(argv)) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: injected failure\n"
+
+
+def test_an_unmapped_exception_propagates(capsys, monkeypatch):
+    """An exception outside the mapping is a bug, not an exit code."""
+    def fail(*args):
+        raise cf.IncompatiblePair("injected failure")
+
+    monkeypatch.setattr(cf, "fiber_battery", fail)
+    with pytest.raises(cf.IncompatiblePair, match="injected failure"):
+        cli.main(["fiber", "--q", "2", "--trials", "1"])
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("changes, reason", [
     ({"brackets": [[2, 3, 1, "1/0"]]}, "zero denominator"),
     ({"J": [["0", "-1/0"], ["1", "0"]]}, "zero denominator"),

@@ -82,7 +82,7 @@ def test_inertia_matches_numpy_on_singular_and_indefinite(n):
         X = random_int_mat(rng, n)
         if abs(np.linalg.det(to_numpy(X))) < 0.5:
             continue
-        D = Mat.diag([rational(rng.choice((-3, -1, 0, 0, 1, 2))) for _ in range(n)])
+        D = Mat(n, n, {(i, i): rational(rng.choice((-3, -1, 0, 0, 1, 2))) for i in range(n)})
         H = X @ D @ X.dagger()
         signs = [float(v) for v in (D.entry(i, i) for i in range(n))]
         want = (sum(v > 0 for v in signs), signs.count(0.0), sum(v < 0 for v in signs))

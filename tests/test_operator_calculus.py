@@ -286,7 +286,7 @@ def test_suite_with_rank_two_twist():
     (b), (c) and (i) hold for any twisting connection, not only for L^k."""
     m = fg.load_bundled("heisenberg")
     t1 = Mat.from_rows([[0, 1], [-1, 0]])             # real antisymmetric
-    t2 = Mat.diag([I, -I])                            # imaginary diagonal
+    t2 = Mat(2, 2, {(0, 0): I, (1, 1): -I})           # imaginary diagonal
     theta = (t1, t2, t1.scale(rational(1, 2)))
     s = eo.twisted_spinor_setup(m, 1, theta)
     W = oc.twisting_curvature(s, 0, 1)
