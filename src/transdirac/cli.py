@@ -25,7 +25,8 @@ is not a string, a zero denominator).
 Exit codes: 0 pass, 1 mathematical violation, 2 invalid input, 3 numerical
 failure.  Each command returns its report, or raises; `main` alone maps the
 outcome to the exit code.  A `frame_geometry.ModelError` (a model file that
-cannot be read or is not admissible), an `operator_calculus.SetupError` and
+cannot be read, is not admissible, or lies outside the lattice commands'
+flat q = 2 torus or positive bundle), an `operator_calculus.SetupError` and
 an `InputError` (a flag value outside what the command accepts) give 2, a
 `spectral.SolverError` gives 3 (for `crosscheck`, an eigensolver that did
 not converge; for `gap`, no value above the kernel threshold in the whole
