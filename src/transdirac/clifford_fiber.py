@@ -8,13 +8,17 @@ action is a matrix on that basis; the two fibers in play are
   Clifford algebra acts by c(f) = ext(f*) - int(f), and
 * the spinor fiber attached to an orthogonal complex structure J: the
   exterior algebra on the l = q/2 anti-holomorphic covectors, on which
-  c(f) = sqrt(2) (ext of the (1,0)-part dual - int of the (0,1)-part),
-  built from ext/int on the l generators (`spinor_cliffords`).
+  c(f) = sqrt(2) (ext of the (1,0)-part dual - int of the (0,1)-part).
+  `spinor_cliffords` writes each c(f_a) straight from the mask moves of
+  ext_j and int_j on the l generators (positions and signs, cached per l
+  by `_mask_moves`), with chi_ja and -conj(chi_ja) as values.
 
 A vector v acts through the generators by linearity, c(v) = sum_a v_a c(f_a)
 (`vector_action`), a two-form X by sum_{a<b} X_ab c(f_a) c(f_b)
-(`pair_action`), and a skew endomorphism A through its spin lift
-(1/4) sum A_gb c(f_b) c(f_g), which is -(1/2) pair_action(A) (`spin_lift`).
+(`pair_action`, as sum_a c(f_a) (sum_{b>a} X_ab c(f_b)): q - 1 matrix
+products, summed with one reduction per entry), and a skew endomorphism A
+through its spin lift (1/4) sum A_gb c(f_b) c(f_g), which is
+-(1/2) pair_action(A) (`spin_lift`).
 Multivector and Clifford-element arithmetic is not part of the package:
 tests/multivector_oracle.py computes the same actions term by term, as an
 independent oracle for these matrices.
@@ -29,10 +33,10 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from fractions import Fraction
+from functools import cache
 
 from .exact import I, ONE, SQRT2, ZERO, Scalar, rational
-from .matrices import Mat, accumulate, apply_to_vector
+from .matrices import Mat, accumulate, apply_to_vector, combination, product_sum
 
 
 class DegenerateCurvature(ValueError):
@@ -67,46 +71,50 @@ def int_bit(mask: int, j: int) -> tuple[int, int]:
     return mask & ~bit, _sign_below(mask, j)
 
 
-def _bit_matrix(n_gen: int, j: int, action) -> Mat:
-    dim = 1 << n_gen
-    entries = {}
-    for mask in range(dim):
-        new, sg = action(mask, j)
-        if sg:
-            entries[(new, mask)] = rational(sg)
-    return Mat(dim, dim, entries)
+@cache
+def _mask_moves(n_gen: int) -> tuple:
+    """Per generator j of the exterior algebra on n_gen generators, the
+    positions (new, mask) of the +1 and of the -1 entries of ext_j and of
+    int_j: ((ext_plus, ext_minus), (int_plus, int_minus)), masks ascending."""
+    def moves(action, j):
+        moved = [(action(mask, j), mask) for mask in range(1 << n_gen)]
+        return tuple(tuple((new, mask) for (new, sg), mask in moved if sg == sign)
+                     for sign in (1, -1))
+    return tuple((moves(ext_bit, j), moves(int_bit, j)) for j in range(n_gen))
+
+
+def _sign_matrix(n_gen: int, moves) -> Mat:
+    plus, minus = moves
+    return Mat._of(1 << n_gen, 1 << n_gen,
+                   {**dict.fromkeys(plus, ONE), **dict.fromkeys(minus, -ONE)})
 
 
 def ext_matrix(n_gen: int, j: int) -> Mat:
     """Wedge by generator j (0-based) on the exterior algebra of n_gen."""
-    return _bit_matrix(n_gen, j, ext_bit)
+    return _sign_matrix(n_gen, _mask_moves(n_gen)[j][0])
 
 
 def int_matrix(n_gen: int, j: int) -> Mat:
     """Contraction by generator j (0-based) on the exterior algebra of n_gen."""
-    return _bit_matrix(n_gen, j, int_bit)
+    return _sign_matrix(n_gen, _mask_moves(n_gen)[j][1])
 
 
 def vector_action(vec, gens: tuple[Mat, ...]) -> Mat:
     """sum_a vec_a gens[a]: the action of the vector with components `vec`
     through the actions `gens` of the basis vectors (Clifford, wedge or
     contraction alike)."""
-    acc = Mat.zero(gens[0].n)
-    for a, comp in enumerate(vec):
-        comp = Scalar.of(comp)
-        if not comp.is_zero():
-            acc = acc + gens[a].scale(comp)
-    return acc
+    return combination(vec, gens)
 
 
 def pair_action(X: Mat, cliffords: tuple[Mat, ...]) -> Mat:
     """sum_{a<b} X_ab c(f_a) c(f_b); for an antisymmetric X this is
-    (1/2) sum_{a,b} X_ab c(f_a) c(f_b)."""
-    acc = Mat.zero(cliffords[0].n)
-    for (a, b), coeff in X.d.items():
-        if a < b:
-            acc = acc + (cliffords[a] @ cliffords[b]).scale(coeff)
-    return acc
+    (1/2) sum_{a,b} X_ab c(f_a) c(f_b).  Computed as
+    sum_a c(f_a) (sum_{b>a} X_ab c(f_b)): q - 1 matrix products, summed
+    with one reduction per entry, reading the upper triangle of X only."""
+    q = len(cliffords)
+    return product_sum(
+        (cliffords[a], vector_action([X.entry(a, b) for b in range(a + 1, q)], cliffords[a + 1:]))
+        for a in range(q - 1))
 
 
 def spin_lift(A: Mat, cliffords: tuple[Mat, ...]) -> Mat:
@@ -125,6 +133,21 @@ def standard_j_matrix(q: int) -> Mat:
         entries[(2 * j + 1, 2 * j)] = ONE       # J f_{2j+1} = f_{2j+2}
         entries[(2 * j, 2 * j + 1)] = -ONE      # J f_{2j+2} = -f_{2j+1}
     return Mat(q, q, entries)
+
+
+def _times_block_skew(O: Mat, betas) -> Mat:
+    """O S for the block-diagonal skew S with S[2j, 2j+1] = betas[j] =
+    -S[2j+1, 2j], as column moves: column 2j+1 of O S is betas[j] times
+    column 2j of O, and column 2j is -betas[j] times column 2j+1.  The
+    standard J0 has betas -1, `block_two_form(mus)` has betas -i mu_j."""
+    d = {}
+    for (i, a), v in O.d.items():
+        beta = betas[a // 2]
+        if a % 2:
+            d[(i, a - 1)] = -(v * beta)
+        else:
+            d[(i, a + 1)] = v * beta
+    return Mat._of(O.n, O.m, d)
 
 
 def _dot(u: tuple[Scalar, ...], v: tuple[Scalar, ...]) -> Scalar:
@@ -152,14 +175,14 @@ class ComplexStructure:
         if jmat.m != q:
             raise ValueError("J must be square")
         eye = Mat.identity(q)
-        if jmat @ jmat != eye.scale(rational(-1)):
+        if jmat @ jmat != Mat.scalar(q, -ONE):
             raise ValueError("J^2 != -Identity")
         if jmat.transpose() @ jmat != eye:
             raise ValueError("J not orthogonal")
         if len(frame) != q:
             raise ValueError("adapted frame must have q vectors")
-        fmat = Mat(q, q, {(i, a): frame[a][i] for a in range(q)
-                          for i in range(q) if not frame[a][i].is_zero()})
+        fmat = Mat._of(q, q, {(i, a): frame[a][i] for a in range(q)
+                              for i in range(q) if frame[a][i]})
         if fmat.transpose() @ fmat != eye:
             raise ValueError("adapted frame not orthonormal")
         jf = jmat @ fmat
@@ -188,10 +211,11 @@ class ComplexStructure:
     def from_orthogonal(O: Mat) -> "ComplexStructure":
         """Conjugate the standard structure: J = O J0 O^T, frame = columns of O."""
         q = O.n
-        j0 = standard_j_matrix(q)
-        jm = O @ j0 @ O.transpose()
-        frame = tuple(tuple(O.entry(i, a) for i in range(q)) for a in range(q))
-        return ComplexStructure(jm, frame)
+        jm = _times_block_skew(O, [-ONE] * (q // 2)) @ O.transpose()
+        columns = [[ZERO] * q for _ in range(q)]
+        for (i, a), v in O.d.items():
+            columns[a][i] = v
+        return ComplexStructure(jm, tuple(map(tuple, columns)))
 
     @staticmethod
     def from_matrix(jmat: Mat) -> "ComplexStructure":
@@ -230,15 +254,25 @@ class ComplexStructure:
 def spinor_cliffords(J: ComplexStructure) -> tuple[Mat, ...]:
     """c(f_a) for the standard basis vectors, a = 1..q.  In the adapted frame
     the sqrt2 cancels: c(f_a) = sum_j chi_ja ext_j - conj(chi_ja) int_j with
-    chi_ja = g(f_a, v_j) + i g(f_a, J v_j), a lookup of frame components."""
+    chi_ja = g(f_a, v_j) + i g(f_a, J v_j), a lookup of frame components.
+
+    No two of the ext/int moves `_mask_moves(l)` share a matrix position, so
+    each entry of c(f_a) is +-chi_ja (ext_j) or -+conj(chi_ja) (int_j),
+    written where its move puts it."""
     l = J.l
-    ext = tuple(ext_matrix(l, j) for j in range(l))
-    cont = tuple(int_matrix(l, j) for j in range(l))
     out = []
     for a in range(J.q):
-        chi = [J.frame[2 * j][a] + I * J.frame[2 * j + 1][a] for j in range(l)]
-        out.append(vector_action(chi, ext)
-                   - vector_action([x.conjugate() for x in chi], cont))
+        d = {}
+        for j, ((ext_plus, ext_minus), (int_plus, int_minus)) in enumerate(_mask_moves(l)):
+            x, y = J.frame[2 * j][a], J.frame[2 * j + 1][a]
+            chi = x + I * y if y else x
+            if chi:
+                bar = chi.conjugate()
+                d.update(dict.fromkeys(ext_plus, chi))
+                d.update(dict.fromkeys(ext_minus, -chi))
+                d.update(dict.fromkeys(int_plus, -bar))
+                d.update(dict.fromkeys(int_minus, bar))
+        out.append(Mat._of(1 << l, 1 << l, d))
     return tuple(out)
 
 
@@ -332,7 +366,7 @@ def skew_invariants(B: Mat) -> tuple[tuple[Scalar, ...], Scalar, Scalar]:
         if not y.is_real() or y.sign() <= 0:
             raise DegenerateCurvature("degenerate curvature: nonpositive mu^2")
         mus.append(y.sqrt())
-    mus.sort(key=lambda s: float(s), reverse=True)
+    mus.sort(reverse=True)  # exact order: distinct mus may round to one float
     return tuple(mus), sum(mus, ZERO), mus[-1]
 
 
@@ -387,11 +421,11 @@ def odd_lower_bound(A: Mat, mus: tuple[Scalar, ...]) -> OddBoundReport:
     its inertia: the bound holds when no eigenvalue is negative, and is
     attained when one is zero."""
     lam = sum(mus, ZERO)
-    m = min(mus, key=float)
-    bound = rational(2) * m - lam
+    m = min(mus)  # exact order, as in `skew_invariants`
+    bound = m + m - lam
     _, odd = parity_indices(A.n.bit_length() - 1)
     sub = A.submatrix(odd, odd)
-    _, zero, negative = (sub - Mat.identity(sub.n).scale(bound)).inertia()
+    _, zero, negative = (sub - Mat.scalar(sub.n, bound)).inertia()
     return OddBoundReport(bound=bound, lam=lam, m=m, psd_ok=negative == 0,
                           attained=zero > 0)
 
@@ -399,33 +433,48 @@ def odd_lower_bound(A: Mat, mus: tuple[Scalar, ...]) -> OddBoundReport:
 # ---------------------------------------------------------------------------
 # random exact data for batteries
 
+_HALF_SQRT2 = SQRT2 * rational(1, 2)
+
+
 def random_orthogonal(rng: random.Random, q: int) -> Mat:
     """Exact orthogonal matrix: two rational Givens rotations, each
     occasionally a sqrt2/2 rotation, and a signed permutation.
 
     Two rounds with small tangents keep downstream fraction heights low;
-    the signed permutation still mixes every coordinate."""
-    O = Mat.identity(q)
-    half_sqrt2 = SQRT2 * rational(1, 2)
+    the signed permutation still mixes every coordinate.  The rotations act
+    on the columns of the identity and the permutation on its rows, as the
+    products P G1 G2 would."""
+    O = {(a, a): ONE for a in range(q)}
     for _ in range(2):
         i, j = rng.sample(range(q), 2)
         if rng.random() < 0.25:
-            c, s = half_sqrt2, half_sqrt2
+            c, s = _HALF_SQRT2, _HALF_SQRT2
         else:
-            t = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-            c = rational(1 - t * t) / rational(1 + t * t)
-            s = rational(2 * t) / rational(1 + t * t)
-        G = {(a, a): ONE for a in range(q) if a not in (i, j)}
-        G[(i, i)] = c
-        G[(j, j)] = c
-        G[(i, j)] = -s
-        G[(j, i)] = s
-        O = O @ Mat(q, q, G)
+            num = rng.randint(-3, 3)  # tangent t = num / den
+            den = rng.randint(1, 3)
+            norm = den * den + num * num
+            c = rational(den * den - num * num, norm)
+            s = rational(2 * num * den, norm)
+        for r in range(q):  # columns i, j of O times [[c, -s], [s, c]]
+            x, y = O.pop((r, i), None), O.pop((r, j), None)
+            if x is None:
+                if y is None:
+                    continue
+                new = (s * y, c * y)
+            elif y is None:
+                new = (c * x, -(s * x))
+            else:
+                new = (c * x + s * y, c * y - s * x)
+            for col, v in zip((i, j), new):
+                if v:
+                    O[(r, col)] = v
     perm = list(range(q))
     rng.shuffle(perm)
     signs = [rng.choice((1, -1)) for _ in range(q)]
-    P = Mat(q, q, {(perm[a], a): rational(signs[a]) for a in range(q)})
-    return P @ O
+    # row r moves to row perm[r], times signs[r]
+    return Mat._of(q, q, {(perm[r], col): v if signs[r] == 1 else -v
+                          for (r, col), v in O.items()})
+
 
 
 def random_mu(rng: random.Random) -> Scalar:
@@ -457,8 +506,7 @@ def random_compatible_pair(rng: random.Random, q: int) \
     mus = tuple(random_mu(rng) for _ in range(q // 2))
     O = random_orthogonal(rng, q)
     J = ComplexStructure.from_orthogonal(O)
-    B0 = block_two_form(mus)
-    B = O @ B0 @ O.transpose()
+    B = _times_block_skew(O, [-I * mu for mu in mus]) @ O.transpose()
     return B, J, mus
 
 
@@ -486,7 +534,7 @@ def fiber_battery(rng: random.Random, q: int, trials: int) -> BatteryResult:
     for trial in range(trials):
         B, J, mus = random_compatible_pair(rng, q)
         lam = trace_plus(B, J)
-        A = two_form_action(B, J)
+        A = pair_action(B, spinor_cliffords(J))  # two_form_action(B, J); trace_plus validated B
         rep = check_rl1(A, lam)
         if not rep.exact_zero or lam != sum(mus, ZERO):
             all_exact = False

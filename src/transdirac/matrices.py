@@ -1,8 +1,17 @@
 """Sparse exact matrices over the scalar field, plus eigen-free certificates.
 
 The matrices stay small (fiber dimensions up to 2^q and frame dimensions
-up to p+q), so all products are done entry-exactly.  Spectral facts about
-Hermitian matrices are certified without extracting eigenvalues:
+up to p+q), so all products are done entry-exactly.  One kernel,
+`_add_scaled`, serves `@`, sums of products (`product_sum`) and linear
+combinations (`combination`): every entry of the result is summed as four
+unreduced integer numerators over one denominator (a product of Gaussian
+rationals skips the sqrt2 terms, a product of reals the imaginary ones),
+then reduced once by `exact._reduced`.  That is one gcd and one Scalar per
+entry, where a Scalar loop makes one per product and one per partial sum;
+entries that sum to zero are not stored.
+
+Spectral facts about Hermitian matrices are certified without extracting
+eigenvalues:
 
 * characteristic polynomials via the trace recursion (Faddeev-LeVerrier),
 * the inertia (eigenvalue sign counts) by Descartes' rule of signs over
@@ -13,7 +22,7 @@ Hermitian matrices are certified without extracting eigenvalues:
 
 from __future__ import annotations
 
-from .exact import ONE, ZERO, Scalar
+from .exact import ONE, ZERO, Scalar, _reduced
 
 
 class Mat:
@@ -39,11 +48,17 @@ class Mat:
 
     @staticmethod
     def zero(n: int) -> "Mat":
-        return Mat(n, n)
+        return Mat._of(n, n, {})
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat(n, n, {(i, i): ONE for i in range(n)})
+        return Mat.scalar(n, ONE)
+
+    @staticmethod
+    def scalar(n: int, s) -> "Mat":
+        """s times the n x n identity."""
+        s = Scalar.of(s)
+        return Mat._of(n, n, dict.fromkeys(zip(range(n), range(n)), s) if s else {})
 
     @staticmethod
     def from_rows(rows) -> "Mat":
@@ -120,29 +135,19 @@ class Mat:
     __rmul__ = __mul__
 
     def __matmul__(self, other: "Mat") -> "Mat":
-        if self.m != other.n:
-            raise ValueError(f"shape mismatch {self.n}x{self.m} @ {other.n}x{other.m}")
-        rows_other: dict[int, list[tuple[int, Scalar]]] = {}
-        for (k, j), v in other.d.items():
-            rows_other.setdefault(k, []).append((j, v))
-        acc: dict[tuple[int, int], Scalar] = {}
-        for (i, k), u in self.d.items():
-            row = rows_other.get(k)
-            if row is None:
-                continue
-            for j, v in row:
-                key = (i, j)
-                prod = u * v
-                s = acc.get(key)
-                acc[key] = prod if s is None else s + prod
-        return Mat(self.n, other.m, acc)
+        return product_sum(((self, other),))
+
+    @staticmethod
+    def _of(n: int, m: int, d: dict) -> "Mat":
+        """An n x m Mat holding `d` as is: its values must be nonzero Scalars."""
+        out = _alloc(Mat)
+        _set_n(out, n)
+        _set_m(out, m)
+        _set_d(out, d)
+        return out
 
     def _wrap(self, d: dict) -> "Mat":
-        out = object.__new__(Mat)
-        object.__setattr__(out, "n", self.n)
-        object.__setattr__(out, "m", self.m)
-        object.__setattr__(out, "d", d)
-        return out
+        return Mat._of(self.n, self.m, d)
 
     def _shape_check(self, other: "Mat"):
         if self.n != other.n or self.m != other.m:
@@ -151,10 +156,10 @@ class Mat:
     # -- involutions -------------------------------------------------------------
 
     def transpose(self) -> "Mat":
-        return Mat(self.m, self.n, {(j, i): v for (i, j), v in self.d.items()})
+        return Mat._of(self.m, self.n, {(j, i): v for (i, j), v in self.d.items()})
 
     def dagger(self) -> "Mat":
-        return Mat(self.m, self.n, {(j, i): v.conjugate() for (i, j), v in self.d.items()})
+        return Mat._of(self.m, self.n, {(j, i): v.conjugate() for (i, j), v in self.d.items()})
 
     # -- scalar-valued maps -----------------------------------------------------
 
@@ -178,23 +183,26 @@ class Mat:
         return self == self.transpose()
 
     def is_antisymmetric(self) -> bool:
-        return (self + self.transpose()).is_zero()
+        return self == -self.transpose()
 
     # -- polynomial certificates ---------------------------------------------------
 
     def charpoly(self) -> list[Scalar]:
-        """Coefficients [c0..cn] of det(xI - A) = sum c_k x^(n-k), c0 = 1."""
+        """Coefficients [c0..cn] of det(xI - A) = sum c_k x^(n-k), c0 = 1.
+
+        Faddeev-LeVerrier: M_1 = I, c_k = -tr(A M_k)/k, M_{k+1} = A M_k + c_k I.
+        Only the products A M_k are kept: A M_{k+1} = A (A M_k) + c_k A, one
+        `product_sum` per step."""
         if self.n != self.m:
             raise ValueError("charpoly of a non-square matrix")
         n = self.n
-        eye = Mat.identity(n)
         coeffs = [ONE]
-        M = eye
+        AM = self
         for k in range(1, n + 1):
-            Mk = self @ M
-            ck = -(Mk.trace() / k)
+            ck = -(AM.trace() / k)
             coeffs.append(ck)
-            M = Mk + eye.scale(ck)
+            if k < n:
+                AM = product_sum(((self, AM), (Mat.scalar(n, ck), self)))
         return coeffs
 
     def submatrix(self, rows, cols) -> "Mat":
@@ -204,7 +212,7 @@ class Mat:
         for (i, j), v in self.d.items():
             if i in rset and j in cset:
                 entries[(rset[i], cset[j])] = v
-        return Mat(len(rows), len(cols), entries)
+        return Mat._of(len(rows), len(cols), entries)
 
     def inertia(self) -> tuple[int, int, int]:
         """(positive, zero, negative) eigenvalue counts of a Hermitian matrix:
@@ -264,6 +272,106 @@ class Mat:
             ", ".join(str(v) for v in row) for row in self.rows()
         )
         return f"Mat[{self.n}x{self.m}]({body})"
+
+
+_alloc = object.__new__
+_set_n, _set_m, _set_d = Mat.n.__set__, Mat.m.__set__, Mat.d.__set__
+
+
+def product_sum(pairs) -> Mat:
+    """sum of L @ R over the (L, R) in `pairs` (at least one, all of one
+    shape), each entry reduced once."""
+    acc: dict[int, list[int]] = {}
+    shape = None
+    for L, R in pairs:
+        if L.m != R.n:
+            raise ValueError(f"shape mismatch {L.n}x{L.m} @ {R.n}x{R.m}")
+        if shape is None:
+            shape = (L.n, R.m)
+        elif shape != (L.n, R.m):
+            raise ValueError(f"summed products of shapes {shape} and {(L.n, R.m)}")
+        m = R.m
+        rows: dict[int, list] = {}
+        for (k, j), v in R.d.items():
+            rows.setdefault(k, []).append((j, v._v))
+        for (i, k), u in L.d.items():
+            row = rows.get(k)
+            if row is not None:
+                _add_scaled(acc, u._v, i * m, row)
+    return _collect(*shape, acc)
+
+
+def combination(coeffs, mats) -> Mat:
+    """sum_a coeffs[a] mats[a], each entry reduced once; the coefficients
+    are Scalars, ints or Fractions."""
+    n, m = mats[0].n, mats[0].m
+    acc: dict[int, list[int]] = {}
+    for coeff, M in zip(coeffs, mats):
+        coeff = Scalar.of(coeff)
+        if coeff:
+            _add_scaled(acc, coeff._v, 0, [(i * m + j, v._v) for (i, j), v in M.d.items()])
+    return _collect(n, m, acc)
+
+
+def _add_scaled(acc: dict[int, list[int]], u: tuple[int, ...], base: int, row) -> None:
+    """acc[base + j] += u * v for the (j, v) in `row`, with u and each v a
+    Scalar's `_v` tuple; the key of entry (i, j) of an n x m sum is i*m + j.
+    A sum is kept as the list [a, b, c, d, den] of its unreduced numerators
+    over one denominator: equal denominators add numerators, and one
+    denominator dividing the other scales only one side."""
+    a, b, c, d, e = u
+    get = acc.get
+    for j, (p, q, r, s, f) in row:
+        if not (b or d or q or s):  # Gaussian rationals
+            x = a * p - c * r
+            z = a * r + c * p
+            y = w = 0
+        elif not (c or d or r or s):  # real
+            x = a * p + 2 * b * q
+            y = a * q + b * p
+            z = w = 0
+        else:
+            x = a * p + 2 * b * q - c * r - 2 * d * s
+            y = a * q + b * p - c * s - d * r
+            z = a * r + 2 * b * s + c * p + 2 * d * q
+            w = a * s + b * r + c * q + d * p
+        g = e * f
+        key = base + j
+        t = get(key)
+        if t is None:
+            acc[key] = [x, y, z, w, g]
+            continue
+        h = t[4]
+        if h == g:
+            pass
+        elif h % g == 0:
+            g = h // g
+            x, y, z, w = x * g, y * g, z * g, w * g
+        elif g % h == 0:
+            h = g // h
+            t[0] *= h
+            t[1] *= h
+            t[2] *= h
+            t[3] *= h
+            t[4] = g
+        else:
+            t[0] *= g
+            t[1] *= g
+            t[2] *= g
+            t[3] *= g
+            t[4] = g * h
+            x, y, z, w = x * h, y * h, z * h, w * h
+        t[0] += x
+        t[1] += y
+        t[2] += z
+        t[3] += w
+
+
+def _collect(n: int, m: int, acc: dict[int, list[int]]) -> Mat:
+    """The n x m Mat of the sums of `_add_scaled`, each reduced once; sums
+    that are zero are dropped."""
+    return Mat._of(n, m, {divmod(key, m): _reduced(x, y, z, w, g)
+                          for key, (x, y, z, w, g) in acc.items() if x or y or z or w})
 
 
 def accumulate(store: dict, key, value):

@@ -15,6 +15,33 @@ from transdirac.frame_geometry import (FrameModel, derive_connection, levi_civit
 from transdirac.matrices import Mat, accumulate
 
 
+def naive_matmul(L: Mat, R: Mat) -> Mat:
+    """L @ R as one Scalar product and one Scalar sum per term, each
+    reduced as it is made: an oracle for the one-reduction
+    `Mat.__matmul__`."""
+    rows: dict[int, list[tuple[int, Scalar]]] = {}
+    for (k, j), v in R.d.items():
+        rows.setdefault(k, []).append((j, v))
+    acc: dict[tuple[int, int], Scalar] = {}
+    for (i, k), u in L.d.items():
+        for j, v in rows.get(k, ()):
+            prod = u * v
+            s = acc.get((i, j))
+            acc[(i, j)] = prod if s is None else s + prod
+    return Mat(L.n, R.m, acc)
+
+
+def pair_action_by_pairs(X: Mat, cliffords: tuple[Mat, ...]) -> Mat:
+    """sum_{a<b} X_ab c(f_a) c(f_b) with one product per pair a < b of the
+    upper triangle of X: an oracle for `clifford_fiber.pair_action`, which
+    takes q - 1 products."""
+    acc = Mat.zero(cliffords[0].n)
+    for (a, b), coeff in X.d.items():
+        if a < b:
+            acc = acc + naive_matmul(cliffords[a], cliffords[b]).scale(coeff)
+    return acc
+
+
 def random_rational(rng: random.Random, max_num: int = 9, max_den: int = 6) -> Scalar:
     return rational(rng.randint(-max_num, max_num), rng.randint(1, max_den))
 

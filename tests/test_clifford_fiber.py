@@ -1,7 +1,9 @@
 """Clifford/exterior fiber algebra: relations, spinor module, curvature facts."""
 
+import hashlib
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -152,9 +154,35 @@ def test_standard_structure_and_validation():
     J = cf.ComplexStructure.standard(4)
     assert J.l == 2
     with pytest.raises(ValueError):
-        cf.ComplexStructure(Mat.identity(2), J.frame[:2])  # J^2 != -1
-    with pytest.raises(ValueError):
         cf.ComplexStructure.standard(3)
+
+
+_E0, _E1 = (ONE, ZERO), (ZERO, ONE)
+
+
+@pytest.mark.parametrize("jmat, frame, message", [
+    (Mat.identity(2), (_E0, _E1), "J\\^2"),
+    (Mat.from_rows([[1, -2], [1, -1]]), (_E0, _E1), "not orthogonal"),   # J^2 = -1
+    (cf.standard_j_matrix(2), ((rational(2), ZERO), (ZERO, rational(2))), "not orthonormal"),
+    (cf.standard_j_matrix(2), (_E0, (ZERO, -ONE)), "not J-adapted"),
+])
+def test_complex_structure_rejects(jmat, frame, message):
+    """Each of the four checks raises on an input that passes the ones
+    before it."""
+    with pytest.raises(ValueError, match=message):
+        cf.ComplexStructure(jmat, frame)
+
+
+def test_check_compatible_checks_stand_alone():
+    """B(J., J.) = B is read off J and B alone, and K J symmetric is checked
+    even for a J that skipped ComplexStructure's checks (J = I here: for a
+    true complex structure it follows from the invariance)."""
+    B = Mat(4, 4, {(0, 2): -I, (2, 0): I})  # couples f1 and f3, not J-invariant
+    with pytest.raises(cf.IncompatiblePair, match="B\\(J., J.\\)"):
+        cf.check_compatible(B, cf.ComplexStructure.standard(4))
+    fake = SimpleNamespace(jmat=Mat.identity(2))
+    with pytest.raises(cf.IncompatiblePair, match="K J not symmetric"):
+        cf.check_compatible(cf.block_two_form([ONE]), fake)
 
 
 def test_from_matrix_builds_adapted_frame():
@@ -227,6 +255,47 @@ def test_spinor_cliffords_match_mask_loops(J):
     assert cf.spinor_cliffords(J) == mv.spinor_cliffords_by_masks(J)
 
 
+def random_field_mat(rng, q, antisymmetric):
+    def field_entry():
+        return (eo.random_rational(rng, 3, 4) + I * eo.random_rational(rng, 3, 4)
+                + SQRT2 * eo.random_rational(rng, 2, 3))
+    X = Mat(q, q, {(a, b): field_entry() for a in range(q) for b in range(q)
+                   if rng.random() < 0.7})
+    return X - X.transpose() if antisymmetric else X
+
+
+@pytest.mark.parametrize("J", SPINOR_STRUCTURES,
+                         ids=[f"q{J.q}-frame{i % 3}" for i, J in enumerate(SPINOR_STRUCTURES)])
+def test_pair_action_matches_pair_loop(J):
+    """q - 1 products equal the q(q-1)/2 pair products on any X: the
+    upper triangle alone is read, so a non-antisymmetric X gives the same
+    matrix as the pair loop."""
+    rng = random.Random(J.q)
+    cs = cf.spinor_cliffords(J)
+    for antisymmetric in (True, False):
+        X = random_field_mat(rng, J.q, antisymmetric)
+        assert cf.pair_action(X, cs) == eo.pair_action_by_pairs(X, cs)
+
+
+# SHA-256 over every trial's (B, J, two_form_action(B, J)) entries, as `_v`
+# tuples in sorted key order, for seeds 1-3, q = 4 and 6, 20 trials each.
+# Recorded before the one-reduction product kernel; it changes when a random
+# draw moves or any exact entry changes.
+BATTERY_DIGEST = "fbfeaccb7bab7750e8941a66bcf95fa665826a6634637cebf99842919882e347"
+
+
+def test_battery_exact_data_is_pinned():
+    h = hashlib.sha256()
+    for seed in (1, 2, 3):
+        for q in (4, 6):
+            rng = random.Random(seed)
+            for _ in range(20):
+                B, J, _ = cf.random_compatible_pair(rng, q)
+                for M in (B, J.jmat, cf.two_form_action(B, J)):
+                    h.update(repr([(M.n, M.m)] + [(k, M.d[k]._v) for k in sorted(M.d)]).encode())
+    assert h.hexdigest() == BATTERY_DIGEST
+
+
 # -- two-form actions and invariants ------------------------------------------
 
 def test_two_form_action_q2():
@@ -253,10 +322,12 @@ def test_two_form_action_even_and_hermitian_random():
 
 def test_two_form_action_rejects_bad_input():
     J = cf.ComplexStructure.standard(2)
-    with pytest.raises(ValueError):
-        cf.two_form_action(Mat.from_rows([[0, 1], [1, 0]]), J)  # not antisym
-    with pytest.raises(ValueError):
-        cf.two_form_action(Mat.from_rows([[0, 1], [-1, 0]]), J)  # not imaginary
+    with pytest.raises(ValueError, match="antisymmetric"):
+        cf.two_form_action(Mat.from_rows([[0, I], [I, 0]]), J)
+    with pytest.raises(ValueError, match="imaginary"):
+        cf.two_form_action(Mat.from_rows([[0, 1], [-1, 0]]), J)
+    with pytest.raises(ValueError, match="square"):
+        cf.validate_two_form(Mat.from_rows([[0, I, I], [-I, 0, I]]))
 
 
 def test_skew_invariants_q2_q4():
@@ -374,9 +445,12 @@ def test_check_rl1_exact_and_incompatible():
     rng = random.Random(31)
     for q in (2, 4, 6):
         B, J, mus = cf.random_compatible_pair(rng, q)
-        rep = cf.check_rl1(cf.two_form_action(B, J), cf.trace_plus(B, J))
+        A, lam = cf.two_form_action(B, J), cf.trace_plus(B, J)
+        rep = cf.check_rl1(A, lam)
         assert rep.exact_zero and rep.max_abs == 0.0
         assert rep.lam == sum(mus, ZERO)
+        off = cf.check_rl1(A, lam + rational(1, 3))  # a wrong lambda leaves a residual
+        assert not off.exact_zero and abs(off.max_abs - 1 / 3) < 1e-12
     # orientation flip: J -> -J breaks positivity
     B, J, _ = cf.random_compatible_pair(rng, 2)
     Jneg = cf.ComplexStructure(J.jmat.scale(rational(-1)),
@@ -384,6 +458,21 @@ def test_check_rl1_exact_and_incompatible():
                                      for i, v in enumerate(J.frame)))
     with pytest.raises(cf.IncompatiblePair):
         cf.trace_plus(B, Jneg)
+
+
+def test_battery_cross_checks_lambda_against_the_sampled_mus(monkeypatch):
+    """tr(KJ)/2 must equal the sum of the mus the pair was drawn from; a
+    generator that reports other mus fails every trial on it."""
+    real = cf.random_compatible_pair
+
+    def shifted(rng, q):
+        B, J, mus = real(rng, q)
+        return B, J, (mus[0] + ONE,) + mus[1:]
+
+    monkeypatch.setattr(cf, "random_compatible_pair", shifted)
+    result = cf.fiber_battery(random.Random(1), 4, 2)
+    assert not result.ok and not result.all_exact
+    assert [f["check"] for f in result.failures] == ["bottom-eigenvalue"] * 2
 
 
 def test_check_rl1_q4_distinct_mus():
@@ -424,6 +513,19 @@ def test_odd_lower_bound_q4_equal_mus_oracle():
     assert abs(evs.min()) < 1e-12       # min eigenvalue on the odd part is 0
     rep = cf.odd_lower_bound(act, cf.skew_invariants(B)[0])
     assert rep.bound == ZERO            # 2m - lambda = 0 at equal mus
+    assert rep.psd_ok and rep.attained
+
+
+def test_odd_lower_bound_picks_the_exact_least_mu():
+    """mu = (1 + 10^-30, 1) round to one float; the least odd eigenvalue is
+    -lambda + 2 * 1 = -10^-30, which a float-ordered min would miss."""
+    eps = rational(1, 10**30)
+    mus = (ONE + eps, ONE)
+    B = cf.block_two_form(mus)
+    got, lam, m = cf.skew_invariants(B)
+    assert got == mus and m == ONE
+    rep = cf.odd_lower_bound(cf.two_form_action(B, cf.ComplexStructure.standard(4)), mus)
+    assert rep.m == ONE and rep.bound == -eps
     assert rep.psd_ok and rep.attained
 
 

@@ -1,12 +1,16 @@
 """Exact matrix operations and the eigen-free spectral certificates."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from transdirac.exact import I, ONE, ZERO, rational
-from transdirac.matrices import Mat, apply_to_vector, commutator
+import exact_oracle as eo
+from transdirac.exact import I, ONE, ZERO, Scalar, rational
+from transdirac.matrices import Mat, apply_to_vector, combination, commutator, product_sum
 
 
 def random_int_mat(rng, n, lo=-4, hi=4, hermitian=False):
@@ -33,6 +37,78 @@ def test_basic_algebra():
     assert A.scale(rational(2)) == A + A
     assert Mat.identity(2) @ A == A
     assert A.trace() == rational(5)
+
+
+# Entries in Q, Q(sqrt2), i Q(sqrt2) and all of the field, with denominators
+# that divide one another (2, 4) and that do not (2, 3): the product kernel
+# adds equal denominators, scales one side when one divides the other, and
+# cross-multiplies otherwise.  Few small values make sums cancel often.
+_part = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2, 3, 4]))
+field_entries = st.one_of(
+    st.builds(Scalar, _part),
+    st.builds(Scalar, _part, _part),
+    st.builds(lambda c, d: Scalar(0, 0, c, d), _part, _part),
+    st.builds(Scalar, _part, _part, _part, _part))
+
+
+def sparse_mats(n, m):
+    keys = st.tuples(st.integers(0, n - 1), st.integers(0, m - 1))
+    return st.dictionaries(keys, field_entries, max_size=n * m).map(lambda d: Mat(n, m, d))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_matmul_matches_naive_oracle(data):
+    """`@` sums each entry once; the oracle reduces every product and every
+    partial sum.  The values agree, and the result stores no zero."""
+    n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
+    L = data.draw(sparse_mats(n, k))
+    R = data.draw(sparse_mats(k, m))
+    got = L @ R
+    assert (got.n, got.m) == (n, m)
+    assert got == eo.naive_matmul(L, R)
+    assert all(not v.is_zero() for v in got.d.values())
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_product_sum_and_combination_match_naive_oracle(data):
+    n, k, m = (data.draw(st.integers(1, 3)) for _ in range(3))
+    pairs = [(data.draw(sparse_mats(n, k)), data.draw(sparse_mats(k, m))) for _ in range(3)]
+    want = Mat(n, m)
+    for L, R in pairs:
+        want = want + eo.naive_matmul(L, R)
+    got = product_sum(pairs)
+    assert got == want and all(not v.is_zero() for v in got.d.values())
+    coeffs = [data.draw(field_entries) for _ in range(3)]
+    mats = [data.draw(sparse_mats(n, m)) for _ in range(3)]
+    want = Mat(n, m)
+    for c, M in zip(coeffs, mats):
+        want = want + M.scale(c)
+    got = combination(coeffs, mats)
+    assert got == want and all(not v.is_zero() for v in got.d.values())
+
+
+@pytest.mark.parametrize("rows, cols, want", [
+    ([[1, 1]], [[1], [-1]], []),                                  # equal denominators
+    ([[Fraction(1, 2), Fraction(1, 3)]], [[Fraction(1, 3)], [Fraction(-1, 2)]], []),
+    ([[Fraction(1, 2), Fraction(1, 3)]], [[Fraction(2, 3)], [Fraction(-1, 2)]],
+     [[Fraction(1, 6)]]),                                         # 1/3 - 1/6
+    ([[Fraction(1, 4), Fraction(1, 2)]], [[2], [Fraction(1, 2)]], [[Fraction(3, 4)]]),
+])
+def test_matmul_cancels_and_reduces(rows, cols, want):
+    """Equal Scalars have equal (lowest-terms) tuples, so == also checks the
+    one reduction; a sum that cancels stores nothing."""
+    got = Mat.from_rows(rows) @ Mat.from_rows(cols)
+    assert got.d == (Mat.from_rows(want).d if want else {})
+
+
+def test_product_sum_rejects_mixed_shapes():
+    A = Mat.identity(2)
+    with pytest.raises(ValueError):
+        product_sum([(A, A), (Mat.identity(3), Mat.identity(3))])
+    with pytest.raises(ValueError):
+        Mat.identity(2) @ Mat.identity(3)
 
 
 def test_dagger_and_flags():
