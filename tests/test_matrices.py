@@ -89,12 +89,16 @@ def test_product_sum_and_combination_match_naive_oracle(data):
     assert got == want and all(not v.is_zero() for v in got.d.values())
 
 
+H, T, Q = Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)
+
+
 @pytest.mark.parametrize("rows, cols, want", [
-    ([[1, 1]], [[1], [-1]], []),                                  # equal denominators
-    ([[Fraction(1, 2), Fraction(1, 3)]], [[Fraction(1, 3)], [Fraction(-1, 2)]], []),
-    ([[Fraction(1, 2), Fraction(1, 3)]], [[Fraction(2, 3)], [Fraction(-1, 2)]],
-     [[Fraction(1, 6)]]),                                         # 1/3 - 1/6
-    ([[Fraction(1, 4), Fraction(1, 2)]], [[2], [Fraction(1, 2)]], [[Fraction(3, 4)]]),
+    ([[1, 1]], [[1], [-1]], []),                    # equal denominators, cancelling
+    ([[H, H]], [[1], [1]], [[1]]),                  # 2/2 must reduce to 1
+    ([[Q, H]], [[1], [1]], [[Fraction(3, 4)]]),     # the new denominator divides the sum's
+    ([[H, Q]], [[1], [1]], [[Fraction(3, 4)]]),     # the sum's denominator divides the new
+    ([[H, T]], [[1], [1]], [[Fraction(5, 6)]]),     # coprime denominators cross-multiply
+    ([[H, T]], [[T], [-H]], []),                    # and cancel
 ])
 def test_matmul_cancels_and_reduces(rows, cols, want):
     """Equal Scalars have equal (lowest-terms) tuples, so == also checks the
