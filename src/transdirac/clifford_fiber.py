@@ -14,7 +14,7 @@ action is a matrix on that basis; the two fibers in play are
   by `_mask_moves`), with chi_ja and -conj(chi_ja) as values.
 
 A vector v acts through the generators by linearity, c(v) = sum_a v_a c(f_a)
-(`vector_action`), a two-form X by sum_{a<b} X_ab c(f_a) c(f_b)
+(`matrices.combination`), a two-form X by sum_{a<b} X_ab c(f_a) c(f_b)
 (`pair_action`, as sum_a c(f_a) (sum_{b>a} X_ab c(f_b)): q - 1 matrix
 products, summed with one reduction per entry), and a skew endomorphism A
 through its spin lift (1/4) sum A_gb c(f_b) c(f_g), which is
@@ -99,13 +99,6 @@ def int_matrix(n_gen: int, j: int) -> Mat:
     return _sign_matrix(n_gen, _mask_moves(n_gen)[j][1])
 
 
-def vector_action(vec, gens: tuple[Mat, ...]) -> Mat:
-    """sum_a vec_a gens[a]: the action of the vector with components `vec`
-    through the actions `gens` of the basis vectors (Clifford, wedge or
-    contraction alike)."""
-    return combination(vec, gens)
-
-
 def pair_action(X: Mat, cliffords: tuple[Mat, ...]) -> Mat:
     """sum_{a<b} X_ab c(f_a) c(f_b); for an antisymmetric X this is
     (1/2) sum_{a,b} X_ab c(f_a) c(f_b).  Computed as
@@ -113,7 +106,7 @@ def pair_action(X: Mat, cliffords: tuple[Mat, ...]) -> Mat:
     with one reduction per entry, reading the upper triangle of X only."""
     q = len(cliffords)
     return product_sum(
-        (cliffords[a], vector_action([X.entry(a, b) for b in range(a + 1, q)], cliffords[a + 1:]))
+        (cliffords[a], combination([X.entry(a, b) for b in range(a + 1, q)], cliffords[a + 1:]))
         for a in range(q - 1))
 
 
@@ -376,9 +369,7 @@ def check_compatible(B: Mat, J: ComplexStructure) -> Mat:
     jm = J.jmat
     if jm.transpose() @ B @ jm != B:
         raise IncompatiblePair("B(J., J.) != B")
-    P = K @ jm
-    if not P.is_symmetric():
-        raise IncompatiblePair("K J not symmetric")
+    P = K @ jm  # symmetric: with J^2 = -1, J^T K J = K gives (K J)^T = -J^T K = K J
     if not P.is_pd():
         raise IncompatiblePair("i B(v, Jv) not positive definite")
     return P

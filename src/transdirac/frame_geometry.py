@@ -36,7 +36,7 @@ from collections import namedtuple
 from pathlib import Path
 
 from .exact import ZERO, Scalar, format_scalar, parse_imaginary, parse_real, rational
-from .matrices import Mat, commutator
+from .matrices import Mat, apply_to_vector, combination, commutator
 
 
 class ModelError(ValueError):
@@ -237,13 +237,9 @@ def mean_curvature_derivative(model: FrameModel, transverse,
     """Components of nabla_{f_a} tau = sum_{g,b} (A_{f_a})_{gb} tau_b f_g, one
     horizontal vector per a (tau is constant in the frame)."""
     p, q = model.p, model.q
-    out = []
-    for a in range(q):
-        vec = [ZERO] * q
-        for (g, b), coeff in transverse[p + a].d.items():
-            vec[g] = vec[g] + coeff * tau[b]
-        out.append(tuple(vec))
-    return tuple(out)
+    tau_vec = {b: t for b, t in enumerate(tau) if t}
+    moved = (apply_to_vector(transverse[p + a], tau_vec) for a in range(q))
+    return tuple(tuple(v.get(g, ZERO) for g in range(q)) for v in moved)
 
 
 def integrability_tensor(model: FrameModel) -> dict[tuple[int, int], tuple[Scalar, ...]]:
@@ -263,16 +259,8 @@ def curvature(model: FrameModel, A: tuple[Mat, ...]) -> dict[tuple[int, int], Ma
     u < v.  With the transverse connection this is the curvature of the
     horizontal bundle."""
     n = model.n
-    out = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            R = commutator(A[u], A[v])
-            for m in range(n):
-                coeff = model.c[u][v][m]
-                if not coeff.is_zero():
-                    R = R - A[m].scale(coeff)
-            out[(u, v)] = R
-    return out
+    return {(u, v): commutator(A[u], A[v]) - combination(model.c[u][v], A)
+            for u in range(n) for v in range(u + 1, n)}
 
 
 def scalar_curvature(model: FrameModel, curv: dict[tuple[int, int], Mat]) -> Scalar:

@@ -8,7 +8,10 @@ unreduced integer numerators over one denominator (a product of Gaussian
 rationals skips the sqrt2 terms, a product of reals the imaginary ones),
 then reduced once by `exact._reduced`.  That is one gcd and one Scalar per
 entry, where a Scalar loop makes one per product and one per partial sum;
-entries that sum to zero are not stored.
+entries that sum to zero are not stored.  `+` and `-` of two Mats stay on
+Scalar adds: an entry held by one side only is copied as it is, and only
+shared entries are added, where the kernel would rebuild and reduce every
+entry of both sides.
 
 Spectral facts about Hermitian matrices are certified without extracting
 eigenvalues:
@@ -179,9 +182,6 @@ class Mat:
     def is_skew_hermitian(self) -> bool:
         return (self + self.dagger()).is_zero()
 
-    def is_symmetric(self) -> bool:
-        return self == self.transpose()
-
     def is_antisymmetric(self) -> bool:
         return self == -self.transpose()
 
@@ -302,11 +302,13 @@ def product_sum(pairs) -> Mat:
 
 
 def combination(coeffs, mats) -> Mat:
-    """sum_a coeffs[a] mats[a], each entry reduced once; the coefficients
-    are Scalars, ints or Fractions."""
+    """sum_a coeffs[a] mats[a] (all of one shape), each entry reduced once;
+    the coefficients are Scalars, ints or Fractions."""
     n, m = mats[0].n, mats[0].m
     acc: dict[int, list[int]] = {}
     for coeff, M in zip(coeffs, mats):
+        if (M.n, M.m) != (n, m):
+            raise ValueError(f"combined matrices of shapes {(n, m)} and {(M.n, M.m)}")
         coeff = Scalar.of(coeff)
         if coeff:
             _add_scaled(acc, coeff._v, 0, [(i * m + j, v._v) for (i, j), v in M.d.items()])

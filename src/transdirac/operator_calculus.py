@@ -18,19 +18,24 @@ condition that makes the rewriting confluent, so equal operators always
 reach identical normal forms and identity checking is a finite exact
 matrix comparison.
 
-Formal adjoints use (nabla_u)^* = -nabla_u - div(u) together with entrywise
-conjugate transposes, valid for the L^2 pairing with invariant volume.
+The Bochner operator sum_a (nabla_{f_a})^* nabla_{f_a} is written in closed
+form, -sum_a (nabla_{f_a}^2 + div(f_a) nabla_{f_a}), from the formal adjoint
+(nabla_u)^* = -nabla_u - div(u) of a skew-Hermitian connection for the L^2
+pairing with invariant volume.  Each constant coefficient that is a sum of
+matrices or of matrix products (the forms connection, the curvature and tau
+contractions, the Jacobi check) is one call of `matrices.combination` or
+`matrices.product_sum`, which reduce each entry once.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .clifford_fiber import ext_matrix, int_matrix, spin_lift, spinor_cliffords, vector_action
-from .exact import ONE, ZERO, Scalar, rational
+from .clifford_fiber import ext_matrix, int_matrix, spin_lift, spinor_cliffords
+from .exact import ZERO, Scalar, rational
 from .frame_geometry import (ConnectionData, FrameModel, complex_structure, curvature,
                              derive_connection, require_valid, spin_connection)
-from .matrices import Mat, accumulate, commutator
+from .matrices import Mat, accumulate, combination, commutator, product_sum
 
 
 class SetupError(ValueError):
@@ -107,7 +112,7 @@ class BundleSetup:
             for a in range(q):
                 lhs = commutator(self.gamma[u], self.cliff[a])
                 vec = tuple(Au.entry(g, a) for g in range(q))
-                if lhs != vector_action(vec, self.cliff):
+                if lhs != combination(vec, self.cliff):
                     raise SetupError(
                         f"Clifford connection property fails along u{u + 1} "
                         f"on f{a + 1}")
@@ -116,19 +121,18 @@ class BundleSetup:
             for j in range(i + 1, p):
                 if not self.fcurv(i, j).is_zero():
                     raise SetupError(f"leafwise curvature F(e{i + 1},e{j + 1}) != 0")
-        # Jacobi consistency of the declared curvature (confluence of rewriting)
+        # Jacobi consistency of the declared curvature (confluence of rewriting):
+        # the cyclic sum over (x, y, z) of sum_m c^m_xy F(m, z) - [Gamma_z, F(x, y)]
+        c = self.model.c
         for u in range(n):
             for v in range(u + 1, n):
                 for w in range(v + 1, n):
-                    acc = Mat.zero(dim)
-                    for (x, y, z) in ((u, v, w), (v, w, u), (w, u, v)):
-                        term = Mat.zero(dim)
-                        for m in range(n):
-                            coeff = self.model.c[x][y][m]
-                            if not coeff.is_zero():
-                                term = term + self.fcurv(m, z).scale(coeff)
-                        acc = acc + term - commutator(self.gamma[z], self.fcurv(x, y))
-                    if not acc.is_zero():
+                    cyclic = ((u, v, w), (v, w, u), (w, u, v))
+                    terms = [(c[x][y][m], self.fcurv(m, z)) for x, y, z in cyclic
+                             for m in range(n) if c[x][y][m]]
+                    terms += [(-1, commutator(self.gamma[z], self.fcurv(x, y)))
+                              for x, y, z in cyclic]
+                    if not combination(*zip(*terms)).is_zero():
                         raise SetupError(
                             f"curvature data violates the Jacobi consistency "
                             f"condition on (u{u + 1},u{v + 1},u{w + 1})")
@@ -157,13 +161,9 @@ def forms_setup(model: FrameModel, geom: ConnectionData) -> BundleSetup:
     eps = tuple(ext_matrix(q, a) for a in range(q))
     iota = tuple(int_matrix(q, a) for a in range(q))
     cliff = tuple(eps[a] - iota[a] for a in range(q))
-    gamma = []
-    for u in range(model.n):
-        Au = geom.transverse[u]
-        acc = Mat.zero(1 << q)
-        for (g, b), coeff in Au.d.items():
-            acc = acc + (eps[g] @ iota[b]).scale(coeff)
-        gamma.append(acc)
+    # Gamma_u = sum_{g,b} (A_u)_gb eps_g iota_b = sum_g eps_g (sum_b (A_u)_gb iota_b)
+    gamma = [product_sum(zip(eps, (combination(row, iota) for row in Au.rows())))
+             for Au in geom.transverse]
     fiber = Fiber(kind="forms", q=q, dim=1 << q)
     return BundleSetup(model, geom, fiber, cliff, gamma, 0, None, None,
                        eps=eps, iota=iota)
@@ -287,30 +287,6 @@ def compose(A: DiffOp, B: DiffOp) -> DiffOp:
     return DiffOp(setup, acc)
 
 
-def adjoint(A: DiffOp) -> DiffOp:
-    """Formal L^2 adjoint for operators of degree <= 2."""
-    setup = A.setup
-    div = setup.geom.div
-    acc: dict[tuple, Mat] = {}
-    for word, M in A.terms.items():
-        d = len(word)
-        if d > 2:
-            raise SetupError("adjoint supports degree <= 2 only")
-        Md = M.dagger()
-        rev = word[::-1]
-        for mask in range(1 << d):
-            kept = tuple(rev[t] for t in range(d) if mask >> t & 1)
-            scalar = ONE if d % 2 == 0 else -ONE
-            for t in range(d):
-                if not mask >> t & 1:
-                    scalar = scalar * div[rev[t]]
-            if scalar.is_zero():
-                continue
-            for w1, C in _push(setup, kept, Md):
-                _reorder(setup, C.scale(scalar), w1, acc)
-    return DiffOp(setup, acc)
-
-
 # ---------------------------------------------------------------------------
 # residuals
 
@@ -347,17 +323,19 @@ def dirac_prime(setup: BundleSetup) -> DiffOp:
 def dirac(setup: BundleSetup) -> DiffOp:
     """The transverse Dirac operator D = D' - (1/2) c(tau)."""
     half = rational(1, 2)
-    ctau = vector_action(setup.geom.tau, setup.cliff)
+    ctau = combination(setup.geom.tau, setup.cliff)
     return dirac_prime(setup) - endo_op(setup, ctau.scale(half))
 
 
 def bochner(setup: BundleSetup) -> DiffOp:
-    """sum_a (nabla_{f_a})^* nabla_{f_a}, assembled through the adjoint engine."""
-    acc = DiffOp(setup, {})
-    for a in range(setup.model.q):
-        na = nabla(setup, setup.model.p + a)
-        acc = acc + compose(adjoint(na), na)
-    return acc
+    """sum_a (nabla_{f_a})^* nabla_{f_a} = -sum_a (nabla_{f_a}^2 + div(f_a) nabla_{f_a}),
+    by (nabla_u)^* = -nabla_u - div(u); each word is already in normal form."""
+    eye = Mat.identity(setup.fiber.dim)
+    terms = {}
+    for u in range(setup.model.p, setup.model.n):
+        terms[(u,)] = eye.scale(-setup.geom.div[u])
+        terms[(u, u)] = -eye
+    return DiffOp(setup, terms)
 
 
 def _pair_contraction(left: tuple[Mat, ...], right: tuple[Mat, ...],
@@ -365,25 +343,17 @@ def _pair_contraction(left: tuple[Mat, ...], right: tuple[Mat, ...],
     """sum_{a<b} left[a] right[b] X_ab for a matrix-valued two-form given as a
     callable (a, b) -> Mat.  With the Clifford actions on both sides this is
     (1/2) sum_{a,b} c(f_a) c(f_b) X_ab, by antisymmetry of X."""
-    acc = Mat.zero(left[0].n)
-    for a in range(len(left)):
-        for b in range(a + 1, len(left)):
-            X = two_form(a, b)
-            if not X.is_zero():
-                acc = acc + left[a] @ right[b] @ X
-    return acc
+    q = len(left)
+    pairs = [(left[a] @ right[b], X) for a in range(q) for b in range(a + 1, q)
+             if not (X := two_form(a, b)).is_zero()]
+    return product_sum(pairs) if pairs else Mat.zero(left[0].n)
 
 
 def _tau_derivative_term(setup: BundleSetup, left: tuple[Mat, ...],
                          right: tuple[Mat, ...]) -> Mat:
     """sum_a left[a] right(nabla_{f_a} tau), with right(v) the action of the
     vector v through the generator actions `right`."""
-    acc = Mat.zero(setup.fiber.dim)
-    for a, vec in enumerate(setup.geom.nabla_tau):
-        rv = vector_action(vec, right)
-        if not rv.is_zero():
-            acc = acc + left[a] @ rv
-    return acc
+    return product_sum(zip(left, (combination(vec, right) for vec in setup.geom.nabla_tau)))
 
 
 def c_of_R(setup: BundleSetup, u: int, v: int) -> Mat:
@@ -459,17 +429,11 @@ def lichnerowicz_rhs(setup: BundleSetup) -> DiffOp:
 def dirac_prime_square_rhs(setup: BundleSetup) -> DiffOp:
     """RHS for (D')^2: Bochner - nabla_tau
     + (1/2) sum c c [F(f_a,f_b) - nabla_{R(f_a,f_b)}]."""
-    model = setup.model
-    p, q = model.p, model.q
+    p = setup.model.p
     eye = Mat.identity(setup.fiber.dim)
-    acc = bochner(setup)
-    tau_terms: dict[tuple, Mat] = {}
-    for a in range(q):
-        t = setup.geom.tau[a]
-        if not t.is_zero():
-            accumulate(tau_terms, (p + a,), eye.scale(t))
-    acc = acc - DiffOp(setup, tau_terms)
-    return acc + _clifford_curvature_term(setup, lambda a, b: setup.fcurv(p + a, p + b))
+    nabla_tau = DiffOp(setup, {(p + a,): eye.scale(t) for a, t in enumerate(setup.geom.tau)})
+    return (bochner(setup) - nabla_tau
+            + _clifford_curvature_term(setup, lambda a, b: setup.fcurv(p + a, p + b)))
 
 
 def dirac_square_full_curvature_rhs(setup: BundleSetup) -> DiffOp:
@@ -499,9 +463,7 @@ def d_horizontal_star(setup: BundleSetup) -> DiffOp:
     _require_forms(setup)
     p = setup.model.p
     terms: dict[tuple, Mat] = {(p + a,): -setup.iota[a] for a in range(setup.model.q)}
-    itau = vector_action(setup.geom.tau, setup.iota)
-    if not itau.is_zero():
-        accumulate(terms, (), itau)
+    terms[()] = combination(setup.geom.tau, setup.iota)
     return DiffOp(setup, terms)
 
 
@@ -516,7 +478,7 @@ def signature_rhs(setup: BundleSetup) -> DiffOp:
     """D_H - (1/2)(eps(tau) + iota(tau)) with the signature operator
     D_H = d_H + d_H^*: the Dirac operator of the exterior fiber."""
     tau = setup.geom.tau
-    shift = vector_action(tau, setup.eps) + vector_action(tau, setup.iota)
+    shift = combination(tau + tau, setup.eps + setup.iota)
     return (d_horizontal(setup) + d_horizontal_star(setup)
             - endo_op(setup, shift.scale(rational(1, 2))))
 

@@ -8,11 +8,11 @@ from __future__ import annotations
 import random
 
 from transdirac import operator_calculus as oc
-from transdirac.clifford_fiber import ComplexStructure, spinor_cliffords, vector_action
+from transdirac.clifford_fiber import ComplexStructure, spinor_cliffords
 from transdirac.exact import ONE, Scalar, rational
 from transdirac.frame_geometry import (FrameModel, derive_connection, levi_civita,
                                        mean_curvature, transverse_connection)
-from transdirac.matrices import Mat, accumulate
+from transdirac.matrices import Mat, accumulate, combination
 
 
 def naive_matmul(L: Mat, R: Mat) -> Mat:
@@ -51,7 +51,7 @@ def spinor_action(f, J: ComplexStructure) -> Mat:
     on the spinor fiber, for a vector f given by components."""
     if len(f) != J.q:
         raise ValueError(f"vector length {len(f)} != q={J.q}")
-    return vector_action(f, spinor_cliffords(J))
+    return combination(f, spinor_cliffords(J))
 
 
 def grading_matrix(l: int) -> Mat:
@@ -79,7 +79,8 @@ def identity_op(setup: oc.BundleSetup) -> oc.DiffOp:
 
 def bochner_divergence_form(setup: oc.BundleSetup) -> oc.DiffOp:
     """The Bochner operator written -sum nabla^2 + nabla_tau +
-    nabla_{sum_b nabla_{f_b} f_b}; assembled without the adjoint engine."""
+    nabla_{sum_b nabla_{f_b} f_b}: the divergence of f_a by its closed
+    horizontal formula, not read from the derived connection data."""
     model, geom = setup.model, setup.geom
     p, q = model.p, model.q
     eye = Mat.identity(setup.fiber.dim)
@@ -103,8 +104,35 @@ def is_grading_odd(op: oc.DiffOp) -> bool:
     return all((P @ M @ P + M).is_zero() for M in op.terms.values())
 
 
+def adjoint(A: oc.DiffOp) -> oc.DiffOp:
+    """Formal L^2 adjoint for operators of degree <= 2, from
+    (nabla_u)^* = -nabla_u - div(u) and entrywise conjugate transposes:
+    M nabla_w has the adjoint (nabla_w)^* M^dagger, with each factor
+    (nabla_u)^* expanded and the product normal-ordered by the engine."""
+    setup = A.setup
+    div = setup.geom.div
+    acc: dict[tuple, Mat] = {}
+    for word, M in A.terms.items():
+        d = len(word)
+        if d > 2:
+            raise oc.SetupError("adjoint supports degree <= 2 only")
+        Md = M.dagger()
+        rev = word[::-1]
+        for mask in range(1 << d):
+            kept = tuple(rev[t] for t in range(d) if mask >> t & 1)
+            scalar = ONE if d % 2 == 0 else -ONE
+            for t in range(d):
+                if not mask >> t & 1:
+                    scalar = scalar * div[rev[t]]
+            if scalar.is_zero():
+                continue
+            for w1, C in oc._push(setup, kept, Md):
+                oc._reorder(setup, C.scale(scalar), w1, acc)
+    return oc.DiffOp(setup, acc)
+
+
 def is_self_adjoint(op: oc.DiffOp) -> bool:
-    return oc.adjoint(op) == op
+    return adjoint(op) == op
 
 
 def twisted_spinor_setup(model: FrameModel, k: int, theta: tuple[Mat, ...]) -> oc.BundleSetup:

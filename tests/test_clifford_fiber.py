@@ -174,14 +174,14 @@ def test_complex_structure_rejects(jmat, frame, message):
 
 
 def test_check_compatible_checks_stand_alone():
-    """B(J., J.) = B is read off J and B alone, and K J symmetric is checked
-    even for a J that skipped ComplexStructure's checks (J = I here: for a
-    true complex structure it follows from the invariance)."""
+    """B(J., J.) = B is read off J and B alone.  For a J with J^2 = -1 it
+    makes K J symmetric; a J that skipped ComplexStructure's checks (J = I
+    here) leaves K J antisymmetric, and the positivity test refuses it."""
     B = Mat(4, 4, {(0, 2): -I, (2, 0): I})  # couples f1 and f3, not J-invariant
     with pytest.raises(cf.IncompatiblePair, match="B\\(J., J.\\)"):
         cf.check_compatible(B, cf.ComplexStructure.standard(4))
     fake = SimpleNamespace(jmat=Mat.identity(2))
-    with pytest.raises(cf.IncompatiblePair, match="K J not symmetric"):
+    with pytest.raises(ValueError, match="requires a Hermitian matrix"):
         cf.check_compatible(cf.block_two_form([ONE]), fake)
 
 

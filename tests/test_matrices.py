@@ -115,6 +115,15 @@ def test_product_sum_rejects_mixed_shapes():
         Mat.identity(2) @ Mat.identity(3)
 
 
+def test_combination_rejects_mixed_shapes():
+    """A 3 x 3 term is not folded into a 2 x 2 sum, whatever its
+    coefficient."""
+    with pytest.raises(ValueError, match="shapes"):
+        combination([1, 1], [Mat.identity(2), Mat.identity(3)])
+    with pytest.raises(ValueError, match="shapes"):
+        combination([1, 0], [Mat.identity(2), Mat(2, 3)])
+
+
 def test_dagger_and_flags():
     H = Mat.from_rows([[rational(2), I], [-I, rational(1)]])
     assert H.is_hermitian()

@@ -1,5 +1,6 @@
 """Normal-ordered operator engine: rewriting, adjoints, identity suite."""
 
+import hashlib
 import random
 
 import pytest
@@ -109,33 +110,33 @@ def test_normal_form_sorted(sol_setup):
 def test_adjoint_of_nabla_flat():
     m = fg.load_bundled("flat_t3")
     s = spinor(m, k=0)
-    assert oc.adjoint(oc.nabla(s, 1)) == -oc.nabla(s, 1)
+    assert eo.adjoint(oc.nabla(s, 1)) == -oc.nabla(s, 1)
 
 
 def test_adjoint_of_nabla_sol(sol_setup):
     # div f1 = 0 on the solvable model, so the adjoint is again -nabla
-    assert oc.adjoint(oc.nabla(sol_setup, 1)) == -oc.nabla(sol_setup, 1)
+    assert eo.adjoint(oc.nabla(sol_setup, 1)) == -oc.nabla(sol_setup, 1)
 
 
 def test_adjoint_of_clifford_coefficient(sol_setup):
     c1 = oc.endo_op(sol_setup, sol_setup.cliff[0])
-    assert oc.adjoint(c1) == -c1
+    assert eo.adjoint(c1) == -c1
 
 
 def test_adjoint_involution_and_antimultiplicativity(sol_setup):
     s = sol_setup
     ops = [oc.dirac(s), oc.nabla(s, 2), oc.endo_op(s, s.cliff[1])]
     for op in ops:
-        assert oc.adjoint(oc.adjoint(op)) == op
+        assert eo.adjoint(eo.adjoint(op)) == op
     n1, n2 = oc.nabla(s, 1), oc.nabla(s, 2)
-    assert oc.adjoint(oc.compose(n1, n2)) == oc.compose(oc.adjoint(n2), oc.adjoint(n1))
+    assert eo.adjoint(oc.compose(n1, n2)) == oc.compose(eo.adjoint(n2), eo.adjoint(n1))
 
 
 def test_adjoint_degree_cap(sol_setup):
     s = sol_setup
     cube = oc.compose(oc.nabla(s, 1), oc.compose(oc.nabla(s, 2), oc.nabla(s, 2)))
     with pytest.raises(oc.SetupError):
-        oc.adjoint(cube)
+        eo.adjoint(cube)
 
 
 def test_adjoint_with_divergence():
@@ -143,7 +144,7 @@ def test_adjoint_with_divergence():
                       jmat=Mat.from_rows([[0, -1], [1, 0]]))
     s = spinor(m, k=0)
     # div f1 = -1 here, so (nabla_{f1})^* = -nabla_{f1} + 1
-    got = oc.adjoint(oc.nabla(s, 1))
+    got = eo.adjoint(oc.nabla(s, 1))
     expect = -oc.nabla(s, 1) + eo.identity_op(s)
     assert oc.residual(got, expect).exact_zero
 
@@ -247,7 +248,7 @@ def test_dh_star_contains_itau():
 def test_dh_adjoint_is_dh_star():
     for name in ("flat_t3", "heisenberg", "sol"):
         s = forms(fg.load_bundled(name))
-        assert oc.residual(oc.adjoint(oc.d_horizontal(s)),
+        assert oc.residual(eo.adjoint(oc.d_horizontal(s)),
                            oc.d_horizontal_star(s)).exact_zero
 
 
@@ -355,3 +356,94 @@ def test_residual_reports_worst_monomial(sol_setup):
     assert not r.exact_zero
     assert r.worst_monomial == "∇3"
     assert abs(r.max_abs - 1 / 3) < 1e-12
+
+
+# -- pinned operators --------------------------------------------------------------
+
+# recorded from the operators built term by term, Bochner through the adjoint
+# engine, before the exact layer summed each of them in one kernel call
+OPERATOR_DIGEST = "1af31e3d9253fc726aead0549e1bd13d2b2fac81d8ce1e0902aae87e8d343772"
+
+
+def digest_models():
+    """The four bundled valid models, h4, a model on which tau and the
+    integrability term are both nonzero, the non-basic model, and a
+    non-unimodular model: the only one with div(f_a) != 0."""
+    return [fg.load_bundled(name) for name in ("flat_t3", "t3_landau", "heisenberg", "sol")] + [
+        fg.make_model("h4", 1, 4, [(2, 3, 1, "1"), (4, 5, 1, "1")],
+                      line_b=cf.block_two_form([ONE, rational(2)]),
+                      jmat=cf.standard_j_matrix(4)),
+        fg.make_model("tau_integrable", 1, 2, [(1, 2, 1, "1"), (2, 3, 1, "2"), (2, 3, 3, "1")],
+                      line_b=cf.block_two_form([ONE]), jmat=cf.standard_j_matrix(2)),
+        fg.make_model("non_basic", 1, 2, NON_BASIC_BRACKETS,
+                      jmat=Mat.from_rows([[0, -1], [1, 0]])),
+        fg.make_model("non_unimodular", 1, 2, [(1, 2, 1, "2"), (2, 3, 1, "1")],
+                      line_b=cf.block_two_form([ONE]), jmat=cf.standard_j_matrix(2)),
+    ]
+
+
+def digest_setups():
+    """(model name, k, spinor setup, forms setup), at k = 0 and 1 where the
+    model has a line bundle, else at k = 0."""
+    out = []
+    for m in digest_models():
+        geom = fg.derive_connection(m)
+        fo = oc.forms_setup(m, geom)
+        for k in ((0, 1) if m.line_b is not None else (0,)):
+            out.append((m.name, k, oc.spinor_setup(m, geom, k), fo))
+    return out
+
+
+def suite_operators(sp, fo):
+    """(label, DiffOp or {key: Mat}) for every operator the suite compares
+    and the data of both setups."""
+    D, Dp = oc.dirac(sp), oc.dirac_prime(sp)
+    dh, dhs = oc.d_horizontal(fo), oc.d_horizontal_star(fo)
+    ops = [("D^2", oc.compose(D, D)), ("D'^2", oc.compose(Dp, Dp)),
+           ("lichnerowicz_rhs", oc.lichnerowicz_rhs(sp)),
+           ("dirac_prime_square_rhs", oc.dirac_prime_square_rhs(sp)),
+           ("dirac_square_full_curvature_rhs", oc.dirac_square_full_curvature_rhs(sp)),
+           ("basic_tau_rhs", oc.basic_tau_rhs(sp)),
+           ("hodge_laplacian", oc.hodge_laplacian(fo)),
+           ("hodge_bochner_rhs", oc.hodge_bochner_rhs(fo)),
+           ("d_H^2", oc.compose(dh, dh)), ("dh_square_rhs", oc.dh_square_rhs(fo)),
+           ("d_H*^2", oc.compose(dhs, dhs)), ("dh_star_square_rhs", oc.dh_star_square_rhs(fo)),
+           ("signature_rhs", oc.signature_rhs(fo))]
+    for tag, s in (("spinor", sp), ("forms", fo)):
+        ops += [(f"{tag} bochner", oc.bochner(s)),
+                (f"{tag} gamma", dict(enumerate(s.gamma))),
+                (f"{tag} curvature", s.curv)]
+    return ops
+
+
+def operator_digest() -> str:
+    """SHA-256 over the exact entries (`_v` tuples) of `suite_operators` on
+    every digest setup, in sorted word and key order."""
+    h = hashlib.sha256()
+    for name, k, sp, fo in digest_setups():
+        for label, op in suite_operators(sp, fo):
+            mats = op.terms if isinstance(op, oc.DiffOp) else op
+            entries = [(w, sorted((key, v._v) for key, v in mats[w].d.items()))
+                       for w in sorted(mats)]
+            h.update(repr((name, k, label, entries)).encode())
+    return h.hexdigest()
+
+
+def test_suite_operators_pinned():
+    """Every exact operator of the suite equals the one it was pinned at: a
+    dropped or changed term fails here even where an identity would pass
+    vacuously."""
+    assert operator_digest() == OPERATOR_DIGEST
+
+
+def test_bochner_is_sum_of_adjoint_squares():
+    """The closed form -sum_a (nabla_a^2 + div(f_a) nabla_a) equals
+    sum_a (nabla_a)^* nabla_a with the adjoint from the oracle's engine."""
+    for _, _, sp, fo in digest_setups():
+        for s in (sp, fo):
+            p = s.model.p
+            want = oc.DiffOp(s)
+            for a in range(s.model.q):
+                na = oc.nabla(s, p + a)
+                want = want + oc.compose(eo.adjoint(na), na)
+            assert oc.bochner(s) == want
