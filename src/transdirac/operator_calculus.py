@@ -23,8 +23,9 @@ form, -sum_a (nabla_{f_a}^2 + div(f_a) nabla_{f_a}), from the formal adjoint
 (nabla_u)^* = -nabla_u - div(u) of a skew-Hermitian connection for the L^2
 pairing with invariant volume.  Each constant coefficient that is a sum of
 matrices or of matrix products (the forms connection, the curvature and tau
-contractions, the Jacobi check) is one call of `matrices.combination` or
-`matrices.product_sum`, which reduce each entry once.
+contractions, the integrability term, the Jacobi check) is one call of
+`matrices.combination` or `matrices.product_sum`, which reduce each entry
+once.
 """
 
 from __future__ import annotations
@@ -372,16 +373,10 @@ def integrability_first_order(setup: BundleSetup, weight) -> DiffOp:
     """sum over leaf directions of the first-order operator
     sum_{a<b} weight(a,b) * R_leafcomp^i_ab nabla_{e_i}, where weight(a, b)
     is the fiber endomorphism multiplying nabla along R(f_a, f_b)."""
-    geom = setup.geom
-    acc: dict[tuple, Mat] = {}
-    for (a, b), comps in geom.integrability.items():
-        W = weight(a, b)
-        if W.is_zero():
-            continue
-        for i, comp in enumerate(comps):
-            if not comp.is_zero():
-                accumulate(acc, (i,), W.scale(comp))
-    return DiffOp(setup, acc)
+    integ = setup.geom.integrability
+    weights = [weight(a, b) for a, b in integ]
+    return DiffOp(setup, {(i,): combination([comps[i] for comps in integ.values()], weights)
+                          for i in range(setup.model.p)})
 
 
 def lichnerowicz_scalar(setup: BundleSetup) -> Scalar:
