@@ -25,16 +25,16 @@ is not a string, a zero denominator).
 Exit codes: 0 pass, 1 mathematical violation, 2 invalid input, 3 numerical
 failure.  Each command returns its report, or raises; `main` alone maps the
 outcome to the exit code.  A `frame_geometry.ModelError` (a model file that
-cannot be read, is not admissible, or lies outside the lattice commands'
-flat q = 2 torus or positive bundle), an `operator_calculus.SetupError` and
-an `InputError` (a flag value outside what the command accepts) give 2, a
-`spectral.SolverError` gives 3 (for `crosscheck`, an eigensolver that did
-not converge; for `gap`, no value above the kernel threshold in the whole
-lattice spectrum, or an ambiguous kernel cluster): each prints `error: ...`
-and writes no report.  Any other exception is a bug and propagates.
-Reports are deterministic for a fixed seed: `gap` counts and bisects
-eigenvalues, and `crosscheck`'s eigensolver starts from fixed vectors (the
-runtime_ms column is measurement, not content).
+cannot be read, is not admissible, lies outside the lattice commands' flat
+q = 2 torus or positive bundle, or has a D^2 outside the lattice's regime),
+an `operator_calculus.SetupError` and an `InputError` (a flag value outside
+what the command accepts) give 2, a `spectral.SolverError` gives 3 (for
+`crosscheck`, an eigensolver that did not converge; for `gap`, no value
+above the kernel threshold in the whole lattice spectrum, or an ambiguous
+kernel cluster): each prints `error: ...` and writes no report.  Any other
+exception is a bug and propagates.  Reports are deterministic for a fixed
+seed: `gap` counts and bisects eigenvalues, and `crosscheck`'s eigensolver
+starts from fixed vectors (runtime_ms is measurement, not content).
 
 `gap` and `crosscheck` exit 2 on k < 0, on flux too dense for the grid
 (2k|c|/N^2 above --tol), and on a line bundle that is not positive for J

@@ -220,11 +220,13 @@ class DiffOp:
         return compose(self, other)
 
     def __repr__(self):
-        names = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            mono = "*".join(f"∇{u + 1}" for u in w) if w else "1"
-            names.append(mono)
-        return f"DiffOp[{', '.join(names)}]"
+        words = sorted(self.terms, key=lambda w: (len(w), w))
+        return f"DiffOp[{', '.join(monomial(w) for w in words)}]"
+
+
+def monomial(word: tuple) -> str:
+    """The name of nabla_word, as "∇1*∇2" (directions from 1), "1" when empty."""
+    return "*".join(f"∇{u + 1}" for u in word) if word else "1"
 
 
 def endo_op(setup: BundleSetup, M: Mat) -> DiffOp:
@@ -308,8 +310,7 @@ def residual(A: DiffOp, B: DiffOp) -> Residual:
         return Residual(True, 0.0)
     worst_w, worst = max(((w, M.max_abs_float()) for w, M in diff.terms.items()),
                          key=lambda t: t[1])
-    mono = "*".join(f"∇{u + 1}" for u in worst_w) if worst_w else "1"
-    return Residual(False, worst, mono)
+    return Residual(False, worst, monomial(worst_w))
 
 
 # ---------------------------------------------------------------------------

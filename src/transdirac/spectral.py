@@ -3,8 +3,10 @@
 The torus fixtures have one leaf direction and a two-dimensional transverse
 torus carrying a line bundle whose curvature two-form is stored in units of
 2*pi, so the integer entries of i*B are Chern numbers.  The spectra come
-from the verified second-order normal form of the Dirac square -- magnetic
-Bochner Laplacian plus a constant curvature endomorphism E:
+from the verified normal form of the Dirac square on L^k: `lattice_constant`
+splits it by word into -sum_a nabla_a^2 over the transverse directions and
+a fiber term E, and refuses any other word, a leaf derivative included.  So
+D_k^2 is the magnetic Bochner Laplacian plus E, scaled by 2*pi:
 
 * the Bochner Laplacian H lives on an N x N lattice with U(1) link phases:
   each plaquette loop is exp(h^2 F_12), F = 2*pi*k*B the physical
@@ -14,15 +16,14 @@ Bochner Laplacian plus a constant curvature endomorphism E:
 * in that gauge a Fourier transform in y reduces H exactly to N^2 times a
   direct sum of g = gcd(kc, N) real cyclic Harper chains of length N^2/g
   (Hofstadter 1976; the magnetic translations of Zak 1964);
-* the Dirac square contains no leaf derivatives, so the leafwise-constant
-  sector carries the whole transverse spectrum;
-* E is grading-even, and each parity block is the Kronecker sum
-  H (x) I + I (x) E_parity, whose spectrum is {h_i + e_j}.  The exact
-  eigenvalues e_j of the small fiber blocks of E and, for each, the number
-  of h_i below the kernel threshold minus e_j and the next h_i above it
-  give both sectors.  Those numbers come from Sturm counts on the chains
-  in plain floats (Sylvester's law of inertia; Barth, Martin and Wilkinson
-  1967), exact over the whole spectrum, and bisection on them.
+* D is odd for the spinor grading, so E is even (`parity_blocks` checks
+  it) and each parity block is H (x) I + I (x) E_parity, with spectrum
+  {h_i + e_j}.  The exact eigenvalues e_j of the small fiber blocks of E
+  and, for each, the number of h_i below the kernel threshold minus e_j
+  and the next h_i above it give both sectors.  Those numbers come from
+  Sturm counts on the chains in plain floats (Sylvester's law of inertia;
+  Barth, Martin and Wilkinson 1967), exact over the whole spectrum, and
+  bisection on them.
 
 `crosscheck_rows` ties that operator to the first-order D: it squares the
 central-difference D_h, applied independently in the site basis from
@@ -46,11 +47,11 @@ import time
 from collections import namedtuple
 
 from .clifford_fiber import (IncompatiblePair, _real_roots_in_field, check_compatible,
-                             ext_matrix, int_matrix, parity_indices, skew_invariants,
-                             spinor_cliffords, two_form_action)
+                             parity_indices, skew_invariants)
 from .exact import I as IUNIT
-from .frame_geometry import FrameModel, ModelError, complex_structure, require_valid
+from .frame_geometry import FrameModel, ModelError, complex_structure, derive_connection
 from .matrices import Mat
+from .operator_calculus import BundleSetup, compose, dirac, forms_setup, monomial, spinor_setup
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -64,7 +65,7 @@ class SolverError(RuntimeError):
 
 
 def require_flat_torus(model: FrameModel) -> None:
-    require_valid(model)
+    """Raise unless the model, validated before, is a flat q = 2 torus."""
     for i in range(model.n):
         for j in range(model.n):
             for k in range(model.n):
@@ -99,16 +100,17 @@ def invariants_2pi(model: FrameModel) -> float:
     return TWO_PI * float(skew_invariants(model.line_b)[2])
 
 
-class FlatTorus(namedtuple("FlatTorus", "model J c m")):
+class FlatTorus(namedtuple("FlatTorus", "model geom J c m")):
     """A model that passed `require_flat_torus`, with what every flux value
-    of a scan shares: its complex structure J, the Chern number c and m of
-    2*pi*B."""
+    of a scan shares: its connection data geom, its complex structure J, the
+    Chern number c and m of 2*pi*B."""
     __slots__ = ()
 
 
 def flat_torus(model: FrameModel) -> FlatTorus:
     """The scan data of a flat torus; its line bundle, if any, must be
     positive for J, the theorem's hypothesis behind the gap checks."""
+    geom = derive_connection(model)  # validates the model
     require_flat_torus(model)
     J = complex_structure(model)
     try:
@@ -117,7 +119,7 @@ def flat_torus(model: FrameModel) -> FlatTorus:
     except IncompatiblePair as exc:
         raise ModelError(f"model {model.name!r}: the line bundle is not positive "
                          f"for J ({exc}), outside the theorem's hypothesis") from exc
-    return FlatTorus(model, J, chern_number(model), invariants_2pi(model))
+    return FlatTorus(model, geom, J, chern_number(model), invariants_2pi(model))
 
 
 # ---------------------------------------------------------------------------
@@ -178,33 +180,32 @@ def _dense(M: Mat) -> np.ndarray:
     return out
 
 
-def _constant_endomorphism(torus: FlatTorus, k: int) -> np.ndarray:
-    """Float matrix of the constant fiber term k c(R^L) in physical units.
+def lattice_constant(setup: BundleSetup) -> Mat:
+    """E in D^2 = -sum_a nabla_{f_a}^2 + E, read off the normal form of the
+    square of `dirac(setup)`, in the exact layer's units (B without 2*pi).
 
-    On a flat torus every other constant of the verified second-order form
-    vanishes (tau = 0, K = 0, integrability = 0)."""
-    import numpy as np
-
-    J, line_b = torus.J, torus.model.line_b
-    if line_b is None or k == 0:
-        return np.zeros((1 << J.l, 1 << J.l), dtype=complex)
-    return TWO_PI * k * _dense(two_form_action(line_b, J))
+    Raises ModelError where D^2 has any other word, or a transverse
+    nabla_a^2 without the coefficient -I: the lattice operator H + 2*pi*E
+    has no term for it."""
+    dim, words = setup.fiber.dim, compose(dirac(setup), dirac(setup)).terms
+    expected = {(a, a): -Mat.identity(dim) for a in range(setup.model.p, setup.model.n)}
+    other = [w for w in {*words, *expected} - {()} if words.get(w) != expected.get(w)]
+    if other:
+        raise ModelError(f"D^2 on {setup.model.name!r} differs from -sum_a nabla_a^2 + E "
+                         f"at {monomial(min(other))}: outside the lattice's regime")
+    return words.get((), Mat.zero(dim))
 
 
 def parity_blocks(torus: FlatTorus, k: int) -> tuple[list[float], list[float]]:
-    """Eigenvalues of the constant endomorphism on the (even, odd) spinors,
-    found exactly in Q(sqrt2) as the roots of each block's characteristic
-    polynomial and then scaled by 2*pi*k.  It is grading-even, so the two
-    sectors of the Dirac square decouple exactly."""
-    J, line_b = torus.J, torus.model.line_b
-    even, odd = parity_indices(J.l)
-    if line_b is None or k == 0:
-        return [0.0] * len(even), [0.0] * len(odd)
-    A = two_form_action(line_b, J)
-    if not A.submatrix(even, odd).is_zero():
+    """Eigenvalues of E, the `lattice_constant` of the spinor setup at k, on
+    the (even, odd) spinors, found exactly in Q(sqrt2) as the roots of each
+    block's characteristic polynomial and then scaled by 2*pi.  E is
+    grading-even, so the two sectors of the Dirac square decouple exactly."""
+    E = lattice_constant(spinor_setup(torus.model, torus.geom, k))
+    even, odd = parity_indices(torus.J.l)
+    if not E.submatrix(even, odd).is_zero():
         raise ModelError("curvature endomorphism is not grading-even")
-    return tuple([TWO_PI * k * float(e)
-                  for e in _real_roots_in_field(A.submatrix(ix, ix).charpoly())]
+    return tuple([TWO_PI * float(e) for e in _real_roots_in_field(E.submatrix(ix, ix).charpoly())]
                  for ix in (even, odd))
 
 
@@ -485,18 +486,15 @@ def square_residual(cliffords, E: np.ndarray, N: int, kc: int) -> float:
 def crosscheck_rows(torus: FlatTorus, k_values, N: int) -> list[dict]:
     """Convergence of D_h^2 to the operator `gap` diagonalises, at N and 2N:
     on the spinor fiber for each k (identities a, b and c coincide on a flat
-    torus), and on the untwisted forms with the generators eps - iota and
-    E = 0 (identities e and g).  O(h^2) gives ratio = r(N)/r(2N) near 4."""
-    import numpy as np
-
-    q = torus.model.q
-    spinor = [_dense(C) for C in spinor_cliffords(torus.J)]
-    forms = [_dense(ext_matrix(q, a) - int_matrix(q, a)) for a in range(q)]
-    cases = [("spinor", "abc", k, spinor, _constant_endomorphism(torus, k))
-             for k in k_values]
-    cases.append(("forms", "eg", 0, forms, np.zeros((1 << q, 1 << q))))
+    torus), and on the untwisted forms (identities e and g), with the
+    generators and `lattice_constant` of each bundle setup.  O(h^2) gives
+    ratio = r(N)/r(2N) near 4."""
+    cases = [("spinor", "abc", k, spinor_setup(torus.model, torus.geom, k)) for k in k_values]
+    cases.append(("forms", "eg", 0, forms_setup(torus.model, torus.geom)))
     rows = []
-    for fiber, keys, k, gens, E in cases:
+    for fiber, keys, k, setup in cases:
+        gens = [_dense(C) for C in setup.cliff]
+        E = TWO_PI * _dense(lattice_constant(setup))
         r_N, r_2N = (square_residual(gens, E, n, k * torus.c) for n in (N, 2 * N))
         rows.append({"fiber": fiber, "identities": keys, "k": k, "kc": k * torus.c,
                      "r_N": r_N, "r_2N": r_2N, "ratio": r_N / r_2N})

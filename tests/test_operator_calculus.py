@@ -269,6 +269,29 @@ def test_codifferential_of_tau_sol():
     assert oc.codifferential_of_tau(s) == ZERO
 
 
+def non_unimodular():
+    """[u1,u2] = 2u1, [u2,u3] = u1 with the standard J and B = -i: the only
+    fixture with div(f_a) != 0, and with d_H^* tau = 4 a nonzero constant."""
+    return fg.make_model("non_unimodular", 1, 2, [(1, 2, 1, "2"), (2, 3, 1, "1")],
+                         line_b=cf.block_two_form([ONE]), jmat=cf.standard_j_matrix(2))
+
+
+def test_basic_tau_identity_needs_the_codifferential_of_tau(monkeypatch):
+    """On a unimodular model d_H^* tau integrates to 0; on the non-unimodular
+    fixture it is 4, and identity (i) holds only with its -(1/2) d_H^* tau."""
+    m = non_unimodular()
+    assert oc.codifferential_of_tau(spinor(m, k=1)) == rational(4)
+
+    def item_i():
+        (it,) = (it for it in oc.verify_suite(m, k=1).items if it.key == "i")
+        return it
+
+    it = item_i()
+    assert it.passed and not it.skipped
+    monkeypatch.setattr(oc, "codifferential_of_tau", lambda setup: ZERO)
+    assert item_i().status() == "FAIL"
+
+
 # -- the identity suite ------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", ["flat_t3", "t3_landau", "heisenberg", "sol"])
@@ -377,8 +400,7 @@ def digest_models():
                       line_b=cf.block_two_form([ONE]), jmat=cf.standard_j_matrix(2)),
         fg.make_model("non_basic", 1, 2, NON_BASIC_BRACKETS,
                       jmat=Mat.from_rows([[0, -1], [1, 0]])),
-        fg.make_model("non_unimodular", 1, 2, [(1, 2, 1, "2"), (2, 3, 1, "1")],
-                      line_b=cf.block_two_form([ONE]), jmat=cf.standard_j_matrix(2)),
+        non_unimodular(),
     ]
 
 

@@ -1,8 +1,8 @@
-"""Lattice spectra on the flat torus: link phases and their flux sign, the
-Fourier-reduced magnetic Laplacian, its Sturm counts and its eigensolver
-against the site-basis operator, the Kronecker-sum eigenvalues of the Dirac
-square against a dense assembly, the squared lattice D, and the gap and
-crosscheck CLI."""
+"""Lattice spectra on the flat torus: the fiber term read off the exact
+Dirac square, link phases and their flux sign, the Fourier-reduced magnetic
+Laplacian, its Sturm counts and its eigensolver against the site-basis
+operator, the Kronecker-sum eigenvalues of the Dirac square against a dense
+assembly, the squared lattice D, and the gap and crosscheck CLI."""
 
 import json
 import math
@@ -13,7 +13,9 @@ import pytest
 from transdirac import cli
 from transdirac import clifford_fiber as cf
 from transdirac import frame_geometry as fg
+from transdirac import operator_calculus as oc
 from transdirac import spectral
+from transdirac.exact import rational
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +26,54 @@ def landau():
 @pytest.fixture(scope="module")
 def torus(landau):
     return spectral.flat_torus(landau)
+
+
+def constant_endomorphism(torus, k):
+    """Test oracle: the fiber term of the lattice Dirac square on a torus
+    with a line bundle, by hand: k times the curvature action of B in
+    physical units, 2*pi*k c(B); on a flat torus every other constant of
+    the normal form vanishes."""
+    return 2 * math.pi * k * spectral._dense(cf.two_form_action(torus.model.line_b, torus.J))
+
+
+# -- the fiber term, read off the exact Dirac square ---------------------------
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_lattice_constant_is_k_times_the_curvature_action(torus, k):
+    setup = oc.spinor_setup(torus.model, torus.geom, k)
+    want = cf.two_form_action(torus.model.line_b, torus.J).scale(rational(k))
+    assert spectral.lattice_constant(setup) == want
+
+
+def test_lattice_constant_vanishes_without_a_bundle():
+    """flat_t3 has no line bundle: E = 0 on the spinors and on the forms."""
+    flat = spectral.flat_torus(fg.resolve_model("flat_t3"))
+    for setup in (oc.spinor_setup(flat.model, flat.geom, 0),
+                  oc.forms_setup(flat.model, flat.geom)):
+        E = spectral.lattice_constant(setup)
+        assert E.is_zero() and E.n == setup.fiber.dim
+
+
+def test_lattice_constant_refuses_a_leaf_derivative():
+    """On the Heisenberg model D^2 carries the integrability term along the
+    leaf, nabla_1, which the lattice operator has no place for."""
+    heis = fg.resolve_model("heisenberg")
+    setup = oc.spinor_setup(heis, fg.derive_connection(heis), 1)
+    assert (0,) in oc.compose(oc.dirac(setup), oc.dirac(setup)).terms
+    with pytest.raises(fg.ModelError, match="at ∇1: outside the lattice's regime"):
+        spectral.lattice_constant(setup)
+
+
+def test_lattice_constant_refuses_a_wrong_second_order_word(monkeypatch, torus):
+    """A Dirac square whose transverse nabla_a^2 does not carry -I, or that
+    lacks one, is outside the regime too."""
+    setup = oc.spinor_setup(torus.model, torus.geom, 1)
+    square = oc.compose(oc.dirac(setup), oc.dirac(setup))
+    for change in ({(1, 1): square.terms[(1, 1)].scale(rational(2))}, {(2, 2): None}):
+        terms = {w: M for w, M in {**square.terms, **change}.items() if M is not None}
+        monkeypatch.setattr(spectral, "compose", lambda A, B: oc.DiffOp(setup, terms))
+        with pytest.raises(fg.ModelError, match="outside the lattice's regime"):
+            spectral.lattice_constant(setup)
 
 
 # -- link phases -------------------------------------------------------------
@@ -267,7 +317,7 @@ def assembled_parity_blocks(torus, k, N):
     """Test oracle: the explicit (even, odd) blocks H (x) I + I (x) E_parity
     of the lattice Dirac square."""
     H = site_bochner(N, k * spectral.chern_number(torus.model))
-    E = spectral._constant_endomorphism(torus, k)
+    E = constant_endomorphism(torus, k)
     odd = np.array([bin(m).count("1") % 2 == 1 for m in range(E.shape[0])])
     blocks = []
     for ix in (~odd, odd):
@@ -330,6 +380,7 @@ def test_gap_scan_rows_repeat_exactly(torus):
 def test_flat_torus_carries_the_scan_invariants(landau):
     torus = spectral.flat_torus(landau)
     assert torus.model is landau
+    assert torus.geom == fg.derive_connection(landau)
     assert torus.c == spectral.chern_number(landau) == 1
     assert torus.m == spectral.invariants_2pi(landau) == 2 * math.pi
     with pytest.raises(fg.ModelError, match="not a flat torus"):
@@ -350,7 +401,7 @@ def test_square_residual_does_not_depend_on_the_eigenbasis(monkeypatch, torus):
     """The residual on the solver's vectors of the two kc-fold levels matches
     the one on dense eigh's basis of the same levels of the site-basis H."""
     gens = [spectral._dense(C) for C in cf.spinor_cliffords(torus.J)]
-    E = spectral._constant_endomorphism(torus, 3)
+    E = constant_endomorphism(torus, 3)
     reduced = spectral.square_residual(gens, E, 16, 3)
 
     def dense(H, cut):
