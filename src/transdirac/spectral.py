@@ -18,12 +18,11 @@ D_k^2 is the magnetic Bochner Laplacian plus E, scaled by 2*pi:
   (Hofstadter 1976; the magnetic translations of Zak 1964);
 * D is odd for the spinor grading, so E is even (`parity_blocks` checks
   it) and each parity block is H (x) I + I (x) E_parity, with spectrum
-  {h_i + e_j}.  The exact eigenvalues e_j of the small fiber blocks of E
-  and, for each, the number of h_i below the kernel threshold minus e_j
-  and the next h_i above it give both sectors.  Those numbers come from
-  Sturm counts on the chains in plain floats (Sylvester's law of inertia;
-  Barth, Martin and Wilkinson 1967), exact over the whole spectrum, and
-  bisection on them.
+  {h_i + e_j}.  The exact eigenvalues e_j of the fiber blocks of E and,
+  for each, the number of h_i below the kernel threshold minus e_j and the
+  next h_i above it give both sectors, from Sturm counts on the chains in
+  plain floats (Sylvester's law of inertia; Barth, Martin and Wilkinson
+  1967), exact over the whole spectrum, and bisection on them.
 
 `crosscheck_rows` ties that operator to the first-order D: it squares the
 central-difference D_h, applied independently in the site basis from
@@ -187,7 +186,8 @@ def lattice_constant(setup: BundleSetup) -> Mat:
     Raises ModelError where D^2 has any other word, or a transverse
     nabla_a^2 without the coefficient -I: the lattice operator H + 2*pi*E
     has no term for it."""
-    dim, words = setup.fiber.dim, compose(dirac(setup), dirac(setup)).terms
+    D, dim = dirac(setup), setup.fiber.dim
+    words = compose(D, D).terms
     expected = {(a, a): -Mat.identity(dim) for a in range(setup.model.p, setup.model.n)}
     other = [w for w in {*words, *expected} - {()} if words.get(w) != expected.get(w)]
     if other:
