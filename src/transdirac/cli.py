@@ -128,11 +128,8 @@ def _emit(args: argparse.Namespace, payload: dict, csv_rows: list[dict]):
 
 def _load_model(args: argparse.Namespace) -> fg.FrameModel:
     model = fg.resolve_model(args.model)
-    rep = fg.validate(model)
-    for w in rep.warnings:
+    for w in fg.require_valid(model).warnings:
         print(f"warning: {w}", file=sys.stderr)
-    if not rep.ok:
-        raise fg.ModelError(f"invalid model {model.name!r}: {rep.first_failure()}")
     return model
 
 
@@ -196,11 +193,6 @@ def _lattice_scan(args: argparse.Namespace, require_bundle: bool) \
 def cmd_gap(args: argparse.Namespace) -> tuple[dict, list[dict]]:
     torus, ks = _lattice_scan(args, require_bundle=True)
     reports = spec.gap_scan(torus, ks, args.N)
-    for r in reports:
-        if r.ambiguous:
-            raise spec.SolverError(
-                f"ambiguous kernel cluster at k={r.k}, N={r.N}: gap {r.gap:.6g} "
-                "lies within 4x the kernel threshold 2km/10")
     rows = [r.row() for r in reports]
     ok = True
     notes = []

@@ -35,7 +35,7 @@ import random
 from collections import namedtuple
 from functools import cache
 
-from .exact import I, ONE, SQRT2, ZERO, Scalar, rational
+from .exact import I, ONE, SQRT2, ZERO, Scalar, format_scalar, rational
 from .matrices import Mat, accumulate, apply_to_vector, combination, product_sum
 
 
@@ -120,22 +120,20 @@ def spin_lift(A: Mat, cliffords: tuple[Mat, ...]) -> Mat:
 # ---------------------------------------------------------------------------
 # complex structures and the spinor fiber
 
-def standard_j_matrix(q: int) -> Mat:
-    entries = {}
-    for j in range(q // 2):
-        entries[(2 * j + 1, 2 * j)] = ONE       # J f_{2j+1} = f_{2j+2}
-        entries[(2 * j, 2 * j + 1)] = -ONE      # J f_{2j+2} = -f_{2j+1}
-    return Mat(q, q, entries)
-
-
 def _times_block_skew(O: Mat, betas) -> Mat:
     """O S for the block-diagonal skew S with S[2j, 2j+1] = betas[j] =
     -S[2j+1, 2j], as column moves: column 2j+1 of O S is betas[j] times
-    column 2j of O, and column 2j is -betas[j] times column 2j+1.  The
-    standard J0 has betas -1, `block_two_form(mus)` has betas -i mu_j."""
+    column 2j of O, and column 2j is -betas[j] times column 2j+1; a zero
+    beta moves nothing, so no zero entry is stored.  With O = I this is S
+    itself: the standard J0 (betas -1, `ComplexStructure.standard`) and
+    `block_two_form(mus)` (betas -i mu_j)."""
+    if O.m != 2 * len(betas):
+        raise ValueError(f"{O.m} columns do not split into {len(betas)} 2 x 2 skew blocks")
     d = {}
     for (i, a), v in O.d.items():
         beta = betas[a // 2]
+        if not beta:
+            continue
         if a % 2:
             d[(i, a - 1)] = -(v * beta)
         else:
@@ -196,19 +194,16 @@ class ComplexStructure:
 
     @staticmethod
     def standard(q: int) -> "ComplexStructure":
-        jm = standard_j_matrix(q)
-        frame = tuple(tuple(ONE if t == a else ZERO for t in range(q)) for a in range(q))
-        return ComplexStructure(jm, frame)
+        """J0 f_{2j-1} = f_{2j}, with the standard basis as adapted frame."""
+        return ComplexStructure.from_orthogonal(Mat.identity(q))
 
     @staticmethod
     def from_orthogonal(O: Mat) -> "ComplexStructure":
         """Conjugate the standard structure: J = O J0 O^T, frame = columns of O."""
         q = O.n
-        jm = _times_block_skew(O, [-ONE] * (q // 2)) @ O.transpose()
-        columns = [[ZERO] * q for _ in range(q)]
-        for (i, a), v in O.d.items():
-            columns[a][i] = v
-        return ComplexStructure(jm, tuple(map(tuple, columns)))
+        Ot = O.transpose()
+        jm = _times_block_skew(O, [-ONE] * (q // 2)) @ Ot
+        return ComplexStructure(jm, tuple(map(tuple, Ot.rows())))
 
     @staticmethod
     def from_matrix(jmat: Mat) -> "ComplexStructure":
@@ -478,13 +473,7 @@ def random_mu(rng: random.Random) -> Scalar:
 
 def block_two_form(mus) -> Mat:
     """Standard-frame two-form with B(f_{2j-1}, f_{2j}) = -i mu_j."""
-    entries = {}
-    for j, mu in enumerate(mus):
-        v = -I * Scalar.of(mu)
-        entries[(2 * j, 2 * j + 1)] = v
-        entries[(2 * j + 1, 2 * j)] = -v
-    q = 2 * len(mus)
-    return Mat(q, q, entries)
+    return _times_block_skew(Mat.identity(2 * len(mus)), [-I * Scalar.of(mu) for mu in mus])
 
 
 def random_compatible_pair(rng: random.Random, q: int) \
@@ -525,7 +514,7 @@ def fiber_battery(rng: random.Random, q: int, trials: int) -> BatteryResult:
     for trial in range(trials):
         B, J, mus = random_compatible_pair(rng, q)
         lam = trace_plus(B, J)
-        A = pair_action(B, spinor_cliffords(J))  # two_form_action(B, J); trace_plus validated B
+        A = two_form_action(B, J)
         rep = check_rl1(A, lam)
         if not rep.exact_zero or lam != sum(mus, ZERO):
             all_exact = False
@@ -540,8 +529,6 @@ def fiber_battery(rng: random.Random, q: int, trials: int) -> BatteryResult:
 
 
 def _pair_failure(trial: int, kind: str, B: Mat, J: ComplexStructure) -> dict:
-    from .exact import format_scalar
-
     def fmt(M: Mat):
         return [[format_scalar(M.entry(i, j)) for j in range(M.m)] for i in range(M.n)]
 

@@ -35,6 +35,7 @@ import json
 from collections import namedtuple
 from pathlib import Path
 
+from .clifford_fiber import ComplexStructure, spin_lift, validate_two_form
 from .exact import ZERO, Scalar, format_scalar, parse_imaginary, parse_real, rational
 from .matrices import Mat, apply_to_vector, combination, commutator
 
@@ -163,7 +164,6 @@ def validate(model: FrameModel) -> ValidationReport:
             failures.append("line bundle curvature must be q x q")
         else:
             try:
-                from .clifford_fiber import validate_two_form
                 validate_two_form(model.line_b)
             except ValueError as exc:
                 failures.append(f"line bundle curvature: {exc}")
@@ -172,10 +172,13 @@ def validate(model: FrameModel) -> ValidationReport:
                             warnings=tuple(warnings))
 
 
-def require_valid(model: FrameModel) -> None:
+def require_valid(model: FrameModel) -> ValidationReport:
+    """The validation report of an admissible model, whose warnings the
+    caller may show; raises ModelError with the first failure otherwise."""
     rep = validate(model)
     if not rep.ok:
         raise ModelError(f"invalid model {model.name!r}: {rep.first_failure()}")
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +320,12 @@ def derive_connection(model: FrameModel) -> ConnectionData:
     )
 
 
-def complex_structure(model: FrameModel):
+def complex_structure(model: FrameModel) -> ComplexStructure:
     """The model's transverse complex structure J with an exact adapted frame.
 
     The vanishing theorem assumes a transversely almost complex structure,
     so every command refuses a model file without "J" rather than pick
     one."""
-    from .clifford_fiber import ComplexStructure
-
     jmat = model.jmat
     if jmat is None:
         raise ModelError(f"model {model.name!r} carries no complex structure: "
@@ -339,24 +340,21 @@ def complex_structure(model: FrameModel):
                          f"complex structure: {exc}") from exc
 
 
-def spin_connection(model: FrameModel, J, A: tuple[Mat, ...]) -> tuple[Mat, ...]:
-    """Connection matrices on the spinor fiber, one per frame direction:
+def spin_connection(J: ComplexStructure, cliffords: tuple[Mat, ...],
+                    A: tuple[Mat, ...]) -> tuple[Mat, ...]:
+    """Connection matrices on the spinor fiber of J, with the Clifford
+    generators `cliffords` = spinor_cliffords(J), one per frame direction:
     Gamma_u = (1/4) sum_{b,g} (A_u)_{gb} c(f_b) c(f_g) for the transverse
     connection matrices A_u.
 
     Requires nabla J = 0 (each A_u commutes with J), otherwise the spinor
     fiber is not parallel; the error names the offending direction."""
-    from .clifford_fiber import spin_lift, spinor_cliffords
-
-    if J.q != model.q:
-        raise ModelError(f"J has rank {J.q}, model has q={model.q}")
     for u, Au in enumerate(A):
         if not commutator(Au, J.jmat).is_zero():
             raise ModelError(
                 f"nabla J != 0 along frame direction u{u + 1}; "
                 "the spinor fiber is not parallel")
-    cs = spinor_cliffords(J)
-    return tuple(spin_lift(Au, cs) for Au in A)
+    return tuple(spin_lift(Au, cliffords) for Au in A)
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +419,10 @@ def load_bundled(name: str) -> FrameModel:
 
 
 def resolve_model(spec: str) -> FrameModel:
-    """Accept a filesystem path or a bundled fixture name."""
+    """The model file at the path `spec`, or the bundled model named `spec`
+    where no such file exists: "sol" names a bundled model, "sol.json" and
+    "dir/sol.json" only files."""
     path = Path(spec)
-    if path.exists():
+    if path.exists() or spec not in bundled_model_names():
         return load_model(path)
-    stem = path.stem if path.suffix == ".json" else spec
-    return load_bundled(stem)
+    return load_bundled(spec)

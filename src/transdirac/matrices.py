@@ -9,9 +9,9 @@ rationals skips the sqrt2 terms, a product of reals the imaginary ones),
 then reduced once by `exact._reduced`.  That is one gcd and one Scalar per
 entry, where a Scalar loop makes one per product and one per partial sum;
 entries that sum to zero are not stored.  `+` and `-` of two Mats stay on
-Scalar adds: an entry held by one side only is copied as it is, and only
-shared entries are added, where the kernel would rebuild and reduce every
-entry of both sides.
+Scalar adds, one `accumulate` per entry of the right side: an entry held by
+the left side only is kept as it is, where the kernel would rebuild and
+reduce every entry of both sides.
 
 Spectral facts about Hermitian matrices are certified without extracting
 eigenvalues:
@@ -103,24 +103,14 @@ class Mat:
         self._shape_check(other)
         d = dict(self.d)
         for key, v in other.d.items():
-            s = d.get(key)
-            w = v if s is None else s + v
-            if w.is_zero():
-                d.pop(key, None)
-            else:
-                d[key] = w
+            accumulate(d, key, v)
         return self._wrap(d)
 
     def __sub__(self, other: "Mat") -> "Mat":
         self._shape_check(other)
         d = dict(self.d)
         for key, v in other.d.items():
-            s = d.get(key)
-            w = -v if s is None else s - v
-            if w.is_zero():
-                d.pop(key, None)
-            else:
-                d[key] = w
+            accumulate(d, key, -v)
         return self._wrap(d)
 
     def __neg__(self) -> "Mat":

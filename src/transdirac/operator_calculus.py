@@ -43,56 +43,59 @@ class SetupError(ValueError):
     """Inconsistent bundle data (connection, curvature, or fiber mismatch)."""
 
 
-class Fiber(namedtuple("Fiber", "kind q dim")):  # kind: "spinor" or "forms"
-    __slots__ = ()
-
-
 class BundleSetup:
     """Frozen bundle data for the operator calculus over one frame model.
 
     Fields:
       model, geom    -- the validated model and its derived connection data
-      fiber          -- fiber descriptor
-      cliff[a]       -- Clifford action of the horizontal basis vector f_(a+1)
-      eps/iota[a]    -- wedge/contraction operators (forms fiber only)
+      cliff[a]       -- Clifford action of the horizontal basis vector f_(a+1);
+                        the fiber dimension `dim` is the size of these
+      eps/iota[a]    -- wedge/contraction operators, None on a spinor fiber:
+                        a setup with eps is on the forms fiber
       gamma[u]       -- connection matrix per frame direction (n of them)
-      k, line_b      -- line bundle power and its two-form (units of 2*pi)
+      k              -- power of the model's line bundle, whose two-form
+                        model.line_b (units of 2*pi) then enters the curvature
+      J              -- the complex structure of a spinor fiber, else None
       curv[(u,v)]    -- full curvature F(u_u, u_v), u < v
     """
 
-    __slots__ = ("model", "geom", "fiber", "cliff", "eps", "iota", "gamma",
-                 "k", "line_b", "J", "curv")
+    __slots__ = ("model", "geom", "cliff", "eps", "iota", "gamma", "k", "J", "curv")
 
-    def __init__(self, model: FrameModel, geom: ConnectionData, fiber: Fiber,
-                 cliff, gamma, k, line_b, J, eps=None, iota=None):
+    def __init__(self, model: FrameModel, geom: ConnectionData, cliff, gamma, k, J,
+                 eps, iota):
         self.model = model
         self.geom = geom
-        self.fiber = fiber
         self.cliff = tuple(cliff)
         self.eps = tuple(eps) if eps is not None else None
         self.iota = tuple(iota) if iota is not None else None
         self.gamma = tuple(gamma)
         self.k = k
-        self.line_b = line_b
         self.J = J
         self.curv = self._curvatures()
         self._validate()
+
+    @property
+    def dim(self) -> int:
+        return self.cliff[0].n
 
     def _curvatures(self) -> dict[tuple[int, int], Mat]:
         """Curvature of the declared connection plus the formal scalar piece
         k B of L^k on horizontal pairs."""
         out = curvature(self.model, self.gamma)
-        if self.k and self.line_b is not None:
-            p, eye = self.model.p, Mat.identity(self.fiber.dim)
+        if self.k:
+            line_b = self.model.line_b
+            if line_b is None:
+                raise SetupError("k != 0 requires a line bundle on the model")
+            p, eye = self.model.p, Mat.identity(self.dim)
             for (u, v), F in out.items():
-                s = self.line_b.entry(u - p, v - p) if u >= p else ZERO  # u < v
+                s = line_b.entry(u - p, v - p) if u >= p else ZERO  # u < v
                 if not s.is_zero():
                     out[(u, v)] = F + eye.scale(s * rational(self.k))
         return out
 
     def fcurv(self, u: int, v: int) -> Mat:
         if u == v:
-            return Mat.zero(self.fiber.dim)
+            return Mat.zero(self.dim)
         if u < v:
             return self.curv[(u, v)]
         return -self.curv[(v, u)]
@@ -101,7 +104,7 @@ class BundleSetup:
 
     def _validate(self):
         n, p, q = self.model.n, self.model.p, self.model.q
-        dim = self.fiber.dim
+        dim = self.dim
         for u, G in enumerate(self.gamma):
             if G.n != dim or G.m != dim:
                 raise SetupError(f"gamma[{u}] has wrong fiber dimension")
@@ -146,12 +149,8 @@ def spinor_setup(model: FrameModel, geom: ConnectionData, k: int) -> BundleSetup
     require_valid(model)
     J = complex_structure(model)
     cs = spinor_cliffords(J)
-    gamma = spin_connection(model, J, geom.transverse)
-    line_b = model.line_b
-    if k and line_b is None:
-        raise SetupError("k != 0 requires a line bundle on the model")
-    fiber = Fiber(kind="spinor", q=model.q, dim=cs[0].n)
-    return BundleSetup(model, geom, fiber, cs, gamma, k, line_b, J)
+    gamma = spin_connection(J, cs, geom.transverse)
+    return BundleSetup(model, geom, cs, gamma, k, J, None, None)
 
 
 def forms_setup(model: FrameModel, geom: ConnectionData) -> BundleSetup:
@@ -165,9 +164,7 @@ def forms_setup(model: FrameModel, geom: ConnectionData) -> BundleSetup:
     # Gamma_u = sum_{g,b} (A_u)_gb eps_g iota_b = sum_g eps_g (sum_b (A_u)_gb iota_b)
     gamma = [product_sum(zip(eps, (combination(row, iota) for row in Au.rows())))
              for Au in geom.transverse]
-    fiber = Fiber(kind="forms", q=q, dim=1 << q)
-    return BundleSetup(model, geom, fiber, cliff, gamma, 0, None, None,
-                       eps=eps, iota=iota)
+    return BundleSetup(model, geom, cliff, gamma, 0, None, eps, iota)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +233,7 @@ def endo_op(setup: BundleSetup, M: Mat) -> DiffOp:
 def nabla(setup: BundleSetup, u: int) -> DiffOp:
     if not 0 <= u < setup.model.n:
         raise SetupError(f"direction {u} out of range")
-    return DiffOp(setup, {(u,): Mat.identity(setup.fiber.dim)})
+    return DiffOp(setup, {(u,): Mat.identity(setup.dim)})
 
 
 def _push(setup: BundleSetup, seq: tuple, M: Mat) -> list[tuple[tuple, Mat]]:
@@ -332,7 +329,7 @@ def dirac(setup: BundleSetup) -> DiffOp:
 def bochner(setup: BundleSetup) -> DiffOp:
     """sum_a (nabla_{f_a})^* nabla_{f_a} = -sum_a (nabla_{f_a}^2 + div(f_a) nabla_{f_a}),
     by (nabla_u)^* = -nabla_u - div(u); each word is already in normal form."""
-    eye = Mat.identity(setup.fiber.dim)
+    eye = Mat.identity(setup.dim)
     terms = {}
     for u in range(setup.model.p, setup.model.n):
         terms[(u,)] = eye.scale(-setup.geom.div[u])
@@ -400,7 +397,7 @@ def _dirac_square_rhs(setup: BundleSetup, two_form, scalar: Scalar) -> DiffOp:
     """Bochner - (1/2) sum_a c(f_a) c(nabla_{f_a} tau) - (1/4)|tau|^2 + scalar
     + the Clifford curvature term of `two_form`: the shared form of the two
     Dirac-square right-hand sides."""
-    eye = Mat.identity(setup.fiber.dim)
+    eye = Mat.identity(setup.dim)
     acc = bochner(setup)
     ctau_term = _tau_derivative_term(setup, setup.cliff, setup.cliff)
     acc = acc - endo_op(setup, ctau_term.scale(rational(1, 2)))
@@ -426,7 +423,7 @@ def dirac_prime_square_rhs(setup: BundleSetup) -> DiffOp:
     """RHS for (D')^2: Bochner - nabla_tau
     + (1/2) sum c c [F(f_a,f_b) - nabla_{R(f_a,f_b)}]."""
     p = setup.model.p
-    eye = Mat.identity(setup.fiber.dim)
+    eye = Mat.identity(setup.dim)
     nabla_tau = DiffOp(setup, {(p + a,): eye.scale(t) for a, t in enumerate(setup.geom.tau)})
     return (bochner(setup) - nabla_tau
             + _clifford_curvature_term(setup, lambda a, b: setup.fcurv(p + a, p + b)))
@@ -443,7 +440,7 @@ def dirac_square_full_curvature_rhs(setup: BundleSetup) -> DiffOp:
 # -- transversal de Rham operators (forms fiber) ------------------------------
 
 def _require_forms(setup: BundleSetup):
-    if setup.fiber.kind != "forms":
+    if setup.eps is None:
         raise SetupError("operator requires the exterior-algebra fiber")
 
 
@@ -538,7 +535,7 @@ def basic_tau_rhs(setup: BundleSetup) -> DiffOp:
     """Simplified Dirac square under a basic mean curvature form:
     Bochner - (1/2) d_H^* tau + (1/4)|tau|^2 + S/4
     + (1/2) sum c c [R^{E/S} - nabla_R]."""
-    eye = Mat.identity(setup.fiber.dim)
+    eye = Mat.identity(setup.dim)
     norm2 = sum((t * t for t in setup.geom.tau), ZERO)
     scalar = (-codifferential_of_tau(setup) * rational(1, 2)
               + norm2 * rational(1, 4)
@@ -610,7 +607,7 @@ def verify_suite(model: FrameModel, k: int) -> SuiteReport:
     run("d", "curvature contraction collapses to the scalar term",
         (endo_op(sp, _pair_contraction(
             sp.cliff, sp.cliff, lambda a, b: c_of_R(sp, sp.model.p + a, sp.model.p + b))),
-         endo_op(sp, Mat.identity(sp.fiber.dim).scale(lichnerowicz_scalar(sp)))))
+         endo_op(sp, Mat.identity(sp.dim).scale(lichnerowicz_scalar(sp)))))
     run("e", "transversal Laplacian Bochner formula",
         (hodge_laplacian(fo), hodge_bochner_rhs(fo)))
     dh, dhs = d_horizontal(fo), d_horizontal_star(fo)

@@ -186,7 +186,7 @@ def lattice_constant(setup: BundleSetup) -> Mat:
     Raises ModelError where D^2 has any other word, or a transverse
     nabla_a^2 without the coefficient -I: the lattice operator H + 2*pi*E
     has no term for it."""
-    D, dim = dirac(setup), setup.fiber.dim
+    D, dim = dirac(setup), setup.dim
     words = compose(D, D).terms
     expected = {(a, a): -Mat.identity(dim) for a in range(setup.model.p, setup.model.n)}
     other = [w for w in {*words, *expected} - {()} if words.get(w) != expected.get(w)]
@@ -406,7 +406,7 @@ def least_value_above(H: HarperRings, thr: float, below: dict[float, int]) -> fl
 # spectrum reports
 
 class SpectrumReport(namedtuple("SpectrumReport", "k N gap kernel_dim_even kernel_dim_odd "
-                                                  "fitted_C m ambiguous runtime_ms")):
+                                                  "fitted_C m runtime_ms")):
     __slots__ = ()
 
     def row(self) -> dict:
@@ -425,7 +425,9 @@ def spectrum_report(torus: FlatTorus, k: int, N: int) -> SpectrumReport:
     block of E, lies below the threshold when h < thr - e.  So each kernel
     dimension is a sum of Sturm counts of H, and the gap is the least sector
     value at or above thr, bisected.  The counts are exact over the whole
-    spectrum of H, so no eigenvalue can be missed."""
+    spectrum of H, so no eigenvalue can be missed.  Raises SolverError where
+    no sector value lies above thr, or where the gap lies within 4 thr: the
+    kernel cluster is then ambiguous."""
     t0 = time.perf_counter()
     m = torus.m
     H = magnetic_bochner(N, k * torus.c)
@@ -435,10 +437,12 @@ def spectrum_report(torus: FlatTorus, k: int, N: int) -> SpectrumReport:
     gap = least_value_above(H, thr, below)
     if math.isinf(gap):
         raise SolverError(f"no sector value at k={k}, N={N} lies above the kernel threshold")
-    ambiguous = bool(gap < 4 * thr) if k >= 1 and m > 0 else False
+    if k >= 1 and m > 0 and gap < 4 * thr:
+        raise SolverError(f"ambiguous kernel cluster at k={k}, N={N}: gap {gap:.6g} "
+                          "lies within 4x the kernel threshold 2km/10")
     return SpectrumReport(k=k, N=N, gap=gap, kernel_dim_even=sum(below[e] for e in e_even),
                           kernel_dim_odd=sum(below[e] for e in e_odd),
-                          fitted_C=max(0.0, 2 * k * m - gap), m=m, ambiguous=ambiguous,
+                          fitted_C=max(0.0, 2 * k * m - gap), m=m,
                           runtime_ms=(time.perf_counter() - t0) * 1000.0)
 
 

@@ -74,7 +74,7 @@ def divergence_closed_horizontal(model: FrameModel, a: int) -> Scalar:
 
 
 def identity_op(setup: oc.BundleSetup) -> oc.DiffOp:
-    return oc.DiffOp(setup, {(): Mat.identity(setup.fiber.dim)})
+    return oc.DiffOp(setup, {(): Mat.identity(setup.dim)})
 
 
 def bochner_divergence_form(setup: oc.BundleSetup) -> oc.DiffOp:
@@ -83,7 +83,7 @@ def bochner_divergence_form(setup: oc.BundleSetup) -> oc.DiffOp:
     horizontal formula, not read from the derived connection data."""
     model, geom = setup.model, setup.geom
     p, q = model.p, model.q
-    eye = Mat.identity(setup.fiber.dim)
+    eye = Mat.identity(setup.dim)
     acc: dict[tuple, Mat] = {}
     for a in range(q):
         accumulate(acc, (p + a, p + a), -eye)
@@ -100,7 +100,7 @@ def bochner_divergence_form(setup: oc.BundleSetup) -> oc.DiffOp:
 def is_grading_odd(op: oc.DiffOp) -> bool:
     """Every coefficient anticommutes with the fiber parity (the derivative
     generators preserve parity since the connection matrices are even)."""
-    P = grading_matrix(op.setup.fiber.dim.bit_length() - 1)
+    P = grading_matrix(op.setup.dim.bit_length() - 1)
     return all((P @ M @ P + M).is_zero() for M in op.terms.values())
 
 
@@ -143,8 +143,7 @@ def twisted_spinor_setup(model: FrameModel, k: int, theta: tuple[Mat, ...]) -> o
     a scalar, unlike that of L^k alone."""
     base = oc.spinor_setup(model, derive_connection(model), k)
     eye_r = Mat.identity(theta[0].n)
-    eye_s = Mat.identity(base.fiber.dim)
+    eye_s = Mat.identity(base.dim)
     cliff = [c.kron(eye_r) for c in base.cliff]
     gamma = [G.kron(eye_r) + eye_s.kron(t) for G, t in zip(base.gamma, theta)]
-    fiber = oc.Fiber(kind="spinor", q=model.q, dim=base.fiber.dim * theta[0].n)
-    return oc.BundleSetup(model, base.geom, fiber, cliff, gamma, k, model.line_b, base.J)
+    return oc.BundleSetup(model, base.geom, cliff, gamma, k, base.J, None, None)

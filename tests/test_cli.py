@@ -6,6 +6,7 @@ byte.  The `gap` and `crosscheck` reports carry floats from an iterative
 eigensolver, and `gap` a measured `runtime_ms`, so they are compared with
 the measurement removed, integers exactly and floats to a relative 1e-9."""
 
+import argparse
 import csv
 import io
 import json
@@ -45,6 +46,31 @@ def test_verify_invalid_model_exits_2_without_report(capsys):
     code, out = run_cli(capsys, "verify", "--model", "bad_bundlelike")
     assert code == cli.EXIT_INVALID
     assert out == ""
+
+
+@pytest.mark.parametrize("spec", ["sol.json", "typo/t3_landau.json", "/nonexistent/dir/sol.json"])
+def test_missing_model_path_exits_2_and_loads_no_bundled_model(capsys, monkeypatch, tmp_path,
+                                                               spec):
+    """Only a bundled model's own name loads it: a path that names no file
+    is unreadable input, whatever its stem."""
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["verify", "--model", spec])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INVALID
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read model file {spec}: ")
+
+
+def test_verify_warns_on_a_non_unimodular_frame(capsys, tmp_path):
+    """[u1,u2] = 2u1, [u2,u3] = u1 is admissible, but has no compact quotient
+    with invariant volume: `verify` passes on it and says so on stderr."""
+    path = write_landau(tmp_path, "non_unimodular", brackets=[[1, 2, 1, "2"], [2, 3, 1, "1"]])
+    code = cli.main(["verify", "--model", path])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_PASS
+    assert captured.err == ("warning: non-unimodular frame: tr(ad u2) = 2 != 0 "
+                            "(no compact quotient with invariant volume)\n")
+    assert json.loads(captured.out)["identities_passed"] == 9
 
 
 def test_fiber_report_matches_golden(capsys):
@@ -91,6 +117,17 @@ def test_parser_lists_the_bundled_models_once(monkeypatch):
     monkeypatch.setattr(cli.fg, "bundled_model_names", lambda: calls.append(1) or real())
     cli.build_parser()
     assert len(calls) == 1
+
+
+def test_settable_values_per_subcommand():
+    """The settable CLI values are a tracked number: a new flag changes it
+    here, visibly."""
+    (sub,) = (a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction))
+    counts = {name: sum(not isinstance(a, argparse._HelpAction) for a in p._actions)
+              for name, p in sub.choices.items()}
+    assert counts == {"verify": 4, "gap": 6, "crosscheck": 6, "fiber": 5}
+    assert sum(counts.values()) == 21
 
 
 @pytest.mark.parametrize("argv", [

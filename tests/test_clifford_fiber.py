@@ -158,13 +158,14 @@ def test_standard_structure_and_validation():
 
 
 _E0, _E1 = (ONE, ZERO), (ZERO, ONE)
+_J0 = cf.ComplexStructure.standard(2).jmat
 
 
 @pytest.mark.parametrize("jmat, frame, message", [
     (Mat.identity(2), (_E0, _E1), "J\\^2"),
     (Mat.from_rows([[1, -2], [1, -1]]), (_E0, _E1), "not orthogonal"),   # J^2 = -1
-    (cf.standard_j_matrix(2), ((rational(2), ZERO), (ZERO, rational(2))), "not orthonormal"),
-    (cf.standard_j_matrix(2), (_E0, (ZERO, -ONE)), "not J-adapted"),
+    (_J0, ((rational(2), ZERO), (ZERO, rational(2))), "not orthonormal"),
+    (_J0, (_E0, (ZERO, -ONE)), "not J-adapted"),
 ])
 def test_complex_structure_rejects(jmat, frame, message):
     """Each of the four checks raises on an input that passes the ones

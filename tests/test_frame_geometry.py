@@ -193,10 +193,10 @@ def test_divergence_values(torus, heis, sol):
 
 def test_spin_connection_values(torus, heis, sol):
     J = cf.ComplexStructure.standard(2)
-    assert all(G.is_zero() for G in fg.spin_connection(torus, J, transverse(torus)))
-    assert all(G.is_zero() for G in fg.spin_connection(heis, J, transverse(heis)))
-    spins = fg.spin_connection(sol, J, transverse(sol))
     cs = cf.spinor_cliffords(J)
+    assert all(G.is_zero() for G in fg.spin_connection(J, cs, transverse(torus)))
+    assert all(G.is_zero() for G in fg.spin_connection(J, cs, transverse(heis)))
+    spins = fg.spin_connection(J, cs, transverse(sol))
     # oracle: the commutator identity pins the sign, giving
     # Gamma_{f2} = (1/4)(c(f1)c(f2) - c(f2)c(f1))
     expect = (cs[0] @ cs[1] - cs[1] @ cs[0]).scale(rational(1, 4))
@@ -209,8 +209,8 @@ def test_spin_connection_commutator_identity(name):
     m = fg.load_bundled(name)
     J = cf.ComplexStructure.standard(2)
     A = transverse(m)
-    spins = fg.spin_connection(m, J, A)
     cs = cf.spinor_cliffords(J)
+    spins = fg.spin_connection(J, cs, A)
     for u in range(m.n):
         for b in range(m.q):
             lhs = spins[u] @ cs[b] - cs[b] @ spins[u]
@@ -220,7 +220,7 @@ def test_spin_connection_commutator_identity(name):
 
 def test_spin_connection_skew_hermitian(sol):
     J = cf.ComplexStructure.standard(2)
-    for G in fg.spin_connection(sol, J, transverse(sol)):
+    for G in fg.spin_connection(J, cf.spinor_cliffords(J), transverse(sol)):
         assert G.is_skew_hermitian()
 
 
@@ -231,7 +231,7 @@ def test_spin_connection_requires_parallel_j():
     assert fg.validate(m).ok
     J = cf.ComplexStructure.standard(4)
     with pytest.raises(fg.ModelError, match="u1"):
-        fg.spin_connection(m, J, transverse(m))
+        fg.spin_connection(J, cf.spinor_cliffords(J), transverse(m))
 
 
 # -- model files -----------------------------------------------------------------------

@@ -79,7 +79,7 @@ def test_torus_twisted_commutator():
     lhs = (oc.compose(oc.nabla(s, 1), oc.nabla(s, 2))
            - oc.compose(oc.nabla(s, 2), oc.nabla(s, 1)))
     # F(f1, f2) = k B_12 Id with B_12 = -i in reduced units
-    expect = oc.endo_op(s, Mat.identity(s.fiber.dim).scale(rational(3) * (-I)))
+    expect = oc.endo_op(s, Mat.identity(s.dim).scale(rational(3) * (-I)))
     assert oc.residual(lhs, expect).exact_zero
 
 
@@ -188,14 +188,14 @@ def test_bochner_two_routes_all_models():
 
 def test_bochner_sol_is_plain_sum_of_squares(sol_setup):
     s = sol_setup
-    eye = Mat.identity(s.fiber.dim)
+    eye = Mat.identity(s.dim)
     expect = oc.DiffOp(s, {(1, 1): -eye, (2, 2): -eye})
     assert oc.residual(oc.bochner(s), expect).exact_zero
 
 
 def test_bochner_second_order_coefficients(sol_setup):
     B = oc.bochner(sol_setup)
-    eye = Mat.identity(sol_setup.fiber.dim)
+    eye = Mat.identity(sol_setup.dim)
     for a in (1, 2):
         assert B.terms[(a, a)] == -eye
 
@@ -226,7 +226,7 @@ def test_lichnerowicz_rhs_sol_constant(sol_setup):
     # frozen from the independent expansion: the degree-0 endomorphism is
     # (+1/2 - 1/4 - 1/2) Id = -(1/4) Id
     rhs = oc.lichnerowicz_rhs(sol_setup)
-    eye = Mat.identity(sol_setup.fiber.dim)
+    eye = Mat.identity(sol_setup.dim)
     assert rhs.terms[()] == eye.scale(rational(-1, 4))
     D = oc.dirac(sol_setup)
     assert oc.compose(D, D).terms[()] == eye.scale(rational(-1, 4))
@@ -254,7 +254,7 @@ def test_dh_adjoint_is_dh_star():
 
 def test_hodge_laplacian_flat_is_sum_of_squares():
     s = forms(fg.load_bundled("flat_t3"))
-    eye = Mat.identity(s.fiber.dim)
+    eye = Mat.identity(s.dim)
     expect = oc.DiffOp(s, {(1, 1): -eye, (2, 2): -eye})
     assert oc.residual(oc.hodge_laplacian(s), expect).exact_zero
 
@@ -273,7 +273,8 @@ def non_unimodular():
     """[u1,u2] = 2u1, [u2,u3] = u1 with the standard J and B = -i: the only
     fixture with div(f_a) != 0, and with d_H^* tau = 4 a nonzero constant."""
     return fg.make_model("non_unimodular", 1, 2, [(1, 2, 1, "2"), (2, 3, 1, "1")],
-                         line_b=cf.block_two_form([ONE]), jmat=cf.standard_j_matrix(2))
+                         line_b=cf.block_two_form([ONE]),
+                         jmat=cf.ComplexStructure.standard(2).jmat)
 
 
 def test_basic_tau_identity_needs_the_codifferential_of_tau(monkeypatch):
@@ -314,7 +315,7 @@ def test_suite_with_rank_two_twist():
     theta = (t1, t2, t1.scale(rational(1, 2)))
     s = eo.twisted_spinor_setup(m, 1, theta)
     W = oc.twisting_curvature(s, 0, 1)
-    assert W != Mat.identity(s.fiber.dim).scale(W.entry(0, 0))
+    assert W != Mat.identity(s.dim).scale(W.entry(0, 0))
     D = oc.dirac(s)
     D2 = oc.compose(D, D)
     Dp = oc.dirac_prime(s)
@@ -365,10 +366,24 @@ def test_inconsistent_formal_curvature_rejected():
     m = fg.make_model(
         "badflux", 1, 4, [(1, 2, 3, "1"), (1, 3, 2, "-1")],
         line_b=Mat(4, 4, {(1, 2): -I, (2, 1): I}),
-        jmat=cf.standard_j_matrix(4))
+        jmat=cf.ComplexStructure.standard(4).jmat)
     assert fg.validate(m).ok
     with pytest.raises(oc.SetupError, match="Jacobi consistency"):
         spinor(m, k=1)
+
+
+def test_setup_rejects_a_connection_of_the_wrong_fiber_dimension(sol_setup):
+    """The fiber dimension is that of the Clifford generators; a connection
+    matrix of any other size is refused."""
+    s = sol_setup
+    gamma = [Mat.zero(2 * s.dim)] * s.model.n
+    with pytest.raises(oc.SetupError, match="wrong fiber dimension"):
+        oc.BundleSetup(s.model, s.geom, s.cliff, gamma, 0, s.J, None, None)
+
+
+def test_a_twisted_setup_requires_a_line_bundle(heis_plain):
+    with pytest.raises(oc.SetupError, match="requires a line bundle"):
+        spinor(heis_plain, k=1)
 
 
 def test_residual_reports_worst_monomial(sol_setup):
@@ -395,9 +410,9 @@ def digest_models():
     return [fg.load_bundled(name) for name in ("flat_t3", "t3_landau", "heisenberg", "sol")] + [
         fg.make_model("h4", 1, 4, [(2, 3, 1, "1"), (4, 5, 1, "1")],
                       line_b=cf.block_two_form([ONE, rational(2)]),
-                      jmat=cf.standard_j_matrix(4)),
+                      jmat=cf.ComplexStructure.standard(4).jmat),
         fg.make_model("tau_integrable", 1, 2, [(1, 2, 1, "1"), (2, 3, 1, "2"), (2, 3, 3, "1")],
-                      line_b=cf.block_two_form([ONE]), jmat=cf.standard_j_matrix(2)),
+                      line_b=cf.block_two_form([ONE]), jmat=cf.ComplexStructure.standard(2).jmat),
         fg.make_model("non_basic", 1, 2, NON_BASIC_BRACKETS,
                       jmat=Mat.from_rows([[0, -1], [1, 0]])),
         non_unimodular(),

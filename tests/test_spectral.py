@@ -51,7 +51,7 @@ def test_lattice_constant_vanishes_without_a_bundle():
     for setup in (oc.spinor_setup(flat.model, flat.geom, 0),
                   oc.forms_setup(flat.model, flat.geom)):
         E = spectral.lattice_constant(setup)
-        assert E.is_zero() and E.n == setup.fiber.dim
+        assert E.is_zero() and E.n == setup.dim
 
 
 def test_lattice_constant_refuses_a_leaf_derivative():
@@ -367,7 +367,6 @@ def test_kernel_count_is_not_capped_by_requested_count(torus):
     rep = spectral.spectrum_report(torus, k=12, N=32)
     assert rep.kernel_dim_even == 12
     assert rep.kernel_dim_odd == 0
-    assert not rep.ambiguous
 
 
 def test_gap_scan_rows_repeat_exactly(torus):
@@ -489,19 +488,25 @@ def test_gap_cli_exits_3_without_a_gap(monkeypatch, capsys):
     assert "lies above the kernel threshold" in captured.err
 
 
-@pytest.mark.parametrize("change,code,message", [
-    ({"ambiguous": True}, 3, "ambiguous"),
-    ({"kernel_dim_even": 2}, 1, "Riemann-Roch"),
-])
-def test_gap_cli_exit_codes_on_bad_reports(monkeypatch, capsys, change, code, message):
+def test_gap_cli_exits_3_on_an_ambiguous_kernel_cluster(capsys, torus):
+    """At kc/N^2 = 5/16 (a --tol loose enough to pass the under-resolved
+    guard) the lattice gap lies within 4x the kernel threshold 2km/10, so
+    spectrum_report refuses to count a kernel below it."""
+    with pytest.raises(spectral.SolverError, match="ambiguous kernel cluster at k=5, N=4"):
+        spectral.spectrum_report(torus, 5, 4)
+    assert cli.main(["gap", "--model", "t3_landau", "--k", "5", "--N", "4", "--tol", "0.7"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "lies within 4x the kernel threshold 2km/10" in captured.err
+
+
+def test_gap_cli_exits_1_on_a_wrong_even_kernel(monkeypatch, capsys):
     def fake_scan(model, ks, N):
         m = 2 * math.pi
-        base = dict(k=1, N=N, gap=2 * m,
-                    kernel_dim_even=1, kernel_dim_odd=0, fitted_C=0.0, m=m,
-                    ambiguous=False, runtime_ms=0.0)
-        return [spectral.SpectrumReport(**{**base, **change})]
+        return [spectral.SpectrumReport(k=1, N=N, gap=2 * m, kernel_dim_even=2,
+                                         kernel_dim_odd=0, fitted_C=0.0, m=m, runtime_ms=0.0)]
 
     monkeypatch.setattr(cli.spec, "gap_scan", fake_scan)
-    assert cli.main(["gap", "--model", "t3_landau", "--k", "1", "--N", "24"]) == code
+    assert cli.main(["gap", "--model", "t3_landau", "--k", "1", "--N", "24"]) == 1
     captured = capsys.readouterr()
-    assert message in captured.out + captured.err
+    assert "Riemann-Roch" in captured.out
