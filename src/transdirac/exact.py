@@ -8,9 +8,14 @@ so that curvature identities can be asserted as exact zeros instead of
 small floats.  A Scalar is an immutable value of F, kept as four integer
 numerators over one shared positive denominator in lowest terms, so each
 operation is a few integer products and one gcd; the rational parts are
-available as fractions.  Line-bundle curvature matrices are stored in units
-of 2*pi (integer entries of i*B are Chern numbers); only the floating-point
-lattice module reintroduces the 2*pi.
+available as fractions.  The small Gaussian integers a + ci, |a|, |c| <= 4
+(ZERO, ONE, I and the +-1 entries of every fiber matrix among them) have one
+shared object each, from a table fixed at import: every operation returns
+it instead of a new equal Scalar.  Equality and hashing still read the
+value, and nothing in this package compares Scalars with `is`, so sharing
+saves memory and changes no result.  Line-bundle curvature matrices are
+stored in units of 2*pi (integer entries of i*B are Chern numbers); only the
+floating-point lattice module reintroduces the 2*pi.
 """
 
 from __future__ import annotations
@@ -99,7 +104,9 @@ def _parts(x) -> tuple[int, int, int, int, int]:
 
 
 def _reduced(a: int, b: int, c: int, d: int, den: int) -> "Scalar":
-    """The Scalar ((a + b*sqrt2) + i*(c + d*sqrt2)) / den, for den > 0."""
+    """The Scalar ((a + b*sqrt2) + i*(c + d*sqrt2)) / den, for den > 0: the
+    table's object for a small Gaussian integer, else a new one.  Every
+    Scalar is made here."""
     if den != 1:
         g = math.gcd(a, b, c, d, den)
         if g != 1:
@@ -108,8 +115,11 @@ def _reduced(a: int, b: int, c: int, d: int, den: int) -> "Scalar":
             c //= g
             d //= g
             den //= g
-    s = _alloc(Scalar)
-    _set(s, (a, b, c, d, den))
+    v = (a, b, c, d, den)
+    s = _SMALL.get(v) if den == 1 else None
+    if s is None:
+        s = _alloc(Scalar)
+        _set(s, v)
     return s
 
 
@@ -123,17 +133,15 @@ class Scalar:
 
     __slots__ = ("_v",)
 
-    def __init__(self, ra=0, rb=0, ia=0, ib=0):
-        _set(self, _common(Fraction(ra), Fraction(rb), Fraction(ia), Fraction(ib)))
+    def __new__(cls, ra=0, rb=0, ia=0, ib=0):
+        return _reduced(*_common(Fraction(ra), Fraction(rb), Fraction(ia), Fraction(ib)))
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Scalar is immutable")
 
-    @classmethod
-    def _mk(cls, ra: Fraction, rb: Fraction, ia: Fraction, ib: Fraction) -> "Scalar":
-        s = _alloc(cls)
-        _set(s, _common(ra, rb, ia, ib))
-        return s
+    @staticmethod
+    def _mk(ra: Fraction, rb: Fraction, ia: Fraction, ib: Fraction) -> "Scalar":
+        return _reduced(*_common(ra, rb, ia, ib))
 
     @property
     def ra(self) -> Fraction:
@@ -157,9 +165,7 @@ class Scalar:
     def of(x) -> "Scalar":
         if isinstance(x, Scalar):
             return x
-        s = _alloc(Scalar)
-        _set(s, _parts(x))
-        return s
+        return _reduced(*_parts(x))
 
     # -- arithmetic -------------------------------------------------------
 
@@ -184,9 +190,7 @@ class Scalar:
 
     def __neg__(self):
         a, b, c, d, e = self._v
-        s = _alloc(Scalar)
-        _set(s, (-a, -b, -c, -d, e))
-        return s
+        return _reduced(-a, -b, -c, -d, e)
 
     def __mul__(self, other):
         a, b, c, d, e = self._v
@@ -222,9 +226,7 @@ class Scalar:
 
     def conjugate(self) -> "Scalar":
         a, b, c, d, e = self._v
-        s = _alloc(Scalar)
-        _set(s, (a, b, -c, -d, e))
-        return s
+        return _reduced(a, b, -c, -d, e)
 
     # -- predicates and parts ----------------------------------------------
 
@@ -319,6 +321,12 @@ class Scalar:
 _alloc = object.__new__
 _set = Scalar._v.__set__
 _ZERO = (0, 0, 0, 0, 1)
+
+# the small Gaussian integers a + ci, |a|, |c| <= 4, one object each; built
+# against the empty table, which is then filled once and never grows
+_SMALL: dict[tuple[int, int, int, int, int], Scalar] = {}
+_SMALL.update({v: _reduced(*v) for v in ((a, 0, c, 0, 1) for a in range(-4, 5)
+                                       for c in range(-4, 5))})
 
 ZERO = Scalar.of(0)
 ONE = Scalar.of(1)

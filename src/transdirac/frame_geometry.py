@@ -413,16 +413,17 @@ def bundled_model_names() -> list[str]:
 def load_bundled(name: str) -> FrameModel:
     try:
         data = json.loads((MODELS / f"{name}.json").read_text(encoding="utf-8"))
-    except (FileNotFoundError, OSError) as exc:
-        raise ModelError(f"no bundled model {name!r}; have {bundled_model_names()}") from exc
+    except OSError as exc:
+        raise ModelError(f"no model file or bundled model {name!r}; the bundled models "
+                         f"are {', '.join(bundled_model_names())}") from exc
     return model_from_dict(data)
 
 
 def resolve_model(spec: str) -> FrameModel:
     """The model file at the path `spec`, or the bundled model named `spec`
-    where no such file exists: "sol" names a bundled model, "sol.json" and
-    "dir/sol.json" only files."""
+    where no such file exists and `spec` is a bare name: "sol" names a
+    bundled model, "sol.json" and "dir/sol.json" only files."""
     path = Path(spec)
-    if path.exists() or spec not in bundled_model_names():
+    if path.exists() or path.suffix or path.name != spec:
         return load_model(path)
     return load_bundled(spec)

@@ -8,7 +8,10 @@ unreduced integer numerators over one denominator (a product of Gaussian
 rationals skips the sqrt2 terms, a product of reals the imaginary ones),
 then reduced once by `exact._reduced`.  That is one gcd and one Scalar per
 entry, where a Scalar loop makes one per product and one per partial sum;
-entries that sum to zero are not stored.  `+` and `-` of two Mats stay on
+entries that sum to zero are not stored.  A product with an empty factor
+(a zero connection matrix in a commutator, say) is skipped once its shapes
+have been checked, so it costs no indexing of the other factor and still
+raises on a shape mismatch.  `+` and `-` of two Mats stay on
 Scalar adds, one `accumulate` per entry of the right side: an entry held by
 the left side only is kept as it is, where the kernel would rebuild and
 reduce every entry of both sides.
@@ -280,6 +283,8 @@ def product_sum(pairs) -> Mat:
             shape = (L.n, R.m)
         elif shape != (L.n, R.m):
             raise ValueError(f"summed products of shapes {shape} and {(L.n, R.m)}")
+        if not (L.d and R.d):
+            continue
         m = R.m
         rows: dict[int, list] = {}
         for (k, j), v in R.d.items():

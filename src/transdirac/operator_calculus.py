@@ -16,7 +16,9 @@ power of the line bundle) that is NOT the curvature of any constant
 connection matrix; setup construction checks the Jacobi consistency
 condition that makes the rewriting confluent, so equal operators always
 reach identical normal forms and identity checking is a finite exact
-matrix comparison.
+matrix comparison.  `compose` rewrites a sum of products into one normal
+form, so the two products of the Hodge Laplacian d_H d_H^* + d_H^* d_H are
+never held at once.
 
 The Bochner operator sum_a (nabla_{f_a})^* nabla_{f_a} is written in closed
 form, -sum_a (nabla_{f_a}^2 + div(f_a) nabla_{f_a}), from the formal adjoint
@@ -214,7 +216,7 @@ class DiffOp:
         return not self.terms
 
     def __matmul__(self, other: "DiffOp") -> "DiffOp":
-        return compose(self, other)
+        return compose(((self, other),))
 
     def __repr__(self):
         words = sorted(self.terms, key=lambda w: (len(w), w))
@@ -274,16 +276,22 @@ def _reorder(setup: BundleSetup, M: Mat, word: tuple, acc: dict):
             _reorder(setup, M @ C, w + post, acc)
 
 
-def compose(A: DiffOp, B: DiffOp) -> DiffOp:
-    """Normal-ordered product; exact, associative (the setup's consistency
-    check guarantees confluence of the rewriting)."""
-    A._check(B)
-    setup = A.setup
+def compose(pairs) -> DiffOp:
+    """Normal form of the sum of the products A B over the (A, B) in `pairs`
+    (at least one, all over one setup), every product accumulated into the
+    one normal form; exact, associative (the setup's consistency check
+    guarantees confluence of the rewriting)."""
+    pairs = tuple(pairs)
+    first = pairs[0][0]
+    setup = first.setup
     acc: dict[tuple, Mat] = {}
-    for wA, MA in A.terms.items():
-        for wB, MB in B.terms.items():
-            for w1, C in _push(setup, wA, MB):
-                _reorder(setup, MA @ C, w1 + wB, acc)
+    for A, B in pairs:
+        first._check(A)
+        A._check(B)
+        for wA, MA in A.terms.items():
+            for wB, MB in B.terms.items():
+                for w1, C in _push(setup, wA, MB):
+                    _reorder(setup, MA @ C, w1 + wB, acc)
     return DiffOp(setup, acc)
 
 
@@ -461,10 +469,10 @@ def d_horizontal_star(setup: BundleSetup) -> DiffOp:
 
 
 def hodge_laplacian(setup: BundleSetup) -> DiffOp:
-    """Delta_H = d_H d_H^* + d_H^* d_H."""
+    """Delta_H = d_H d_H^* + d_H^* d_H, both products in one normal form."""
     dH = d_horizontal(setup)
     dHs = d_horizontal_star(setup)
-    return compose(dH, dHs) + compose(dHs, dH)
+    return compose(((dH, dHs), (dHs, dH)))
 
 
 def signature_rhs(setup: BundleSetup) -> DiffOp:
@@ -585,7 +593,7 @@ def verify_suite(model: FrameModel, k: int) -> SuiteReport:
     items: list[IdentityResult] = []
 
     D = dirac(sp)
-    D2 = compose(D, D)
+    D2 = D @ D
     Dp = dirac_prime(sp)
 
     def run(key, label, *pairs):
@@ -601,7 +609,7 @@ def verify_suite(model: FrameModel, k: int) -> SuiteReport:
     run("a", "dirac square equals curvature-decomposed right-hand side",
         (D2, lichnerowicz_rhs(sp)))
     run("b", "pre-Dirac square equals Bochner with full curvature term",
-        (compose(Dp, Dp), dirac_prime_square_rhs(sp)))
+        (Dp @ Dp, dirac_prime_square_rhs(sp)))
     run("c", "dirac square with undecomposed curvature",
         (D2, dirac_square_full_curvature_rhs(sp)))
     run("d", "curvature contraction collapses to the scalar term",
@@ -612,7 +620,7 @@ def verify_suite(model: FrameModel, k: int) -> SuiteReport:
         (hodge_laplacian(fo), hodge_bochner_rhs(fo)))
     dh, dhs = d_horizontal(fo), d_horizontal_star(fo)
     run("f", "squares of the transversal differential and codifferential",
-        (compose(dh, dh), dh_square_rhs(fo)), (compose(dhs, dhs), dh_star_square_rhs(fo)))
+        (dh @ dh, dh_square_rhs(fo)), (dhs @ dhs, dh_star_square_rhs(fo)))
     run("g", "Dirac operator of the exterior fiber vs signature operator",
         (dirac(fo), signature_rhs(fo)))
 

@@ -187,7 +187,7 @@ def lattice_constant(setup: BundleSetup) -> Mat:
     nabla_a^2 without the coefficient -I: the lattice operator H + 2*pi*E
     has no term for it."""
     D, dim = dirac(setup), setup.dim
-    words = compose(D, D).terms
+    words = compose(((D, D),)).terms
     expected = {(a, a): -Mat.identity(dim) for a in range(setup.model.p, setup.model.n)}
     other = [w for w in {*words, *expected} - {()} if words.get(w) != expected.get(w)]
     if other:

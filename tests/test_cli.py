@@ -197,6 +197,16 @@ def test_model_without_complex_structure_exits_2_in_every_command(capsys, tmp_pa
     assert errors == [errors[0]] * 3
 
 
+def test_unknown_bare_model_name_lists_the_bundled_models(capsys, monkeypatch, tmp_path):
+    """A bare name that is neither a file nor a bundled model is most likely
+    a mistyped bundled name: every command says which names there are."""
+    monkeypatch.chdir(tmp_path)
+    errors = invalid_input_errors(capsys, MODEL_COMMANDS, "nosuchmodel")
+    assert errors[0] == ("error: no model file or bundled model 'nosuchmodel'; the bundled "
+                         "models are bad_bundlelike, flat_t3, heisenberg, sol, t3_landau\n")
+    assert errors == [errors[0]] * 3
+
+
 @pytest.mark.parametrize("jrows, reason", [
     ([["1", "0"], ["0", "1"]], "J^2 != -Identity"),
     ([["1", "-2"], ["1", "-1"]], "J not orthogonal"),

@@ -15,6 +15,7 @@ from sympy.polys.matrices import DomainMatrix
 import exact_oracle as eo
 import multivector_oracle as mv
 from transdirac import clifford_fiber as cf
+from transdirac import exact
 from transdirac.exact import F0, I, ONE, SQRT2, ZERO, Scalar, parse_real, rational
 from transdirac.matrices import Mat
 
@@ -541,6 +542,18 @@ def test_odd_lower_bound_matches_numpy_min():
             _, odd = cf.parity_indices(J.l)
             evs = np.linalg.eigvalsh(np_mat(act.submatrix(odd, odd)))
             assert abs(evs.min() - float(rep.bound)) < 1e-9
+
+
+def test_fiber_matrix_entries_are_the_shared_small_scalars():
+    """The +-1 entries of a wedge-contraction product are the shared objects
+    of the exact layer, and a battery of random rationals adds nothing to the
+    fixed table of 81 small Gaussian integers."""
+    for a in range(4):
+        for b in range(4):
+            P = cf.ext_matrix(4, a) @ cf.int_matrix(4, b)
+            assert P.d and all(v is ONE or v is -ONE for v in P.d.values())
+    cf.fiber_battery(random.Random(1), 4, 5)
+    assert len(exact._SMALL) == 81
 
 
 def test_fiber_battery_small():

@@ -134,3 +134,18 @@ def test_rational_scalar_hashes_like_equal_number():
     # irrational and complex values stay apart from every rational key
     assert {SQRT2: "r", I: "i"} == {SQRT2: "r", I: "i"}
     assert 1 not in {SQRT2, I, rational(1) + I}
+
+
+def test_small_gaussian_integers_are_shared():
+    """Every operation returns the one shared object of a value a + ci with
+    |a|, |c| <= 4, so the +-1 entries of the fiber matrices hold no Scalar
+    of their own; other values are equal by value only."""
+    assert -ONE is rational(-1)
+    assert I * I is -ONE
+    assert Scalar(1) is ONE and Scalar.of(0) is ZERO
+    assert I.conjugate() is -I
+    assert rational(1, 2) * 2 is ONE
+    assert parse_imaginary("-4i") is Scalar(0, 0, -4)
+    assert rational(1, 2) + rational(1, 2) is ONE
+    assert (SQRT2 * SQRT2 - rational(6)) is Scalar(-4)
+    assert rational(5) == Scalar(5) and rational(-1, 2) == Scalar(Fraction(-1, 2))

@@ -115,6 +115,23 @@ def test_product_sum_rejects_mixed_shapes():
         Mat.identity(2) @ Mat.identity(3)
 
 
+def test_product_sum_skips_empty_factors_after_the_shape_checks():
+    """A pair with an empty factor adds nothing, but its shapes still count:
+    the sum has their shape, and a mismatch still raises."""
+    A = Mat.from_rows([[1, 2, 3], [4, 5, 6]])
+    empty_left, empty_right = Mat(2, 3), Mat(3, 4)
+    assert product_sum([(empty_left, Mat.from_rows([[1]] * 3))]) == Mat(2, 1)
+    assert product_sum([(A, empty_right), (empty_left, empty_right)]) == Mat(2, 4)
+    B = Mat.from_rows([[1], [0], [-1]])
+    assert product_sum([(A, Mat(3, 1)), (A, B)]) == A @ B
+    with pytest.raises(ValueError):
+        product_sum([(empty_left, Mat(2, 3))])
+    with pytest.raises(ValueError):
+        product_sum([(A, B), (empty_left, empty_right)])
+    with pytest.raises(ValueError):
+        Mat(2, 2) @ Mat(3, 3)
+
+
 def test_combination_rejects_mixed_shapes():
     """A 3 x 3 term is not folded into a 2 x 2 sum, whatever its
     coefficient."""

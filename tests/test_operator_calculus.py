@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -61,23 +62,22 @@ def twisted_sol():
 
 def test_compose_heisenberg_rewrite(heis_setup):
     s = heis_setup
-    lhs = oc.compose(oc.nabla(s, 2), oc.nabla(s, 1))
-    rhs = oc.compose(oc.nabla(s, 1), oc.nabla(s, 2)) - oc.nabla(s, 0)
+    lhs = oc.nabla(s, 2) @ oc.nabla(s, 1)
+    rhs = oc.nabla(s, 1) @ oc.nabla(s, 2) - oc.nabla(s, 0)
     assert oc.residual(lhs, rhs).exact_zero
 
 
 def test_compose_identity_law(sol_setup):
     s = sol_setup
     D = oc.dirac(s)
-    assert oc.compose(eo.identity_op(s), D) == D
-    assert oc.compose(D, eo.identity_op(s)) == D
+    assert eo.identity_op(s) @ D == D
+    assert D @ eo.identity_op(s) == D
 
 
 def test_torus_twisted_commutator():
     m = fg.load_bundled("t3_landau")
     s = spinor(m, k=3)
-    lhs = (oc.compose(oc.nabla(s, 1), oc.nabla(s, 2))
-           - oc.compose(oc.nabla(s, 2), oc.nabla(s, 1)))
+    lhs = oc.compose(((oc.nabla(s, 1), oc.nabla(s, 2)), (-oc.nabla(s, 2), oc.nabla(s, 1))))
     # F(f1, f2) = k B_12 Id with B_12 = -i in reduced units
     expect = oc.endo_op(s, Mat.identity(s.dim).scale(rational(3) * (-I)))
     assert oc.residual(lhs, expect).exact_zero
@@ -90,17 +90,17 @@ def test_compose_associative_degree3(sol_setup):
     ops.append(oc.endo_op(s, s.cliff[0]))
     for _ in range(10):
         a, b, c = (rng.choice(ops) for _ in range(3))
-        assert oc.compose(oc.compose(a, b), c) == oc.compose(a, oc.compose(b, c))
+        assert (a @ b) @ c == a @ (b @ c)
 
 
 def test_compose_setup_mismatch(heis_setup, sol_setup):
     with pytest.raises(oc.SetupError):
-        oc.compose(oc.dirac(heis_setup), oc.dirac(sol_setup))
+        oc.dirac(heis_setup) @ oc.dirac(sol_setup)
 
 
 def test_normal_form_sorted(sol_setup):
     D = oc.dirac(sol_setup)
-    D2 = oc.compose(D, D)
+    D2 = D @ D
     for word in D2.terms:
         assert all(word[t] <= word[t + 1] for t in range(len(word) - 1))
 
@@ -129,12 +129,12 @@ def test_adjoint_involution_and_antimultiplicativity(sol_setup):
     for op in ops:
         assert eo.adjoint(eo.adjoint(op)) == op
     n1, n2 = oc.nabla(s, 1), oc.nabla(s, 2)
-    assert eo.adjoint(oc.compose(n1, n2)) == oc.compose(eo.adjoint(n2), eo.adjoint(n1))
+    assert eo.adjoint(n1 @ n2) == eo.adjoint(n2) @ eo.adjoint(n1)
 
 
 def test_adjoint_degree_cap(sol_setup):
     s = sol_setup
-    cube = oc.compose(oc.nabla(s, 1), oc.compose(oc.nabla(s, 2), oc.nabla(s, 2)))
+    cube = oc.nabla(s, 1) @ (oc.nabla(s, 2) @ oc.nabla(s, 2))
     with pytest.raises(oc.SetupError):
         eo.adjoint(cube)
 
@@ -229,7 +229,7 @@ def test_lichnerowicz_rhs_sol_constant(sol_setup):
     eye = Mat.identity(sol_setup.dim)
     assert rhs.terms[()] == eye.scale(rational(-1, 4))
     D = oc.dirac(sol_setup)
-    assert oc.compose(D, D).terms[()] == eye.scale(rational(-1, 4))
+    assert (D @ D).terms[()] == eye.scale(rational(-1, 4))
 
 
 def test_lichnerowicz_scalar_sign(sol_setup):
@@ -257,6 +257,49 @@ def test_hodge_laplacian_flat_is_sum_of_squares():
     eye = Mat.identity(s.dim)
     expect = oc.DiffOp(s, {(1, 1): -eye, (2, 2): -eye})
     assert oc.residual(oc.hodge_laplacian(s), expect).exact_zero
+
+
+def h_model(q):
+    """The generated Heisenberg-type model of codimension q (perfbench)."""
+    from perfbench.models import heisenberg_model
+
+    return fg.model_from_dict(heisenberg_model(q))
+
+
+@pytest.mark.parametrize("model", ["heis_plain", "h4"])
+def test_hodge_laplacian_is_one_normal_form_of_both_products(request, model):
+    """The two products of Delta_H, accumulated into one normal form, equal
+    their separate normal forms added."""
+    s = forms(h_model(4) if model == "h4" else request.getfixturevalue(model))
+    dH, dHs = oc.d_horizontal(s), oc.d_horizontal_star(s)
+    assert oc.hodge_laplacian(s) == oc.compose(((dH, dHs),)) + oc.compose(((dHs, dH),))
+
+
+def test_compose_of_pairs_sums_their_products(sol_setup, heis_setup):
+    s = sol_setup
+    D, n1 = oc.dirac(s), oc.nabla(s, 1)
+    assert oc.compose(((D, n1), (n1, D), (D, D))) == D @ n1 + n1 @ D + D @ D
+    with pytest.raises(oc.SetupError):
+        oc.compose(((D, D), (oc.dirac(heis_setup), oc.dirac(heis_setup))))
+
+
+def test_verify_suite_heap_peak_h6():
+    """The traced heap peak of the exact suite on h6, past its first run
+    (which fills the q = 6 fiber caches).  Measured at 0.13 MiB on
+    Python 3.11; it was 0.22 MiB while each product with an empty factor
+    still indexed the other one, every +-1 entry was a Scalar of its own and
+    both products of Delta_H were alive at once."""
+    model = h_model(6)
+    oc.verify_suite(model, k=1)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        rep = oc.verify_suite(model, k=1)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert rep.counted_passes() == 9
+    assert peak < 0.18 * 2**20
 
 
 def test_forms_ops_require_forms_fiber(sol_setup):
@@ -317,10 +360,10 @@ def test_suite_with_rank_two_twist():
     W = oc.twisting_curvature(s, 0, 1)
     assert W != Mat.identity(s.dim).scale(W.entry(0, 0))
     D = oc.dirac(s)
-    D2 = oc.compose(D, D)
+    D2 = D @ D
     Dp = oc.dirac_prime(s)
     for lhs, rhs in ((D2, oc.lichnerowicz_rhs(s)),
-                     (oc.compose(Dp, Dp), oc.dirac_prime_square_rhs(s)),
+                     (Dp @ Dp, oc.dirac_prime_square_rhs(s)),
                      (D2, oc.dirac_square_full_curvature_rhs(s)),
                      (D2, oc.basic_tau_rhs(s))):
         assert oc.residual(lhs, rhs).exact_zero
@@ -436,15 +479,15 @@ def suite_operators(sp, fo):
     and the data of both setups."""
     D, Dp = oc.dirac(sp), oc.dirac_prime(sp)
     dh, dhs = oc.d_horizontal(fo), oc.d_horizontal_star(fo)
-    ops = [("D^2", oc.compose(D, D)), ("D'^2", oc.compose(Dp, Dp)),
+    ops = [("D^2", D @ D), ("D'^2", Dp @ Dp),
            ("lichnerowicz_rhs", oc.lichnerowicz_rhs(sp)),
            ("dirac_prime_square_rhs", oc.dirac_prime_square_rhs(sp)),
            ("dirac_square_full_curvature_rhs", oc.dirac_square_full_curvature_rhs(sp)),
            ("basic_tau_rhs", oc.basic_tau_rhs(sp)),
            ("hodge_laplacian", oc.hodge_laplacian(fo)),
            ("hodge_bochner_rhs", oc.hodge_bochner_rhs(fo)),
-           ("d_H^2", oc.compose(dh, dh)), ("dh_square_rhs", oc.dh_square_rhs(fo)),
-           ("d_H*^2", oc.compose(dhs, dhs)), ("dh_star_square_rhs", oc.dh_star_square_rhs(fo)),
+           ("d_H^2", dh @ dh), ("dh_square_rhs", oc.dh_square_rhs(fo)),
+           ("d_H*^2", dhs @ dhs), ("dh_star_square_rhs", oc.dh_star_square_rhs(fo)),
            ("signature_rhs", oc.signature_rhs(fo))]
     for tag, s in (("spinor", sp), ("forms", fo)):
         ops += [(f"{tag} bochner", oc.bochner(s)),
@@ -482,5 +525,5 @@ def test_bochner_is_sum_of_adjoint_squares():
             want = oc.DiffOp(s)
             for a in range(s.model.q):
                 na = oc.nabla(s, p + a)
-                want = want + oc.compose(eo.adjoint(na), na)
+                want = want + eo.adjoint(na) @ na
             assert oc.bochner(s) == want

@@ -59,7 +59,7 @@ def test_lattice_constant_refuses_a_leaf_derivative():
     leaf, nabla_1, which the lattice operator has no place for."""
     heis = fg.resolve_model("heisenberg")
     setup = oc.spinor_setup(heis, fg.derive_connection(heis), 1)
-    assert (0,) in oc.compose(oc.dirac(setup), oc.dirac(setup)).terms
+    assert (0,) in (oc.dirac(setup) @ oc.dirac(setup)).terms
     with pytest.raises(fg.ModelError, match="at ∇1: outside the lattice's regime"):
         spectral.lattice_constant(setup)
 
@@ -68,10 +68,10 @@ def test_lattice_constant_refuses_a_wrong_second_order_word(monkeypatch, torus):
     """A Dirac square whose transverse nabla_a^2 does not carry -I, or that
     lacks one, is outside the regime too."""
     setup = oc.spinor_setup(torus.model, torus.geom, 1)
-    square = oc.compose(oc.dirac(setup), oc.dirac(setup))
+    square = oc.dirac(setup) @ oc.dirac(setup)
     for change in ({(1, 1): square.terms[(1, 1)].scale(rational(2))}, {(2, 2): None}):
         terms = {w: M for w, M in {**square.terms, **change}.items() if M is not None}
-        monkeypatch.setattr(spectral, "compose", lambda A, B: oc.DiffOp(setup, terms))
+        monkeypatch.setattr(spectral, "compose", lambda pairs: oc.DiffOp(setup, terms))
         with pytest.raises(fg.ModelError, match="outside the lattice's regime"):
             spectral.lattice_constant(setup)
 
