@@ -139,10 +139,6 @@ class Scalar:
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Scalar is immutable")
 
-    @staticmethod
-    def _mk(ra: Fraction, rb: Fraction, ia: Fraction, ib: Fraction) -> "Scalar":
-        return _reduced(*_common(ra, rb, ia, ib))
-
     @property
     def ra(self) -> Fraction:
         return Fraction(self._v[0], self._v[4])
@@ -281,7 +277,7 @@ class Scalar:
         r = _pair_sqrt(self.ra, self.rb)
         if r is None:
             raise ValueError(f"sqrt of {self} does not lie in Q(sqrt2)")
-        return Scalar._mk(r[0], r[1], F0, F0)
+        return Scalar(r[0], r[1])
 
     # -- hashing / equality / conversion -------------------------------------
 
@@ -377,7 +373,7 @@ def parse_real(text: str) -> Scalar:
             b += coeff
         else:
             a += coeff
-    return Scalar._mk(a, b, F0, F0)
+    return Scalar(a, b)
 
 
 def parse_imaginary(text: str) -> Scalar:
@@ -395,7 +391,7 @@ def parse_imaginary(text: str) -> Scalar:
     elif body == "-":
         body = "-1"
     r = parse_real(body)
-    return Scalar._mk(F0, F0, r.ra, r.rb)
+    return Scalar(0, 0, r.ra, r.rb)
 
 
 def _format_pair(a: Fraction, b: Fraction) -> str:

@@ -18,7 +18,9 @@ condition that makes the rewriting confluent, so equal operators always
 reach identical normal forms and identity checking is a finite exact
 matrix comparison.  `compose` rewrites a sum of products into one normal
 form, so the two products of the Hodge Laplacian d_H d_H^* + d_H^* d_H are
-never held at once.
+never held at once.  The rewriting adds no matrices: it records the factor
+pair (L, R) of every product under the word it reaches, and each word of the
+normal form is then one `matrices.product_sum` over its pairs.
 
 The Bochner operator sum_a (nabla_{f_a})^* nabla_{f_a} is written in closed
 form, -sum_a (nabla_{f_a}^2 + div(f_a) nabla_{f_a}), from the formal adjoint
@@ -27,7 +29,10 @@ pairing with invariant volume.  Each constant coefficient that is a sum of
 matrices or of matrix products (the forms connection, the curvature and tau
 contractions, the integrability term, the Jacobi check) is one call of
 `matrices.combination` or `matrices.product_sum`, which reduce each entry
-once.
+once.  One helper, `_pair_term`, builds every pair term
+sum_{a<b} left[a] right[b] (X_ab - nabla_{R(f_a,f_b)}) of the right-hand
+sides: the Clifford curvature terms of the Dirac squares, the curvature and
+integrability terms of the transversal Bochner formula, and d_H^2, (d_H^*)^2.
 """
 
 from __future__ import annotations
@@ -177,14 +182,9 @@ class DiffOp:
 
     __slots__ = ("setup", "terms")
 
-    def __init__(self, setup: BundleSetup, terms: dict[tuple, Mat] | None = None):
+    def __init__(self, setup: BundleSetup, terms: dict[tuple, Mat]):
         self.setup = setup
-        clean = {}
-        if terms:
-            for w, M in terms.items():
-                if not M.is_zero():
-                    clean[w] = M
-        self.terms = clean
+        self.terms = {w: M for w, M in terms.items() if not M.is_zero()}
 
     def _check(self, other: "DiffOp"):
         if self.setup is not other.setup:
@@ -254,45 +254,47 @@ def _push(setup: BundleSetup, seq: tuple, M: Mat) -> list[tuple[tuple, Mat]]:
     return out
 
 
-def _reorder(setup: BundleSetup, M: Mat, word: tuple, acc: dict):
-    """Accumulate the normal form of M nabla_word into acc."""
-    if M.is_zero():
+def _reorder(setup: BundleSetup, L: Mat, R: Mat, word: tuple, acc: dict):
+    """Record the factor pair of each term of the normal form of (L R) nabla_word
+    in acc, under the term's word."""
+    if L.is_zero() or R.is_zero():
         return
     # find first descent
     pos = next((i for i in range(len(word) - 1) if word[i] > word[i + 1]), None)
     if pos is None:
-        accumulate(acc, word, M)
+        acc.setdefault(word, []).append((L, R))
         return
     u, v = word[pos], word[pos + 1]
     pre, post = word[:pos], word[pos + 2:]
-    _reorder(setup, M, pre + (v, u) + post, acc)
+    _reorder(setup, L, R, pre + (v, u) + post, acc)
     for m in range(setup.model.n):
         coeff = setup.model.c[u][v][m]
         if not coeff.is_zero():
-            _reorder(setup, M.scale(coeff), pre + (m,) + post, acc)
+            _reorder(setup, L, R.scale(coeff), pre + (m,) + post, acc)
     F = setup.fcurv(u, v)
     if not F.is_zero():
+        M = L @ R
         for w, C in _push(setup, pre, F):
-            _reorder(setup, M @ C, w + post, acc)
+            _reorder(setup, M, C, w + post, acc)
 
 
 def compose(pairs) -> DiffOp:
     """Normal form of the sum of the products A B over the (A, B) in `pairs`
-    (at least one, all over one setup), every product accumulated into the
-    one normal form; exact, associative (the setup's consistency check
-    guarantees confluence of the rewriting)."""
+    (at least one, all over one setup): the factor pairs of every product
+    are gathered per word and each word summed once; exact, associative (the
+    setup's consistency check guarantees confluence of the rewriting)."""
     pairs = tuple(pairs)
     first = pairs[0][0]
     setup = first.setup
-    acc: dict[tuple, Mat] = {}
+    acc: dict[tuple, list[tuple[Mat, Mat]]] = {}
     for A, B in pairs:
         first._check(A)
         A._check(B)
         for wA, MA in A.terms.items():
             for wB, MB in B.terms.items():
                 for w1, C in _push(setup, wA, MB):
-                    _reorder(setup, MA @ C, w1 + wB, acc)
-    return DiffOp(setup, acc)
+                    _reorder(setup, MA, C, w1 + wB, acc)
+    return DiffOp(setup, {w: product_sum(factors) for w, factors in acc.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -345,14 +347,14 @@ def bochner(setup: BundleSetup) -> DiffOp:
     return DiffOp(setup, terms)
 
 
-def _pair_contraction(left: tuple[Mat, ...], right: tuple[Mat, ...],
+def _pair_contraction(setup: BundleSetup, left: tuple[Mat, ...], right: tuple[Mat, ...],
                       two_form) -> Mat:
     """sum_{a<b} left[a] right[b] X_ab for a matrix-valued two-form given as a
-    callable (a, b) -> Mat.  With the Clifford actions on both sides this is
-    (1/2) sum_{a,b} c(f_a) c(f_b) X_ab, by antisymmetry of X."""
+    function (setup, a, b) -> Mat.  With the Clifford actions on both sides
+    this is (1/2) sum_{a,b} c(f_a) c(f_b) X_ab, by antisymmetry of X."""
     q = len(left)
     pairs = [(left[a] @ right[b], X) for a in range(q) for b in range(a + 1, q)
-             if not (X := two_form(a, b)).is_zero()]
+             if not (X := two_form(setup, a, b)).is_zero()]
     return product_sum(pairs) if pairs else Mat.zero(left[0].n)
 
 
@@ -363,26 +365,38 @@ def _tau_derivative_term(setup: BundleSetup, left: tuple[Mat, ...],
     return product_sum(zip(left, (combination(vec, right) for vec in setup.geom.nabla_tau)))
 
 
-def c_of_R(setup: BundleSetup, u: int, v: int) -> Mat:
-    """c(R)(u_u, u_v) = (1/4) sum_{g,d} (R(u,v))_{dg} c(f_g) c(f_d)."""
+def horizontal_curvature(setup: BundleSetup, a: int, b: int) -> Mat:
+    """F(f_a, f_b), the full curvature on horizontal basis vectors."""
+    p = setup.model.p
+    return setup.fcurv(p + a, p + b)
+
+
+def c_of_R(setup: BundleSetup, a: int, b: int) -> Mat:
+    """c(R)(f_a, f_b) = (1/4) sum_{g,d} (R(f_a,f_b))_{dg} c(f_g) c(f_d)."""
+    u, v = setup.model.p + a, setup.model.p + b
     Ruv = setup.geom.curvature[(u, v)] if u < v else -setup.geom.curvature[(v, u)]
     return spin_lift(Ruv, setup.cliff)
 
 
 def twisting_curvature(setup: BundleSetup, a: int, b: int) -> Mat:
     """R^{E/S}(f_a, f_b) = F(f_a, f_b) - c(R)(f_a, f_b)."""
-    p = setup.model.p
-    return setup.fcurv(p + a, p + b) - c_of_R(setup, p + a, p + b)
+    return horizontal_curvature(setup, a, b) - c_of_R(setup, a, b)
 
 
-def integrability_first_order(setup: BundleSetup, weight) -> DiffOp:
-    """sum over leaf directions of the first-order operator
-    sum_{a<b} weight(a,b) * R_leafcomp^i_ab nabla_{e_i}, where weight(a, b)
-    is the fiber endomorphism multiplying nabla along R(f_a, f_b)."""
+def _pair_term(setup: BundleSetup, left: tuple[Mat, ...], right: tuple[Mat, ...],
+               two_form) -> DiffOp:
+    """sum_{a<b} left[a] right[b] (X_ab - nabla_{R(f_a,f_b)}) for a matrix-valued
+    two-form X given as a function (setup, a, b) -> Mat, or None for X = 0 (the
+    leaf-only part), with the last nabla along the leafwise integrability
+    field R(f_a,f_b) = sum_i R^i_ab e_i.  With the Clifford actions on both
+    sides this is (1/2) sum_{a,b} c(f_a) c(f_b) (X_ab - nabla_{R(f_a,f_b)})."""
     integ = setup.geom.integrability
-    weights = [weight(a, b) for a, b in integ]
-    return DiffOp(setup, {(i,): combination([comps[i] for comps in integ.values()], weights)
-                          for i in range(setup.model.p)})
+    weights = [left[a] @ right[b] for a, b in integ]
+    terms = {(i,): combination([-comps[i] for comps in integ.values()], weights)
+             for i in range(setup.model.p)}
+    if two_form is not None:
+        terms[()] = product_sum(zip(weights, (two_form(setup, a, b) for a, b in integ)))
+    return DiffOp(setup, terms)
 
 
 def lichnerowicz_scalar(setup: BundleSetup) -> Scalar:
@@ -390,15 +404,6 @@ def lichnerowicz_scalar(setup: BundleSetup) -> Scalar:
     index convention of scalar_curvature (equal to a quarter of the usual
     scalar-curvature contraction)."""
     return -setup.geom.K * rational(1, 4)
-
-
-def _clifford_curvature_term(setup: BundleSetup, two_form) -> DiffOp:
-    """(1/2) sum_ab c(f_a) c(f_b) [X(f_a,f_b) - nabla_{R(f_a,f_b)}] for the
-    matrix-valued two-form X = two_form(a, b), with the last nabla along the
-    leafwise integrability field."""
-    cc = _pair_contraction(setup.cliff, setup.cliff, two_form)
-    return endo_op(setup, cc) - integrability_first_order(
-        setup, lambda a, b: setup.cliff[a] @ setup.cliff[b])
 
 
 def _dirac_square_rhs(setup: BundleSetup, two_form, scalar: Scalar) -> DiffOp:
@@ -412,7 +417,7 @@ def _dirac_square_rhs(setup: BundleSetup, two_form, scalar: Scalar) -> DiffOp:
     norm2 = sum((t * t for t in setup.geom.tau), ZERO)
     acc = acc - endo_op(setup, eye.scale(norm2 * rational(1, 4)))
     acc = acc + endo_op(setup, eye.scale(scalar))
-    return acc + _clifford_curvature_term(setup, two_form)
+    return acc + _pair_term(setup, setup.cliff, setup.cliff, two_form)
 
 
 def lichnerowicz_rhs(setup: BundleSetup) -> DiffOp:
@@ -423,8 +428,7 @@ def lichnerowicz_rhs(setup: BundleSetup) -> DiffOp:
 
     with S/4 the curvature scalar of `lichnerowicz_scalar` and the last
     nabla along the leafwise integrability field."""
-    return _dirac_square_rhs(setup, lambda a, b: twisting_curvature(setup, a, b),
-                             lichnerowicz_scalar(setup))
+    return _dirac_square_rhs(setup, twisting_curvature, lichnerowicz_scalar(setup))
 
 
 def dirac_prime_square_rhs(setup: BundleSetup) -> DiffOp:
@@ -434,15 +438,14 @@ def dirac_prime_square_rhs(setup: BundleSetup) -> DiffOp:
     eye = Mat.identity(setup.dim)
     nabla_tau = DiffOp(setup, {(p + a,): eye.scale(t) for a, t in enumerate(setup.geom.tau)})
     return (bochner(setup) - nabla_tau
-            + _clifford_curvature_term(setup, lambda a, b: setup.fcurv(p + a, p + b)))
+            + _pair_term(setup, setup.cliff, setup.cliff, horizontal_curvature))
 
 
 def dirac_square_full_curvature_rhs(setup: BundleSetup) -> DiffOp:
     """RHS for D^2 with the undecomposed curvature:
     Bochner - (1/2) sum c c(nabla tau) - (1/4)|tau|^2
     + (1/2) sum c c [F(f_a,f_b) - nabla_{R(f_a,f_b)}]."""
-    p = setup.model.p
-    return _dirac_square_rhs(setup, lambda a, b: setup.fcurv(p + a, p + b), ZERO)
+    return _dirac_square_rhs(setup, horizontal_curvature, ZERO)
 
 
 # -- transversal de Rham operators (forms fiber) ------------------------------
@@ -487,34 +490,28 @@ def signature_rhs(setup: BundleSetup) -> DiffOp:
 def hodge_bochner_rhs(setup: BundleSetup) -> DiffOp:
     """RHS of the transversal Bochner formula:
     sum nabla^* nabla + sum_a eps(f_a) iota(nabla_{f_a} tau)
-    - sum_{a,b} eps(f_a) iota(f_b) (F(f_a,f_b) - nabla_{R(f_a,f_b)})."""
+    - sum_{a,b} eps(f_a) iota(f_b) (F(f_a,f_b) - nabla_{R(f_a,f_b)}),
+    whose sum over all (a, b) is the (eps, iota) and (iota, eps) pair terms
+    over a < b, since eps_b iota_a = -iota_a eps_b for a != b."""
     _require_forms(setup)
-    p = setup.model.p
     acc = bochner(setup)
     acc = acc + endo_op(setup, _tau_derivative_term(setup, setup.eps, setup.iota))
-    # eps_b iota_a = -iota_a eps_b for a != b: the sum over all (a, b) is the
-    # sum over a < b of (eps_a iota_b + iota_a eps_b) F_ab
-    curv = [_pair_contraction(x, y, lambda a, b: setup.fcurv(p + a, p + b))
-            for x, y in ((setup.eps, setup.iota), (setup.iota, setup.eps))]
-    acc = acc - endo_op(setup, curv[0] + curv[1])
-    acc = acc + integrability_first_order(
-        setup, lambda a, b: setup.eps[a] @ setup.iota[b] - setup.eps[b] @ setup.iota[a])
+    for x, y in ((setup.eps, setup.iota), (setup.iota, setup.eps)):
+        acc = acc - _pair_term(setup, x, y, horizontal_curvature)
     return acc
 
 
 def dh_square_rhs(setup: BundleSetup) -> DiffOp:
     """d_H^2 = -(1/2) sum eps eps nabla_{R(f_a,f_b)}."""
     _require_forms(setup)
-    return -integrability_first_order(
-        setup, lambda a, b: setup.eps[a] @ setup.eps[b])
+    return _pair_term(setup, setup.eps, setup.eps, None)
 
 
 def dh_star_square_rhs(setup: BundleSetup) -> DiffOp:
     """(d_H^*)^2 = -(1/2) sum iota iota nabla_{R(f_a,f_b)}
     - sum_a iota(f_a) iota(nabla_{f_a} tau)."""
     _require_forms(setup)
-    acc = -integrability_first_order(
-        setup, lambda a, b: setup.iota[a] @ setup.iota[b])
+    acc = _pair_term(setup, setup.iota, setup.iota, None)
     return acc - endo_op(setup, _tau_derivative_term(setup, setup.iota, setup.iota))
 
 
@@ -549,8 +546,7 @@ def basic_tau_rhs(setup: BundleSetup) -> DiffOp:
               + norm2 * rational(1, 4)
               + lichnerowicz_scalar(setup))
     acc = bochner(setup) + endo_op(setup, eye.scale(scalar))
-    return acc + _clifford_curvature_term(
-        setup, lambda a, b: twisting_curvature(setup, a, b))
+    return acc + _pair_term(setup, setup.cliff, setup.cliff, twisting_curvature)
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +609,7 @@ def verify_suite(model: FrameModel, k: int) -> SuiteReport:
     run("c", "dirac square with undecomposed curvature",
         (D2, dirac_square_full_curvature_rhs(sp)))
     run("d", "curvature contraction collapses to the scalar term",
-        (endo_op(sp, _pair_contraction(
-            sp.cliff, sp.cliff, lambda a, b: c_of_R(sp, sp.model.p + a, sp.model.p + b))),
+        (endo_op(sp, _pair_contraction(sp, sp.cliff, sp.cliff, c_of_R)),
          endo_op(sp, Mat.identity(sp.dim).scale(lichnerowicz_scalar(sp)))))
     run("e", "transversal Laplacian Bochner formula",
         (hodge_laplacian(fo), hodge_bochner_rhs(fo)))
@@ -625,10 +620,9 @@ def verify_suite(model: FrameModel, k: int) -> SuiteReport:
         (dirac(fo), signature_rhs(fo)))
 
     def trace(ops):
-        return endo_op(fo, _pair_contraction(
-            ops, ops, lambda a, b: fo.fcurv(model.p + a, model.p + b)))
+        return endo_op(fo, _pair_contraction(fo, ops, ops, horizontal_curvature))
 
-    zero = DiffOp(fo)
+    zero = DiffOp(fo, {})
     run("h", "wedge-wedge and contraction-contraction curvature traces "
         "vanish (reported per model)", (trace(fo.eps), zero), (trace(fo.iota), zero))
 

@@ -1,17 +1,23 @@
 """Test oracles for the exact layer: second routes to quantities the package
-computes one way, the predicates the operator tests assert, and random
-exact data.  The package itself has no use for them.
+computes one way, the predicates the operator tests assert, random exact
+data, and the pinned digest of the suite's operators.  The package itself
+has no use for them.  The digest needs neither numpy nor pytest:
+
+    PYTHONPATH=src:tests python -c 'import exact_oracle as eo, sys; \
+        sys.exit(eo.operator_digest() != eo.OPERATOR_DIGEST)'
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 from transdirac import operator_calculus as oc
-from transdirac.clifford_fiber import ComplexStructure, spinor_cliffords
+from transdirac.clifford_fiber import ComplexStructure, block_two_form, spinor_cliffords
 from transdirac.exact import ONE, Scalar, rational
 from transdirac.frame_geometry import (FrameModel, derive_connection, levi_civita,
-                                       mean_curvature, transverse_connection)
+                                       load_bundled, make_model, mean_curvature,
+                                       transverse_connection)
 from transdirac.matrices import Mat, accumulate, combination
 
 
@@ -108,27 +114,19 @@ def adjoint(A: oc.DiffOp) -> oc.DiffOp:
     """Formal L^2 adjoint for operators of degree <= 2, from
     (nabla_u)^* = -nabla_u - div(u) and entrywise conjugate transposes:
     M nabla_w has the adjoint (nabla_w)^* M^dagger, with each factor
-    (nabla_u)^* expanded and the product normal-ordered by the engine."""
+    (nabla_u)^* written out and the products normal-ordered by `compose`."""
     setup = A.setup
-    div = setup.geom.div
-    acc: dict[tuple, Mat] = {}
+    eye = Mat.identity(setup.dim)
+    pairs = []
     for word, M in A.terms.items():
-        d = len(word)
-        if d > 2:
+        if len(word) > 2:
             raise oc.SetupError("adjoint supports degree <= 2 only")
-        Md = M.dagger()
-        rev = word[::-1]
-        for mask in range(1 << d):
-            kept = tuple(rev[t] for t in range(d) if mask >> t & 1)
-            scalar = ONE if d % 2 == 0 else -ONE
-            for t in range(d):
-                if not mask >> t & 1:
-                    scalar = scalar * div[rev[t]]
-            if scalar.is_zero():
-                continue
-            for w1, C in oc._push(setup, kept, Md):
-                oc._reorder(setup, C.scale(scalar), w1, acc)
-    return oc.DiffOp(setup, acc)
+        word_star = identity_op(setup)
+        for u in word:
+            nabla_star = oc.DiffOp(setup, {(u,): -eye, (): eye.scale(-setup.geom.div[u])})
+            word_star = nabla_star @ word_star
+        pairs.append((word_star, oc.endo_op(setup, M.dagger())))
+    return oc.compose(pairs)
 
 
 def is_self_adjoint(op: oc.DiffOp) -> bool:
@@ -147,3 +145,88 @@ def twisted_spinor_setup(model: FrameModel, k: int, theta: tuple[Mat, ...]) -> o
     cliff = [c.kron(eye_r) for c in base.cliff]
     gamma = [G.kron(eye_r) + eye_s.kron(t) for G, t in zip(base.gamma, theta)]
     return oc.BundleSetup(model, base.geom, cliff, gamma, k, base.J, None, None)
+
+
+# -- pinned operators --------------------------------------------------------------
+
+# model with non-basic mean curvature: tau = f1 but dtau(e1, f2) = 1
+NON_BASIC_BRACKETS = [
+    (2, 1, 1, "1"), (2, 1, 3, "-1"),   # [f1, e1] = e1 - f2
+    (3, 1, 2, "1"),                    # [f2, e1] = f1
+    (2, 3, 3, "-1"),                   # [f1, f2] = -f2
+]
+
+
+def non_unimodular():
+    """[u1,u2] = 2u1, [u2,u3] = u1 with the standard J and B = -i: the only
+    fixture with div(f_a) != 0, and with d_H^* tau = 4 a nonzero constant."""
+    return make_model("non_unimodular", 1, 2, [(1, 2, 1, "2"), (2, 3, 1, "1")],
+                      line_b=block_two_form([ONE]), jmat=ComplexStructure.standard(2).jmat)
+
+
+# recorded from the operators built term by term, Bochner through the adjoint
+# engine, before the exact layer summed each of them in one kernel call
+OPERATOR_DIGEST = "1af31e3d9253fc726aead0549e1bd13d2b2fac81d8ce1e0902aae87e8d343772"
+
+
+def digest_models():
+    """The four bundled valid models, h4, a model on which tau and the
+    integrability term are both nonzero, the non-basic model, and a
+    non-unimodular model: the only one with div(f_a) != 0."""
+    return [load_bundled(name) for name in ("flat_t3", "t3_landau", "heisenberg", "sol")] + [
+        make_model("h4", 1, 4, [(2, 3, 1, "1"), (4, 5, 1, "1")],
+                   line_b=block_two_form([ONE, rational(2)]),
+                   jmat=ComplexStructure.standard(4).jmat),
+        make_model("tau_integrable", 1, 2, [(1, 2, 1, "1"), (2, 3, 1, "2"), (2, 3, 3, "1")],
+                   line_b=block_two_form([ONE]), jmat=ComplexStructure.standard(2).jmat),
+        make_model("non_basic", 1, 2, NON_BASIC_BRACKETS,
+                   jmat=Mat.from_rows([[0, -1], [1, 0]])),
+        non_unimodular(),
+    ]
+
+
+def digest_setups():
+    """(model name, k, spinor setup, forms setup), at k = 0 and 1 where the
+    model has a line bundle, else at k = 0."""
+    out = []
+    for m in digest_models():
+        geom = derive_connection(m)
+        fo = oc.forms_setup(m, geom)
+        for k in ((0, 1) if m.line_b is not None else (0,)):
+            out.append((m.name, k, oc.spinor_setup(m, geom, k), fo))
+    return out
+
+
+def suite_operators(sp, fo):
+    """(label, DiffOp or {key: Mat}) for every operator the suite compares
+    and the data of both setups."""
+    D, Dp = oc.dirac(sp), oc.dirac_prime(sp)
+    dh, dhs = oc.d_horizontal(fo), oc.d_horizontal_star(fo)
+    ops = [("D^2", D @ D), ("D'^2", Dp @ Dp),
+           ("lichnerowicz_rhs", oc.lichnerowicz_rhs(sp)),
+           ("dirac_prime_square_rhs", oc.dirac_prime_square_rhs(sp)),
+           ("dirac_square_full_curvature_rhs", oc.dirac_square_full_curvature_rhs(sp)),
+           ("basic_tau_rhs", oc.basic_tau_rhs(sp)),
+           ("hodge_laplacian", oc.hodge_laplacian(fo)),
+           ("hodge_bochner_rhs", oc.hodge_bochner_rhs(fo)),
+           ("d_H^2", dh @ dh), ("dh_square_rhs", oc.dh_square_rhs(fo)),
+           ("d_H*^2", dhs @ dhs), ("dh_star_square_rhs", oc.dh_star_square_rhs(fo)),
+           ("signature_rhs", oc.signature_rhs(fo))]
+    for tag, s in (("spinor", sp), ("forms", fo)):
+        ops += [(f"{tag} bochner", oc.bochner(s)),
+                (f"{tag} gamma", dict(enumerate(s.gamma))),
+                (f"{tag} curvature", s.curv)]
+    return ops
+
+
+def operator_digest() -> str:
+    """SHA-256 over the exact entries (`_v` tuples) of `suite_operators` on
+    every digest setup, in sorted word and key order."""
+    h = hashlib.sha256()
+    for name, k, sp, fo in digest_setups():
+        for label, op in suite_operators(sp, fo):
+            mats = op.terms if isinstance(op, oc.DiffOp) else op
+            entries = [(w, sorted((key, v._v) for key, v in mats[w].d.items()))
+                       for w in sorted(mats)]
+            h.update(repr((name, k, label, entries)).encode())
+    return h.hexdigest()

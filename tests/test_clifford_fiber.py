@@ -16,7 +16,7 @@ import exact_oracle as eo
 import multivector_oracle as mv
 from transdirac import clifford_fiber as cf
 from transdirac import exact
-from transdirac.exact import F0, I, ONE, SQRT2, ZERO, Scalar, parse_real, rational
+from transdirac.exact import I, ONE, SQRT2, ZERO, Scalar, parse_real, rational
 from transdirac.matrices import Mat
 
 
@@ -430,7 +430,7 @@ heights = st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**1
 @given(st.lists(st.tuples(heights, heights), min_size=1, max_size=2), st.booleans())
 @settings(max_examples=20, deadline=None)
 def test_skew_invariants_match_sympy_on_block_forms(parts, repeat):
-    mus = [Scalar._mk(a, b, F0, F0) for a, b in parts]
+    mus = [Scalar(a, b) for a, b in parts]
     assume(all(not mu.is_zero() for mu in mus))
     if repeat and len(mus) < 2:
         mus.append(mus[0])

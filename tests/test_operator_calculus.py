@@ -1,6 +1,5 @@
 """Normal-ordered operator engine: rewriting, adjoints, identity suite."""
 
-import hashlib
 import random
 import tracemalloc
 
@@ -44,17 +43,9 @@ def sol_setup(sol_plain):
     return spinor(sol_plain, k=0)
 
 
-# model with non-basic mean curvature: tau = f1 but dtau(e1, f2) = 1
-NON_BASIC_BRACKETS = [
-    (2, 1, 1, "1"), (2, 1, 3, "-1"),   # [f1, e1] = e1 - f2
-    (3, 1, 2, "1"),                    # [f2, e1] = f1
-    (2, 3, 3, "-1"),                   # [f1, f2] = -f2
-]
-
-
 @pytest.fixture(scope="module")
 def twisted_sol():
-    return fg.make_model("twisted_sol", 1, 2, NON_BASIC_BRACKETS,
+    return fg.make_model("twisted_sol", 1, 2, eo.NON_BASIC_BRACKETS,
                          jmat=Mat.from_rows([[0, -1], [1, 0]]))
 
 
@@ -275,6 +266,22 @@ def test_hodge_laplacian_is_one_normal_form_of_both_products(request, model):
     assert oc.hodge_laplacian(s) == oc.compose(((dH, dHs),)) + oc.compose(((dHs, dH),))
 
 
+def test_compose_adds_no_matrices(monkeypatch):
+    """compose sums each word of its normal form once, from the factor pairs
+    gathered there: with `Mat.__add__` raising, D^2 on heisenberg at k = 1
+    and Delta_H on h4 still come out as before (`_push` subtracts)."""
+    sp = spinor(fg.load_bundled("heisenberg"), k=1)
+    fo = forms(h_model(4))
+    D = oc.dirac(sp)
+    want = (D @ D, oc.hodge_laplacian(fo))
+
+    def no_add(self, other):
+        raise AssertionError("Mat.__add__ called")
+
+    monkeypatch.setattr(Mat, "__add__", no_add)
+    assert (D @ D, oc.hodge_laplacian(fo)) == want
+
+
 def test_compose_of_pairs_sums_their_products(sol_setup, heis_setup):
     s = sol_setup
     D, n1 = oc.dirac(s), oc.nabla(s, 1)
@@ -312,18 +319,10 @@ def test_codifferential_of_tau_sol():
     assert oc.codifferential_of_tau(s) == ZERO
 
 
-def non_unimodular():
-    """[u1,u2] = 2u1, [u2,u3] = u1 with the standard J and B = -i: the only
-    fixture with div(f_a) != 0, and with d_H^* tau = 4 a nonzero constant."""
-    return fg.make_model("non_unimodular", 1, 2, [(1, 2, 1, "2"), (2, 3, 1, "1")],
-                         line_b=cf.block_two_form([ONE]),
-                         jmat=cf.ComplexStructure.standard(2).jmat)
-
-
 def test_basic_tau_identity_needs_the_codifferential_of_tau(monkeypatch):
     """On a unimodular model d_H^* tau integrates to 0; on the non-unimodular
     fixture it is 4, and identity (i) holds only with its -(1/2) d_H^* tau."""
-    m = non_unimodular()
+    m = eo.non_unimodular()
     assert oc.codifferential_of_tau(spinor(m, k=1)) == rational(4)
 
     def item_i():
@@ -441,88 +440,20 @@ def test_residual_reports_worst_monomial(sol_setup):
 
 # -- pinned operators --------------------------------------------------------------
 
-# recorded from the operators built term by term, Bochner through the adjoint
-# engine, before the exact layer summed each of them in one kernel call
-OPERATOR_DIGEST = "1af31e3d9253fc726aead0549e1bd13d2b2fac81d8ce1e0902aae87e8d343772"
-
-
-def digest_models():
-    """The four bundled valid models, h4, a model on which tau and the
-    integrability term are both nonzero, the non-basic model, and a
-    non-unimodular model: the only one with div(f_a) != 0."""
-    return [fg.load_bundled(name) for name in ("flat_t3", "t3_landau", "heisenberg", "sol")] + [
-        fg.make_model("h4", 1, 4, [(2, 3, 1, "1"), (4, 5, 1, "1")],
-                      line_b=cf.block_two_form([ONE, rational(2)]),
-                      jmat=cf.ComplexStructure.standard(4).jmat),
-        fg.make_model("tau_integrable", 1, 2, [(1, 2, 1, "1"), (2, 3, 1, "2"), (2, 3, 3, "1")],
-                      line_b=cf.block_two_form([ONE]), jmat=cf.ComplexStructure.standard(2).jmat),
-        fg.make_model("non_basic", 1, 2, NON_BASIC_BRACKETS,
-                      jmat=Mat.from_rows([[0, -1], [1, 0]])),
-        non_unimodular(),
-    ]
-
-
-def digest_setups():
-    """(model name, k, spinor setup, forms setup), at k = 0 and 1 where the
-    model has a line bundle, else at k = 0."""
-    out = []
-    for m in digest_models():
-        geom = fg.derive_connection(m)
-        fo = oc.forms_setup(m, geom)
-        for k in ((0, 1) if m.line_b is not None else (0,)):
-            out.append((m.name, k, oc.spinor_setup(m, geom, k), fo))
-    return out
-
-
-def suite_operators(sp, fo):
-    """(label, DiffOp or {key: Mat}) for every operator the suite compares
-    and the data of both setups."""
-    D, Dp = oc.dirac(sp), oc.dirac_prime(sp)
-    dh, dhs = oc.d_horizontal(fo), oc.d_horizontal_star(fo)
-    ops = [("D^2", D @ D), ("D'^2", Dp @ Dp),
-           ("lichnerowicz_rhs", oc.lichnerowicz_rhs(sp)),
-           ("dirac_prime_square_rhs", oc.dirac_prime_square_rhs(sp)),
-           ("dirac_square_full_curvature_rhs", oc.dirac_square_full_curvature_rhs(sp)),
-           ("basic_tau_rhs", oc.basic_tau_rhs(sp)),
-           ("hodge_laplacian", oc.hodge_laplacian(fo)),
-           ("hodge_bochner_rhs", oc.hodge_bochner_rhs(fo)),
-           ("d_H^2", dh @ dh), ("dh_square_rhs", oc.dh_square_rhs(fo)),
-           ("d_H*^2", dhs @ dhs), ("dh_star_square_rhs", oc.dh_star_square_rhs(fo)),
-           ("signature_rhs", oc.signature_rhs(fo))]
-    for tag, s in (("spinor", sp), ("forms", fo)):
-        ops += [(f"{tag} bochner", oc.bochner(s)),
-                (f"{tag} gamma", dict(enumerate(s.gamma))),
-                (f"{tag} curvature", s.curv)]
-    return ops
-
-
-def operator_digest() -> str:
-    """SHA-256 over the exact entries (`_v` tuples) of `suite_operators` on
-    every digest setup, in sorted word and key order."""
-    h = hashlib.sha256()
-    for name, k, sp, fo in digest_setups():
-        for label, op in suite_operators(sp, fo):
-            mats = op.terms if isinstance(op, oc.DiffOp) else op
-            entries = [(w, sorted((key, v._v) for key, v in mats[w].d.items()))
-                       for w in sorted(mats)]
-            h.update(repr((name, k, label, entries)).encode())
-    return h.hexdigest()
-
-
 def test_suite_operators_pinned():
     """Every exact operator of the suite equals the one it was pinned at: a
     dropped or changed term fails here even where an identity would pass
     vacuously."""
-    assert operator_digest() == OPERATOR_DIGEST
+    assert eo.operator_digest() == eo.OPERATOR_DIGEST
 
 
 def test_bochner_is_sum_of_adjoint_squares():
     """The closed form -sum_a (nabla_a^2 + div(f_a) nabla_a) equals
     sum_a (nabla_a)^* nabla_a with the adjoint from the oracle's engine."""
-    for _, _, sp, fo in digest_setups():
+    for _, _, sp, fo in eo.digest_setups():
         for s in (sp, fo):
             p = s.model.p
-            want = oc.DiffOp(s)
+            want = oc.DiffOp(s, {})
             for a in range(s.model.q):
                 na = oc.nabla(s, p + a)
                 want = want + eo.adjoint(na) @ na

@@ -138,7 +138,7 @@ def test_constants_parsing_and_zero_division_agree():
         agree(new.parse_real(text), old.parse_real(text))
         agree(new.parse_imaginary(text + "i"), old.parse_imaginary(text + "i"))
     agree(new.rational(6, -4), old.rational(6, -4))
-    agree(new.Scalar._mk(Fraction(1, 6), Fraction(-3, 4), Fraction(0), Fraction(5, 9)),
+    agree(new.Scalar(Fraction(1, 6), Fraction(-3, 4), Fraction(0), Fraction(5, 9)),
           old.Scalar._mk(Fraction(1, 6), Fraction(-3, 4), Fraction(0), Fraction(5, 9)))
     for zero in (new.ZERO, new.Scalar(0, 0, 0, 0)):
         with pytest.raises(ZeroDivisionError):
