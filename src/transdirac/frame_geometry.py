@@ -258,12 +258,18 @@ def integrability_tensor(model: FrameModel) -> dict[tuple[int, int], tuple[Scala
 
 def curvature(model: FrameModel, A: tuple[Mat, ...]) -> dict[tuple[int, int], Mat]:
     """R(u, v) = [A_u, A_v] - sum_m c^m_{uv} A_m for connection matrices A_u,
-    one per frame direction, on any fiber: for all frame direction pairs
-    u < v.  With the transverse connection this is the curvature of the
-    horizontal bundle."""
+    one per frame direction, on any fiber, for every ordered pair (u, v) of
+    frame directions: each pair u < v is computed once, R(v, u) is its
+    negation and every R(u, u) is one shared zero.  With the transverse
+    connection this is the curvature of the horizontal bundle."""
     n = model.n
-    return {(u, v): commutator(A[u], A[v]) - combination(model.c[u][v], A)
-            for u in range(n) for v in range(u + 1, n)}
+    zero = Mat.zero(A[0].n if A else 0)
+    out = {(u, u): zero for u in range(n)}
+    for u in range(n):
+        for v in range(u + 1, n):
+            R = commutator(A[u], A[v]) - combination(model.c[u][v], A)
+            out[(u, v)], out[(v, u)] = R, -R
+    return out
 
 
 def scalar_curvature(model: FrameModel, curv: dict[tuple[int, int], Mat]) -> Scalar:
@@ -272,17 +278,8 @@ def scalar_curvature(model: FrameModel, curv: dict[tuple[int, int], Mat]) -> Sca
     on the transverse hyperbolic plane.  The operator identities consume -K/4
     (verified exactly by the curvature-contraction identity)."""
     p, q = model.p, model.q
-    K = ZERO
-    for a in range(q):
-        for b in range(q):
-            if a == b:
-                continue
-            u, v = p + a, p + b
-            if u < v:
-                K = K + curv[(u, v)].entry(b, a)
-            else:
-                K = K - curv[(v, u)].entry(b, a)
-    return K
+    return sum((curv[(p + a, p + b)].entry(b, a) for a in range(q) for b in range(q)
+                if a != b), ZERO)
 
 
 def divergence(model: FrameModel, direction: int, gamma: tuple) -> Scalar:
@@ -421,9 +418,10 @@ def load_bundled(name: str) -> FrameModel:
 
 def resolve_model(spec: str) -> FrameModel:
     """The model file at the path `spec`, or the bundled model named `spec`
-    where no such file exists and `spec` is a bare name: "sol" names a
-    bundled model, "sol.json" and "dir/sol.json" only files."""
+    where no such file exists (a directory is not one) and `spec` is a bare
+    name: "sol" names a bundled model, "sol.json" and "dir/sol.json" only
+    files."""
     path = Path(spec)
-    if path.exists() or path.suffix or path.name != spec:
+    if path.is_file() or path.suffix or path.name != spec:
         return load_model(path)
     return load_bundled(spec)

@@ -33,6 +33,9 @@ once.  One helper, `_pair_term`, builds every pair term
 sum_{a<b} left[a] right[b] (X_ab - nabla_{R(f_a,f_b)}) of the right-hand
 sides: the Clifford curvature terms of the Dirac squares, the curvature and
 integrability terms of the transversal Bochner formula, and d_H^2, (d_H^*)^2.
+Its endomorphism part alone, sum_{a<b} left[a] right[b] X_ab, is
+`_pair_contraction`, which builds the curvature contraction of item (d) and
+the wedge-wedge and contraction-contraction traces of item (h) of the suite.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ class BundleSetup:
       k              -- power of the model's line bundle, whose two-form
                         model.line_b (units of 2*pi) then enters the curvature
       J              -- the complex structure of a spinor fiber, else None
-      curv[(u,v)]    -- full curvature F(u_u, u_v), u < v
+      curv[(u,v)]    -- full curvature F(u_u, u_v), for every ordered pair
     """
 
     __slots__ = ("model", "geom", "cliff", "eps", "iota", "gamma", "k", "J", "curv")
@@ -87,25 +90,18 @@ class BundleSetup:
 
     def _curvatures(self) -> dict[tuple[int, int], Mat]:
         """Curvature of the declared connection plus the formal scalar piece
-        k B of L^k on horizontal pairs."""
+        k B of L^k on every pair of horizontal directions (B is antisymmetric,
+        so each orientation takes its own entry)."""
         out = curvature(self.model, self.gamma)
         if self.k:
             line_b = self.model.line_b
             if line_b is None:
                 raise SetupError("k != 0 requires a line bundle on the model")
             p, eye = self.model.p, Mat.identity(self.dim)
-            for (u, v), F in out.items():
-                s = line_b.entry(u - p, v - p) if u >= p else ZERO  # u < v
-                if not s.is_zero():
-                    out[(u, v)] = F + eye.scale(s * rational(self.k))
+            for (a, b), s in line_b.d.items():
+                key = (p + a, p + b)
+                out[key] = out[key] + eye.scale(s * rational(self.k))
         return out
-
-    def fcurv(self, u: int, v: int) -> Mat:
-        if u == v:
-            return Mat.zero(self.dim)
-        if u < v:
-            return self.curv[(u, v)]
-        return -self.curv[(v, u)]
 
     # -- validation ----------------------------------------------------------
 
@@ -130,7 +126,7 @@ class BundleSetup:
         # leafwise flatness
         for i in range(p):
             for j in range(i + 1, p):
-                if not self.fcurv(i, j).is_zero():
+                if not self.curv[(i, j)].is_zero():
                     raise SetupError(f"leafwise curvature F(e{i + 1},e{j + 1}) != 0")
         # Jacobi consistency of the declared curvature (confluence of rewriting):
         # the cyclic sum over (x, y, z) of sum_m c^m_xy F(m, z) - [Gamma_z, F(x, y)]
@@ -139,9 +135,9 @@ class BundleSetup:
             for v in range(u + 1, n):
                 for w in range(v + 1, n):
                     cyclic = ((u, v, w), (v, w, u), (w, u, v))
-                    terms = [(c[x][y][m], self.fcurv(m, z)) for x, y, z in cyclic
+                    terms = [(c[x][y][m], self.curv[(m, z)]) for x, y, z in cyclic
                              for m in range(n) if c[x][y][m]]
-                    terms += [(-1, commutator(self.gamma[z], self.fcurv(x, y)))
+                    terms += [(-1, commutator(self.gamma[z], self.curv[(x, y)]))
                               for x, y, z in cyclic]
                     if not combination(*zip(*terms)).is_zero():
                         raise SetupError(
@@ -271,7 +267,7 @@ def _reorder(setup: BundleSetup, L: Mat, R: Mat, word: tuple, acc: dict):
         coeff = setup.model.c[u][v][m]
         if not coeff.is_zero():
             _reorder(setup, L, R.scale(coeff), pre + (m,) + post, acc)
-    F = setup.fcurv(u, v)
+    F = setup.curv[(u, v)]
     if not F.is_zero():
         M = L @ R
         for w, C in _push(setup, pre, F):
@@ -310,13 +306,15 @@ class Residual(namedtuple("Residual", "exact_zero max_abs worst_monomial", defau
 
 
 def residual(A: DiffOp, B: DiffOp) -> Residual:
-    """Max coefficient deviation per monomial between two operators."""
+    """Max coefficient deviation per monomial between two operators, formed
+    only on words whose coefficients differ (ties: A's words first, in order)."""
     A._check(B)
-    diff = A - B
-    if diff.is_zero():
+    devs = [(w, M.max_abs_float() if N is None else (M - N).max_abs_float())
+            for w, M in A.terms.items() if M != (N := B.terms.get(w))]
+    devs += [(w, N.max_abs_float()) for w, N in B.terms.items() if w not in A.terms]
+    if not devs:
         return Residual(True, 0.0)
-    worst_w, worst = max(((w, M.max_abs_float()) for w, M in diff.terms.items()),
-                         key=lambda t: t[1])
+    worst_w, worst = max(devs, key=lambda t: t[1])
     return Residual(False, worst, monomial(worst_w))
 
 
@@ -368,14 +366,13 @@ def _tau_derivative_term(setup: BundleSetup, left: tuple[Mat, ...],
 def horizontal_curvature(setup: BundleSetup, a: int, b: int) -> Mat:
     """F(f_a, f_b), the full curvature on horizontal basis vectors."""
     p = setup.model.p
-    return setup.fcurv(p + a, p + b)
+    return setup.curv[(p + a, p + b)]
 
 
 def c_of_R(setup: BundleSetup, a: int, b: int) -> Mat:
     """c(R)(f_a, f_b) = (1/4) sum_{g,d} (R(f_a,f_b))_{dg} c(f_g) c(f_d)."""
-    u, v = setup.model.p + a, setup.model.p + b
-    Ruv = setup.geom.curvature[(u, v)] if u < v else -setup.geom.curvature[(v, u)]
-    return spin_lift(Ruv, setup.cliff)
+    p = setup.model.p
+    return spin_lift(setup.geom.curvature[(p + a, p + b)], setup.cliff)
 
 
 def twisting_curvature(setup: BundleSetup, a: int, b: int) -> Mat:

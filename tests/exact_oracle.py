@@ -199,7 +199,8 @@ def digest_setups():
 
 def suite_operators(sp, fo):
     """(label, DiffOp or {key: Mat}) for every operator the suite compares
-    and the data of both setups."""
+    and the data of both setups; of each curvature table, which holds every
+    ordered pair, the pairs u < v."""
     D, Dp = oc.dirac(sp), oc.dirac_prime(sp)
     dh, dhs = oc.d_horizontal(fo), oc.d_horizontal_star(fo)
     ops = [("D^2", D @ D), ("D'^2", Dp @ Dp),
@@ -215,7 +216,7 @@ def suite_operators(sp, fo):
     for tag, s in (("spinor", sp), ("forms", fo)):
         ops += [(f"{tag} bochner", oc.bochner(s)),
                 (f"{tag} gamma", dict(enumerate(s.gamma))),
-                (f"{tag} curvature", s.curv)]
+                (f"{tag} curvature", {(u, v): F for (u, v), F in s.curv.items() if u < v})]
     return ops
 
 

@@ -7,6 +7,7 @@ eigensolver, and `gap` a measured `runtime_ms`, so they are compared with
 the measurement removed, integers exactly and floats to a relative 1e-9."""
 
 import argparse
+import ast
 import csv
 import io
 import json
@@ -130,6 +131,36 @@ def test_settable_values_per_subcommand():
     assert sum(counts.values()) == 21
 
 
+def defaulted_parameters(node: ast.AST, prefix: str = "") -> dict[str, int]:
+    """{qualified name: number of defaulted parameters} of every def below
+    `node` that has any."""
+    out = {}
+    for child in ast.iter_child_nodes(node):
+        inner = prefix
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{prefix}{child.name}."
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = child.args
+            count = len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+            if count:
+                out[prefix + child.name] = count
+        out.update(defaulted_parameters(child, inner))
+    return out
+
+
+def test_defaulted_src_parameters():
+    """The defaulted parameters of the package's functions are a tracked
+    number too: a new default changes it here, visibly."""
+    counts = {}
+    for path in sorted((SRC / "transdirac").glob("*.py")):
+        found = defaulted_parameters(ast.parse(path.read_text(encoding="utf-8")))
+        assert not counts.keys() & found.keys(), path
+        counts.update(found)
+    assert counts == {"main": 1, "rational": 1, "Scalar.__new__": 4, "make_model": 2,
+                      "Mat.__init__": 1}
+    assert sum(counts.values()) == 9
+
+
 @pytest.mark.parametrize("argv", [
     ("gap", "--model", "t3_landau", "--seed", "1"),
     ("crosscheck", "--model", "t3_landau", "--trials", "3"),
@@ -205,6 +236,17 @@ def test_unknown_bare_model_name_lists_the_bundled_models(capsys, monkeypatch, t
     assert errors[0] == ("error: no model file or bundled model 'nosuchmodel'; the bundled "
                          "models are bad_bundlelike, flat_t3, heisenberg, sol, t3_landau\n")
     assert errors == [errors[0]] * 3
+
+
+def test_a_directory_does_not_shadow_a_bundled_model(capsys, monkeypatch, tmp_path):
+    """A bare name loads a file of that name where one exists, else the
+    bundled model: a directory of that name is not a model file."""
+    for name in ("sol", "t3_landau"):
+        (tmp_path / name).mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, "verify", "--model", "sol")[0] == cli.EXIT_PASS
+    code, _ = run_cli(capsys, "gap", "--model", "t3_landau", "--k", "1", "--N", "16")
+    assert code == cli.EXIT_PASS
 
 
 @pytest.mark.parametrize("jrows, reason", [

@@ -266,20 +266,27 @@ def test_hodge_laplacian_is_one_normal_form_of_both_products(request, model):
     assert oc.hodge_laplacian(s) == oc.compose(((dH, dHs),)) + oc.compose(((dHs, dH),))
 
 
+def forbid(monkeypatch, *names):
+    """Make each named Mat method raise when called."""
+    for name in names:
+        def refuse(*args, name=name):
+            raise AssertionError(f"Mat.{name} called")
+        monkeypatch.setattr(Mat, name, refuse)
+
+
 def test_compose_adds_no_matrices(monkeypatch):
     """compose sums each word of its normal form once, from the factor pairs
-    gathered there: with `Mat.__add__` raising, D^2 on heisenberg at k = 1
-    and Delta_H on h4 still come out as before (`_push` subtracts)."""
+    gathered there, and reads each curvature exchange off the whole table:
+    with `Mat.__add__` and `Mat.__neg__` raising, D^2 on heisenberg at k = 1
+    and Delta_H on h4, from factors built before, still come out as before
+    (`_push` subtracts)."""
     sp = spinor(fg.load_bundled("heisenberg"), k=1)
     fo = forms(h_model(4))
     D = oc.dirac(sp)
+    dH, dHs = oc.d_horizontal(fo), oc.d_horizontal_star(fo)
     want = (D @ D, oc.hodge_laplacian(fo))
-
-    def no_add(self, other):
-        raise AssertionError("Mat.__add__ called")
-
-    monkeypatch.setattr(Mat, "__add__", no_add)
-    assert (D @ D, oc.hodge_laplacian(fo)) == want
+    forbid(monkeypatch, "__add__", "__neg__")
+    assert (D @ D, oc.compose(((dH, dHs), (dHs, dH)))) == want
 
 
 def test_compose_of_pairs_sums_their_products(sol_setup, heis_setup):
@@ -436,6 +443,44 @@ def test_residual_reports_worst_monomial(sol_setup):
     assert not r.exact_zero
     assert r.worst_monomial == "∇3"
     assert abs(r.max_abs - 1 / 3) < 1e-12
+
+
+def test_residual_of_equal_operators_forms_no_difference(monkeypatch):
+    """Equal operators are compared word by word: no Mat is added,
+    subtracted or negated."""
+    sp = spinor(fg.load_bundled("heisenberg"), k=1)
+    D = oc.dirac(sp)
+    lhs, rhs = D @ D, oc.lichnerowicz_rhs(sp)
+    forbid(monkeypatch, "__add__", "__sub__", "__neg__")
+    assert oc.residual(lhs, rhs) == oc.Residual(True, 0.0)
+
+
+def test_residual_ties_go_to_the_first_word_of_the_left_operator(sol_setup):
+    """Every word below deviates by 1: A's words come first, in A's order,
+    whether B has them or not."""
+    s = sol_setup
+    A = oc.nabla(s, 0) + oc.nabla(s, 1).scale(2)
+    B = oc.nabla(s, 1) + oc.nabla(s, 2)
+    assert oc.residual(A, B) == oc.Residual(False, 1.0, "∇1")
+    assert oc.residual(B, A) == oc.Residual(False, 1.0, "∇2")
+
+
+@pytest.mark.parametrize("name", ["flat_t3", "heisenberg", "sol", "t3_landau", "h4"])
+def test_curvature_tables_are_whole(name):
+    """The model's curvature and that of both setups (the spinor one with
+    L^k, k = 1 where there is a line bundle) hold every ordered pair:
+    R(v, u) = -R(u, v) and R(u, u) = 0."""
+    model = h_model(4) if name == "h4" else fg.load_bundled(name)
+    geom = fg.derive_connection(model)
+    k = 1 if model.line_b is not None else 0
+    n = model.n
+    for curv in (geom.curvature, oc.spinor_setup(model, geom, k).curv,
+                 oc.forms_setup(model, geom).curv):
+        assert len(curv) == n * n
+        for u in range(n):
+            assert curv[(u, u)].is_zero()
+            for v in range(n):
+                assert curv[(u, v)] == -curv[(v, u)]
 
 
 # -- pinned operators --------------------------------------------------------------
