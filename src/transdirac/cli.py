@@ -7,7 +7,7 @@ Subcommands, each with the flags it reads (all take --format and --out):
               --model, --k A..B or K (default 1..4), --N (even, >= 4),
               --tol (0 < tol < 1, default 0.05)
   fiber       randomized exact battery on the spinor fiber (no model needed)
-              --q (even), --trials (>= 1), --seed
+              --q (even, 2..16), --trials (>= 1), --seed
   crosscheck  O(h^2) convergence of the squared lattice D to the operator
               `gap` diagonalises, on the spinors and the forms
               --model, --k A..B or K (default 1..4), --N (even, >= 4),
@@ -35,6 +35,11 @@ kernel cluster): each prints `error: ...` and writes no report.  Any other
 exception is a bug and propagates.  Reports are deterministic for a fixed
 seed: `gap` counts and bisects eigenvalues, and `crosscheck`'s eigensolver
 starts from fixed vectors (runtime_ms is measurement, not content).
+
+`fiber` exits 2 on q > 16.  Its spinor fiber has dimension 2^(q/2): one
+trial takes seconds from q = 18 on, and a larger q runs out of memory.  At
+q = 16 the 256-dimensional fiber is as large as the largest one `verify`
+builds (the forms fiber of a model with q = 8).
 
 `gap` and `crosscheck` exit 2 on k < 0, on flux too dense for the grid
 (2k|c|/N^2 above --tol), and on a line bundle that is not positive for J
@@ -225,6 +230,9 @@ def cmd_fiber(args: argparse.Namespace) -> tuple[dict, list[dict]]:
     if args.trials < 1:
         raise InputError(f"trials={args.trials}: a battery of no pairs checks "
                          "nothing; give --trials >= 1")
+    if args.q > 16:
+        raise InputError(f"q={args.q} > 16: the spinor fiber has dimension 2^(q/2), and "
+                         "256 (q = 16) is as large as the largest fiber verify builds")
     result = cf.fiber_battery(random.Random(args.seed), args.q, args.trials)
     payload = {
         "command": "fiber", "q": args.q, "trials": result.trials,

@@ -14,11 +14,12 @@ action is a matrix on that basis; the two fibers in play are
   by `_mask_moves`), with chi_ja and -conj(chi_ja) as values.
 
 A vector v acts through the generators by linearity, c(v) = sum_a v_a c(f_a)
-(`matrices.combination`), a two-form X by sum_{a<b} X_ab c(f_a) c(f_b)
-(`pair_action`, as sum_a c(f_a) (sum_{b>a} X_ab c(f_b)): q - 1 matrix
-products, summed with one reduction per entry), and a skew endomorphism A
-through its spin lift (1/4) sum A_gb c(f_b) c(f_g), which is
--(1/2) pair_action(A) (`spin_lift`).
+(`matrices.combination`).  `pair_action(X, left, right)` sums a scalar
+two-form X between two lists of generator actions, sum_{a<b} X_ab left[a]
+right[b], as sum_a left[a] (sum_{b>a} X_ab right[b]): q - 1 matrix products,
+summed with one reduction per entry.  With c on both sides it is the action
+of a two-form, and a skew endomorphism A acts through its spin lift
+(1/4) sum A_gb c(f_b) c(f_g) = -(1/2) pair_action(A, c, c) (`spin_lift`).
 Multivector and Clifford-element arithmetic is not part of the package:
 tests/multivector_oracle.py computes the same actions term by term, as an
 independent oracle for these matrices.
@@ -99,14 +100,14 @@ def int_matrix(n_gen: int, j: int) -> Mat:
     return _sign_matrix(n_gen, _mask_moves(n_gen)[j][1])
 
 
-def pair_action(X: Mat, cliffords: tuple[Mat, ...]) -> Mat:
-    """sum_{a<b} X_ab c(f_a) c(f_b); for an antisymmetric X this is
-    (1/2) sum_{a,b} X_ab c(f_a) c(f_b).  Computed as
-    sum_a c(f_a) (sum_{b>a} X_ab c(f_b)): q - 1 matrix products, summed
-    with one reduction per entry, reading the upper triangle of X only."""
-    q = len(cliffords)
+def pair_action(X: Mat, left: tuple[Mat, ...], right: tuple[Mat, ...]) -> Mat:
+    """sum_{a<b} X_ab left[a] right[b], as sum_a left[a] (sum_{b>a} X_ab right[b]):
+    q - 1 matrix products, summed with one reduction per entry, reading the
+    upper triangle of X only.  With the Clifford generators on both sides and
+    an antisymmetric X this is (1/2) sum_{a,b} X_ab c(f_a) c(f_b)."""
+    q = len(left)
     return product_sum(
-        (cliffords[a], combination([X.entry(a, b) for b in range(a + 1, q)], cliffords[a + 1:]))
+        (left[a], combination([X.entry(a, b) for b in range(a + 1, q)], right[a + 1:]))
         for a in range(q - 1))
 
 
@@ -114,7 +115,7 @@ def spin_lift(A: Mat, cliffords: tuple[Mat, ...]) -> Mat:
     """(1/4) sum_{g,b} A_gb c(f_b) c(f_g) for a skew endomorphism A of the
     horizontal space; its commutator with c(v) is c(A v).  The Clifford
     generators anticommute, so this is -(1/2) sum_{a<b} A_ab c(f_a) c(f_b)."""
-    return pair_action(A, cliffords).scale(rational(-1, 2))
+    return pair_action(A, cliffords, cliffords).scale(rational(-1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +301,8 @@ def two_form_action(B: Mat, J: ComplexStructure) -> Mat:
     validate_two_form(B)
     if B.n != J.q:
         raise ValueError(f"two-form rank {B.n} != q={J.q}")
-    return pair_action(B, spinor_cliffords(J))
+    cs = spinor_cliffords(J)
+    return pair_action(B, cs, cs)
 
 
 # -- exact root extraction for the skew eigenproblem -------------------------

@@ -33,16 +33,18 @@ once.  One helper, `_pair_term`, builds every pair term
 sum_{a<b} left[a] right[b] (X_ab - nabla_{R(f_a,f_b)}) of the right-hand
 sides: the Clifford curvature terms of the Dirac squares, the curvature and
 integrability terms of the transversal Bochner formula, and d_H^2, (d_H^*)^2.
-Its endomorphism part alone, sum_{a<b} left[a] right[b] X_ab, is
-`_pair_contraction`, which builds the curvature contraction of item (d) and
-the wedge-wedge and contraction-contraction traces of item (h) of the suite.
+Its leaf word nabla_{e_i} is `clifford_fiber.pair_action` of the scalar
+two-form -R^i, and its endomorphism part sum_{a<b} left[a] right[b] X_ab is
+`_pair_contraction`, which forms a product only where X_ab != 0 and also
+builds the curvature contraction of item (d) and the wedge-wedge and
+contraction-contraction traces of item (h) of the suite.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .clifford_fiber import ext_matrix, int_matrix, spin_lift, spinor_cliffords
+from .clifford_fiber import ext_matrix, int_matrix, pair_action, spin_lift, spinor_cliffords
 from .exact import ZERO, Scalar, rational
 from .frame_geometry import (ConnectionData, FrameModel, complex_structure, curvature,
                              derive_connection, require_valid, spin_connection)
@@ -382,17 +384,16 @@ def twisting_curvature(setup: BundleSetup, a: int, b: int) -> Mat:
 
 def _pair_term(setup: BundleSetup, left: tuple[Mat, ...], right: tuple[Mat, ...],
                two_form) -> DiffOp:
-    """sum_{a<b} left[a] right[b] (X_ab - nabla_{R(f_a,f_b)}) for a matrix-valued
-    two-form X given as a function (setup, a, b) -> Mat, or None for X = 0 (the
-    leaf-only part), with the last nabla along the leafwise integrability
-    field R(f_a,f_b) = sum_i R^i_ab e_i.  With the Clifford actions on both
-    sides this is (1/2) sum_{a,b} c(f_a) c(f_b) (X_ab - nabla_{R(f_a,f_b)})."""
-    integ = setup.geom.integrability
-    weights = [left[a] @ right[b] for a, b in integ]
-    terms = {(i,): combination([-comps[i] for comps in integ.values()], weights)
-             for i in range(setup.model.p)}
+    """sum_{a<b} left[a] right[b] (X_ab - nabla_{R(f_a,f_b)}), with R(f_a,f_b) =
+    sum_i R^i_ab e_i the leafwise integrability field: each leaf word nabla_{e_i} is
+    `pair_action` of the scalar two-form -R^i, the endomorphism part `_pair_contraction`
+    of X, a function (setup, a, b) -> Mat or None for X = 0 (the leaf-only part).  With
+    the Clifford actions on both sides this is (1/2) sum c(f_a) c(f_b) (X_ab - nabla_R)."""
+    integ, q = setup.geom.integrability, setup.model.q
+    terms = {(i,): pair_action(Mat(q, q, {ab: -comps[i] for ab, comps in integ.items()}),
+                               left, right) for i in range(setup.model.p)}
     if two_form is not None:
-        terms[()] = product_sum(zip(weights, (two_form(setup, a, b) for a, b in integ)))
+        terms[()] = _pair_contraction(setup, left, right, two_form)
     return DiffOp(setup, terms)
 
 

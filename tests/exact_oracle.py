@@ -37,14 +37,14 @@ def naive_matmul(L: Mat, R: Mat) -> Mat:
     return Mat(L.n, R.m, acc)
 
 
-def pair_action_by_pairs(X: Mat, cliffords: tuple[Mat, ...]) -> Mat:
-    """sum_{a<b} X_ab c(f_a) c(f_b) with one product per pair a < b of the
+def pair_action_by_pairs(X: Mat, left: tuple[Mat, ...], right: tuple[Mat, ...]) -> Mat:
+    """sum_{a<b} X_ab left[a] right[b] with one product per pair a < b of the
     upper triangle of X: an oracle for `clifford_fiber.pair_action`, which
     takes q - 1 products."""
-    acc = Mat.zero(cliffords[0].n)
+    acc = Mat.zero(left[0].n)
     for (a, b), coeff in X.d.items():
         if a < b:
-            acc = acc + naive_matmul(cliffords[a], cliffords[b]).scale(coeff)
+            acc = acc + naive_matmul(left[a], right[b]).scale(coeff)
     return acc
 
 

@@ -110,6 +110,21 @@ def test_fiber_without_trials_exits_2_without_report(capsys):
     assert out == ""
 
 
+def test_oversized_fiber_exits_2_before_the_battery(capsys, monkeypatch):
+    """q = 18 would build 512-dimensional spinor matrices for seconds per
+    trial, and a larger q until memory runs out (exit 1, a MemoryError):
+    the ceiling is q = 16, checked before any battery work."""
+    def refuse(*args):
+        raise AssertionError("fiber_battery called")
+
+    monkeypatch.setattr(cf, "fiber_battery", refuse)
+    code = cli.main(["fiber", "--q", "18", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INVALID
+    assert captured.out == ""
+    assert "q=18 > 16" in captured.err
+
+
 def test_parser_lists_the_bundled_models_once(monkeypatch):
     """Every run builds the parser; the three subcommands that take --model
     share one listing of the models directory."""

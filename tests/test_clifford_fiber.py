@@ -266,17 +266,30 @@ def random_field_mat(rng, q, antisymmetric):
     return X - X.transpose() if antisymmetric else X
 
 
-@pytest.mark.parametrize("J", SPINOR_STRUCTURES,
-                         ids=[f"q{J.q}-frame{i % 3}" for i, J in enumerate(SPINOR_STRUCTURES)])
-def test_pair_action_matches_pair_loop(J):
-    """q - 1 products equal the q(q-1)/2 pair products on any X: the
-    upper triangle alone is read, so a non-antisymmetric X gives the same
-    matrix as the pair loop."""
-    rng = random.Random(J.q)
-    cs = cf.spinor_cliffords(J)
+def pair_action_sides():
+    """(left, right) generator actions: the Clifford generators of every
+    spinor structure on both sides, and at q = 2 and 4 the forms generators
+    eps and iota, where left and right differ in two of three orders."""
+    out = [pytest.param(cs, cs, id=f"q{J.q}-frame{i % 3}")
+           for i, J in enumerate(SPINOR_STRUCTURES) for cs in [cf.spinor_cliffords(J)]]
+    for q in (2, 4):
+        gens = {"eps": tuple(cf.ext_matrix(q, a) for a in range(q)),
+                "iota": tuple(cf.int_matrix(q, a) for a in range(q))}
+        out += [pytest.param(gens[x], gens[y], id=f"forms-q{q}-{x}-{y}")
+                for x, y in (("eps", "iota"), ("iota", "eps"), ("eps", "eps"))]
+    return out
+
+
+@pytest.mark.parametrize("left, right", pair_action_sides())
+def test_pair_action_matches_pair_loop(left, right):
+    """q - 1 products equal the q(q-1)/2 pair products on any X: left[a]
+    stays on the left of right[b], and the upper triangle alone is read, so
+    a non-antisymmetric X gives the same matrix as the pair loop."""
+    q = len(left)
+    rng = random.Random(q)
     for antisymmetric in (True, False):
-        X = random_field_mat(rng, J.q, antisymmetric)
-        assert cf.pair_action(X, cs) == eo.pair_action_by_pairs(X, cs)
+        X = random_field_mat(rng, q, antisymmetric)
+        assert cf.pair_action(X, left, right) == eo.pair_action_by_pairs(X, left, right)
 
 
 # SHA-256 over every trial's (B, J, two_form_action(B, J)) entries, as `_v`

@@ -8,6 +8,7 @@ import pytest
 import exact_oracle as eo
 from transdirac import clifford_fiber as cf
 from transdirac import frame_geometry as fg
+from transdirac import matrices
 from transdirac import operator_calculus as oc
 from transdirac.exact import I, ONE, ZERO, rational
 from transdirac.matrices import Mat
@@ -287,6 +288,31 @@ def test_compose_adds_no_matrices(monkeypatch):
     want = (D @ D, oc.hodge_laplacian(fo))
     forbid(monkeypatch, "__add__", "__neg__")
     assert (D @ D, oc.compose(((dH, dHs), (dHs, dH)))) == want
+
+
+def test_pair_term_forms_no_product_on_a_dead_pair(monkeypatch):
+    """d_H^2 on h6 (p = 1, q = 6) passes at most p (q - 1) = 5 factor pairs
+    to `product_sum`, `@` included: each leaf word is one `pair_action` of
+    q - 1 products, not one product per pair a < b (15 here, most of them
+    without an integrability component)."""
+    fo = forms(h_model(6))
+    dh = oc.d_horizontal(fo)
+    want = dh @ dh
+    sizes = []
+    real = matrices.product_sum
+
+    def counted(pairs):
+        pairs = tuple(pairs)
+        sizes.append(len(pairs))
+        return real(pairs)
+
+    for module in (matrices, cf, oc):
+        monkeypatch.setattr(module, "product_sum", counted)
+    monkeypatch.setattr(Mat, "__matmul__", lambda L, R: counted(((L, R),)))
+    got = oc.dh_square_rhs(fo)
+    assert sum(sizes) <= 5
+    monkeypatch.undo()
+    assert oc.residual(want, got).exact_zero
 
 
 def test_compose_of_pairs_sums_their_products(sol_setup, heis_setup):
