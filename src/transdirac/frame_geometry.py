@@ -13,6 +13,17 @@ data -- Levi-Civita coefficients through the Koszul formula, the transverse
 connection, mean curvature, integrability tensor, curvature, divergences,
 spin connection coefficients -- are exact field elements.
 
+`derive_connection` validates a model and derives, once, everything the
+operator calculus reads of its structure constants, into a ConnectionData:
+the transverse connection matrices A_u (`transverse`), the mean curvature
+`tau` and each nabla_{f_a} tau (`nabla_tau`), |tau|^2 (`tau_norm2`),
+d_H^* tau = -sum_a (nabla_{f_a} tau)^a + |tau|^2 (`codiff_tau`), whether tau
+is basic (`tau_basic`: it has no leaf part, so whether dtau(u_i, u_j) =
+-tau([u_i, u_j]) vanishes), the leaf two-forms R^i of R(f_a, f_b) =
+-P_F [f_a, f_b] = sum_i R^i_ab e_i as q x q matrices (`integrability`), the
+transverse `curvature` R(u, v) on every ordered pair, its scalar `K`, and
+div u = sum_k c^k_{ku} = -tr(ad u) for each frame vector (`div`).
+
 Model files are JSON objects with the keys
 
     "name"         optional string, default "unnamed"
@@ -151,9 +162,7 @@ def validate(model: FrameModel) -> ValidationReport:
                         f"+ c^{a + 1}_({i + 1},{b + 1}) = {format_scalar(s)}")
 
     for i in range(n):
-        tr = ZERO
-        for k in range(n):
-            tr = tr + c[k][i][k]
+        tr = ad_trace(model, i)
         if not tr.is_zero():
             warnings.append(
                 f"non-unimodular frame: tr(ad u{i + 1}) = {format_scalar(tr)} != 0 "
@@ -187,19 +196,9 @@ def require_valid(model: FrameModel) -> ValidationReport:
 def levi_civita(model: FrameModel) -> tuple:
     """Gamma[i][j][k] = <nabla_{u_i} u_j, u_k> by the invariant Koszul formula
     2<nabla_X Y, Z> = <[X,Y],Z> - <[Y,Z],X> + <[Z,X],Y>."""
-    n = model.n
-    c = model.c
-    half = rational(1, 2)
-    out = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            row = []
-            for k in range(n):
-                row.append((c[i][j][k] - c[j][k][i] + c[k][i][j]) * half)
-            plane.append(tuple(row))
-        out.append(tuple(plane))
-    return tuple(out)
+    n, c, half = model.n, model.c, rational(1, 2)
+    return tuple(tuple(tuple((c[i][j][k] - c[j][k][i] + c[k][i][j]) * half for k in range(n))
+                       for j in range(n)) for i in range(n))
 
 
 def transverse_connection(model: FrameModel, gamma: tuple) -> tuple[Mat, ...]:
@@ -207,32 +206,15 @@ def transverse_connection(model: FrameModel, gamma: tuple) -> tuple[Mat, ...]:
     direction: (A_u)_{gb} = <nabla_u f_b, f_g>.  Leafwise directions
     differentiate by the horizontal part of the bracket, horizontal
     directions by the projected Levi-Civita derivative."""
-    n, p, q = model.n, model.p, model.q
-    mats = []
-    for u in range(n):
-        entries = {}
-        for b in range(q):
-            for g in range(q):
-                if u < p:
-                    coeff = model.c[u][p + b][p + g]
-                else:
-                    coeff = gamma[u][p + b][p + g]
-                if not coeff.is_zero():
-                    entries[(g, b)] = coeff
-        mats.append(Mat(q, q, entries))
-    return tuple(mats)
+    p, q = model.p, model.q
+    return tuple(Mat(q, q, {(g, b): (model.c if u < p else gamma)[u][p + b][p + g]
+                            for b in range(q) for g in range(q)}) for u in range(model.n))
 
 
 def mean_curvature(model: FrameModel, gamma: tuple) -> tuple[Scalar, ...]:
     """tau = sum_i P_H(nabla_{e_i} e_i), components in the horizontal frame."""
-    p, q = model.p, model.q
-    out = []
-    for a in range(q):
-        s = ZERO
-        for i in range(p):
-            s = s + gamma[i][i][p + a]
-        out.append(s)
-    return tuple(out)
+    p = model.p
+    return tuple(sum((gamma[i][i][p + a] for i in range(p)), ZERO) for a in range(model.q))
 
 
 def mean_curvature_derivative(model: FrameModel, transverse,
@@ -245,15 +227,13 @@ def mean_curvature_derivative(model: FrameModel, transverse,
     return tuple(tuple(v.get(g, ZERO) for g in range(q)) for v in moved)
 
 
-def integrability_tensor(model: FrameModel) -> dict[tuple[int, int], tuple[Scalar, ...]]:
-    """Leafwise components of R(f_a, f_b) = -P_F [f_a, f_b], horizontal a < b."""
+def integrability_tensor(model: FrameModel) -> tuple[Mat, ...]:
+    """The leaf two-forms R^i, one q x q antisymmetric matrix per leaf
+    direction e_i, of R(f_a, f_b) = -P_F [f_a, f_b] = sum_i R^i_ab e_i."""
     p, q = model.p, model.q
-    out = {}
-    for a in range(q):
-        for b in range(a + 1, q):
-            comps = tuple(-model.c[p + a][p + b][i] for i in range(p))
-            out[(a, b)] = comps
-    return out
+    c = model.c
+    return tuple(Mat(q, q, {(a, b): -c[p + a][p + b][i] for a in range(q) for b in range(q)})
+                 for i in range(p))
 
 
 def curvature(model: FrameModel, A: tuple[Mat, ...]) -> dict[tuple[int, int], Mat]:
@@ -282,38 +262,47 @@ def scalar_curvature(model: FrameModel, curv: dict[tuple[int, int], Mat]) -> Sca
                 if a != b), ZERO)
 
 
-def divergence(model: FrameModel, direction: int, gamma: tuple) -> Scalar:
+def ad_trace(model: FrameModel, i: int) -> Scalar:
+    """tr(ad u_i) = sum_k c^k_{ik} (0-based i), the trace of v -> [u_i, v],
+    summed as given, so also on constants that are not antisymmetric."""
+    return sum((model.c[i][k][k] for k in range(model.n)), ZERO)
+
+
+def divergence(model: FrameModel, i: int) -> Scalar:
     """Riemannian divergence div u_i = sum_k <nabla_{u_k} u_i, u_k>, which for
-    constant structure constants reduces to sum_k c^k_{ki}."""
-    if not 0 <= direction < model.n:
-        raise ModelError(f"direction {direction} out of range")
-    s = ZERO
-    for k in range(model.n):
-        s = s + gamma[k][direction][k]
-    return s
+    constant structure constants is sum_k c^k_{ki} = -tr(ad u_i)."""
+    return -ad_trace(model, i)
 
 
-class ConnectionData(namedtuple("ConnectionData",
-                                "transverse tau nabla_tau integrability curvature K div")):
-    """All derived geometric data of a validated model, exact; nabla_tau
-    holds nabla_{f_a} tau, one per a."""
+class ConnectionData(namedtuple("ConnectionData", "transverse tau nabla_tau tau_norm2 "
+                                "codiff_tau tau_basic integrability curvature K div")):
+    """All derived geometric data of a validated model, exact; the module
+    docstring lists the fields."""
     __slots__ = ()
 
 
 def derive_connection(model: FrameModel) -> ConnectionData:
     require_valid(model)
+    n, p = model.n, model.p
     gamma = levi_civita(model)
     A = transverse_connection(model, gamma)
     curv = curvature(model, A)
     tau = mean_curvature(model, gamma)
+    nabla_tau = mean_curvature_derivative(model, A, tau)
+    tau_norm2 = sum((t * t for t in tau), ZERO)
+    live_tau = [(p + a, t) for a, t in enumerate(tau) if t]
     return ConnectionData(
         transverse=A,
         tau=tau,
-        nabla_tau=mean_curvature_derivative(model, A, tau),
+        nabla_tau=nabla_tau,
+        tau_norm2=tau_norm2,
+        codiff_tau=tau_norm2 - sum((vec[a] for a, vec in enumerate(nabla_tau)), ZERO),
+        tau_basic=all(sum((model.c[i][j][b] * t for b, t in live_tau), ZERO).is_zero()
+                      for i in range(n) for j in range(i + 1, n)),
         integrability=integrability_tensor(model),
         curvature=curv,
         K=scalar_curvature(model, curv),
-        div=tuple(divergence(model, u, gamma) for u in range(model.n)),
+        div=tuple(divergence(model, u) for u in range(n)),
     )
 
 

@@ -29,12 +29,18 @@ pairing with invariant volume.  Each constant coefficient that is a sum of
 matrices or of matrix products (the forms connection, the curvature and tau
 contractions, the integrability term, the Jacobi check) is one call of
 `matrices.combination` or `matrices.product_sum`, which reduce each entry
-once.  One helper, `_pair_term`, builds every pair term
+once.  So is the constant term of each Dirac-square right-hand side: a
+multiple of the identity, whose scalar sums the |tau|^2, d_H^* tau and K
+terms, plus in (a) and (c) the contraction sum_a c(f_a) c(nabla_{f_a} tau).
+These quantities, the divergences and the integrability two-forms R^i are
+read from the model's ConnectionData: outside the rewriting rules and the
+Jacobi check nothing here reads a structure constant.  One helper,
+`_pair_term`, builds every pair term
 sum_{a<b} left[a] right[b] (X_ab - nabla_{R(f_a,f_b)}) of the right-hand
 sides: the Clifford curvature terms of the Dirac squares, the curvature and
 integrability terms of the transversal Bochner formula, and d_H^2, (d_H^*)^2.
-Its leaf word nabla_{e_i} is `clifford_fiber.pair_action` of the scalar
-two-form -R^i, and its endomorphism part sum_{a<b} left[a] right[b] X_ab is
+Its leaf word nabla_{e_i} is minus `clifford_fiber.pair_action` of R^i,
+and its endomorphism part sum_{a<b} left[a] right[b] X_ab is
 `_pair_contraction`, which forms a product only where X_ab != 0 and also
 builds the curvature contraction of item (d) and the wedge-wedge and
 contraction-contraction traces of item (h) of the suite.
@@ -386,12 +392,10 @@ def _pair_term(setup: BundleSetup, left: tuple[Mat, ...], right: tuple[Mat, ...]
                two_form) -> DiffOp:
     """sum_{a<b} left[a] right[b] (X_ab - nabla_{R(f_a,f_b)}), with R(f_a,f_b) =
     sum_i R^i_ab e_i the leafwise integrability field: each leaf word nabla_{e_i} is
-    `pair_action` of the scalar two-form -R^i, the endomorphism part `_pair_contraction`
+    minus `pair_action` of the two-form R^i, the endomorphism part `_pair_contraction`
     of X, a function (setup, a, b) -> Mat or None for X = 0 (the leaf-only part).  With
     the Clifford actions on both sides this is (1/2) sum c(f_a) c(f_b) (X_ab - nabla_R)."""
-    integ, q = setup.geom.integrability, setup.model.q
-    terms = {(i,): pair_action(Mat(q, q, {ab: -comps[i] for ab, comps in integ.items()}),
-                               left, right) for i in range(setup.model.p)}
+    terms = {(i,): -pair_action(R, left, right) for i, R in enumerate(setup.geom.integrability)}
     if two_form is not None:
         terms[()] = _pair_contraction(setup, left, right, two_form)
     return DiffOp(setup, terms)
@@ -408,14 +412,11 @@ def _dirac_square_rhs(setup: BundleSetup, two_form, scalar: Scalar) -> DiffOp:
     """Bochner - (1/2) sum_a c(f_a) c(nabla_{f_a} tau) - (1/4)|tau|^2 + scalar
     + the Clifford curvature term of `two_form`: the shared form of the two
     Dirac-square right-hand sides."""
-    eye = Mat.identity(setup.dim)
-    acc = bochner(setup)
-    ctau_term = _tau_derivative_term(setup, setup.cliff, setup.cliff)
-    acc = acc - endo_op(setup, ctau_term.scale(rational(1, 2)))
-    norm2 = sum((t * t for t in setup.geom.tau), ZERO)
-    acc = acc - endo_op(setup, eye.scale(norm2 * rational(1, 4)))
-    acc = acc + endo_op(setup, eye.scale(scalar))
-    return acc + _pair_term(setup, setup.cliff, setup.cliff, two_form)
+    constant = combination(
+        (rational(-1, 2), scalar - setup.geom.tau_norm2 * rational(1, 4)),
+        (_tau_derivative_term(setup, setup.cliff, setup.cliff), Mat.identity(setup.dim)))
+    return (bochner(setup) + endo_op(setup, constant)
+            + _pair_term(setup, setup.cliff, setup.cliff, two_form))
 
 
 def lichnerowicz_rhs(setup: BundleSetup) -> DiffOp:
@@ -513,38 +514,15 @@ def dh_star_square_rhs(setup: BundleSetup) -> DiffOp:
     return acc - endo_op(setup, _tau_derivative_term(setup, setup.iota, setup.iota))
 
 
-# ---------------------------------------------------------------------------
-# mean curvature form diagnostics
-
-def tau_is_basic(model: FrameModel, geom: ConnectionData) -> bool:
-    """tau is basic iff it has no leaf components (automatic here) and is
-    closed as an invariant form: dtau(u_i, u_j) = -tau([u_i, u_j]) = 0."""
-    n, p = model.n, model.p
-    return all(sum((model.c[i][j][p + a] * t for a, t in enumerate(geom.tau)
-                    if not t.is_zero()), ZERO).is_zero()
-               for i in range(n) for j in range(i + 1, n))
-
-
-def codifferential_of_tau(setup: BundleSetup) -> Scalar:
-    """d_H^* tau = -sum_a (nabla_{f_a} tau)^a + |tau|^2, a scalar."""
-    geom = setup.geom
-    s = sum((t * t for t in geom.tau), ZERO)
-    for a, vec in enumerate(geom.nabla_tau):
-        s = s - vec[a]
-    return s
-
-
 def basic_tau_rhs(setup: BundleSetup) -> DiffOp:
     """Simplified Dirac square under a basic mean curvature form:
     Bochner - (1/2) d_H^* tau + (1/4)|tau|^2 + S/4
     + (1/2) sum c c [R^{E/S} - nabla_R]."""
-    eye = Mat.identity(setup.dim)
-    norm2 = sum((t * t for t in setup.geom.tau), ZERO)
-    scalar = (-codifferential_of_tau(setup) * rational(1, 2)
-              + norm2 * rational(1, 4)
+    geom = setup.geom
+    scalar = (-geom.codiff_tau * rational(1, 2) + geom.tau_norm2 * rational(1, 4)
               + lichnerowicz_scalar(setup))
-    acc = bochner(setup) + endo_op(setup, eye.scale(scalar))
-    return acc + _pair_term(setup, setup.cliff, setup.cliff, twisting_curvature)
+    return (bochner(setup) + endo_op(setup, Mat.scalar(setup.dim, scalar))
+            + _pair_term(setup, setup.cliff, setup.cliff, twisting_curvature))
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +602,7 @@ def verify_suite(model: FrameModel, k: int) -> SuiteReport:
     run("h", "wedge-wedge and contraction-contraction curvature traces "
         "vanish (reported per model)", (trace(fo.eps), zero), (trace(fo.iota), zero))
 
-    if tau_is_basic(model, geom):
+    if geom.tau_basic:
         run("i", "basic mean curvature: simplified Dirac square",
             (D2, basic_tau_rhs(sp)))
     else:

@@ -64,12 +64,13 @@ def test_missing_model_path_exits_2_and_loads_no_bundled_model(capsys, monkeypat
 
 def test_verify_warns_on_a_non_unimodular_frame(capsys, tmp_path):
     """[u1,u2] = 2u1, [u2,u3] = u1 is admissible, but has no compact quotient
-    with invariant volume: `verify` passes on it and says so on stderr."""
+    with invariant volume: `verify` passes on it and says so on stderr.
+    ad u2 sends u1 to -2u1 and u3 to u1, so tr(ad u2) = -2 (= -div u2)."""
     path = write_landau(tmp_path, "non_unimodular", brackets=[[1, 2, 1, "2"], [2, 3, 1, "1"]])
     code = cli.main(["verify", "--model", path])
     captured = capsys.readouterr()
     assert code == cli.EXIT_PASS
-    assert captured.err == ("warning: non-unimodular frame: tr(ad u2) = 2 != 0 "
+    assert captured.err == ("warning: non-unimodular frame: tr(ad u2) = -2 != 0 "
                             "(no compact quotient with invariant volume)\n")
     assert json.loads(captured.out)["identities_passed"] == 9
 

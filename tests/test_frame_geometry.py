@@ -67,8 +67,10 @@ def test_unimodularity_warning():
     m = fg.make_model("affine", 1, 2, [(2, 1, 1, "1")])
     rep = fg.validate(m)
     assert rep.ok
-    assert any("non-unimodular" in w for w in rep.warnings)
-    assert fg.divergence(m, 1, fg.levi_civita(m)) == rational(-1)  # div f1 = -tr(ad f1)
+    # [u2, u1] = u1: ad u2 is multiplication by 1 on u1, so tr(ad u2) = 1 = -div u2
+    assert rep.warnings == ("non-unimodular frame: tr(ad u2) = 1 != 0 "
+                            "(no compact quotient with invariant volume)",)
+    assert fg.divergence(m, 1) == rational(-1)
 
 
 # -- Levi-Civita through Koszul --------------------------------------------------
@@ -125,7 +127,7 @@ def test_torsion_identity_vs_integrability(heis, sol, torus):
     horizontally and as the integrability tensor leafwise."""
     for m in (heis, sol, torus):
         A = transverse(m)
-        R = fg.integrability_tensor(m)
+        (R,) = fg.integrability_tensor(m)
         p, q = m.p, m.q
         for a in range(q):
             for b in range(a + 1, q):
@@ -133,8 +135,7 @@ def test_torsion_identity_vs_integrability(heis, sol, torus):
                     horiz = (A[p + a].entry(g, b) - A[p + b].entry(g, a)
                              - m.c[p + a][p + b][p + g])
                     assert horiz.is_zero()
-                for i in range(p):
-                    assert (-m.c[p + a][p + b][i]) == R[(a, b)][i]
+                assert -m.c[p + a][p + b][0] == R.entry(a, b) == -R.entry(b, a)
 
 
 def test_mean_curvature(torus, heis, sol):
@@ -144,8 +145,8 @@ def test_mean_curvature(torus, heis, sol):
 
 
 def test_integrability_values(heis, sol):
-    assert fg.integrability_tensor(heis)[(0, 1)] == (rational(-1),)
-    assert fg.integrability_tensor(sol)[(0, 1)] == (ZERO,)
+    assert fg.integrability_tensor(heis) == (Mat.from_rows([[0, -1], [1, 0]]),)
+    assert fg.integrability_tensor(sol) == (Mat.zero(2),)
 
 
 # -- curvature -------------------------------------------------------------------
@@ -174,19 +175,29 @@ def test_curvature_antisymmetry_as_endomorphism(sol):
 
 # -- divergences -------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", ["flat_t3", "heisenberg", "sol"])
+DIGEST_MODELS = {m.name: m for m in eo.digest_models()}
+
+
+@pytest.mark.parametrize("name", list(DIGEST_MODELS))
 def test_divergence_dual_route(name):
-    m = fg.load_bundled(name)
+    """The closed form sum_k c^k_{ku} against the Koszul route
+    sum_k Gamma[k][u][k] for every direction, and for the horizontal ones
+    also against -g(tau + sum_b nabla_{f_b} f_b, f_a)."""
+    m = DIGEST_MODELS[name]
+    gamma = fg.levi_civita(m)
+    div = fg.derive_connection(m).div
+    for u in range(m.n):
+        koszul_route = sum((gamma[k][u][k] for k in range(m.n)), ZERO)
+        assert fg.divergence(m, u) == koszul_route == div[u]
     for a in range(m.q):
-        trace_route = fg.divergence(m, m.p + a, fg.levi_civita(m))
-        closed_route = eo.divergence_closed_horizontal(m, a)
-        assert trace_route == closed_route
+        assert fg.divergence(m, m.p + a) == eo.divergence_closed_horizontal(m, a)
 
 
 def test_divergence_values(torus, heis, sol):
     for m in (torus, heis, sol):
         for u in range(m.n):
-            assert fg.divergence(m, u, fg.levi_civita(m)).is_zero()
+            assert fg.divergence(m, u).is_zero()
+    assert fg.derive_connection(DIGEST_MODELS["non_unimodular"]).div == (ZERO, rational(2), ZERO)
 
 
 # -- spin connection ------------------------------------------------------------------

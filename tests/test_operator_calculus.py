@@ -348,24 +348,42 @@ def test_forms_ops_require_forms_fiber(sol_setup):
 
 
 def test_codifferential_of_tau_sol():
-    s = spinor(fg.load_bundled("sol"), k=1)
-    assert oc.codifferential_of_tau(s) == ZERO
+    geom = fg.derive_connection(fg.load_bundled("sol"))
+    assert geom.codiff_tau == ZERO
+    assert geom.tau_norm2 == ONE
+
+
+def suite_with(monkeypatch, model, **fields):
+    """The suite's items by key on `model` at k = 1, with the given fields of
+    its ConnectionData replaced."""
+    geom = fg.derive_connection(model)._replace(**fields)
+    monkeypatch.setattr(oc, "derive_connection", lambda m: geom)
+    return {it.key: it for it in oc.verify_suite(model, k=1).items}
 
 
 def test_basic_tau_identity_needs_the_codifferential_of_tau(monkeypatch):
     """On a unimodular model d_H^* tau integrates to 0; on the non-unimodular
     fixture it is 4, and identity (i) holds only with its -(1/2) d_H^* tau."""
     m = eo.non_unimodular()
-    assert oc.codifferential_of_tau(spinor(m, k=1)) == rational(4)
-
-    def item_i():
-        (it,) = (it for it in oc.verify_suite(m, k=1).items if it.key == "i")
-        return it
-
-    it = item_i()
+    assert fg.derive_connection(m).codiff_tau == rational(4)
+    it = suite_with(monkeypatch, m)["i"]
     assert it.passed and not it.skipped
-    monkeypatch.setattr(oc, "codifferential_of_tau", lambda setup: ZERO)
-    assert item_i().status() == "FAIL"
+    items = suite_with(monkeypatch, m, codiff_tau=ZERO)
+    assert items["i"].status() == "FAIL"
+    assert all(items[key].passed for key in "abcdefgh")
+
+
+def test_tau_terms_are_read_from_the_connection_data(monkeypatch):
+    """tau = -2 f1 on the non-unimodular fixture: |tau|^2 = 4 and d_H^* tau = 4
+    are fields of its ConnectionData, and the right-hand sides read them
+    there: a wrong |tau|^2 fails (a), (c) and (i), which carry (1/4)|tau|^2,
+    and nothing else."""
+    m = eo.non_unimodular()
+    geom = fg.derive_connection(m)
+    assert geom.tau == (rational(-2), ZERO)
+    assert (geom.tau_norm2, geom.codiff_tau) == (rational(4), rational(4))
+    items = suite_with(monkeypatch, m, tau_norm2=rational(5))
+    assert {key for key, it in items.items() if not it.passed} == {"a", "c", "i"}
 
 
 # -- the identity suite ------------------------------------------------------------------
@@ -404,7 +422,7 @@ def test_suite_with_rank_two_twist():
 def test_suite_skips_nonbasic_tau(twisted_sol):
     geom = fg.derive_connection(twisted_sol)
     assert geom.tau == (ONE, ZERO)
-    assert not oc.tau_is_basic(twisted_sol, geom)
+    assert not geom.tau_basic
     rep = oc.verify_suite(twisted_sol, k=0)
     by_key = {it.key: it for it in rep.items}
     assert by_key["i"].skipped and "not basic" in by_key["i"].reason

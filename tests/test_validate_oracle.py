@@ -2,9 +2,11 @@
 
 `dense_validate` is `frame_geometry.validate` as it was before the Jacobi
 check visited only nonzero structure constants: the Jacobiator of every
-triple i < j < k is summed over all m, zero products included.  Both must
-return equal reports -- the same failures in the same order -- on any
-model, admissible or not, including tensors that are not antisymmetric."""
+triple i < j < k is summed over all m, zero products included.  Its
+unimodularity warning sums tr(ad u_i) = sum_k c^k_{ik} in its own loop.
+Both must return equal reports -- the same failures and warnings in the
+same order -- on any model, admissible or not, including tensors that are
+not antisymmetric."""
 
 from fractions import Fraction
 
@@ -67,7 +69,7 @@ def dense_validate(model: FrameModel) -> ValidationReport:
     for i in range(n):
         tr = ZERO
         for k in range(n):
-            tr = tr + c[k][i][k]
+            tr = tr + c[i][k][k]
         if not tr.is_zero():
             warnings.append(
                 f"non-unimodular frame: tr(ad u{i + 1}) = {format_scalar(tr)} != 0 "
