@@ -4,13 +4,13 @@ Subcommands, each with the flags it reads (all take --format and --out):
   verify      run the exact operator-identity suite on a model file
               --model, --k K (default 1; 0 on a model without a line bundle)
   gap         spectral gap / kernel scan of the Dirac square on a torus model
-              --model, --k A..B or K (default 1..4), --N (even, >= 4),
+              --model, --k A..B or K (default 1..4), --N (even, 4..1024),
               --tol (0 < tol < 1, default 0.05)
   fiber       randomized exact battery on the spinor fiber (no model needed)
               --q (even, 2..16), --trials (>= 1), --seed
   crosscheck  O(h^2) convergence of the squared lattice D to the operator
               `gap` diagonalises, on the spinors and the forms
-              --model, --k A..B or K (default 1..4), --N (even, >= 4),
+              --model, --k A..B or K (default 1..4), --N (even, 4..64),
               --tol (0 < tol < 1, default 0.05)
 
 A flag that a subcommand does not read is rejected (exit 2), and so is an
@@ -36,10 +36,20 @@ exception is a bug and propagates.  Reports are deterministic for a fixed
 seed: `gap` counts and bisects eigenvalues, and `crosscheck`'s eigensolver
 starts from fixed vectors (runtime_ms is measurement, not content).
 
-`fiber` exits 2 on q > 16.  Its spinor fiber has dimension 2^(q/2): one
-trial takes seconds from q = 18 on, and a larger q runs out of memory.  At
-q = 16 the 256-dimensional fiber is as large as the largest one `verify`
-builds (the forms fiber of a model with q = 8).
+Sizes have ceilings, checked before any work (exit 2).  A model file may
+have q <= 16 and n = p + q <= 64 (`fg.MAX_Q`, `fg.MAX_DIM`; checked at load,
+before its n^3 structure constants exist).  `verify` builds the
+2^q-dimensional forms fiber: on the generated h_q it took 9.8 s and 140 MiB
+at q = 14 and 103 s and 576 MiB at q = 16, about 10 times the time and 4
+times the memory per step of 2; on a flat q = 2 model it took 6.7 s at
+n = 64, growing as n^3.  `fiber --q` has the same ceiling: its spinor fiber
+has dimension 2^(q/2), and one trial takes seconds from q = 18 on.  `gap`
+holds the N^2 diagonal entries of its Harper chains as floats and sweeps
+them about 66 times per k: one k took 5.8 s with a 65 MiB peak at N = 1024,
+its ceiling.  `crosscheck` also solves at 2N, where `_chain_solver` holds
+8N^3 floats in each of two block arrays (17 MB at N = 64, 134 MB at
+N = 128); its peak was 220 MiB at N = 64, its ceiling, and 326 MiB at
+N = 80.  CI and the benchmark run `gap` up to N = 64, `crosscheck` at 32.
 
 `gap` and `crosscheck` exit 2 on k < 0, on flux too dense for the grid
 (2k|c|/N^2 above --tol), and on a line bundle that is not positive for J
@@ -75,6 +85,10 @@ EXIT_NUMERICAL = 3
 # Least accepted r(N)/r(2N) of `crosscheck`: second-order convergence of the
 # squared lattice D gives 4, a wrong flux sign or fiber term about 1.
 MIN_RATIO = 3.0
+
+# The largest --N of each lattice command, and what grows with it (see above).
+MAX_N = {"gap": (1024, "N^2 floats per k"),
+         "crosscheck": (64, "about 8 N^3 floats at 2N")}
 
 
 class InputError(ValueError):
@@ -177,6 +191,9 @@ def _lattice_scan(args: argparse.Namespace, require_bundle: bool) \
         raise InputError(f"empty k range {k_min}..{k_max}")
     if args.N < 4 or args.N % 2:
         raise InputError(f"N={args.N} must be even and >= 4")
+    max_n, held = MAX_N[args.command]
+    if args.N > max_n:
+        raise InputError(f"N={args.N} > {max_n}: {args.command} holds {held}")
     torus = spec.flat_torus(_load_model(args))
     if require_bundle and torus.model.line_b is None:
         raise InputError("gap scan requires a line bundle")
@@ -230,9 +247,9 @@ def cmd_fiber(args: argparse.Namespace) -> tuple[dict, list[dict]]:
     if args.trials < 1:
         raise InputError(f"trials={args.trials}: a battery of no pairs checks "
                          "nothing; give --trials >= 1")
-    if args.q > 16:
-        raise InputError(f"q={args.q} > 16: the spinor fiber has dimension 2^(q/2), and "
-                         "256 (q = 16) is as large as the largest fiber verify builds")
+    if args.q > fg.MAX_Q:
+        raise InputError(f"q={args.q} > {fg.MAX_Q}: the spinor fiber has dimension 2^(q/2), "
+                         "and one trial takes seconds from q = 18 on")
     result = cf.fiber_battery(random.Random(args.seed), args.q, args.trials)
     payload = {
         "command": "fiber", "q": args.q, "trials": result.trials,

@@ -33,7 +33,8 @@ Model files are JSON objects with the keys
     "J"            q x q rows of the transverse complex structure; optional
                    here, but every command refuses a model without it
 
-p, q and the 1-based bracket indices (leaves first) are JSON integers;
+p, q and the 1-based bracket indices (leaves first) are JSON integers, with
+q at most MAX_Q = 16 and p + q at most MAX_DIM = 64;
 every scalar is a string, like "-1/2" or "1/2+1/4√2", and a malformed
 value is a ModelError.  Line-bundle entries are imaginary strings ("-1i"),
 stored in units of 2*pi, so the integer entries of i*B are Chern numbers of
@@ -66,11 +67,20 @@ class FrameModel(namedtuple("FrameModel", "name p q c line_b jmat", defaults=(No
         return self.p + self.q
 
 
+# The largest q and n = p + q of a model; cli's docstring derives them.
+MAX_Q = 16
+MAX_DIM = 64
+
+
 def make_model(name: str, p: int, q: int,
                brackets: list[tuple[int, int, int, Scalar]],
                line_b: Mat | None = None, jmat: Mat | None = None) -> FrameModel:
-    """Build a model from sparse 1-based bracket data [u_i, u_j] += coeff u_k."""
+    """Build a model from sparse 1-based bracket data [u_i, u_j] += coeff u_k;
+    a q above MAX_Q or an n above MAX_DIM is refused before anything is built."""
     n = p + q
+    if q > MAX_Q or n > MAX_DIM:
+        raise ModelError(f"model {name!r} is too large: q={q} (at most {MAX_Q}) "
+                         f"and n=p+q={n} (at most {MAX_DIM})")
     tensor = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
     for (i, j, k, coeff) in brackets:
         for ix in (i, j, k):

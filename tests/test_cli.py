@@ -22,6 +22,7 @@ import pytest
 
 from transdirac import cli
 from transdirac import clifford_fiber as cf
+from transdirac import frame_geometry as fg
 from transdirac import operator_calculus as oc
 from transdirac.exact import rational
 
@@ -242,6 +243,41 @@ def test_model_without_complex_structure_exits_2_in_every_command(capsys, tmp_pa
                                   write_landau(tmp_path, "t3_landau_no_j", J=None))
     assert "carries no complex structure" in errors[0]
     assert errors == [errors[0]] * 3
+
+
+@pytest.mark.parametrize("p, q", [(fg.MAX_DIM - 1, 2), (1, fg.MAX_Q + 2)])
+def test_oversized_model_exits_2_in_every_command_before_validation(capsys, monkeypatch,
+                                                                     tmp_path, p, q):
+    """n = p + q one above 64, or q one above 16: every command refuses the
+    file at load, before the model is built or validated."""
+    def refuse(*args):
+        raise AssertionError("validate called")
+
+    monkeypatch.setattr(fg, "validate", refuse)
+    errors = invalid_input_errors(capsys, MODEL_COMMANDS, write_landau(tmp_path, "big", p=p, q=q))
+    assert errors == [f"error: model 'big' is too large: q={q} (at most {fg.MAX_Q}) "
+                      f"and n=p+q={p + q} (at most {fg.MAX_DIM})\n"] * 3
+
+
+@pytest.mark.parametrize("command", sorted(cli.MAX_N))
+def test_oversized_lattice_exits_2_before_any_work(capsys, monkeypatch, command):
+    """`gap` holds N^2 floats and `crosscheck` about 8N^3, so each has its own
+    --N ceiling, checked before the model is read: one grid step above it
+    exits 2, the ceiling itself goes on to the model."""
+    ceiling, _ = cli.MAX_N[command]
+
+    def reached(args):
+        raise cli.InputError("model reached")
+
+    monkeypatch.setattr(cli, "_load_model", reached)
+    argv = [command, "--model", "t3_landau", "--k", "1", "--N"]
+    assert cli.main(argv + [str(ceiling + 2)]) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: N={ceiling + 2} > {ceiling}: {command} holds ")
+    assert cli.main(argv + [str(ceiling)]) == cli.EXIT_INVALID
+    assert capsys.readouterr().err == "error: model reached\n"
+    assert ceiling > {"gap": 64, "crosscheck": 32}[command]  # the largest N CI runs
 
 
 def test_unknown_bare_model_name_lists_the_bundled_models(capsys, monkeypatch, tmp_path):

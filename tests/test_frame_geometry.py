@@ -1,6 +1,7 @@
 """Frame models: admissibility, Koszul data, curvature, divergences."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -48,6 +49,21 @@ def test_odd_codimension_fails():
     m = fg.make_model("oddq", 1, 3, [])
     rep = fg.validate(m)
     assert not rep.ok and "even" in rep.first_failure()
+
+
+@pytest.mark.parametrize("p, q", [(fg.MAX_DIM - 1, 2), (1, fg.MAX_Q + 2)])
+def test_oversized_model_is_refused_before_it_is_built(p, q):
+    """n = p + q above MAX_DIM or q above MAX_Q is a ModelError before the
+    n^3 tensor of structure constants is allocated (2.2 MB at n = 65)."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(fg.ModelError, match="too large"):
+            fg.model_from_dict({"p": p, "q": q, "brackets": [[1, 2, 3, "1"]]})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50_000
+    assert fg.make_model("largest", fg.MAX_DIM - fg.MAX_Q, fg.MAX_Q, []).n == fg.MAX_DIM
 
 
 def test_jacobi_failure_detected():
