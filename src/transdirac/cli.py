@@ -36,20 +36,22 @@ exception is a bug and propagates.  Reports are deterministic for a fixed
 seed: `gap` counts and bisects eigenvalues, and `crosscheck`'s eigensolver
 starts from fixed vectors (runtime_ms is measurement, not content).
 
-Sizes have ceilings, checked before any work (exit 2).  A model file may
-have q <= 16 and n = p + q <= 64 (`fg.MAX_Q`, `fg.MAX_DIM`; checked at load,
-before its n^3 structure constants exist).  `verify` builds the
+Sizes have ceilings, checked before any work (exit 2); the costs below were
+measured on a 2-CPU Linux host with Python 3.11.  A model file may have
+q <= 16 and n = p + q <= 64 (`fg.MAX_Q`, `fg.MAX_DIM`), checked at load,
+before its n^3 structure constants exist.  `verify` builds the
 2^q-dimensional forms fiber: on the generated h_q it took 9.8 s and 140 MiB
 at q = 14 and 103 s and 576 MiB at q = 16, about 10 times the time and 4
-times the memory per step of 2; on a flat q = 2 model it took 6.7 s at
-n = 64, growing as n^3.  `fiber --q` has the same ceiling: its spinor fiber
-has dimension 2^(q/2), and one trial takes seconds from q = 18 on.  `gap`
-holds the N^2 diagonal entries of its Harper chains as floats and sweeps
-them about 66 times per k: one k took 5.8 s with a 65 MiB peak at N = 1024,
-its ceiling.  `crosscheck` also solves at 2N, where `_chain_solver` holds
-8N^3 floats in each of two block arrays (17 MB at N = 64, 134 MB at
-N = 128); its peak was 220 MiB at N = 64, its ceiling, and 326 MiB at
-N = 80.  CI and the benchmark run `gap` up to N = 64, `crosscheck` at 32.
+times the memory per step of 2.  On a flat q = 2 model it took 0.8 s at
+n = 34 and 6.7 s at n = 64.  `fiber --q` has the same ceiling: its spinor
+fiber has dimension 2^(q/2), and one trial takes seconds from q = 18 on.
+`gap` holds the N^2 diagonal entries of its Harper chains as floats and
+sweeps them about 66 times per k: at N = 1024, its ceiling, one k took
+5.8 s with a 65 MiB peak.  `crosscheck` also solves at 2N, where
+`_chain_solver` holds 8N^3 floats in each of two block arrays (17 MB at
+N = 64, 134 MB at N = 128): its peak was 220 MiB at N = 64, its ceiling,
+and 326 MiB at N = 80.  CI and the benchmark run `gap` up to N = 64 and
+`crosscheck` at N = 32.
 
 `gap` and `crosscheck` exit 2 on k < 0, on flux too dense for the grid
 (2k|c|/N^2 above --tol), and on a line bundle that is not positive for J
