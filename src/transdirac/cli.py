@@ -28,11 +28,12 @@ outcome to the exit code.  A `frame_geometry.ModelError` (a model file that
 cannot be read, is not admissible, lies outside the lattice commands' flat
 q = 2 torus or positive bundle, or has a D^2 outside the lattice's regime),
 an `operator_calculus.SetupError` and an `InputError` (a flag value outside
-what the command accepts) give 2, a `spectral.SolverError` gives 3 (for
-`crosscheck`, an eigensolver that did not converge; for `gap`, no value
-above the kernel threshold in the whole lattice spectrum, or an ambiguous
-kernel cluster): each prints `error: ...` and writes no report.  Any other
-exception is a bug and propagates.  Reports are deterministic for a fixed
+what the command accepts, or an --out that cannot be written, say onto a
+full disk) give 2, a `spectral.SolverError` gives 3 (for `crosscheck`, an
+eigensolver that did not converge; for `gap`, no value above the kernel
+threshold in the whole lattice spectrum, or an ambiguous kernel cluster):
+each prints `error: ...` and writes no report.  Any other exception is a
+bug and propagates.  Reports are deterministic for a fixed
 seed: `gap` counts and bisects eigenvalues, and `crosscheck`'s eigensolver
 starts from fixed vectors (runtime_ms is measurement, not content).
 
@@ -42,9 +43,11 @@ q <= 16 and n = p + q <= 64 (`fg.MAX_Q`, `fg.MAX_DIM`), checked at load,
 before its n^3 structure constants exist.  `verify` builds the
 2^q-dimensional forms fiber: on the generated h_q it took 9.8 s and 140 MiB
 at q = 14 and 103 s and 576 MiB at q = 16, about 10 times the time and 4
-times the memory per step of 2.  On a flat q = 2 model it took 0.8 s at
-n = 34 and 6.7 s at n = 64.  `fiber --q` has the same ceiling: its spinor
-fiber has dimension 2^(q/2), and one trial takes seconds from q = 18 on.
+times the memory per step of 2.  On a flat q = 2 model it took 0.25 s at
+n = 34 and 1.3 s at n = 64 (22 MiB), in passes over the n^3 structure
+constants: the Koszul formula and validation.  `fiber --q` has the same
+ceiling: its spinor fiber has dimension 2^(q/2), and one trial takes seconds
+from q = 18 on.
 `gap` holds the N^2 diagonal entries of its Harper chains as floats and
 sweeps them about 66 times per k: at N = 1024, its ceiling, one k took
 5.8 s with a 65 MiB peak.  `crosscheck` also solves at 2N, where
@@ -94,7 +97,8 @@ MAX_N = {"gap": (1024, "N^2 floats per k"),
 
 
 class InputError(ValueError):
-    """A flag value outside what the command accepts (exit 2)."""
+    """A flag value outside what the command accepts, or an --out that cannot
+    be written (exit 2)."""
 
 
 def _k_range(text: str) -> tuple[int, int]:
@@ -141,8 +145,13 @@ def _emit(args: argparse.Namespace, payload: dict, csv_rows: list[dict]):
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.out:
         tmp = Path(f"{args.out}.tmp")  # r.json -> r.json.tmp, never r.tmp
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, args.out)
+        try:
+            tmp.write_text(text, encoding="utf-8")
+            os.replace(tmp, args.out)
+        except OSError as exc:
+            if tmp.is_file():  # a partial write of ours; a directory is not
+                tmp.unlink()
+            raise InputError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -325,13 +334,13 @@ def main(argv: list[str] | None = None) -> int:
                "fiber": cmd_fiber, "crosscheck": cmd_crosscheck}[args.command]
     try:
         payload, csv_rows = handler(args)
+        _emit(args, payload, csv_rows)
     except (fg.ModelError, oc.SetupError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except spec.SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    _emit(args, payload, csv_rows)
     return EXIT_PASS if payload["passed"] else EXIT_VIOLATION
 
 

@@ -8,14 +8,17 @@ leaf distribution, and the bundle-like condition
 
     c^b_{ia} + c^a_{ib} = 0   (i leafwise, a b horizontal),
 
-which says leafwise flows preserve the horizontal metric.  All derived
+which says leafwise flows preserve the horizontal metric.  A line bundle's
+curvature B lives on horizontal pairs, so it vanishes along the leaves, and
+must be closed: dB(x, y, z) = -sum_cyc B([x, y], z) = 0.  All derived
 data -- Levi-Civita coefficients through the Koszul formula, the transverse
 connection, mean curvature, integrability tensor, curvature, divergences,
 spin connection coefficients -- are exact field elements.
 
 `derive_connection` validates a model and derives, once, everything the
 operator calculus reads of its structure constants, into a ConnectionData:
-the transverse connection matrices A_u (`transverse`), the mean curvature
+the nonzero constants, (u, v) -> [(m, c^m_uv), ...] (`brackets`), the
+transverse connection matrices A_u (`transverse`), the mean curvature
 `tau` and each nabla_{f_a} tau (`nabla_tau`), |tau|^2 (`tau_norm2`),
 d_H^* tau = -sum_a (nabla_{f_a} tau)^a + |tau|^2 (`codiff_tau`), whether tau
 is basic (`tau_basic`: it has no leaf part, so whether dtau(u_i, u_j) =
@@ -105,31 +108,29 @@ class ValidationReport(namedtuple("ValidationReport", "ok failures warnings")):
         return self.failures[0] if self.failures else None
 
 
-def _jacobiators(c: tuple, n: int) -> dict[tuple[int, int, int, int], Scalar]:
-    """Components l of the Jacobiator of (u_i, u_j, u_k), i < j < k,
+def _nonzero_constants(c: tuple, n: int) -> list[tuple[int, int, int, Scalar]]:
+    """(a, b, m, c[a][b][m]) for every nonzero structure constant, in index order."""
+    return [(a, b, m, c[a][b][m]) for a in range(n) for b in range(n)
+            for m in range(n) if not c[a][b][m].is_zero()]
 
-        sum_m c[i][j][m] c[m][k][l] + c[j][k][m] c[m][i][l] + c[k][i][m] c[m][j][l],
 
-    summed over the nonzero constants only: a product c[a][b][m] c[m][x][l]
-    belongs to the triple sorted(a, b, x) when (a, b, x) is one of its three
-    cyclic orders.  Triples with no nonzero product are absent."""
-    nonzero = [(a, b, m, c[a][b][m]) for a in range(n) for b in range(n)
-               for m in range(n) if not c[a][b][m].is_zero()]
+def _cyclic_sums(nonzero: list, entries) -> dict[tuple[int, int, int, int], Scalar]:
+    """For each triple i < j < k and each l, the sum over its cyclic orders
+    (x, y, z) of sum_m c[x][y][m] T[m][z][l], for a tensor T given by its
+    nonzero entries (m, z, l, T[m][z][l]).  Summed over the nonzero
+    constants only: a product c[a][b][m] T[m][x][l] belongs to the triple
+    sorted(a, b, x) when (a, b, x) is one of its three cyclic orders.  With
+    T = c these are the components of the Jacobiator; with T[m][z][0] =
+    B(u_m, u_z) they are -dB.  Keys with no nonzero product are absent."""
     by_first: dict[int, list] = {}
-    for a, b, m, v in nonzero:
-        by_first.setdefault(a, []).append((b, m, v))
+    for m, z, l, w in entries:
+        by_first.setdefault(m, []).append((z, l, w))
     out: dict[tuple[int, int, int, int], Scalar] = {}
     for a, b, m, v in nonzero:
-        if a == b:
-            continue
         for x, l, w in by_first.get(m, ()):
-            if x == a or x == b:
-                continue
-            if ((a > b) + (b > x) + (a > x)) % 2:  # an odd permutation
-                continue
-            key = (*sorted((a, b, x)), l)
-            term = v * w
-            out[key] = out[key] + term if key in out else term
+            if len({a, b, x}) == 3 and not ((a > b) + (b > x) + (a > x)) % 2:
+                key = (*sorted((a, b, x)), l)
+                out[key] = out[key] + v * w if key in out else v * w
     return out
 
 
@@ -149,7 +150,8 @@ def validate(model: FrameModel) -> ValidationReport:
                     failures.append(
                         f"antisymmetry fails at c^{k + 1}_({i + 1},{j + 1})")
 
-    for (i, j, k, l), s in sorted(_jacobiators(c, n).items()):
+    nonzero = _nonzero_constants(c, n)
+    for (i, j, k, l), s in sorted(_cyclic_sums(nonzero, nonzero).items()):
         if not s.is_zero():
             failures.append(
                 f"Jacobi identity fails on (u{i + 1},u{j + 1},u{k + 1}) "
@@ -186,6 +188,12 @@ def validate(model: FrameModel) -> ValidationReport:
                 validate_two_form(model.line_b)
             except ValueError as exc:
                 failures.append(f"line bundle curvature: {exc}")
+            else:
+                b_entries = ((p + a, p + b, 0, s) for (a, b), s in model.line_b.d.items())
+                for (i, j, k, _), s in sorted(_cyclic_sums(nonzero, b_entries).items()):
+                    if not s.is_zero():
+                        failures.append(f"line bundle curvature is not closed: dB(u{i + 1},"
+                                        f"u{j + 1},u{k + 1}) = {format_scalar(-s)}")
 
     return ValidationReport(ok=not failures, failures=tuple(failures),
                             warnings=tuple(warnings))
@@ -284,7 +292,7 @@ def divergence(model: FrameModel, i: int) -> Scalar:
     return -ad_trace(model, i)
 
 
-class ConnectionData(namedtuple("ConnectionData", "transverse tau nabla_tau tau_norm2 "
+class ConnectionData(namedtuple("ConnectionData", "brackets transverse tau nabla_tau tau_norm2 "
                                 "codiff_tau tau_basic integrability curvature K div")):
     """All derived geometric data of a validated model, exact; the module
     docstring lists the fields."""
@@ -301,7 +309,11 @@ def derive_connection(model: FrameModel) -> ConnectionData:
     nabla_tau = mean_curvature_derivative(model, A, tau)
     tau_norm2 = sum((t * t for t in tau), ZERO)
     live_tau = [(p + a, t) for a, t in enumerate(tau) if t]
+    brackets: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
+    for u, v, m, coeff in _nonzero_constants(model.c, n):
+        brackets.setdefault((u, v), []).append((m, coeff))
     return ConnectionData(
+        brackets=brackets,
         transverse=A,
         tau=tau,
         nabla_tau=nabla_tau,

@@ -10,31 +10,46 @@ this normal form with the two exchange rules
     nabla_u M       = M nabla_u + [Gamma_u, M],
     nabla_u nabla_v = nabla_v nabla_u + nabla_[u,v] + F(u, v),
 
-where Gamma_u are the declared connection matrices and F the declared
-curvature.  The curvature may contain a formal scalar piece (the tensor
-power of the line bundle) that is NOT the curvature of any constant
-connection matrix; setup construction checks the Jacobi consistency
-condition that makes the rewriting confluent, so equal operators always
-reach identical normal forms and identity checking is a finite exact
-matrix comparison.  `compose` rewrites a sum of products into one normal
-form, so the two products of the Hodge Laplacian d_H d_H^* + d_H^* d_H are
-never held at once.  The rewriting adds no matrices: it records the factor
-pair (L, R) of every product under the word it reaches, and each word of the
-normal form is then one `matrices.product_sum` over its pairs.
+where Gamma_u are the setup's connection matrices and F its curvature: that
+of the Gamma_u, F_Gamma(u, v) = [Gamma_u, Gamma_v] - sum_m c^m_uv Gamma_m,
+plus on horizontal pairs the formal scalar k B of the k-th power of the line
+bundle, which is NOT the curvature of any constant connection matrix.
+
+The rewriting is confluent, so equal operators reach identical normal forms
+and identity checking is a finite exact matrix comparison, and a BundleSetup
+checks none of it.  Confluence needs, on every triple (x, y, z), the cyclic
+sum of sum_m c^m_xy F(m, z) - [Gamma_z, F(x, y)] to vanish.  For F_Gamma
+this is an identity once Jacobi holds, whatever the constant Gamma_u; k B
+commutes with every Gamma_z and leaves -k dB(x, y, z).  Only
+`derive_connection` makes a ConnectionData, and `frame_geometry.validate`
+refuses a model without Jacobi or with dB != 0.  A valid model (antisymmetric,
+Jacobi, involutive, bundle-like) also makes every A_u skew, and both lifts,
+`spin_lift` and the forms derivation sum_{g,b} (A_u)_gb eps_g iota_b, are
+Lie-algebra homomorphisms of so(q).  So each Gamma_u is skew-Hermitian,
+satisfies [Gamma_u, c(v)] = c(A_u v), and has curvature F_Gamma = lift(R),
+which vanishes on leaf pairs because the Bott connection is leafwise flat.
+`tests/exact_oracle.setup_consistency` checks all four on the setups of the
+bundled and generated models.
+
+`compose` rewrites a sum of products into one normal form, so the two
+products of the Hodge Laplacian d_H d_H^* + d_H^* d_H are never held at
+once.  The rewriting adds no matrices: it records the factor pair (L, R) of
+every product under the word it reaches, and each word of the normal form is
+then one `matrices.product_sum` over its pairs.
 
 The Bochner operator sum_a (nabla_{f_a})^* nabla_{f_a} is written in closed
 form, -sum_a (nabla_{f_a}^2 + div(f_a) nabla_{f_a}), from the formal adjoint
 (nabla_u)^* = -nabla_u - div(u) of a skew-Hermitian connection for the L^2
 pairing with invariant volume.  Each constant coefficient that is a sum of
 matrices or of matrix products (the forms connection, the curvature and tau
-contractions, the integrability term, the Jacobi check) is one call of
-`matrices.combination` or `matrices.product_sum`, which reduce each entry
-once.  So is the constant term of each Dirac-square right-hand side: a
+contractions, the integrability term) is one call of `matrices.combination`
+or `matrices.product_sum`, which reduce each entry once.  So is the constant term of each Dirac-square right-hand side: a
 multiple of the identity, whose scalar sums the |tau|^2, d_H^* tau and K
 terms, plus in (a) and (c) the contraction sum_a c(f_a) c(nabla_{f_a} tau).
-These quantities, the divergences and the integrability two-forms R^i are
-read from the model's ConnectionData: outside the rewriting rules and the
-Jacobi check nothing here reads a structure constant.  One helper,
+These quantities, the divergences, the integrability two-forms R^i and the
+nonzero structure constants the rewriting rules sum over are read from the
+model's ConnectionData: outside `frame_geometry.curvature`, which makes
+F_Gamma, nothing here reads a structure constant.  One helper,
 `_pair_term`, builds every pair term
 sum_{a<b} left[a] right[b] (X_ab - nabla_{R(f_a,f_b)}) of the right-hand
 sides: the Clifford curvature terms of the Dirac squares, the curvature and
@@ -58,7 +73,9 @@ from .matrices import Mat, accumulate, combination, commutator, product_sum
 
 
 class SetupError(ValueError):
-    """Inconsistent bundle data (connection, curvature, or fiber mismatch)."""
+    """Bundle data that cannot be used: a connection matrix of the wrong
+    fiber dimension, k != 0 without a line bundle, operators over different
+    setups, or a forms operator on the spinor fiber."""
 
 
 class BundleSetup:
@@ -75,6 +92,12 @@ class BundleSetup:
                         model.line_b (units of 2*pi) then enters the curvature
       J              -- the complex structure of a spinor fiber, else None
       curv[(u,v)]    -- full curvature F(u_u, u_v), for every ordered pair
+
+    A setup trusts its ConnectionData, which proves the model valid; the
+    module docstring derives why that makes it consistent.  It checks only
+    what a caller building one by hand can get wrong: that every gamma[u]
+    acts on the fiber of the generators, and that k != 0 comes with a line
+    bundle.
     """
 
     __slots__ = ("model", "geom", "cliff", "eps", "iota", "gamma", "k", "J", "curv")
@@ -89,8 +112,10 @@ class BundleSetup:
         self.gamma = tuple(gamma)
         self.k = k
         self.J = J
+        for u, G in enumerate(self.gamma):
+            if (G.n, G.m) != (self.dim, self.dim):
+                raise SetupError(f"gamma[{u}] has wrong fiber dimension")
         self.curv = self._curvatures()
-        self._validate()
 
     @property
     def dim(self) -> int:
@@ -110,47 +135,6 @@ class BundleSetup:
                 key = (p + a, p + b)
                 out[key] = out[key] + eye.scale(s * rational(self.k))
         return out
-
-    # -- validation ----------------------------------------------------------
-
-    def _validate(self):
-        n, p, q = self.model.n, self.model.p, self.model.q
-        dim = self.dim
-        for u, G in enumerate(self.gamma):
-            if G.n != dim or G.m != dim:
-                raise SetupError(f"gamma[{u}] has wrong fiber dimension")
-            if not G.is_skew_hermitian():
-                raise SetupError(f"gamma[{u}] is not skew-Hermitian")
-        # Clifford connection property [Gamma_u, c(f_a)] = c(nabla_u f_a)
-        for u in range(n):
-            Au = self.geom.transverse[u]
-            for a in range(q):
-                lhs = commutator(self.gamma[u], self.cliff[a])
-                vec = tuple(Au.entry(g, a) for g in range(q))
-                if lhs != combination(vec, self.cliff):
-                    raise SetupError(
-                        f"Clifford connection property fails along u{u + 1} "
-                        f"on f{a + 1}")
-        # leafwise flatness
-        for i in range(p):
-            for j in range(i + 1, p):
-                if not self.curv[(i, j)].is_zero():
-                    raise SetupError(f"leafwise curvature F(e{i + 1},e{j + 1}) != 0")
-        # Jacobi consistency of the declared curvature (confluence of rewriting):
-        # the cyclic sum over (x, y, z) of sum_m c^m_xy F(m, z) - [Gamma_z, F(x, y)]
-        c = self.model.c
-        for u in range(n):
-            for v in range(u + 1, n):
-                for w in range(v + 1, n):
-                    cyclic = ((u, v, w), (v, w, u), (w, u, v))
-                    terms = [(c[x][y][m], self.curv[(m, z)]) for x, y, z in cyclic
-                             for m in range(n) if c[x][y][m]]
-                    terms += [(-1, commutator(self.gamma[z], self.curv[(x, y)]))
-                              for x, y, z in cyclic]
-                    if not combination(*zip(*terms)).is_zero():
-                        raise SetupError(
-                            f"curvature data violates the Jacobi consistency "
-                            f"condition on (u{u + 1},u{v + 1},u{w + 1})")
 
 
 def spinor_setup(model: FrameModel, geom: ConnectionData, k: int) -> BundleSetup:
@@ -271,10 +255,8 @@ def _reorder(setup: BundleSetup, L: Mat, R: Mat, word: tuple, acc: dict):
     u, v = word[pos], word[pos + 1]
     pre, post = word[:pos], word[pos + 2:]
     _reorder(setup, L, R, pre + (v, u) + post, acc)
-    for m in range(setup.model.n):
-        coeff = setup.model.c[u][v][m]
-        if not coeff.is_zero():
-            _reorder(setup, L, R.scale(coeff), pre + (m,) + post, acc)
+    for m, coeff in setup.geom.brackets.get((u, v), ()):
+        _reorder(setup, L, R.scale(coeff), pre + (m,) + post, acc)
     F = setup.curv[(u, v)]
     if not F.is_zero():
         M = L @ R
@@ -286,7 +268,7 @@ def compose(pairs) -> DiffOp:
     """Normal form of the sum of the products A B over the (A, B) in `pairs`
     (at least one, all over one setup): the factor pairs of every product
     are gathered per word and each word summed once; exact, associative (the
-    setup's consistency check guarantees confluence of the rewriting)."""
+    rewriting is confluent over a valid model, see the module docstring)."""
     pairs = tuple(pairs)
     first = pairs[0][0]
     setup = first.setup

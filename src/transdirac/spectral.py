@@ -46,9 +46,10 @@ import time
 from collections import namedtuple
 
 from .clifford_fiber import (IncompatiblePair, _real_roots_in_field, check_compatible,
-                             parity_indices, skew_invariants)
+                             parity_indices)
 from .exact import I as IUNIT
-from .frame_geometry import FrameModel, ModelError, complex_structure, derive_connection
+from .frame_geometry import (ConnectionData, FrameModel, ModelError, complex_structure,
+                             derive_connection)
 from .matrices import Mat
 from .operator_calculus import BundleSetup, compose, dirac, forms_setup, monomial, spinor_setup
 
@@ -63,15 +64,13 @@ class SolverError(RuntimeError):
     """The eigensolver did not converge, or found no value above the kernel."""
 
 
-def require_flat_torus(model: FrameModel) -> None:
-    """Raise unless the model, validated before, is a flat q = 2 torus."""
-    for i in range(model.n):
-        for j in range(model.n):
-            for k in range(model.n):
-                if not model.c[i][j][k].is_zero():
-                    raise ModelError(
-                        f"model {model.name!r} is not a flat torus: "
-                        f"c^{k + 1}_({i + 1},{j + 1}) != 0")
+def require_flat_torus(model: FrameModel, geom: ConnectionData) -> None:
+    """Raise unless the model, with the connection data `geom`, is a flat
+    q = 2 torus: no structure constant is nonzero."""
+    if geom.brackets:
+        (i, j), ((k, _), *_) = next(iter(geom.brackets.items()))
+        raise ModelError(f"model {model.name!r} is not a flat torus: "
+                         f"c^{k + 1}_({i + 1},{j + 1}) != 0")
     if model.q != 2:
         raise ModelError(
             "lattice assembly implemented for transverse dimension q=2; "
@@ -92,17 +91,11 @@ def chern_number(model: FrameModel) -> int:
     return int(k01.ra)
 
 
-def invariants_2pi(model: FrameModel) -> float:
-    """m, the least mu_j, of the physical curvature 2*pi*B."""
-    if model.line_b is None:
-        return 0.0
-    return TWO_PI * float(skew_invariants(model.line_b)[2])
-
-
 class FlatTorus(namedtuple("FlatTorus", "model geom J c m")):
     """A model that passed `require_flat_torus`, with what every flux value
     of a scan shares: its connection data geom, its complex structure J, the
-    Chern number c and m of 2*pi*B."""
+    Chern number c and m = 2*pi|c|, the least mu_j of the physical curvature
+    2*pi*B (at q = 2, mu = |i B_12|)."""
     __slots__ = ()
 
 
@@ -110,7 +103,7 @@ def flat_torus(model: FrameModel) -> FlatTorus:
     """The scan data of a flat torus; its line bundle, if any, must be
     positive for J, the theorem's hypothesis behind the gap checks."""
     geom = derive_connection(model)  # validates the model
-    require_flat_torus(model)
+    require_flat_torus(model, geom)
     J = complex_structure(model)
     try:
         if model.line_b is not None:
@@ -118,7 +111,8 @@ def flat_torus(model: FrameModel) -> FlatTorus:
     except IncompatiblePair as exc:
         raise ModelError(f"model {model.name!r}: the line bundle is not positive "
                          f"for J ({exc}), outside the theorem's hypothesis") from exc
-    return FlatTorus(model, geom, J, chern_number(model), invariants_2pi(model))
+    c = chern_number(model)
+    return FlatTorus(model, geom, J, c, TWO_PI * abs(c))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from transdirac.exact import ONE, Scalar, rational
 from transdirac.frame_geometry import (FrameModel, derive_connection, levi_civita,
                                        load_bundled, make_model, mean_curvature,
                                        transverse_connection)
-from transdirac.matrices import Mat, accumulate, combination
+from transdirac.matrices import Mat, accumulate, combination, commutator
 
 
 def naive_matmul(L: Mat, R: Mat) -> Mat:
@@ -145,6 +145,49 @@ def twisted_spinor_setup(model: FrameModel, k: int, theta: tuple[Mat, ...]) -> o
     cliff = [c.kron(eye_r) for c in base.cliff]
     gamma = [G.kron(eye_r) + eye_s.kron(t) for G, t in zip(base.gamma, theta)]
     return oc.BundleSetup(model, base.geom, cliff, gamma, k, base.J, None, None)
+
+
+def setup_consistency(setup: oc.BundleSetup) -> None:
+    """The checks a BundleSetup made of itself before it trusted its
+    ConnectionData, verbatim: every gamma[u] is skew-Hermitian, the Clifford
+    connection property, leafwise flatness, and the Jacobi consistency
+    condition of the curvature that makes the rewriting confluent.  Raises
+    SetupError on the first that fails; the operator_calculus docstring
+    derives why none can over a valid model."""
+    n, p, q = setup.model.n, setup.model.p, setup.model.q
+    for u, G in enumerate(setup.gamma):
+        if not G.is_skew_hermitian():
+            raise oc.SetupError(f"gamma[{u}] is not skew-Hermitian")
+    # Clifford connection property [Gamma_u, c(f_a)] = c(nabla_u f_a)
+    for u in range(n):
+        Au = setup.geom.transverse[u]
+        for a in range(q):
+            lhs = commutator(setup.gamma[u], setup.cliff[a])
+            vec = tuple(Au.entry(g, a) for g in range(q))
+            if lhs != combination(vec, setup.cliff):
+                raise oc.SetupError(
+                    f"Clifford connection property fails along u{u + 1} "
+                    f"on f{a + 1}")
+    # leafwise flatness
+    for i in range(p):
+        for j in range(i + 1, p):
+            if not setup.curv[(i, j)].is_zero():
+                raise oc.SetupError(f"leafwise curvature F(e{i + 1},e{j + 1}) != 0")
+    # Jacobi consistency of the declared curvature (confluence of rewriting):
+    # the cyclic sum over (x, y, z) of sum_m c^m_xy F(m, z) - [Gamma_z, F(x, y)]
+    c = setup.model.c
+    for u in range(n):
+        for v in range(u + 1, n):
+            for w in range(v + 1, n):
+                cyclic = ((u, v, w), (v, w, u), (w, u, v))
+                terms = [(c[x][y][m], setup.curv[(m, z)]) for x, y, z in cyclic
+                         for m in range(n) if c[x][y][m]]
+                terms += [(-1, commutator(setup.gamma[z], setup.curv[(x, y)]))
+                          for x, y, z in cyclic]
+                if not combination(*zip(*terms)).is_zero():
+                    raise oc.SetupError(
+                        f"curvature data violates the Jacobi consistency "
+                        f"condition on (u{u + 1},u{v + 1},u{w + 1})")
 
 
 # -- pinned operators --------------------------------------------------------------

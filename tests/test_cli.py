@@ -451,6 +451,38 @@ def test_out_naming_a_directory_exits_2(capsys, tmp_path):
     assert list(tmp_path.parent.glob(tmp_path.name + ".tmp")) == []
 
 
+def test_out_whose_tmp_name_is_a_directory_exits_2_without_traceback(capsys, tmp_path):
+    """A report that cannot be written is refused input, not a violation:
+    with a directory where the temporary file goes, `verify` runs the suite,
+    then exits 2 with one error line and leaves the directory alone."""
+    out = tmp_path / "r.json"
+    (tmp_path / "r.json.tmp").mkdir()
+    code = cli.main(["verify", "--model", "sol", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INVALID
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json.tmp"]
+
+
+def test_out_on_a_full_disk_exits_2_and_removes_its_tmp_file(capsys, monkeypatch, tmp_path):
+    """A write that fails part way (here ENOSPC after the file exists)
+    leaves neither the report nor its temporary file."""
+    def full_disk(path, text, encoding):
+        with open(path, "w", encoding=encoding) as fh:
+            fh.write(text[:10])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", full_disk)
+    out = tmp_path / "r.json"
+    code = cli.main(["fiber", "--q", "2", "--trials", "1", "--out", str(out)])
+    assert code == cli.EXIT_INVALID
+    assert capsys.readouterr().err == (f"error: cannot write {out}: "
+                                       "[Errno 28] No space left on device\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("tol", ["nan", "1", "1.5", "inf", "0", "-0.05", "x"])
 def test_gap_tol_outside_unit_interval_exits_2(capsys, tol):
     """At tol >= 1 the bound 2km(1 - tol) is vacuous, and NaN fails no

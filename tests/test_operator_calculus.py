@@ -1,11 +1,13 @@
 """Normal-ordered operator engine: rewriting, adjoints, identity suite."""
 
+import json
 import random
 import tracemalloc
 
 import pytest
 
 import exact_oracle as eo
+from transdirac import cli
 from transdirac import clifford_fiber as cf
 from transdirac import frame_geometry as fg
 from transdirac import matrices
@@ -407,6 +409,7 @@ def test_suite_with_rank_two_twist():
     t2 = Mat(2, 2, {(0, 0): I, (1, 1): -I})           # imaginary diagonal
     theta = (t1, t2, t1.scale(rational(1, 2)))
     s = eo.twisted_spinor_setup(m, 1, theta)
+    eo.setup_consistency(s)
     W = oc.twisting_curvature(s, 0, 1)
     assert W != Mat.identity(s.dim).scale(W.entry(0, 0))
     D = oc.dirac(s)
@@ -452,17 +455,53 @@ def test_mutation_sensitivity_localized(monkeypatch):
     assert not r.exact_zero and r.worst_monomial == "1"  # degree-0 monomial
 
 
-def test_inconsistent_formal_curvature_rejected():
-    # the leafwise rotation [e1,f1] = f2, [e1,f2] = -f1 preserves the complex
-    # structure, but a curvature component on (f2, f3) is not closed:
-    # dB(e1, f1, f3) = -B([e1,f1], f3) = -B(f2, f3) != 0
-    m = fg.make_model(
-        "badflux", 1, 4, [(1, 2, 3, "1"), (1, 3, 2, "-1")],
-        line_b=Mat(4, 4, {(1, 2): -I, (2, 1): I}),
-        jmat=cf.ComplexStructure.standard(4).jmat)
-    assert fg.validate(m).ok
-    with pytest.raises(oc.SetupError, match="Jacobi consistency"):
-        spinor(m, k=1)
+# the leafwise rotation [e1,f1] = f2, [e1,f2] = -f1 preserves the complex
+# structure, but a curvature component on (f2, f3) is not closed:
+# dB(e1, f1, f3) = -B([e1,f1], f3) = -B(f2, f3) = i
+BADFLUX = {"name": "badflux", "p": 1, "q": 4, "brackets": [[1, 2, 3, "1"], [1, 3, 2, "-1"]],
+           "line_bundle": {"B": [["0", "0", "0", "0"], ["0", "0", "-1i", "0"],
+                                 ["0", "1i", "0", "0"], ["0", "0", "0", "0"]]},
+           "J": [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
+                 ["0", "0", "0", "-1"], ["0", "0", "1", "0"]]}
+
+
+def test_inconsistent_formal_curvature_rejected(capsys, tmp_path):
+    """A line bundle whose curvature is not closed fails validation, so
+    every k is refused, k = 0 included, where B never enters the suite."""
+    m = fg.model_from_dict(BADFLUX)
+    assert fg.validate(m).failures == ("line bundle curvature is not closed: "
+                                       "dB(u1,u2,u4) = 1i",)
+    with pytest.raises(fg.ModelError, match="not closed"):
+        fg.derive_connection(m)
+    path = tmp_path / "badflux.json"
+    path.write_text(json.dumps(BADFLUX), encoding="utf-8")
+    for k in ("0", "1"):
+        assert cli.main(["verify", "--model", str(path), "--k", k]) == cli.EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: invalid model 'badflux': line bundle curvature "
+                                "is not closed: dB(u1,u2,u4) = 1i\n")
+
+
+def consistency_cases():
+    """(id, model) for every valid bundled model, every digest model (its h4
+    is the generated h4) and the generated h6."""
+    models = {m.name: m for m in map(fg.load_bundled, fg.bundled_model_names())
+              if fg.validate(m).ok}
+    models.update((m.name, m) for m in [*eo.digest_models(), h_model(6)])
+    return [pytest.param(m, id=name) for name, m in models.items()]
+
+
+@pytest.mark.parametrize("model", consistency_cases())
+def test_setups_of_valid_models_pass_the_setup_consistency_oracle(model):
+    """What a setup no longer checks of itself holds on the spinor setups,
+    at k = 0, 1 and 2 where the model has a line bundle, and on the forms
+    setup: each Gamma_u is skew-Hermitian and a Clifford connection, the
+    leafwise curvature vanishes and the rewriting is confluent."""
+    geom = fg.derive_connection(model)
+    eo.setup_consistency(oc.forms_setup(model, geom))
+    for k in ((0, 1, 2) if model.line_b is not None else (0,)):
+        eo.setup_consistency(oc.spinor_setup(model, geom, k))
 
 
 def test_setup_rejects_a_connection_of_the_wrong_fiber_dimension(sol_setup):

@@ -381,7 +381,7 @@ def test_flat_torus_carries_the_scan_invariants(landau):
     assert torus.model is landau
     assert torus.geom == fg.derive_connection(landau)
     assert torus.c == spectral.chern_number(landau) == 1
-    assert torus.m == spectral.invariants_2pi(landau) == 2 * math.pi
+    assert torus.m == 2 * math.pi  # mu = |i B_12| = |c| at q = 2
     with pytest.raises(fg.ModelError, match="not a flat torus"):
         spectral.flat_torus(fg.resolve_model("heisenberg"))
 

@@ -1,9 +1,12 @@
-"""The sparse Jacobi check of `validate` against the dense reference loop.
+"""The sparse Jacobi and closedness checks of `validate` against dense
+reference loops.
 
 `dense_validate` is `frame_geometry.validate` as it was before the Jacobi
 check visited only nonzero structure constants: the Jacobiator of every
-triple i < j < k is summed over all m, zero products included.  Its
-unimodularity warning sums tr(ad u_i) = sum_k c^k_{ik} in its own loop.
+triple i < j < k is summed over all m, zero products included, and so is
+dB(u_i, u_j, u_k) = -sum_cyc B([u_i, u_j], u_k) of the line bundle's
+curvature.  Its unimodularity warning sums tr(ad u_i) = sum_k c^k_{ik} in
+its own loop.
 Both must return equal reports -- the same failures and warnings in the
 same order -- on any model, admissible or not, including tensors that are
 not antisymmetric."""
@@ -83,6 +86,21 @@ def dense_validate(model: FrameModel) -> ValidationReport:
                 validate_two_form(model.line_b)
             except ValueError as exc:
                 failures.append(f"line bundle curvature: {exc}")
+            else:
+                def b(x, y):  # B on frame directions, zero on the leaf ones
+                    return model.line_b.entry(x - p, y - p) if min(x, y) >= p else ZERO
+
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        for k in range(j + 1, n):
+                            s = ZERO
+                            for m in range(n):
+                                s = (s - c[i][j][m] * b(m, k) - c[j][k][m] * b(m, i)
+                                     - c[k][i][m] * b(m, j))
+                            if not s.is_zero():
+                                failures.append(
+                                    f"line bundle curvature is not closed: dB(u{i + 1},"
+                                    f"u{j + 1},u{k + 1}) = {format_scalar(s)}")
 
     return ValidationReport(ok=not failures, failures=tuple(failures),
                             warnings=tuple(warnings))
@@ -146,6 +164,19 @@ def test_oracle_sees_jacobi_failures_and_passes():
     for name in fg.bundled_model_names():
         model = fg.load_bundled(name)
         assert fg.validate(model) == dense_validate(model)
+
+
+def test_oracle_sees_a_line_bundle_that_is_not_closed():
+    """[u1,u2] = u3 with B(u3,u4) = -i: dB(u1,u2,u4) = -B([u1,u2],u4) = i,
+    and nothing else fails.  B(u1,u2) = -i on the same frame is closed."""
+    open_b = fg.make_model("open", 0, 4, [(1, 2, 3, 1)],
+                           line_b=cf.block_two_form([ZERO, Scalar.of(1)]))
+    rep = dense_validate(open_b)
+    assert rep.failures == ("line bundle curvature is not closed: dB(u1,u2,u4) = 1i",)
+    assert fg.validate(open_b) == rep
+    closed_b = open_b._replace(line_b=cf.block_two_form([Scalar.of(1), ZERO]))
+    assert fg.validate(closed_b) == dense_validate(closed_b)
+    assert fg.validate(closed_b).ok
 
 
 def test_raw_tensor_with_failing_antisymmetry_and_jacobi():
