@@ -494,7 +494,7 @@ def consistency_cases():
 
 @pytest.mark.parametrize("model", consistency_cases())
 def test_setups_of_valid_models_pass_the_setup_consistency_oracle(model):
-    """What a setup no longer checks of itself holds on the spinor setups,
+    """What a setup does not check of itself holds on the spinor setups,
     at k = 0, 1 and 2 where the model has a line bundle, and on the forms
     setup: each Gamma_u is skew-Hermitian and a Clifford connection, the
     leafwise curvature vanishes and the rewriting is confluent."""
