@@ -28,14 +28,23 @@ outcome to the exit code.  A `frame_geometry.ModelError` (a model file that
 cannot be read, is not admissible, lies outside the lattice commands' flat
 q = 2 torus or positive bundle, or has a D^2 outside the lattice's regime),
 an `operator_calculus.SetupError` and an `InputError` (a flag value outside
-what the command accepts, or an --out that cannot be written, say onto a
-full disk) give 2, a `spectral.SolverError` gives 3 (for `crosscheck`, an
-eigensolver that did not converge; for `gap`, no value above the kernel
-threshold in the whole lattice spectrum, or an ambiguous kernel cluster):
-each prints `error: ...` and writes no report.  Any other exception is a
-bug and propagates.  Reports are deterministic for a fixed
-seed: `gap` counts and bisects eigenvalues, and `crosscheck`'s eigensolver
-starts from fixed vectors (runtime_ms is measurement, not content).
+what the command accepts, or a report that cannot be written: an --out
+onto a full disk, or a stdout that is a closed pipe or a full device) give
+2, a `spectral.SolverError` gives 3 (for `crosscheck`, an eigensolver that
+did not converge; for `gap`, no value above the kernel threshold in the
+whole lattice spectrum, or an ambiguous kernel cluster): each prints
+`error: ...` and writes no report.  Any other exception is a bug and
+propagates.  Reports are deterministic for a fixed seed: `gap` counts and
+bisects eigenvalues, and `crosscheck`'s eigensolver starts from fixed
+vectors (runtime_ms is measurement, not content).
+
+A process run (`python -m transdirac.cli`, the `transdirac` console script)
+goes through `run`, which ends the process with `os._exit` as soon as
+`main` returns and stderr is flushed.  `main` has written and flushed the
+report itself, so the interpreter's teardown would only free what the run
+built: 4-7 ms, measured on a 2-CPU Linux host with Python 3.11, added to
+every short job.  No atexit handler runs after a run that returns a code;
+an exception still takes the normal exit, traceback and all.
 
 Sizes have ceilings, checked before any work (exit 2); the costs below were
 measured on a 2-CPU Linux host with Python 3.11.  A model file may have
@@ -153,7 +162,13 @@ def _emit(args: argparse.Namespace, payload: dict, csv_rows: list[dict]):
                 tmp.unlink()
             raise InputError(f"cannot write {args.out}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        # flushed here, so that a closed pipe or a full disk is refused
+        # output, not an exception at exit (see `run`)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            raise InputError(f"cannot write the report to stdout: {exc}") from exc
 
 
 def _load_model(args: argparse.Namespace) -> fg.FrameModel:
@@ -344,5 +359,25 @@ def main(argv: list[str] | None = None) -> int:
     return EXIT_PASS if payload["passed"] else EXIT_VIOLATION
 
 
+def run() -> None:
+    """The process entry point: `main`, then `os._exit` with its code.
+
+    By then the report is written and flushed and the warnings are on
+    stderr, so nothing is left for the interpreter's teardown to do but
+    free memory, which the process exit does at no cost.  A `SystemExit`
+    from argparse (None after --help, 2 after a usage error) ends the same
+    way, its help text flushed first.  An exception, and a `SystemExit`
+    that carries a message, propagate to the normal interpreter exit."""
+    try:
+        code = main()
+    except SystemExit as exc:
+        if exc.code is not None and not isinstance(exc.code, int):
+            raise
+        sys.stdout.flush()
+        code = exc.code or EXIT_PASS
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    run()

@@ -7,27 +7,29 @@ Every symbolic computation in this package runs over
 so that curvature identities can be asserted as exact zeros instead of
 small floats.  A Scalar is an immutable value of F, kept as four integer
 numerators over one shared positive denominator in lowest terms, so each
-operation is a few integer products and one gcd; the rational parts are
-available as fractions.  The small Gaussian integers a + ci, |a|, |c| <= 4
-(ZERO, ONE, I and the +-1 entries of every fiber matrix among them) have one
-shared object each, from a table fixed at import: every operation returns
-it instead of a new equal Scalar.  Equality and hashing still read the
-value, and nothing in this package compares Scalars with `is`, so sharing
-saves memory and changes no result.  Line-bundle curvature matrices are
-stored in units of 2*pi (integer entries of i*B are Chern numbers); only the
-floating-point lattice module reintroduces the 2*pi.
+operation is a few integer products and one gcd.  Construction, parsing,
+formatting, square roots, equality and hashing all work on those ints, so
+importing this module does not load `fractions` (nor the `decimal` and
+`numbers` it loads).  Fractions appear only in the parts `ra`, `rb`, `ia`,
+`ib`, made when a caller reads one; an int or a Fraction is accepted
+wherever a Scalar is, and a rational Scalar hashes like it.  The small
+Gaussian integers a + ci, |a|, |c| <= 4 (ZERO, ONE, I and the +-1 entries
+of every fiber matrix among them) have one shared object each, from a
+table fixed at import: every operation returns it instead of a new equal
+Scalar.  Equality and hashing still read the value, and nothing in this
+package compares Scalars with `is`, so sharing saves memory and changes no
+result.  Line-bundle curvature matrices are stored in units of 2*pi
+(integer entries of i*B are Chern numbers); only the floating-point lattice
+module reintroduces the 2*pi.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
+import sys
 
-F0 = Fraction(0)
-F1 = Fraction(1)
-
-_Pair = tuple[Fraction, Fraction]
+_MODULUS = sys.hash_info.modulus
 
 
 def _pair_sign(a, b) -> int:
@@ -45,62 +47,79 @@ def _pair_sign(a, b) -> int:
     return -1 if big else 1
 
 
-def _frac_sqrt(x: Fraction) -> Fraction | None:
-    if x < 0:
+def _int_sqrt(n: int) -> int | None:
+    """The nonnegative integer r with r*r == n, or None."""
+    if n < 0:
         return None
-    n, d = x.numerator, x.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
+    r = math.isqrt(n)
+    return r if r * r == n else None
 
 
-def _pair_sqrt(a: Fraction, b: Fraction) -> _Pair | None:
-    """Positive square root of a + b*sqrt(2) inside Q(sqrt2), or None."""
+def _pair_sqrt(a: int, b: int) -> tuple[int, int] | None:
+    """Positive square root s + t*sqrt(2) of a + b*sqrt(2) for integers a, b,
+    or None.  A root in Q(sqrt2) of an integer of Z[sqrt2] is integral, so it
+    lies in Z[sqrt2]: s and t are integers."""
     if _pair_sign(a, b) < 0:
         return None
     if b == 0:
-        r = _frac_sqrt(a)
+        r = _int_sqrt(a)
         if r is not None:
-            return (r, F0)
-        r = _frac_sqrt(a / 2)
-        if r is not None:
-            return (F0, r)
-        return None
-    disc = _frac_sqrt(a * a - 2 * b * b)
+            return (r, 0)
+        r = _int_sqrt(a // 2) if a % 2 == 0 else None
+        return None if r is None else (0, r)
+    # s^2 + 2t^2 = a and s^2 - 2t^2 = +-disc, the norm of the root
+    disc = _int_sqrt(a * a - 2 * b * b)
     if disc is None:
         return None
-    for t in ((a + disc) / 2, (a - disc) / 2):
-        s = _frac_sqrt(t)
-        if s is None or s == 0:
+    for twice_s2 in (a + disc, a - disc):
+        s = _int_sqrt(twice_s2 // 2) if twice_s2 % 2 == 0 else None
+        if not s or b % (2 * s):
             continue
-        bb = b / (2 * s)
-        if s * s + 2 * bb * bb == a and 2 * s * bb == b:
+        bb = b // (2 * s)
+        if s * s + 2 * bb * bb == a:
             if _pair_sign(s, bb) > 0:
                 return (s, bb)
             return (-s, -bb)
     return None
 
 
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of an int or a rational number such as a
+    Fraction, whose two are ints in lowest terms with a positive denominator."""
+    if isinstance(x, int):
+        return x, 1
+    n, d = getattr(x, "numerator", None), getattr(x, "denominator", None)
+    if isinstance(n, int) and isinstance(d, int):
+        return n, d
+    raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
+
+
 def _common(ra, rb, ia, ib) -> tuple[int, int, int, int, int]:
     """(a, b, c, d, den) in lowest terms for four ints or Fractions."""
-    den = math.lcm(ra.denominator, rb.denominator, ia.denominator, ib.denominator)
+    (an, ad), (bn, bd), (cn, cd), (dn, dd) = _ratio(ra), _ratio(rb), _ratio(ia), _ratio(ib)
+    den = math.lcm(ad, bd, cd, dd)
     # each prime p of den divides some part's denominator as often as den;
     # then p divides neither that numerator nor den // denominator, so the
     # five ints already have gcd 1
-    return (ra.numerator * (den // ra.denominator), rb.numerator * (den // rb.denominator),
-            ia.numerator * (den // ia.denominator), ib.numerator * (den // ib.denominator),
-            den)
+    return an * (den // ad), bn * (den // bd), cn * (den // cd), dn * (den // dd), den
 
 
 def _parts(x) -> tuple[int, int, int, int, int]:
     if isinstance(x, Scalar):
         return x._v
-    if isinstance(x, int):
-        return (x, 0, 0, 0, 1)
-    if isinstance(x, Fraction):
-        return (x.numerator, 0, 0, 0, x.denominator)
-    raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
+    n, d = _ratio(x)
+    return (n, 0, 0, 0, d)
+
+
+def _hash_ratio(n: int, d: int) -> int:
+    """hash(Fraction(n, d)) for d > 0: n/d modulo the hash modulus, or
+    sys.hash_info.inf where the modulus divides the reduced denominator."""
+    if d % _MODULUS == 0:
+        g = math.gcd(n, d)
+        n, d = n // g, d // g
+    h = abs(n) * pow(d, -1, _MODULUS) % _MODULUS if d % _MODULUS else sys.hash_info.inf
+    h = h if n >= 0 else -h
+    return -2 if h == -1 else h
 
 
 def _reduced(a: int, b: int, c: int, d: int, den: int) -> "Scalar":
@@ -128,31 +147,36 @@ class Scalar:
 
     `_v` is the tuple (a, b, c, d, den) of ints with den > 0 and
     gcd(a, b, c, d, den) = 1: each value has exactly one such tuple, so
-    equal Scalars have equal tuples.  `ra`, `rb`, `ia`, `ib` are the parts
-    a/den, b/den, c/den, d/den as Fractions."""
+    equal Scalars have equal tuples.  The four parts are given as ints or
+    Fractions.  `ra`, `rb`, `ia`, `ib` are the parts a/den, b/den, c/den,
+    d/den as Fractions, the only place this module makes one."""
 
     __slots__ = ("_v",)
 
     def __new__(cls, ra=0, rb=0, ia=0, ib=0):
-        return _reduced(*_common(Fraction(ra), Fraction(rb), Fraction(ia), Fraction(ib)))
+        return _reduced(*_common(ra, rb, ia, ib))
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Scalar is immutable")
 
     @property
     def ra(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self._v[0], self._v[4])
 
     @property
     def rb(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self._v[1], self._v[4])
 
     @property
     def ia(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self._v[2], self._v[4])
 
     @property
     def ib(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self._v[3], self._v[4])
 
     # -- coercion ---------------------------------------------------------
@@ -274,25 +298,30 @@ class Scalar:
         """
         if not self.is_real():
             raise ValueError("sqrt of a non-real Scalar")
-        r = _pair_sqrt(self.ra, self.rb)
+        # sqrt((a + b*sqrt2)/den) = sqrt((a + b*sqrt2)*den)/den
+        a, b, _, _, e = self._v
+        r = _pair_sqrt(a * e, b * e)
         if r is None:
             raise ValueError(f"sqrt of {self} does not lie in Q(sqrt2)")
-        return Scalar(r[0], r[1])
+        return _reduced(r[0], r[1], 0, 0, e)
 
     # -- hashing / equality / conversion -------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
             return self._v == other._v
-        if isinstance(other, (int, Fraction)):
+        try:
             return self._v == _parts(other)
-        return NotImplemented
+        except TypeError:
+            return NotImplemented
 
     def __hash__(self):
-        # a rational value equals the int/Fraction it holds, so hash like it
-        if self.is_rational():
-            return hash(self.ra)
-        return hash((self.ra, self.rb, self.ia, self.ib))
+        # a rational value equals the int/Fraction it holds, so hash like
+        # it; any other value hashes like the tuple of its four Fraction parts
+        a, b, c, d, e = self._v
+        if not (b or c or d):
+            return _hash_ratio(a, e)
+        return hash((_hash_ratio(a, e), _hash_ratio(b, e), _hash_ratio(c, e), _hash_ratio(d, e)))
 
     def __float__(self):
         if not self.is_real():
@@ -331,7 +360,13 @@ SQRT2 = Scalar(0, 1)
 
 
 def rational(p, q=1) -> Scalar:
-    return Scalar.of(Fraction(p, q))
+    """The Scalar p/q, for ints or Fractions p and q != 0."""
+    (n, d), (m, e) = _ratio(p), _ratio(q)
+    if m == 0:
+        raise ZeroDivisionError(f"rational({p}, {q})")
+    if m < 0:
+        n, m = -n, -m
+    return _reduced(n * e, 0, 0, 0, d * m)
 
 
 # -- parsing / formatting of real field elements -----------------------------
@@ -358,22 +393,24 @@ def parse_real(text: str) -> Scalar:
         else:
             buf += ch
     terms.append(buf)
-    a, b = F0, F0
+    a, b, den = 0, 0, 1  # the value (a + b*sqrt2)/den
     for t in terms:
         m = _TERM.match(t)
         if not m or (m.group("num") is None and m.group("rt") is None):
             raise ValueError(f"cannot parse scalar term {t!r} in {text!r}")
-        try:
-            coeff = Fraction(m.group("num")) if m.group("num") else F1
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {text!r}") from None
+        top, _, bottom = (m.group("num") or "1").partition("/")
+        num, d = int(top), int(bottom or 1)
+        if d == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         if m.group("sign") == "-":
-            coeff = -coeff
+            num = -num
+        a, b = a * d, b * d
         if m.group("rt"):
-            b += coeff
+            b += num * den
         else:
-            a += coeff
-    return Scalar(a, b)
+            a += num * den
+        den *= d
+    return _reduced(a, b, 0, 0, den)
 
 
 def parse_imaginary(text: str) -> Scalar:
@@ -390,18 +427,25 @@ def parse_imaginary(text: str) -> Scalar:
         body = "1"
     elif body == "-":
         body = "-1"
-    r = parse_real(body)
-    return Scalar(0, 0, r.ra, r.rb)
+    a, b, _, _, den = parse_real(body)._v
+    return _reduced(0, 0, a, b, den)
 
 
-def _format_pair(a: Fraction, b: Fraction) -> str:
+def _format_ratio(n: int, d: int) -> str:
+    """n/d in lowest terms, as str(Fraction(n, d)) writes it."""
+    g = math.gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
+
+
+def _format_pair(a: int, b: int, den: int) -> str:
+    """(a + b*sqrt2)/den, for den > 0."""
     if a == 0 and b == 0:
         return "0"
     parts = []
     if a != 0:
-        parts.append(str(a))
+        parts.append(_format_ratio(a, den))
     if b != 0:
-        coeff = "" if b == 1 else ("-" if b == -1 else str(b))
+        coeff = "" if b == den else ("-" if b == -den else _format_ratio(b, den))
         term = f"{coeff}√2"
         if parts and b > 0:
             term = "+" + term
@@ -410,11 +454,12 @@ def _format_pair(a: Fraction, b: Fraction) -> str:
 
 
 def format_scalar(s: Scalar) -> str:
-    re_part = _format_pair(s.ra, s.rb)
-    if s.is_real():
+    a, b, c, d, den = s._v
+    re_part = _format_pair(a, b, den)
+    if not (c or d):
         return re_part
-    im_part = _format_pair(s.ia, s.ib) + "i"
-    if s.ra == 0 and s.rb == 0:
+    im_part = _format_pair(c, d, den) + "i"
+    if a == 0 and b == 0:
         return im_part
     joiner = "" if im_part.startswith("-") else "+"
     return re_part + joiner + im_part

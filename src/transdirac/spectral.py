@@ -85,10 +85,10 @@ def chern_number(model: FrameModel) -> int:
     if model.line_b is None:
         return 0
     k01 = IUNIT * model.line_b.entry(0, 1)
-    if not k01.is_rational() or k01.ra.denominator != 1:
+    if not k01.is_rational() or k01._v[4] != 1:
         raise ModelError(
             f"non-integer Chern number {k01}: flux is not 2*pi times an integer")
-    return int(k01.ra)
+    return k01._v[0]
 
 
 class FlatTorus(namedtuple("FlatTorus", "model geom J c m")):

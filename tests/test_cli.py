@@ -577,7 +577,8 @@ def test_a_run_imports_only_what_it_uses():
         assert run("verify", "--model", "heisenberg") == cli.EXIT_PASS
         assert run("fiber", "--q", "4", "--trials", "2") == cli.EXIT_PASS
         assert run("gap", "--model", "t3_landau", "--k", "0..2", "--N", "16") == cli.EXIT_PASS
-        unused = ("dataclasses", "inspect", "typing", "importlib.resources", "csv")
+        unused = ("dataclasses", "inspect", "typing", "importlib.resources", "csv",
+                  "fractions", "decimal", "numbers")
         loaded = [m for m in unused if m in sys.modules]
         assert loaded == [], loaded
         from perfbench.tracer import SPANNED
@@ -643,3 +644,122 @@ def test_exact_subcommands_do_not_load_numpy_or_scipy():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# The process path: `python -m transdirac.cli` ends through `cli.run`.
+
+def process(*argv, stdout=subprocess.PIPE, prelude=None):
+    """A new interpreter running the CLI on argv: `python -m transdirac.cli`,
+    or `prelude` followed by `cli.run()` as a -c script.  Its stdout is
+    buffered, as by default, so a report that `run` left unflushed is lost."""
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    env.pop("PYTHONUNBUFFERED", None)
+    if prelude is None:
+        cmd = [sys.executable, "-m", "transdirac.cli", *argv]
+    else:
+        script = f"import sys\nimport transdirac.cli as cli\n{prelude}\ncli.run()\n"
+        cmd = [sys.executable, "-c", script, *argv]
+    return subprocess.run(cmd, env=env, stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, timeout=300)
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (("verify", "--model", "sol"), "verify_sol.json"),
+    (("fiber", "--q", "4", "--trials", "10", "--seed", "3"), "fiber_q4_trials10_seed3.json"),
+])
+def test_process_report_matches_golden_on_stdout_and_in_out(tmp_path, argv, golden):
+    """The report a process prints is its golden byte for byte, and --out
+    writes the same bytes."""
+    want = (GOLDEN / golden).read_text(encoding="utf-8")
+    proc = process(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (cli.EXIT_PASS, want, "")
+    out = tmp_path / "report.json"
+    proc = process(*argv, "--out", str(out))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (cli.EXIT_PASS, "", "")
+    assert out.read_text(encoding="utf-8") == want
+
+
+def test_process_exit_codes_and_help(monkeypatch):
+    """Invalid input and a usage error exit 2; --help exits 0 with the
+    whole help text on stdout."""
+    proc = process("verify", "--model", "bad_bundlelike")
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_INVALID, "")
+    assert proc.stderr.startswith("error: invalid model 'bad_bundlelike': ")
+    proc = process("verify")
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_INVALID, "")
+    assert "the following arguments are required: --model" in proc.stderr
+    monkeypatch.setenv("COLUMNS", "80")
+    proc = process("--help")
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_PASS, "")
+    assert proc.stdout == cli.build_parser().format_help()
+
+
+def test_process_prints_the_non_unimodular_warning(tmp_path):
+    path = write_landau(tmp_path, "non_unimodular", brackets=[[1, 2, 1, "2"], [2, 3, 1, "1"]])
+    proc = process("verify", "--model", path)
+    assert proc.returncode == cli.EXIT_PASS
+    assert proc.stderr == ("warning: non-unimodular frame: tr(ad u2) = -2 != 0 "
+                           "(no compact quotient with invariant volume)\n")
+    assert json.loads(proc.stdout)["identities_passed"] == 9
+
+
+@pytest.mark.parametrize("code", [cli.EXIT_VIOLATION, cli.EXIT_NUMERICAL])
+def test_run_exits_with_the_code_main_returns(code):
+    proc = process(prelude=f"cli.main = lambda: {code}")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", "")
+
+
+def test_run_ends_the_process_without_interpreter_teardown():
+    """After a run that returns a code, the process ends at once: an atexit
+    handler registered before it does not fire."""
+    prelude = ("import atexit\n"
+               "atexit.register(lambda: print('atexit handler ran', file=sys.stderr))")
+    proc = process("fiber", "--q", "2", "--trials", "1", prelude=prelude)
+    assert proc.returncode == cli.EXIT_PASS
+    assert json.loads(proc.stdout)["passed"] is True
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("raised, code, shown", [
+    ("RuntimeError('injected failure')", 1, "RuntimeError: injected failure"),
+    ("SystemExit('injected message')", 1, "injected message"),
+])
+def test_run_leaves_an_exception_to_the_normal_exit(raised, code, shown):
+    """An exception from `main` is a bug: it keeps its traceback and exit 1.
+    A SystemExit with a message exits as the interpreter exits on it."""
+    prelude = ("import atexit\n"
+               "atexit.register(lambda: print('atexit handler ran', file=sys.stderr))\n"
+               f"def fail():\n    raise {raised}\n"
+               "cli.main = fail")
+    proc = process(prelude=prelude)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert shown in proc.stderr
+    assert "atexit handler ran" in proc.stderr
+    assert ("Traceback" in proc.stderr) == raised.startswith("RuntimeError")
+
+
+def assert_refused_stdout(proc, reason):
+    assert proc.returncode == cli.EXIT_INVALID
+    assert proc.stderr == f"error: cannot write the report to stdout: {reason}\n"
+
+
+def test_report_into_a_closed_pipe_exits_2_without_traceback():
+    """A report that cannot reach stdout was not delivered: exit 2 with one
+    error line, not exit 1 with a traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = process("verify", "--model", "sol", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert_refused_stdout(proc, "[Errno 32] Broken pipe")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_report_onto_a_full_device_exits_2_without_traceback():
+    with open("/dev/full", "w") as full:
+        proc = process("fiber", "--q", "4", "--trials", "2", stdout=full)
+    assert_refused_stdout(proc, "[Errno 28] No space left on device")

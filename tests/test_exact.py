@@ -1,5 +1,6 @@
 """Field arithmetic in Q(sqrt2) + i Q(sqrt2)."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -120,6 +121,43 @@ def test_parse_rejects_garbage():
 def test_format_parse_roundtrip_real(x):
     r = x.real()
     assert parse_real(format_scalar(r)) == r
+
+
+@given(scalars())
+@settings(max_examples=60, deadline=None)
+def test_format_parse_roundtrip_imaginary(x):
+    r = x - x.real()
+    assert parse_imaginary(format_scalar(r)) == r
+
+
+@given(scalars())
+@settings(max_examples=30, deadline=None)
+def test_parts_are_fractions(x):
+    """The parts are the one place a Scalar hands out Fractions; the rest
+    of the module works on ints."""
+    parts = (x.ra, x.rb, x.ia, x.ib)
+    assert all(type(p) is Fraction for p in parts)
+    assert Scalar(*parts) == x
+
+
+def test_rational_reduces_and_moves_the_sign_up():
+    assert rational(2, -4) == Fraction(-1, 2)
+    assert rational(2, -4).ra == Fraction(-1, 2)
+    assert rational(Fraction(3, 4), Fraction(-3, 2)) == Fraction(-1, 2)
+    with pytest.raises(ZeroDivisionError):
+        rational(1, 0)
+
+
+@pytest.mark.parametrize("n, d", [(-3, 1), (-1, 1), (-7, 6), (-2, 4), (1, 7), (0, 1),
+                                  (1, sys.hash_info.modulus), (-1, sys.hash_info.modulus),
+                                  (3, 2 * sys.hash_info.modulus),
+                                  (sys.hash_info.modulus, 2 * sys.hash_info.modulus)])
+def test_rational_hash_is_the_fraction_hash(n, d):
+    """A Scalar equal to a Fraction hashes like it, also for a negative
+    numerator and a denominator that the hash modulus divides."""
+    assert hash(rational(n, d)) == hash(Fraction(n, d))
+    if d % sys.hash_info.modulus == 0 and n % sys.hash_info.modulus:
+        assert abs(hash(rational(n, d))) == sys.hash_info.inf
 
 
 def test_rational_scalar_hashes_like_equal_number():
