@@ -65,12 +65,13 @@ N = 64, 134 MB at N = 128): its peak was 220 MiB at N = 64, its ceiling,
 and 326 MiB at N = 80.  CI and the benchmark run `gap` up to N = 64 and
 `crosscheck` at N = 32.
 
-`gap` and `crosscheck` exit 2 on k < 0, on flux too dense for the grid
-(2k|c|/N^2 above --tol), and on a line bundle that is not positive for J
-(i B(v, Jv) > 0 fails, a degenerate B included): the theorem's hypothesis.
-`gap` checks the even kernel dimension against the Riemann-Roch count
-k|c|: c = i B_12 is the Chern number in the frame's orientation, and counted
-in J's orientation, in which a bundle positive for J has c > 0, it is |c|.
+`gap` and `crosscheck` exit 2 on k < 0, on a line bundle that is not
+positive for J (i B(v, Jv) > 0 fails, a degenerate B included): the
+theorem's hypothesis, on a non-integer Chern number c = i B_12, and on flux
+too dense for the grid: 2|Phi|/N^2 above --tol at the largest k, where the
+flux Phi = kc, read per k off the verified curvature (`spectral.plane_flux`),
+is largest.  `gap` checks the even kernel dimension against the Riemann-Roch
+count |Phi| = k|c|: c has the frame's orientation, and is positive in J's.
 
 Only `gap` and `crosscheck` compute in floating point.  `gap` does so in
 plain Python floats and does not load numpy, like `verify` and `fiber`;
@@ -209,9 +210,9 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[dict]]:
 
 
 def _lattice_scan(args: argparse.Namespace, require_bundle: bool) \
-        -> tuple[spec.FlatTorus, list[int]]:
-    """The flat torus and the k values of `gap` or `crosscheck` (k = 0 on a
-    model without a line bundle)."""
+        -> tuple[list[oc.BundleSetup], float]:
+    """The spinor setup of each k of `gap` or `crosscheck` (k = 0 on a model
+    without a line bundle), and m = 2*pi|c| of the flat torus."""
     k_min, k_max = args.k
     if k_min > k_max:
         raise InputError(f"empty k range {k_min}..{k_max}")
@@ -220,31 +221,34 @@ def _lattice_scan(args: argparse.Namespace, require_bundle: bool) \
     max_n, held = MAX_N[args.command]
     if args.N > max_n:
         raise InputError(f"N={args.N} > {max_n}: {args.command} holds {held}")
-    torus = spec.flat_torus(_load_model(args))
-    if require_bundle and torus.model.line_b is None:
+    model = _load_model(args)
+    geom, m = spec.flat_torus(model)
+    if require_bundle and model.line_b is None:
         raise InputError("gap scan requires a line bundle")
     if k_min < 0:
         raise InputError(f"k={k_min} < 0: L^k then carries the reversed curvature, "
                          "outside the theorem's regime of positive powers")
-    ks = list(range(k_min, k_max + 1)) if torus.model.line_b is not None else [0]
-    # The lattice lowers the gap by about 1.95*kc/N^2 relative to 2km
-    # (measured for flux per plaquette kc/N^2 from 0.004 to 0.18), so a finer
-    # --tol than 2*kc/N^2 cannot separate a violation from grid error.
-    flux = max(abs(k * torus.c) for k in ks) / args.N ** 2
+    ks = range(k_min, k_max + 1) if model.line_b is not None else range(1)
+    # The lattice lowers the gap by about 1.95*kc/N^2 relative to 2km (measured
+    # for kc/N^2 from 0.004 to 0.18), so a --tol finer than 2*kc/N^2 cannot tell
+    # a violation from grid error.  |kc| grows with k: the largest k decides.
+    top = oc.spinor_setup(model, geom, ks[-1])
+    flux = abs(spec.plane_flux(top)) / args.N ** 2
     if 2 * flux > args.tol:
         raise InputError(f"under-resolved: flux per plaquette kc/N^2 = {flux:.4g} "
                          f"gives a lattice gap error near 2kc/N^2 = {2 * flux:.3g}, "
                          f"above --tol {args.tol:g}; increase N")
-    return torus, ks
+    return [*(oc.spinor_setup(model, geom, k) for k in ks[:-1]), top], m
 
 
 def cmd_gap(args: argparse.Namespace) -> tuple[dict, list[dict]]:
-    torus, ks = _lattice_scan(args, require_bundle=True)
-    reports = spec.gap_scan(torus, ks, args.N)
+    setups, m = _lattice_scan(args, require_bundle=True)
+    sectors = [spec.sector(s) for s in setups]
+    reports = spec.gap_scan(sectors, m, args.N)
     rows = [r.row() for r in reports]
     ok = True
     notes = []
-    for r in reports:
+    for sector, r in zip(sectors, reports):
         if r.k == 0:
             notes.append("k=0: vanishing asserted only for large k; "
                          f"odd kernel dimension {r.kernel_dim_odd}")
@@ -252,17 +256,16 @@ def cmd_gap(args: argparse.Namespace) -> tuple[dict, list[dict]]:
         if r.kernel_dim_odd != 0:
             ok = False
             notes.append(f"k={r.k}: odd kernel dimension {r.kernel_dim_odd} != 0")
-        if r.kernel_dim_even != r.k * abs(torus.c):
+        if r.kernel_dim_even != abs(sector.flux):
             ok = False
             notes.append(f"k={r.k}: even kernel dimension {r.kernel_dim_even} "
-                         f"!= k|c| = {r.k * abs(torus.c)} (Riemann-Roch)")
-        target = 2 * r.k * r.m
-        if r.gap < target * (1 - args.tol):
+                         f"!= k|c| = {abs(sector.flux)} (Riemann-Roch)")
+        bound = 2 * r.k * r.m * (1 - args.tol)
+        if r.gap < bound:
             ok = False
-            notes.append(f"k={r.k}: gap {r.gap:.6g} below 2km(1-tol) "
-                         f"= {target * (1 - args.tol):.6g}")
+            notes.append(f"k={r.k}: gap {r.gap:.6g} below 2km(1-tol) = {bound:.6g}")
     fitted = max((r.fitted_C for r in reports), default=0.0)
-    payload = {"command": "gap", "model": torus.model.name, "N": args.N,
+    payload = {"command": "gap", "model": setups[0].model.name, "N": args.N,
                "rows": rows, "fitted_C": fitted, "notes": notes, "passed": ok}
     return payload, rows
 
@@ -289,11 +292,11 @@ def cmd_fiber(args: argparse.Namespace) -> tuple[dict, list[dict]]:
 
 
 def cmd_crosscheck(args: argparse.Namespace) -> tuple[dict, list[dict]]:
-    torus, ks = _lattice_scan(args, require_bundle=False)
-    rows = spec.crosscheck_rows(torus, ks, args.N)
+    setups, _ = _lattice_scan(args, require_bundle=False)
+    rows = spec.crosscheck_rows(setups, args.N)
     for row in rows:
         row["ok"] = row["ratio"] >= MIN_RATIO
-    payload = {"command": "crosscheck", "model": torus.model.name, "N": args.N,
+    payload = {"command": "crosscheck", "model": setups[0].model.name, "N": args.N,
                "min_ratio": MIN_RATIO, "rows": rows,
                "passed": all(row["ok"] for row in rows)}
     return payload, rows

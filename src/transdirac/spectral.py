@@ -2,27 +2,27 @@
 
 The torus fixtures have one leaf direction and a two-dimensional transverse
 torus carrying a line bundle whose curvature two-form is stored in units of
-2*pi, so the integer entries of i*B are Chern numbers.  The spectra come
-from the verified normal form of the Dirac square on L^k: `lattice_constant`
-splits it by word into -sum_a nabla_a^2 over the transverse directions and
-a fiber term E, and refuses any other word, a leaf derivative included.  So
-D_k^2 is the magnetic Bochner Laplacian plus E, scaled by 2*pi:
+2*pi, so the integer entries of i*B are Chern numbers.  Each k reduces to
+one `Sector`, read off the verified spinor setup of L^k: the flux Phi = kc
+of the transverse plane (`plane_flux`) and the exact eigenvalues on each
+parity of the fiber term E of D_k^2 = -sum_a nabla_a^2 + E (`lattice_constant`
+refuses any other word, a leaf derivative included).  So D_k^2 is the
+magnetic Bochner Laplacian of flux Phi plus E, scaled by 2*pi:
 
 * the Bochner Laplacian H lives on an N x N lattice with U(1) link phases:
   each plaquette loop is exp(h^2 F_12), F = 2*pi*k*B the physical
   curvature, in Landau gauge with the boundary column of x-links twisted
   so every plaquette, wrap-around included, carries the same flux (this
-  is where integrality of k*c enters);
+  is where integrality of Phi enters);
 * in that gauge a Fourier transform in y reduces H exactly to N^2 times a
-  direct sum of g = gcd(kc, N) real cyclic Harper chains of length N^2/g
+  direct sum of g = gcd(Phi, N) real cyclic Harper chains of length N^2/g
   (Hofstadter 1976; the magnetic translations of Zak 1964);
 * D is odd for the spinor grading, so E is even (`parity_blocks` checks
   it) and each parity block is H (x) I + I (x) E_parity, with spectrum
-  {h_i + e_j}.  The exact eigenvalues e_j of the fiber blocks of E and,
-  for each, the number of h_i below the kernel threshold minus e_j and the
-  next h_i above it give both sectors, from Sturm counts on the chains in
-  plain floats (Sylvester's law of inertia; Barth, Martin and Wilkinson
-  1967), exact over the whole spectrum, and bisection on them.
+  {h_i + e_j}.  For each of the sector's exact e_j, Sturm counts on the
+  chains in plain floats (Sylvester's law of inertia; Barth, Martin and
+  Wilkinson 1967), exact over the whole spectrum, give the number of h_i
+  below the kernel threshold minus e_j, and bisection on them the next.
 
 `crosscheck_rows` ties that operator to the first-order D: it squares the
 central-difference D_h, applied independently in the site basis from
@@ -47,11 +47,11 @@ from collections import namedtuple
 
 from .clifford_fiber import (IncompatiblePair, _real_roots_in_field, check_compatible,
                              parity_indices)
-from .exact import I as IUNIT
+from .exact import I as IUNIT, Scalar
 from .frame_geometry import (ConnectionData, FrameModel, ModelError, complex_structure,
                              derive_connection)
 from .matrices import Mat
-from .operator_calculus import BundleSetup, compose, dirac, forms_setup, monomial, spinor_setup
+from .operator_calculus import BundleSetup, compose, dirac, forms_setup, monomial
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -64,55 +64,39 @@ class SolverError(RuntimeError):
     """The eigensolver did not converge, or found no value above the kernel."""
 
 
-def require_flat_torus(model: FrameModel, geom: ConnectionData) -> None:
-    """Raise unless the model, with the connection data `geom`, is a flat
-    q = 2 torus: no structure constant is nonzero."""
+def flat_torus(model: FrameModel) -> tuple[ConnectionData, float]:
+    """The connection data of a flat q = 2 torus and m = 2*pi|c|, the least
+    mu_j of the physical curvature 2*pi*B (mu = |c| for c = i B_12).  A line
+    bundle must be positive for J, the theorem's hypothesis, and its Chern
+    number c an integer, or the lattice torus cannot carry it."""
+    geom = derive_connection(model)  # validates the model
     if geom.brackets:
         (i, j), ((k, _), *_) = next(iter(geom.brackets.items()))
         raise ModelError(f"model {model.name!r} is not a flat torus: "
                          f"c^{k + 1}_({i + 1},{j + 1}) != 0")
     if model.q != 2:
-        raise ModelError(
-            "lattice assembly implemented for transverse dimension q=2; "
-            f"model has q={model.q}")
-
-
-def chern_number(model: FrameModel) -> int:
-    """Integer Chern number of the transverse plane: the (1,2) entry of i*B.
-
-    Raises on a non-integer value (the bundle is not realizable on the
-    lattice torus)."""
-    if model.line_b is None:
-        return 0
-    k01 = IUNIT * model.line_b.entry(0, 1)
-    if not k01.is_rational() or k01._v[4] != 1:
-        raise ModelError(
-            f"non-integer Chern number {k01}: flux is not 2*pi times an integer")
-    return k01._v[0]
-
-
-class FlatTorus(namedtuple("FlatTorus", "model geom J c m")):
-    """A model that passed `require_flat_torus`, with what every flux value
-    of a scan shares: its connection data geom, its complex structure J, the
-    Chern number c and m = 2*pi|c|, the least mu_j of the physical curvature
-    2*pi*B (at q = 2, mu = |i B_12|)."""
-    __slots__ = ()
-
-
-def flat_torus(model: FrameModel) -> FlatTorus:
-    """The scan data of a flat torus; its line bundle, if any, must be
-    positive for J, the theorem's hypothesis behind the gap checks."""
-    geom = derive_connection(model)  # validates the model
-    require_flat_torus(model, geom)
+        raise ModelError("lattice assembly implemented for transverse dimension q=2; "
+                         f"model has q={model.q}")
     J = complex_structure(model)
+    if model.line_b is None:
+        return geom, 0.0
     try:
-        if model.line_b is not None:
-            check_compatible(model.line_b, J)
+        check_compatible(model.line_b, J)
     except IncompatiblePair as exc:
         raise ModelError(f"model {model.name!r}: the line bundle is not positive "
                          f"for J ({exc}), outside the theorem's hypothesis") from exc
-    c = chern_number(model)
-    return FlatTorus(model, geom, J, c, TWO_PI * abs(c))
+    c = IUNIT * model.line_b.entry(0, 1)
+    if not c.is_rational() or c._v[4] != 1:
+        raise ModelError(f"non-integer Chern number {c}: flux is not 2*pi times an integer")
+    return geom, TWO_PI * abs(c._v[0])
+
+
+def plane_flux(setup: BundleSetup) -> int:
+    """Phi, the flux through the transverse plane in units of 2*pi, read off
+    the verified commutator [nabla_{f_1}, nabla_{f_2}] = F(f_1, f_2) - nabla_{R(f_1, f_2)}
+    in setup.curv: on a flat torus R = 0 and F = -i Phi I (Phi = kc on L^k)."""
+    p = setup.model.p
+    return (IUNIT * setup.curv[(p, p + 1)].entry(0, 0))._v[0]
 
 
 # ---------------------------------------------------------------------------
@@ -190,17 +174,28 @@ def lattice_constant(setup: BundleSetup) -> Mat:
     return words.get((), Mat.zero(dim))
 
 
-def parity_blocks(torus: FlatTorus, k: int) -> tuple[list[float], list[float]]:
-    """Eigenvalues of E, the `lattice_constant` of the spinor setup at k, on
-    the (even, odd) spinors, found exactly in Q(sqrt2) as the roots of each
-    block's characteristic polynomial and then scaled by 2*pi.  E is
-    grading-even, so the two sectors of the Dirac square decouple exactly."""
-    E = lattice_constant(spinor_setup(torus.model, torus.geom, k))
-    even, odd = parity_indices(torus.J.l)
+def parity_blocks(setup: BundleSetup) -> tuple[list[Scalar], list[Scalar]]:
+    """Eigenvalues of E, the `lattice_constant` of a spinor setup, on the
+    (even, odd) spinors, exact in Q(sqrt2) as the roots of each block's
+    characteristic polynomial.  E is grading-even, so the two parities of the
+    Dirac square decouple exactly."""
+    E = lattice_constant(setup)
+    even, odd = parity_indices(setup.J.l)
     if not E.submatrix(even, odd).is_zero():
         raise ModelError("curvature endomorphism is not grading-even")
-    return tuple([TWO_PI * float(e) for e in _real_roots_in_field(E.submatrix(ix, ix).charpoly())]
-                 for ix in (even, odd))
+    return tuple(_real_roots_in_field(E.submatrix(ix, ix).charpoly()) for ix in (even, odd))
+
+
+class Sector(namedtuple("Sector", "k flux even odd")):
+    """The Landau problem of the lattice Dirac square on L^k: the integer flux
+    of the transverse plane (`plane_flux`) and the exact eigenvalues of the
+    fiber term E on the even and odd spinors (`parity_blocks`)."""
+    __slots__ = ()
+
+
+def sector(setup: BundleSetup) -> Sector:
+    """The sector of a spinor setup on a flat torus."""
+    return Sector(setup.k, plane_flux(setup), *parity_blocks(setup))
 
 
 # ---------------------------------------------------------------------------
@@ -411,21 +406,21 @@ class SpectrumReport(namedtuple("SpectrumReport", "k N gap kernel_dim_even kerne
         }
 
 
-def spectrum_report(torus: FlatTorus, k: int, N: int) -> SpectrumReport:
-    """Eigenvalue report for one k: kernel clusters per parity sector, the
-    gap above them, and the fitted defect C = max(0, 2km - gap).
+def spectrum_report(sector: Sector, m: float, N: int) -> SpectrumReport:
+    """Eigenvalue report for one sector on the N x N lattice: kernel clusters
+    per parity, the gap above them, and the fitted defect C = max(0, 2km - gap).
 
-    A sector value h + e, with h an eigenvalue of H and e one of the sector's
-    block of E, lies below the threshold when h < thr - e.  So each kernel
-    dimension is a sum of Sturm counts of H, and the gap is the least sector
-    value at or above thr, bisected.  The counts are exact over the whole
-    spectrum of H, so no eigenvalue can be missed.  Raises SolverError where
-    no sector value lies above thr, or where the gap lies within 4 thr: the
-    kernel cluster is then ambiguous."""
+    A value h + e, with h an eigenvalue of H = `magnetic_bochner(N, flux)`
+    and e 2*pi times an eigenvalue of the parity's block of E, lies below the
+    threshold when h < thr - e.  So each kernel dimension is a sum of Sturm
+    counts of H, and the gap is the least value at or above thr, bisected.
+    The counts are exact over the whole spectrum of H, so no eigenvalue can
+    be missed.  Raises SolverError where no value lies above thr, or where
+    the gap lies within 4 thr: the kernel cluster is then ambiguous."""
     t0 = time.perf_counter()
-    m = torus.m
-    H = magnetic_bochner(N, k * torus.c)
-    e_even, e_odd = parity_blocks(torus, k)
+    k = sector.k
+    H = magnetic_bochner(N, sector.flux)
+    e_even, e_odd = ([TWO_PI * float(e) for e in es] for es in (sector.even, sector.odd))
     thr = (2 * k * m) / 10.0 if k >= 1 and m > 0 else 1e-6
     below = {e: eigenvalues_below(H, thr - e) for e in {*e_even, *e_odd}}
     gap = least_value_above(H, thr, below)
@@ -440,8 +435,8 @@ def spectrum_report(torus: FlatTorus, k: int, N: int) -> SpectrumReport:
                           runtime_ms=(time.perf_counter() - t0) * 1000.0)
 
 
-def gap_scan(torus: FlatTorus, k_values, N: int) -> list[SpectrumReport]:
-    return [spectrum_report(torus, k, N) for k in k_values]
+def gap_scan(sectors, m: float, N: int) -> list[SpectrumReport]:
+    return [spectrum_report(s, m, N) for s in sectors]
 
 
 # ---------------------------------------------------------------------------
@@ -481,19 +476,20 @@ def square_residual(cliffords, E: np.ndarray, N: int, kc: int) -> float:
     return float(np.linalg.norm(DDV - RV) / max(np.linalg.norm(RV), np.linalg.norm(V)))
 
 
-def crosscheck_rows(torus: FlatTorus, k_values, N: int) -> list[dict]:
+def crosscheck_rows(setups, N: int) -> list[dict]:
     """Convergence of D_h^2 to the operator `gap` diagonalises, at N and 2N:
-    on the spinor fiber for each k (identities a, b and c coincide on a flat
-    torus), and on the untwisted forms (identities e and g), with the
-    generators and `lattice_constant` of each bundle setup.  O(h^2) gives
-    ratio = r(N)/r(2N) near 4."""
-    cases = [("spinor", "abc", k, spinor_setup(torus.model, torus.geom, k)) for k in k_values]
-    cases.append(("forms", "eg", 0, forms_setup(torus.model, torus.geom)))
+    on the spinor fiber of each setup (identities a, b and c coincide on a
+    flat torus), and on the untwisted forms (identities e and g), with the
+    generators, `plane_flux` and `lattice_constant` of each bundle setup.
+    O(h^2) gives ratio = r(N)/r(2N) near 4."""
+    model, geom = setups[0].model, setups[0].geom
+    cases = [*(("spinor", "abc", s) for s in setups), ("forms", "eg", forms_setup(model, geom))]
     rows = []
-    for fiber, keys, k, setup in cases:
+    for fiber, keys, setup in cases:
         gens = [_dense(C) for C in setup.cliff]
         E = TWO_PI * _dense(lattice_constant(setup))
-        r_N, r_2N = (square_residual(gens, E, n, k * torus.c) for n in (N, 2 * N))
-        rows.append({"fiber": fiber, "identities": keys, "k": k, "kc": k * torus.c,
+        kc = plane_flux(setup)
+        r_N, r_2N = (square_residual(gens, E, n, kc) for n in (N, 2 * N))
+        rows.append({"fiber": fiber, "identities": keys, "k": setup.k, "kc": kc,
                      "r_N": r_N, "r_2N": r_2N, "ratio": r_N / r_2N})
     return rows

@@ -15,7 +15,7 @@ from transdirac import clifford_fiber as cf
 from transdirac import frame_geometry as fg
 from transdirac import operator_calculus as oc
 from transdirac import spectral
-from transdirac.exact import rational
+from transdirac.exact import Scalar, rational
 
 
 @pytest.fixture(scope="module")
@@ -24,32 +24,54 @@ def landau():
 
 
 @pytest.fixture(scope="module")
-def torus(landau):
-    return spectral.flat_torus(landau)
+def geom(landau):
+    return spectral.flat_torus(landau)[0]
 
 
-def constant_endomorphism(torus, k):
+M_LANDAU = 2 * math.pi  # m = 2*pi|c| of t3_landau, whose Chern number is c = i B_12 = 1
+
+
+def landau_variant(name, b12, J=(("0", "-1"), ("1", "0"))):
+    """t3_landau with B_12 = b12 (a string) and the given J."""
+    b21 = b12[1:] if b12.startswith("-") else f"-{b12}"
+    return fg.model_from_dict({"name": name, "p": 1, "q": 2, "brackets": [],
+                               "line_bundle": {"B": [["0", b12], [b21, "0"]]},
+                               "J": [list(row) for row in J]})
+
+
+def spinors(model, k):
+    return oc.spinor_setup(model, spectral.flat_torus(model)[0], k)
+
+
+def chern(model):
+    """Test oracle: c = i B_12 from the model's floats, not from a setup."""
+    return round((1j * complex(model.line_b.entry(0, 1))).real)
+
+
+def constant_endomorphism(model, k):
     """Test oracle: the fiber term of the lattice Dirac square on a torus
     with a line bundle, by hand: k times the curvature action of B in
     physical units, 2*pi*k c(B); on a flat torus every other constant of
     the normal form vanishes."""
-    return 2 * math.pi * k * spectral._dense(cf.two_form_action(torus.model.line_b, torus.J))
+    J = fg.complex_structure(model)
+    return 2 * math.pi * k * spectral._dense(cf.two_form_action(model.line_b, J))
 
 
 # -- the fiber term, read off the exact Dirac square ---------------------------
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
-def test_lattice_constant_is_k_times_the_curvature_action(torus, k):
-    setup = oc.spinor_setup(torus.model, torus.geom, k)
-    want = cf.two_form_action(torus.model.line_b, torus.J).scale(rational(k))
+def test_lattice_constant_is_k_times_the_curvature_action(landau, geom, k):
+    setup = oc.spinor_setup(landau, geom, k)
+    want = cf.two_form_action(landau.line_b, setup.J).scale(rational(k))
     assert spectral.lattice_constant(setup) == want
 
 
 def test_lattice_constant_vanishes_without_a_bundle():
     """flat_t3 has no line bundle: E = 0 on the spinors and on the forms."""
-    flat = spectral.flat_torus(fg.resolve_model("flat_t3"))
-    for setup in (oc.spinor_setup(flat.model, flat.geom, 0),
-                  oc.forms_setup(flat.model, flat.geom)):
+    flat = fg.resolve_model("flat_t3")
+    geom, m = spectral.flat_torus(flat)
+    assert m == 0.0
+    for setup in (oc.spinor_setup(flat, geom, 0), oc.forms_setup(flat, geom)):
         E = spectral.lattice_constant(setup)
         assert E.is_zero() and E.n == setup.dim
 
@@ -64,10 +86,10 @@ def test_lattice_constant_refuses_a_leaf_derivative():
         spectral.lattice_constant(setup)
 
 
-def test_lattice_constant_refuses_a_wrong_second_order_word(monkeypatch, torus):
+def test_lattice_constant_refuses_a_wrong_second_order_word(monkeypatch, landau, geom):
     """A Dirac square whose transverse nabla_a^2 does not carry -I, or that
     lacks one, is outside the regime too."""
-    setup = oc.spinor_setup(torus.model, torus.geom, 1)
+    setup = oc.spinor_setup(landau, geom, 1)
     square = oc.dirac(setup) @ oc.dirac(setup)
     for change in ({(1, 1): square.terms[(1, 1)].scale(rational(2))}, {(2, 2): None}):
         terms = {w: M for w, M in {**square.terms, **change}.items() if M is not None}
@@ -111,12 +133,13 @@ def test_every_plaquette_carries_the_same_holonomy(N, kc):
 
 
 @pytest.mark.parametrize("k", [1, -1, 3, -3])
-def test_plaquette_loop_is_exp_of_the_exact_curvature(landau, k):
-    """The loop is exp(h^2 F_12) for the physical curvature F = 2*pi*k*B of
-    the exact layer, not its conjugate."""
+def test_plaquette_loop_is_exp_of_the_exact_curvature(landau, geom, k):
+    """The loop, at the flux `plane_flux` reads off the setup, is
+    exp(h^2 F_12) for the physical curvature F = 2*pi*k*B of the exact
+    layer, not its conjugate."""
     N = 10
     F12 = 2 * math.pi * k * complex(landau.line_b.entry(0, 1))
-    loops = plaquette_loops(N, k * spectral.chern_number(landau))
+    loops = plaquette_loops(N, spectral.plane_flux(oc.spinor_setup(landau, geom, k)))
     np.testing.assert_allclose(loops, np.exp(F12 / N ** 2), atol=1e-12)
 
 
@@ -147,11 +170,11 @@ def site_bochner(N, kc):
     return (4.0 * np.eye(N * N) - Ux - Ux.conj().T - Uy - Uy.conj().T) * (N * N)
 
 
-def test_lattice_dirac_matches_the_assembled_central_differences(torus):
+def test_lattice_dirac_matches_the_assembled_central_differences(landau):
     """The matrix-free D_h against sum_a (U_a - U_a^dagger) N/2 (x) c(f_a)
     assembled from the dense hops."""
     N, kc = 6, 2
-    gens = [spectral._dense(C) for C in cf.spinor_cliffords(torus.J)]
+    gens = [spectral._dense(C) for C in cf.spinor_cliffords(fg.complex_structure(landau))]
     D = sum(np.kron((U - U.conj().T) * (N / 2), C) for U, C in zip(dense_hops(N, kc), gens))
     F = gens[0].shape[0]
     rng = np.random.default_rng(2)
@@ -303,21 +326,22 @@ def test_each_ring_has_the_spectrum_of_its_class(N):
 
 
 @pytest.mark.parametrize("N", [16, 24, 32, 48, 64, 128])
-def test_zero_flux_gap_is_the_first_fourier_level(torus, N):
+def test_zero_flux_gap_is_the_first_fourier_level(landau, geom, N):
     """At k = 0 the rings have constant diagonals and doubly degenerate
     levels; the gap above the constant mode is N^2 (2 - 2 cos(2 pi/N))."""
-    rep = spectral.spectrum_report(torus, 0, N)
+    sec = spectral.sector(oc.spinor_setup(landau, geom, 0))
+    rep = spectral.spectrum_report(sec, M_LANDAU, N)
     assert (rep.kernel_dim_even, rep.kernel_dim_odd) == (1, 1)
     assert rep.gap == pytest.approx(N * N * (2 - 2 * math.cos(2 * math.pi / N)), rel=1e-12)
 
 
 # -- eigenvalues -------------------------------------------------------------
 
-def assembled_parity_blocks(torus, k, N):
+def assembled_parity_blocks(model, k, N):
     """Test oracle: the explicit (even, odd) blocks H (x) I + I (x) E_parity
     of the lattice Dirac square."""
-    H = site_bochner(N, k * spectral.chern_number(torus.model))
-    E = constant_endomorphism(torus, k)
+    H = site_bochner(N, k * chern(model))
+    E = constant_endomorphism(model, k)
     odd = np.array([bin(m).count("1") % 2 == 1 for m in range(E.shape[0])])
     blocks = []
     for ix in (~odd, odd):
@@ -332,18 +356,17 @@ KRONECKER_CASES.append(pytest.param(1, 8, 10, id="1-8-odd-block-10m-below"))
 
 
 @pytest.mark.parametrize("k,N,odd_drop", KRONECKER_CASES)
-def test_kronecker_sum_matches_dense_parity_blocks(monkeypatch, torus, k, N, odd_drop):
+def test_kronecker_sum_matches_dense_parity_blocks(landau, geom, k, N, odd_drop):
     """The report against the full dense spectrum of both assembled blocks:
     at k = 0, where E vanishes and the constant lies in both kernels; and
     with the odd block moved 10m below the even one, so that the odd kernel
-    holds several Landau levels and the gap lies far up the spectrum of H."""
-    shift = odd_drop * torus.m
-    even_e, odd_e = spectral.parity_blocks(torus, k)
-    monkeypatch.setattr(spectral, "parity_blocks",
-                        lambda t, k: (even_e, [e - shift for e in odd_e]))
-    rep = spectral.spectrum_report(torus, k, N)
-    even, odd = (np.linalg.eigvalsh(B) for B in assembled_parity_blocks(torus, k, N))
-    odd -= shift
+    holds several Landau levels and the gap lies far up the spectrum of H.
+    The shift is odd_drop in exact units, since m = 2*pi here."""
+    sec = spectral.sector(oc.spinor_setup(landau, geom, k))
+    sec = sec._replace(odd=[e - rational(odd_drop) for e in sec.odd])
+    rep = spectral.spectrum_report(sec, M_LANDAU, N)
+    even, odd = (np.linalg.eigvalsh(B) for B in assembled_parity_blocks(landau, k, N))
+    odd -= odd_drop * M_LANDAU
     allvals = np.sort(np.concatenate([even, odd]))
     thr = 2 * k * rep.m / 10 if k else 1e-6
     assert rep.kernel_dim_even == np.sum(even < thr)
@@ -355,52 +378,76 @@ def test_kronecker_sum_matches_dense_parity_blocks(monkeypatch, torus, k, N, odd
         assert rep.kernel_dim_odd > rep.kernel_dim_even == k
 
 
-def test_report_without_a_gap_raises(monkeypatch, torus):
+def test_report_without_a_gap_raises():
     """Every sector value below the kernel threshold: all N^2 eigenvalues
     of H are counted below it, and there is no gap to report."""
-    monkeypatch.setattr(spectral, "parity_blocks", lambda t, k: ([-1e6], [-1e6]))
+    sec = spectral.Sector(k=1, flux=1, even=[rational(-10 ** 6)], odd=[rational(-10 ** 6)])
     with pytest.raises(spectral.SolverError, match="lies above the kernel threshold"):
-        spectral.spectrum_report(torus, 1, 4)
+        spectral.spectrum_report(sec, M_LANDAU, 4)
 
 
-def test_kernel_count_is_not_capped_by_requested_count(torus):
-    rep = spectral.spectrum_report(torus, k=12, N=32)
+def test_kernel_count_is_not_capped_by_requested_count(landau, geom):
+    sec = spectral.sector(oc.spinor_setup(landau, geom, 12))
+    rep = spectral.spectrum_report(sec, M_LANDAU, 32)
     assert rep.kernel_dim_even == 12
     assert rep.kernel_dim_odd == 0
 
 
-def test_gap_scan_rows_repeat_exactly(torus):
+def test_gap_scan_rows_repeat_exactly(landau, geom):
     # the solver's start vectors decide the last digits
-    first, second = ([{**r.row(), "runtime_ms": None} for r in spectral.gap_scan(torus, [1, 2], 16)]
-                     for _ in range(2))
+    sectors = [spectral.sector(oc.spinor_setup(landau, geom, k)) for k in (1, 2)]
+    first, second = ([{**r.row(), "runtime_ms": None}
+                      for r in spectral.gap_scan(sectors, M_LANDAU, 16)] for _ in range(2))
     assert first == second
 
 
 def test_flat_torus_carries_the_scan_invariants(landau):
-    torus = spectral.flat_torus(landau)
-    assert torus.model is landau
-    assert torus.geom == fg.derive_connection(landau)
-    assert torus.c == spectral.chern_number(landau) == 1
-    assert torus.m == 2 * math.pi  # mu = |i B_12| = |c| at q = 2
+    geom, m = spectral.flat_torus(landau)
+    assert geom == fg.derive_connection(landau)
+    assert m == 2 * math.pi  # mu = |i B_12| = |c| at q = 2
     with pytest.raises(fg.ModelError, match="not a flat torus"):
         spectral.flat_torus(fg.resolve_model("heisenberg"))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_plane_flux_is_k_times_the_chern_number(landau, k):
+    """Phi = k c from the setup's curvature: c = 1 on t3_landau, -1 on its
+    mirror (J and B reversed, still positive for J) and 2 on a doubled B;
+    0 on the untwisted forms."""
+    assert spectral.plane_flux(spinors(landau, k)) == k
+    mirrored = landau_variant("t3_mirrored", "1i", J=(("0", "1"), ("-1", "0")))
+    assert spectral.plane_flux(spinors(mirrored, k)) == -k
+    assert spectral.plane_flux(spinors(landau_variant("t3_c2", "-2i"), k)) == 2 * k
+    flat = fg.resolve_model("flat_t3")
+    assert spectral.plane_flux(oc.forms_setup(flat, spectral.flat_torus(flat)[0])) == 0
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_parity_blocks_are_exact(landau, geom, k):
+    """E = k c(B) on t3_landau: -k on the even spinor, k on the odd, as
+    exact Scalars."""
+    even, odd = spectral.parity_blocks(oc.spinor_setup(landau, geom, k))
+    assert (even, odd) == ([rational(-k)], [rational(k)])
+    assert all(isinstance(e, Scalar) for e in (*even, *odd))
+    assert spectral.sector(oc.spinor_setup(landau, geom, k)) == (k, k, even, odd)
 
 
 # -- the squared lattice D -----------------------------------------------------
 
 @pytest.mark.parametrize("kc", [0, 1, 3])
-def test_squared_lattice_dirac_converges_at_second_order(torus, kc):
-    (row,) = (r for r in spectral.crosscheck_rows(torus, [kc], 16) if r["fiber"] == "spinor")
+def test_squared_lattice_dirac_converges_at_second_order(landau, geom, kc):
+    setups = [oc.spinor_setup(landau, geom, kc)]
+    (row,) = (r for r in spectral.crosscheck_rows(setups, 16) if r["fiber"] == "spinor")
     assert row["kc"] == kc
     assert row["ratio"] >= 3
     assert row["r_N"] > row["r_2N"] > 0
 
 
-def test_square_residual_does_not_depend_on_the_eigenbasis(monkeypatch, torus):
+def test_square_residual_does_not_depend_on_the_eigenbasis(monkeypatch, landau):
     """The residual on the solver's vectors of the two kc-fold levels matches
     the one on dense eigh's basis of the same levels of the site-basis H."""
-    gens = [spectral._dense(C) for C in cf.spinor_cliffords(torus.J)]
-    E = constant_endomorphism(torus, 3)
+    gens = [spectral._dense(C) for C in cf.spinor_cliffords(fg.complex_structure(landau))]
+    E = constant_endomorphism(landau, 3)
     reduced = spectral.square_residual(gens, E, 16, 3)
 
     def dense(H, cut):
@@ -422,6 +469,23 @@ def test_crosscheck_fails_on_the_conjugate_flux(monkeypatch, capsys):
     assert [(r["fiber"], r["ok"]) for r in rows] == \
         [("spinor", False), ("spinor", False), ("forms", True)]
     assert all(r["ratio"] < 1.1 for r in rows[:2])
+
+
+def test_crosscheck_fails_on_a_reversed_plane_flux(monkeypatch, capsys):
+    """Reading Phi with the wrong sign passes `gap`, since the Harper
+    spectrum is symmetric in the flux and Riemann-Roch counts |Phi|, but
+    not `crosscheck`: the links then carry -F, and only the forms row, at
+    Phi = 0, still converges."""
+    flux = spectral.plane_flux
+    monkeypatch.setattr(spectral, "plane_flux", lambda setup: -flux(setup))
+    argv = ["--model", "t3_landau", "--k", "1..2", "--N", "16"]
+    assert cli.main(["gap", *argv]) == 0
+    capsys.readouterr()
+    assert cli.main(["crosscheck", *argv]) == 1
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [(r["fiber"], r["kc"], r["ok"]) for r in rows] == \
+        [("spinor", -1, False), ("spinor", -2, False), ("forms", 0, True)]
+    assert all(r["ratio"] < 1.1 for r in rows[:2]) and rows[2]["ratio"] > 3.9
 
 
 # -- the gap and crosscheck commands ----------------------------------------
@@ -451,18 +515,32 @@ def test_gap_cli_rejects_under_resolved_flux(capsys):
     ("crosscheck", ["--model", "t3_landau", "--k=-2..2", "--N", "16"], "k=-2 < 0"),
     ("gap", ["--model", "FLAT_Q4", "--N", "16"], "transverse dimension q=2"),
     ("crosscheck", ["--model", "FLAT_Q4", "--N", "16"], "transverse dimension q=2"),
+    ("gap", ["--model", "t3_landau", "--k", "1..1000000000000", "--N", "16"], "under-resolved"),
+    ("crosscheck", ["--model", "t3_landau", "--k", "1..1000000000000", "--N", "16"],
+     "under-resolved"),
+    *((command, ["--model", "T3_HALF", "--k", k, "--N", "16"], "non-integer Chern number 1/2")
+      for command in ("gap", "crosscheck") for k in ("1", "2")),
 ])
 def test_lattice_cli_rejects_inputs_it_cannot_resolve(capsys, tmp_path, command, argv, message):
     """FLAT_Q4 stands for a flat q = 4 torus with a positive line bundle,
-    valid for `verify`: the lattice layer is written for q = 2 only."""
-    flat_q4 = tmp_path / "flat_q4.json"
+    valid for `verify`: the lattice layer is written for q = 2 only.  T3_HALF
+    is t3_landau with B_12 = -i/2, positive for J but with Chern number 1/2;
+    at k = 2 its flux k c = 1 is an integer, so the refusal must read c.  A
+    k range of 10^12 powers is refused from its largest flux, before any
+    per-k work."""
+    flat_q4, t3_half = tmp_path / "flat_q4.json", tmp_path / "t3_half.json"
     flat_q4.write_text(json.dumps({
         "name": "flat_q4", "p": 1, "q": 4, "brackets": [],
         "line_bundle": {"B": [["0", "-1i", "0", "0"], ["1i", "0", "0", "0"],
                               ["0", "0", "0", "-1i"], ["0", "0", "1i", "0"]]},
         "J": [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
               ["0", "0", "0", "-1"], ["0", "0", "1", "0"]]}), encoding="utf-8")
-    argv = [str(flat_q4) if a == "FLAT_Q4" else a for a in argv]
+    t3_half.write_text(json.dumps({
+        "name": "t3_half", "p": 1, "q": 2, "brackets": [],
+        "line_bundle": {"B": [["0", "-1/2i"], ["1/2i", "0"]]},
+        "J": [["0", "-1"], ["1", "0"]]}), encoding="utf-8")
+    files = {"FLAT_Q4": str(flat_q4), "T3_HALF": str(t3_half)}
+    argv = [files.get(a, a) for a in argv]
     assert cli.main([command, *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -481,19 +559,20 @@ def test_lattice_cli_exits_3_when_the_eigensolver_fails(monkeypatch, capsys, com
 
 
 def test_gap_cli_exits_3_without_a_gap(monkeypatch, capsys):
-    monkeypatch.setattr(spectral, "parity_blocks", lambda t, k: ([-1e6], [-1e6]))
+    low = [rational(-10 ** 6)]
+    monkeypatch.setattr(spectral, "sector", lambda setup: spectral.Sector(setup.k, 1, low, low))
     assert cli.main(["gap", "--model", "t3_landau", "--k", "1", "--N", "16"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "lies above the kernel threshold" in captured.err
 
 
-def test_gap_cli_exits_3_on_an_ambiguous_kernel_cluster(capsys, torus):
+def test_gap_cli_exits_3_on_an_ambiguous_kernel_cluster(capsys, landau, geom):
     """At kc/N^2 = 5/16 (a --tol loose enough to pass the under-resolved
     guard) the lattice gap lies within 4x the kernel threshold 2km/10, so
     spectrum_report refuses to count a kernel below it."""
     with pytest.raises(spectral.SolverError, match="ambiguous kernel cluster at k=5, N=4"):
-        spectral.spectrum_report(torus, 5, 4)
+        spectral.spectrum_report(spectral.sector(oc.spinor_setup(landau, geom, 5)), M_LANDAU, 4)
     assert cli.main(["gap", "--model", "t3_landau", "--k", "5", "--N", "4", "--tol", "0.7"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -501,8 +580,7 @@ def test_gap_cli_exits_3_on_an_ambiguous_kernel_cluster(capsys, torus):
 
 
 def test_gap_cli_exits_1_on_a_wrong_even_kernel(monkeypatch, capsys):
-    def fake_scan(model, ks, N):
-        m = 2 * math.pi
+    def fake_scan(sectors, m, N):
         return [spectral.SpectrumReport(k=1, N=N, gap=2 * m, kernel_dim_even=2,
                                          kernel_dim_odd=0, fitted_C=0.0, m=m, runtime_ms=0.0)]
 
