@@ -49,12 +49,13 @@ an exception still takes the normal exit, traceback and all.
 Sizes have ceilings, checked before any work (exit 2); the costs below were
 measured on a 2-CPU Linux host with Python 3.11.  A model file may have
 q <= 16 and n = p + q <= 64 (`fg.MAX_Q`, `fg.MAX_DIM`), checked at load,
-before its n^3 structure constants exist.  `verify` builds the
+before its bracket table is built.  `verify` builds the
 2^q-dimensional forms fiber: on the generated h_q it took 9.8 s and 140 MiB
 at q = 14 and 103 s and 576 MiB at q = 16, about 10 times the time and 4
-times the memory per step of 2.  On a flat q = 2 model it took 0.25 s at
-n = 34 and 1.3 s at n = 64 (22 MiB), in passes over the n^3 structure
-constants: the Koszul formula and validation.  `fiber --q` has the same
+times the memory per step of 2.  On a flat q = 2 model it took 0.09 s at
+n = 34 and 0.11 s at n = 64 (18 MiB), best of 5 processes that compile the
+sources as they start; it took 0.26 s and 1.3 s (22 MiB) while a model
+was a dense n^3 tensor of structure constants.  `fiber --q` has the same
 ceiling: its spinor fiber has dimension 2^(q/2), and one trial takes seconds
 from q = 18 on.
 `gap` holds the N^2 diagonal entries of its Harper chains as floats and

@@ -166,16 +166,15 @@ class ComplexStructure:
             raise ValueError("codimension must be even and >= 2")
         if jmat.m != q:
             raise ValueError("J must be square")
-        eye = Mat.identity(q)
         if jmat @ jmat != Mat.scalar(q, -ONE):
             raise ValueError("J^2 != -Identity")
-        if jmat.transpose() @ jmat != eye:
+        if not jmat.is_antisymmetric():  # with J^2 = -1, J^T J = 1 is J^T = -J
             raise ValueError("J not orthogonal")
         if len(frame) != q:
             raise ValueError("adapted frame must have q vectors")
         fmat = Mat._of(q, q, {(i, a): frame[a][i] for a in range(q)
                               for i in range(q) if frame[a][i]})
-        if fmat.transpose() @ fmat != eye:
+        if fmat.transpose() @ fmat != Mat.identity(q):
             raise ValueError("adapted frame not orthonormal")
         jf = jmat @ fmat
         for j in range(q // 2):
@@ -362,11 +361,12 @@ def skew_invariants(B: Mat) -> tuple[tuple[Scalar, ...], Scalar, Scalar]:
 
 def check_compatible(B: Mat, J: ComplexStructure) -> Mat:
     """Validate the standing hypothesis and return the positive matrix K J."""
-    K = k_matrix(B)
+    validate_two_form(B)
     jm = J.jmat
-    if jm.transpose() @ B @ jm != B:
+    BJ = B @ jm
+    if BJ != jm @ B:  # for orthogonal J, J^T B J = B is B J = J B
         raise IncompatiblePair("B(J., J.) != B")
-    P = K @ jm  # symmetric: with J^2 = -1, J^T K J = K gives (K J)^T = -J^T K = K J
+    P = BJ.scale(I)  # K J = i B J, symmetric: (K J)^T = J^T K^T = J K = K J
     if not P.is_pd():
         raise IncompatiblePair("i B(v, Jv) not positive definite")
     return P

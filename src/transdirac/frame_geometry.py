@@ -2,26 +2,26 @@
 
 A model is a global orthonormal frame u_1..u_n with constant structure
 constants [u_i, u_j] = sum_k c^k_ij u_k; the first p directions span the
-leaves, the remaining q = n - p are horizontal.  Admissibility is encoded
-frame-level: antisymmetry and Jacobi (a Lie algebra), involutivity of the
-leaf distribution, and the bundle-like condition
+leaves, the remaining q = n - p are horizontal.  Such a model is its bracket
+table (`FrameModel.brackets`), antisymmetric by construction, and checks
+and derived data read only the table's terms.  Admissibility is Jacobi (a
+Lie algebra), involutivity of the leaf distribution, and the bundle-like condition
 
     c^b_{ia} + c^a_{ib} = 0   (i leafwise, a b horizontal),
 
 which says leafwise flows preserve the horizontal metric.  A line bundle's
 curvature B lives on horizontal pairs, so it vanishes along the leaves, and
 must be closed: dB(x, y, z) = -sum_cyc B([x, y], z) = 0.  All derived
-data -- Levi-Civita coefficients through the Koszul formula, the transverse
-connection, mean curvature, integrability tensor, curvature, divergences,
-spin connection coefficients -- are exact field elements.
+data -- the transverse connection through the Koszul formula, mean
+curvature, integrability tensor, curvature, divergences, spin connection
+coefficients -- are exact field elements.
 
-`derive_connection` validates a model and derives, once, everything the
-operator calculus reads of its structure constants, into a ConnectionData:
-the nonzero constants, (u, v) -> [(m, c^m_uv), ...] (`brackets`), the
-transverse connection matrices A_u (`transverse`), the mean curvature
-`tau` and each nabla_{f_a} tau (`nabla_tau`), |tau|^2 (`tau_norm2`),
-d_H^* tau = -sum_a (nabla_{f_a} tau)^a + |tau|^2 (`codiff_tau`), whether tau
-is basic (`tau_basic`: it has no leaf part, so whether dtau(u_i, u_j) =
+`derive_connection` validates a model and derives, once, what the operator
+calculus computes from its table, into a ConnectionData: the
+transverse connection matrices A_u (`transverse`), the mean curvature `tau`
+and each nabla_{f_a} tau (`nabla_tau`), |tau|^2 (`tau_norm2`), d_H^* tau =
+-sum_a (nabla_{f_a} tau)^a + |tau|^2 (`codiff_tau`), whether tau is basic
+(`tau_basic`: it has no leaf part, so whether dtau(u_i, u_j) =
 -tau([u_i, u_j]) vanishes), the leaf two-forms R^i of R(f_a, f_b) =
 -P_F [f_a, f_b] = sum_i R^i_ab e_i as q x q matrices (`integrability`), the
 transverse `curvature` R(u, v) on every ordered pair, its scalar `K`, and
@@ -52,17 +52,18 @@ from pathlib import Path
 
 from .clifford_fiber import ComplexStructure, spin_lift, validate_two_form
 from .exact import ZERO, Scalar, format_scalar, parse_imaginary, parse_real, rational
-from .matrices import Mat, apply_to_vector, combination, commutator
+from .matrices import Mat, accumulate, apply_to_vector, combination, commutator
 
 
 class ModelError(ValueError):
     """Invalid frame model (failed admissibility or malformed input)."""
 
 
-class FrameModel(namedtuple("FrameModel", "name p q c line_b jmat", defaults=(None, None))):
-    """c[i][j][k], 0-based: [u_i,u_j] = sum_k c[i][j][k] u_k.  line_b, the
-    q x q imaginary two-form in units of 2*pi, and jmat, the q x q complex
-    structure matrix, may be None."""
+class FrameModel(namedtuple("FrameModel", "name p q brackets line_b jmat", defaults=(None, None))):
+    """brackets[(i, j)] = ((k, c^k_ij), ...), 0-based, for each ordered pair
+    with a nonzero constant, in ascending (i, j) and k; (j, i) holds the
+    negated terms.  line_b, the q x q imaginary two-form in units of 2*pi,
+    and jmat, the q x q complex structure matrix, may be None."""
     __slots__ = ()
 
     @property
@@ -78,13 +79,14 @@ MAX_DIM = 64
 def make_model(name: str, p: int, q: int,
                brackets: list[tuple[int, int, int, Scalar]],
                line_b: Mat | None = None, jmat: Mat | None = None) -> FrameModel:
-    """Build a model from sparse 1-based bracket data [u_i, u_j] += coeff u_k;
-    a q above MAX_Q or an n above MAX_DIM is refused before anything is built."""
+    """Build a model from sparse 1-based bracket data [u_i, u_j] += coeff u_k (a
+    repeated bracket adds, [u_j, u_i] subtracts, [u_i, u_i] cancels, a zero sum
+    drops); a q above MAX_Q or an n above MAX_DIM is refused before anything is built."""
     n = p + q
     if q > MAX_Q or n > MAX_DIM:
         raise ModelError(f"model {name!r} is too large: q={q} (at most {MAX_Q}) "
                          f"and n=p+q={n} (at most {MAX_DIM})")
-    tensor = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    sums: dict[tuple[int, int], dict[int, Scalar]] = {}
     for (i, j, k, coeff) in brackets:
         for ix in (i, j, k):
             if not 1 <= ix <= n:
@@ -92,10 +94,10 @@ def make_model(name: str, p: int, q: int,
         v = parse_real(coeff) if isinstance(coeff, str) else Scalar.of(coeff)
         if not v.is_real():
             raise ModelError("structure constants must be real")
-        tensor[i - 1][j - 1][k - 1] = tensor[i - 1][j - 1][k - 1] + v
-        tensor[j - 1][i - 1][k - 1] = tensor[j - 1][i - 1][k - 1] - v
-    frozen = tuple(tuple(tuple(row) for row in plane) for plane in tensor)
-    return FrameModel(name=name, p=p, q=q, c=frozen, line_b=line_b, jmat=jmat)
+        for key, w in (((i - 1, j - 1), v), ((j - 1, i - 1), -v)):
+            accumulate(sums.setdefault(key, {}), k - 1, w)
+    table = {key: tuple(sorted(terms.items())) for key, terms in sorted(sums.items()) if terms}
+    return FrameModel(name=name, p=p, q=q, brackets=table, line_b=line_b, jmat=jmat)
 
 
 # ---------------------------------------------------------------------------
@@ -108,17 +110,11 @@ class ValidationReport(namedtuple("ValidationReport", "ok failures warnings")):
         return self.failures[0] if self.failures else None
 
 
-def _nonzero_constants(c: tuple, n: int) -> list[tuple[int, int, int, Scalar]]:
-    """(a, b, m, c[a][b][m]) for every nonzero structure constant, in index order."""
-    return [(a, b, m, c[a][b][m]) for a in range(n) for b in range(n)
-            for m in range(n) if not c[a][b][m].is_zero()]
-
-
-def _cyclic_sums(nonzero: list, entries) -> dict[tuple[int, int, int, int], Scalar]:
+def _cyclic_sums(brackets: dict, entries) -> dict[tuple[int, int, int, int], Scalar]:
     """For each triple i < j < k and each l, the sum over its cyclic orders
-    (x, y, z) of sum_m c[x][y][m] T[m][z][l], for a tensor T given by its
-    nonzero entries (m, z, l, T[m][z][l]).  Summed over the nonzero
-    constants only: a product c[a][b][m] T[m][x][l] belongs to the triple
+    (x, y, z) of sum_m c^m_xy T[m][z][l], for a tensor T given by its
+    nonzero entries (m, z, l, T[m][z][l]).  Summed over the terms of the
+    bracket table only: a product c^m_ab T[m][x][l] belongs to the triple
     sorted(a, b, x) when (a, b, x) is one of its three cyclic orders.  With
     T = c these are the components of the Jacobiator; with T[m][z][0] =
     B(u_m, u_z) they are -dB.  Keys with no nonzero product are absent."""
@@ -126,11 +122,12 @@ def _cyclic_sums(nonzero: list, entries) -> dict[tuple[int, int, int, int], Scal
     for m, z, l, w in entries:
         by_first.setdefault(m, []).append((z, l, w))
     out: dict[tuple[int, int, int, int], Scalar] = {}
-    for a, b, m, v in nonzero:
-        for x, l, w in by_first.get(m, ()):
-            if len({a, b, x}) == 3 and not ((a > b) + (b > x) + (a > x)) % 2:
-                key = (*sorted((a, b, x)), l)
-                out[key] = out[key] + v * w if key in out else v * w
+    for (a, b), terms in brackets.items():
+        for m, v in terms:
+            for x, l, w in by_first.get(m, ()):
+                if len({a, b, x}) == 3 and not ((a > b) + (b > x) + (a > x)) % 2:
+                    key = (*sorted((a, b, x)), l)
+                    out[key] = out[key] + v * w if key in out else v * w
     return out
 
 
@@ -138,40 +135,33 @@ def validate(model: FrameModel) -> ValidationReport:
     failures: list[str] = []
     warnings: list[str] = []
     n, p = model.n, model.p
-    c = model.c
+    table = model.brackets
 
     if model.q % 2:
         failures.append(f"codimension q={model.q} must be even")
 
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if c[i][j][k] != -c[j][i][k]:
-                    failures.append(
-                        f"antisymmetry fails at c^{k + 1}_({i + 1},{j + 1})")
-
-    nonzero = _nonzero_constants(c, n)
-    for (i, j, k, l), s in sorted(_cyclic_sums(nonzero, nonzero).items()):
+    entries = ((m, z, l, w) for (m, z), terms in table.items() for l, w in terms)
+    for (i, j, k, l), s in sorted(_cyclic_sums(table, entries).items()):
         if not s.is_zero():
             failures.append(
                 f"Jacobi identity fails on (u{i + 1},u{j + 1},u{k + 1}) "
                 f"component u{l + 1}")
 
-    for i in range(p):
-        for j in range(p):
-            for a in range(p, n):
-                if not c[i][j][a].is_zero():
-                    failures.append(
-                        f"involutivity fails: c^{a + 1}_({i + 1},{j + 1}) != 0")
+    leaf_rows: dict[int, dict[tuple[int, int], Scalar]] = {}  # i -> {(a, b): c^b_ia}
+    for (i, j), terms in table.items():
+        if i < p and j < p:
+            failures.extend(f"involutivity fails: c^{a + 1}_({i + 1},{j + 1}) != 0"
+                            for a, _ in terms if a >= p)
+        elif i < p:
+            leaf_rows.setdefault(i, {}).update(((j, b), w) for b, w in terms if b >= p)
 
-    for i in range(p):
-        for a in range(p, n):
-            for b in range(p, n):
-                s = c[i][a][b] + c[i][b][a]
-                if not s.is_zero():
-                    failures.append(
-                        f"bundle-like condition fails: c^{b + 1}_({i + 1},{a + 1}) "
-                        f"+ c^{a + 1}_({i + 1},{b + 1}) = {format_scalar(s)}")
+    for i, row in leaf_rows.items():
+        for a, b in sorted(row.keys() | {(b, a) for a, b in row}):
+            s = row.get((a, b), ZERO) + row.get((b, a), ZERO)
+            if not s.is_zero():
+                failures.append(
+                    f"bundle-like condition fails: c^{b + 1}_({i + 1},{a + 1}) "
+                    f"+ c^{a + 1}_({i + 1},{b + 1}) = {format_scalar(s)}")
 
     for i in range(n):
         tr = ad_trace(model, i)
@@ -190,7 +180,7 @@ def validate(model: FrameModel) -> ValidationReport:
                 failures.append(f"line bundle curvature: {exc}")
             else:
                 b_entries = ((p + a, p + b, 0, s) for (a, b), s in model.line_b.d.items())
-                for (i, j, k, _), s in sorted(_cyclic_sums(nonzero, b_entries).items()):
+                for (i, j, k, _), s in sorted(_cyclic_sums(table, b_entries).items()):
                     if not s.is_zero():
                         failures.append(f"line bundle curvature is not closed: dB(u{i + 1},"
                                         f"u{j + 1},u{k + 1}) = {format_scalar(-s)}")
@@ -211,28 +201,32 @@ def require_valid(model: FrameModel) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # derived geometry
 
-def levi_civita(model: FrameModel) -> tuple:
-    """Gamma[i][j][k] = <nabla_{u_i} u_j, u_k> by the invariant Koszul formula
-    2<nabla_X Y, Z> = <[X,Y],Z> - <[Y,Z],X> + <[Z,X],Y>."""
-    n, c, half = model.n, model.c, rational(1, 2)
-    return tuple(tuple(tuple((c[i][j][k] - c[j][k][i] + c[k][i][j]) * half for k in range(n))
-                       for j in range(n)) for i in range(n))
-
-
-def transverse_connection(model: FrameModel, gamma: tuple) -> tuple[Mat, ...]:
+def transverse_connection(model: FrameModel) -> tuple[Mat, ...]:
     """Connection matrices A_u on the horizontal bundle, one per frame
     direction: (A_u)_{gb} = <nabla_u f_b, f_g>.  Leafwise directions
-    differentiate by the horizontal part of the bracket, horizontal
-    directions by the projected Levi-Civita derivative."""
-    p, q = model.p, model.q
-    return tuple(Mat(q, q, {(g, b): (model.c if u < p else gamma)[u][p + b][p + g]
-                            for b in range(q) for g in range(q)}) for u in range(model.n))
+    differentiate by the horizontal part of the bracket, c^g_{ub}; horizontal
+    directions by the projected Levi-Civita derivative, which the Koszul
+    formula 2<nabla_X Y, Z> = <[X,Y],Z> - <[Y,Z],X> + <[Z,X],Y> gives as
+    (c^g_{ub} - c^u_{bg} + c^b_{gu}) / 2, on these q^2 entries only."""
+    p, q, half = model.p, model.q, rational(1, 2)
+    lookup = {key: dict(terms) for key, terms in model.brackets.items()}
+
+    def c(x: int, y: int, z: int) -> Scalar:
+        return lookup.get((x, y), {}).get(z, ZERO)
+
+    def entry(u: int, b: int, g: int) -> Scalar:
+        return c(u, b, g) if u < p else (c(u, b, g) - c(b, g, u) + c(g, u, b)) * half
+
+    return tuple(Mat(q, q, {(g, b): entry(u, p + b, p + g) for b in range(q) for g in range(q)})
+                 for u in range(model.n))
 
 
-def mean_curvature(model: FrameModel, gamma: tuple) -> tuple[Scalar, ...]:
-    """tau = sum_i P_H(nabla_{e_i} e_i), components in the horizontal frame."""
-    p = model.p
-    return tuple(sum((gamma[i][i][p + a] for i in range(p)), ZERO) for a in range(model.q))
+def mean_curvature(model: FrameModel) -> tuple[Scalar, ...]:
+    """tau = sum_i P_H(nabla_{e_i} e_i), components in the horizontal frame;
+    by Koszul, <nabla_{e_i} e_i, f_a> = c^i_{f_a e_i}."""
+    p, table = model.p, model.brackets
+    return tuple(sum((w for i in range(p) for m, w in table.get((p + a, i), ()) if m == i), ZERO)
+                 for a in range(model.q))
 
 
 def mean_curvature_derivative(model: FrameModel, transverse,
@@ -249,9 +243,13 @@ def integrability_tensor(model: FrameModel) -> tuple[Mat, ...]:
     """The leaf two-forms R^i, one q x q antisymmetric matrix per leaf
     direction e_i, of R(f_a, f_b) = -P_F [f_a, f_b] = sum_i R^i_ab e_i."""
     p, q = model.p, model.q
-    c = model.c
-    return tuple(Mat(q, q, {(a, b): -c[p + a][p + b][i] for a in range(q) for b in range(q)})
-                 for i in range(p))
+    rows: list[dict[tuple[int, int], Scalar]] = [{} for _ in range(p)]
+    for (x, y), terms in model.brackets.items():
+        if x >= p and y >= p:
+            for i, w in terms:
+                if i < p:
+                    rows[i][(x - p, y - p)] = -w
+    return tuple(Mat(q, q, row) for row in rows)
 
 
 def curvature(model: FrameModel, A: tuple[Mat, ...]) -> dict[tuple[int, int], Mat]:
@@ -265,7 +263,10 @@ def curvature(model: FrameModel, A: tuple[Mat, ...]) -> dict[tuple[int, int], Ma
     out = {(u, u): zero for u in range(n)}
     for u in range(n):
         for v in range(u + 1, n):
-            R = commutator(A[u], A[v]) - combination(model.c[u][v], A)
+            R = commutator(A[u], A[v])
+            terms = model.brackets.get((u, v))
+            if terms:
+                R = R - combination([w for _, w in terms], [A[m] for m, _ in terms])
             out[(u, v)], out[(v, u)] = R, -R
     return out
 
@@ -281,9 +282,9 @@ def scalar_curvature(model: FrameModel, curv: dict[tuple[int, int], Mat]) -> Sca
 
 
 def ad_trace(model: FrameModel, i: int) -> Scalar:
-    """tr(ad u_i) = sum_k c^k_{ik} (0-based i), the trace of v -> [u_i, v],
-    summed as given, so also on constants that are not antisymmetric."""
-    return sum((model.c[i][k][k] for k in range(model.n)), ZERO)
+    """tr(ad u_i) = sum_k c^k_{ik} (0-based i), the trace of v -> [u_i, v]."""
+    table = model.brackets
+    return sum((w for k in range(model.n) for m, w in table.get((i, k), ()) if m == k), ZERO)
 
 
 def divergence(model: FrameModel, i: int) -> Scalar:
@@ -292,7 +293,7 @@ def divergence(model: FrameModel, i: int) -> Scalar:
     return -ad_trace(model, i)
 
 
-class ConnectionData(namedtuple("ConnectionData", "brackets transverse tau nabla_tau tau_norm2 "
+class ConnectionData(namedtuple("ConnectionData", "transverse tau nabla_tau tau_norm2 "
                                 "codiff_tau tau_basic integrability curvature K div")):
     """All derived geometric data of a validated model, exact; the module
     docstring lists the fields."""
@@ -301,30 +302,24 @@ class ConnectionData(namedtuple("ConnectionData", "brackets transverse tau nabla
 
 def derive_connection(model: FrameModel) -> ConnectionData:
     require_valid(model)
-    n, p = model.n, model.p
-    gamma = levi_civita(model)
-    A = transverse_connection(model, gamma)
+    A = transverse_connection(model)
     curv = curvature(model, A)
-    tau = mean_curvature(model, gamma)
+    tau = mean_curvature(model)
     nabla_tau = mean_curvature_derivative(model, A, tau)
     tau_norm2 = sum((t * t for t in tau), ZERO)
-    live_tau = [(p + a, t) for a, t in enumerate(tau) if t]
-    brackets: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
-    for u, v, m, coeff in _nonzero_constants(model.c, n):
-        brackets.setdefault((u, v), []).append((m, coeff))
+    live_tau = {model.p + a: t for a, t in enumerate(tau) if t}
     return ConnectionData(
-        brackets=brackets,
         transverse=A,
         tau=tau,
         nabla_tau=nabla_tau,
         tau_norm2=tau_norm2,
         codiff_tau=tau_norm2 - sum((vec[a] for a, vec in enumerate(nabla_tau)), ZERO),
-        tau_basic=all(sum((model.c[i][j][b] * t for b, t in live_tau), ZERO).is_zero()
-                      for i in range(n) for j in range(i + 1, n)),
+        tau_basic=all(sum((w * live_tau[m] for m, w in terms if m in live_tau), ZERO).is_zero()
+                      for (i, j), terms in model.brackets.items() if i < j),
         integrability=integrability_tensor(model),
         curvature=curv,
         K=scalar_curvature(model, curv),
-        div=tuple(divergence(model, u) for u in range(n)),
+        div=tuple(divergence(model, u) for u in range(model.n)),
     )
 
 

@@ -46,10 +46,11 @@ contractions, the integrability term) is one call of `matrices.combination`
 or `matrices.product_sum`, which reduce each entry once.  So is the constant term of each Dirac-square right-hand side: a
 multiple of the identity, whose scalar sums the |tau|^2, d_H^* tau and K
 terms, plus in (a) and (c) the contraction sum_a c(f_a) c(nabla_{f_a} tau).
-These quantities, the divergences, the integrability two-forms R^i and the
-nonzero structure constants the rewriting rules sum over are read from the
-model's ConnectionData: outside `frame_geometry.curvature`, which makes
-F_Gamma, nothing here reads a structure constant.  One helper,
+These quantities, the divergences and the integrability two-forms R^i are
+read from the model's ConnectionData, and the rewriting rule for
+nabla_[u,v] reads the terms of the model's bracket table: outside that rule
+and `frame_geometry.curvature`, which makes F_Gamma, nothing here reads a
+structure constant.  One helper,
 `_pair_term`, builds every pair term
 sum_{a<b} left[a] right[b] (X_ab - nabla_{R(f_a,f_b)}) of the right-hand
 sides: the Clifford curvature terms of the Dirac squares, the curvature and
@@ -255,7 +256,7 @@ def _reorder(setup: BundleSetup, L: Mat, R: Mat, word: tuple, acc: dict):
     u, v = word[pos], word[pos + 1]
     pre, post = word[:pos], word[pos + 2:]
     _reorder(setup, L, R, pre + (v, u) + post, acc)
-    for m, coeff in setup.geom.brackets.get((u, v), ()):
+    for m, coeff in setup.model.brackets.get((u, v), ()):
         _reorder(setup, L, R.scale(coeff), pre + (m,) + post, acc)
     F = setup.curv[(u, v)]
     if not F.is_zero():

@@ -70,8 +70,8 @@ def flat_torus(model: FrameModel) -> tuple[ConnectionData, float]:
     bundle must be positive for J, the theorem's hypothesis, and its Chern
     number c an integer, or the lattice torus cannot carry it."""
     geom = derive_connection(model)  # validates the model
-    if geom.brackets:
-        (i, j), ((k, _), *_) = next(iter(geom.brackets.items()))
+    if model.brackets:
+        (i, j), ((k, _), *_) = next(iter(model.brackets.items()))
         raise ModelError(f"model {model.name!r} is not a flat torus: "
                          f"c^{k + 1}_({i + 1},{j + 1}) != 0")
     if model.q != 2:

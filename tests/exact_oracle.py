@@ -14,10 +14,9 @@ import random
 
 from transdirac import operator_calculus as oc
 from transdirac.clifford_fiber import ComplexStructure, block_two_form, spinor_cliffords
-from transdirac.exact import ONE, Scalar, rational
-from transdirac.frame_geometry import (FrameModel, derive_connection, levi_civita,
-                                       load_bundled, make_model, mean_curvature,
-                                       transverse_connection)
+from transdirac.exact import ONE, ZERO, Scalar, parse_real, rational
+from transdirac.frame_geometry import (FrameModel, derive_connection, load_bundled, make_model,
+                                       mean_curvature, transverse_connection)
 from transdirac.matrices import Mat, accumulate, combination, commutator
 
 
@@ -67,13 +66,64 @@ def grading_matrix(l: int) -> Mat:
                {(i, i): -ONE if i.bit_count() & 1 else ONE for i in range(1 << l)})
 
 
+def dense_constants(n: int, brackets) -> tuple:
+    """c[i][j][k], 0-based, of 1-based bracket data [u_i, u_j] += coeff u_k,
+    summed into a dense n^3 tensor entry by entry, the reverse pair
+    subtracting: an oracle for the folding of a model's bracket table."""
+    c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for (i, j, k, coeff) in brackets:
+        v = parse_real(coeff) if isinstance(coeff, str) else Scalar.of(coeff)
+        c[i - 1][j - 1][k - 1] = c[i - 1][j - 1][k - 1] + v
+        c[j - 1][i - 1][k - 1] = c[j - 1][i - 1][k - 1] - v
+    return tuple(tuple(tuple(row) for row in plane) for plane in c)
+
+
+def model_constants(model: FrameModel) -> tuple:
+    """The dense tensor of a model, from the pairs u < v of its table."""
+    return dense_constants(model.n, [(u + 1, v + 1, m + 1, w) for (u, v), terms
+                                     in model.brackets.items() if u < v for m, w in terms])
+
+
+def levi_civita(c: tuple) -> tuple:
+    """Gamma[i][j][k] = <nabla_{u_i} u_j, u_k> of dense structure constants
+    c by the invariant Koszul formula 2<nabla_X Y, Z> = <[X,Y],Z> - <[Y,Z],X>
+    + <[Z,X],Y>, on all n^3 index triples."""
+    n, half = len(c), rational(1, 2)
+    return tuple(tuple(tuple((c[i][j][k] - c[j][k][i] + c[k][i][j]) * half for k in range(n))
+                       for j in range(n)) for i in range(n))
+
+
+def dense_geometry(model: FrameModel, c: tuple) -> dict:
+    """The derived geometry of a model with dense structure constants c, by
+    loops over every index: the transverse connection A_u, from c along the
+    leaves and from Gamma across them, built b outer and g inner; tau; the
+    integrability tensor; R(u, v) = [A_u, A_v] - sum_m c^m_uv A_m on every
+    ordered pair; div u_i = sum_k c^k_{ki}; and whether tau is basic."""
+    n, p, q = model.n, model.p, model.q
+    gamma = levi_civita(c)
+    A = tuple(Mat(q, q, {(g, b): (c if u < p else gamma)[u][p + b][p + g]
+                         for b in range(q) for g in range(q)}) for u in range(n))
+    tau = tuple(sum((gamma[i][i][p + a] for i in range(p)), ZERO) for a in range(q))
+    live = [(p + a, t) for a, t in enumerate(tau) if t]
+    return {
+        "transverse": A,
+        "tau": tau,
+        "integrability": tuple(Mat(q, q, {(a, b): -c[p + a][p + b][i] for a in range(q)
+                                          for b in range(q)}) for i in range(p)),
+        "curvature": {(u, v): commutator(A[u], A[v]) - combination(c[u][v], A)
+                      for u in range(n) for v in range(n)},
+        "div": tuple(sum((c[k][i][k] for k in range(n)), ZERO) for i in range(n)),
+        "tau_basic": all(sum((c[i][j][b] * t for b, t in live), ZERO).is_zero()
+                         for i in range(n) for j in range(i + 1, n)),
+    }
+
+
 def divergence_closed_horizontal(model: FrameModel, a: int) -> Scalar:
     """div f_a = -g(tau + sum_b nabla_{f_b} f_b, f_a), the closed horizontal
     formula; must agree with the trace divergence on every valid model."""
     q, p = model.q, model.p
-    gamma = levi_civita(model)
-    A = transverse_connection(model, gamma)
-    s = mean_curvature(model, gamma)[a]
+    A = transverse_connection(model)
+    s = mean_curvature(model)[a]
     for b in range(q):
         s = s + A[p + b].entry(a, b)
     return -s
@@ -149,7 +199,8 @@ def twisted_spinor_setup(model: FrameModel, k: int, theta: tuple[Mat, ...]) -> o
 
 def setup_consistency(setup: oc.BundleSetup) -> None:
     """The checks a BundleSetup made of itself before it trusted its
-    ConnectionData, verbatim: every gamma[u] is skew-Hermitian, the Clifford
+    ConnectionData, verbatim but for reading the structure constants off the
+    model's bracket table: every gamma[u] is skew-Hermitian, the Clifford
     connection property, leafwise flatness, and the Jacobi consistency
     condition of the curvature that makes the rewriting confluent.  Raises
     SetupError on the first that fails; the operator_calculus docstring
@@ -175,13 +226,13 @@ def setup_consistency(setup: oc.BundleSetup) -> None:
                 raise oc.SetupError(f"leafwise curvature F(e{i + 1},e{j + 1}) != 0")
     # Jacobi consistency of the declared curvature (confluence of rewriting):
     # the cyclic sum over (x, y, z) of sum_m c^m_xy F(m, z) - [Gamma_z, F(x, y)]
-    c = setup.model.c
+    table = setup.model.brackets
     for u in range(n):
         for v in range(u + 1, n):
             for w in range(v + 1, n):
                 cyclic = ((u, v, w), (v, w, u), (w, u, v))
-                terms = [(c[x][y][m], setup.curv[(m, z)]) for x, y, z in cyclic
-                         for m in range(n) if c[x][y][m]]
+                terms = [(c, setup.curv[(m, z)]) for x, y, z in cyclic
+                         for m, c in table.get((x, y), ())]
                 terms += [(-1, commutator(setup.gamma[z], setup.curv[(x, y)]))
                           for x, y, z in cyclic]
                 if not combination(*zip(*terms)).is_zero():
@@ -198,6 +249,9 @@ NON_BASIC_BRACKETS = [
     (3, 1, 2, "1"),                    # [f2, e1] = f1
     (2, 3, 3, "-1"),                   # [f1, f2] = -f2
 ]
+
+# model on which tau and the integrability term are both nonzero, tau basic
+TAU_INTEGRABLE_BRACKETS = [(1, 2, 1, "1"), (2, 3, 1, "2"), (2, 3, 3, "1")]
 
 
 def non_unimodular():
@@ -220,7 +274,7 @@ def digest_models():
         make_model("h4", 1, 4, [(2, 3, 1, "1"), (4, 5, 1, "1")],
                    line_b=block_two_form([ONE, rational(2)]),
                    jmat=ComplexStructure.standard(4).jmat),
-        make_model("tau_integrable", 1, 2, [(1, 2, 1, "1"), (2, 3, 1, "2"), (2, 3, 3, "1")],
+        make_model("tau_integrable", 1, 2, TAU_INTEGRABLE_BRACKETS,
                    line_b=block_two_form([ONE]), jmat=ComplexStructure.standard(2).jmat),
         make_model("non_basic", 1, 2, NON_BASIC_BRACKETS,
                    jmat=Mat.from_rows([[0, -1], [1, 0]])),

@@ -8,12 +8,10 @@ import pytest
 import exact_oracle as eo
 from transdirac import clifford_fiber as cf
 from transdirac import frame_geometry as fg
-from transdirac.exact import ONE, ZERO, rational
+from transdirac.exact import ONE, ZERO, Scalar, rational
 from transdirac.matrices import Mat
 
-
-def transverse(model):
-    return fg.transverse_connection(model, fg.levi_civita(model))
+transverse = fg.transverse_connection
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +52,7 @@ def test_odd_codimension_fails():
 @pytest.mark.parametrize("p, q", [(fg.MAX_DIM - 1, 2), (1, fg.MAX_Q + 2)])
 def test_oversized_model_is_refused_before_it_is_built(p, q):
     """n = p + q above MAX_DIM or q above MAX_Q is a ModelError before the
-    n^3 tensor of structure constants is allocated (2.2 MB at n = 65)."""
+    model's bracket table is built."""
     tracemalloc.start()
     try:
         with pytest.raises(fg.ModelError, match="too large"):
@@ -89,34 +87,64 @@ def test_unimodularity_warning():
     assert fg.divergence(m, 1) == rational(-1)
 
 
-# -- Levi-Civita through Koszul --------------------------------------------------
+def test_bracket_table_folds_the_bracket_list():
+    """A repeated bracket adds, [u_j, u_i] subtracts, [u_i, u_i] cancels and
+    a zero sum is dropped; keys ascend in (u, v) and terms in m."""
+    m = fg.make_model("fold", 1, 2, [(3, 2, 1, "1"), (2, 3, 3, "1"), (2, 3, 1, "2"),
+                                     (1, 1, 2, "5"), (1, 2, 3, "1"), (2, 1, 3, "1")])
+    assert m.brackets == {(1, 2): ((0, ONE), (2, ONE)), (2, 1): ((0, -ONE), (2, -ONE))}
+    assert list(m.brackets) == [(1, 2), (2, 1)]
 
+
+def test_validate_and_derive_make_no_n3_pass(monkeypatch):
+    """On the flat p = 62, q = 2 model (n = MAX_DIM, no brackets) validate
+    and derive_connection make at most 10 n^2 Scalar operations, where one
+    pass over all n^3 index triples would make n^3 = 262,144."""
+    m = fg.make_model("flat_p62", fg.MAX_DIM - 2, 2, [],
+                      jmat=cf.ComplexStructure.standard(2).jmat)
+    ops = [0]
+
+    def counted(op):
+        def wrapper(*args):
+            ops[0] += 1
+            return op(*args)
+        return wrapper
+
+    for name in ("__add__", "__sub__", "__mul__", "__neg__", "__eq__"):
+        monkeypatch.setattr(Scalar, name, counted(getattr(Scalar, name)))
+    assert fg.validate(m).ok
+    fg.derive_connection(m)
+    assert ops[0] <= 10 * m.n ** 2
+
+
+# -- Levi-Civita through Koszul, the oracle of the transverse connection ------------
 
 def test_levi_civita_flat(torus):
-    g = fg.levi_civita(torus)
+    g = eo.levi_civita(eo.model_constants(torus))
     assert all(g[i][j][k].is_zero()
                for i in range(3) for j in range(3) for k in range(3))
 
 
 def test_levi_civita_heisenberg(heis):
-    g = fg.levi_civita(heis)
+    g = eo.levi_civita(eo.model_constants(heis))
     assert g[1][2][0] == rational(1, 2)   # <nabla_{f1} f2, e1>
 
 
 def test_levi_civita_sol(sol):
-    g = fg.levi_civita(sol)
+    g = eo.levi_civita(eo.model_constants(sol))
     assert g[0][0][1] == ONE              # <nabla_{e1} e1, f1>
 
 
 @pytest.mark.parametrize("name", ["flat_t3", "heisenberg", "sol"])
 def test_levi_civita_torsion_and_metric(name):
     m = fg.load_bundled(name)
-    g = fg.levi_civita(m)
+    c = eo.model_constants(m)
+    g = eo.levi_civita(c)
     n = m.n
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                assert g[i][j][k] - g[j][i][k] == m.c[i][j][k]
+                assert g[i][j][k] - g[j][i][k] == c[i][j][k]
                 assert (g[i][j][k] + g[i][k][j]).is_zero()
 
 
@@ -143,21 +171,22 @@ def test_torsion_identity_vs_integrability(heis, sol, torus):
     horizontally and as the integrability tensor leafwise."""
     for m in (heis, sol, torus):
         A = transverse(m)
+        c = eo.model_constants(m)
         (R,) = fg.integrability_tensor(m)
         p, q = m.p, m.q
         for a in range(q):
             for b in range(a + 1, q):
                 for g in range(q):
                     horiz = (A[p + a].entry(g, b) - A[p + b].entry(g, a)
-                             - m.c[p + a][p + b][p + g])
+                             - c[p + a][p + b][p + g])
                     assert horiz.is_zero()
-                assert -m.c[p + a][p + b][0] == R.entry(a, b) == -R.entry(b, a)
+                assert -c[p + a][p + b][0] == R.entry(a, b) == -R.entry(b, a)
 
 
 def test_mean_curvature(torus, heis, sol):
-    assert all(t.is_zero() for t in fg.mean_curvature(torus, fg.levi_civita(torus)))
-    assert all(t.is_zero() for t in fg.mean_curvature(heis, fg.levi_civita(heis)))
-    assert fg.mean_curvature(sol, fg.levi_civita(sol)) == (ONE, ZERO)
+    assert all(t.is_zero() for t in fg.mean_curvature(torus))
+    assert all(t.is_zero() for t in fg.mean_curvature(heis))
+    assert fg.mean_curvature(sol) == (ONE, ZERO)
 
 
 def test_integrability_values(heis, sol):
@@ -200,7 +229,7 @@ def test_divergence_dual_route(name):
     sum_k Gamma[k][u][k] for every direction, and for the horizontal ones
     also against -g(tau + sum_b nabla_{f_b} f_b, f_a)."""
     m = DIGEST_MODELS[name]
-    gamma = fg.levi_civita(m)
+    gamma = eo.levi_civita(eo.model_constants(m))
     div = fg.derive_connection(m).div
     for u in range(m.n):
         koszul_route = sum((gamma[k][u][k] for k in range(m.n)), ZERO)
@@ -281,7 +310,8 @@ def test_load_model_roundtrip(tmp_path):
     path = tmp_path / "custom.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     m = fg.load_model(path)
-    assert m.c[1][2][0] == fg.parse_real("1/2+1/4√2")
+    c = fg.parse_real("1/2+1/4√2")
+    assert m.brackets == {(1, 2): ((0, c),), (2, 1): ((0, -c),)}
     assert m.line_b.entry(0, 1) == fg.parse_imaginary("-2i")
     assert fg.resolve_model(str(path)).name == "custom"
 

@@ -1,21 +1,26 @@
-"""The sparse Jacobi and closedness checks of `validate` against dense
-reference loops.
+"""`validate` and the derived geometry, which read only the terms of a
+model's bracket table, against dense reference loops over every index.
 
 `dense_validate` is `frame_geometry.validate` as it was before the Jacobi
-check visited only nonzero structure constants: the Jacobiator of every
-triple i < j < k is summed over all m, zero products included, and so is
-dB(u_i, u_j, u_k) = -sum_cyc B([u_i, u_j], u_k) of the line bundle's
-curvature.  Its unimodularity warning sums tr(ad u_i) = sum_k c^k_{ik} in
-its own loop.
+check visited only nonzero structure constants, run on the dense tensor
+`exact_oracle.dense_constants` sums from the model's bracket list: the
+Jacobiator of every triple i < j < k is summed over all m, zero products
+included, and so is dB(u_i, u_j, u_k) = -sum_cyc B([u_i, u_j], u_k) of the
+line bundle's curvature.  Its unimodularity warning sums tr(ad u_i) =
+sum_k c^k_{ik} in its own loop.
 Both must return equal reports -- the same failures and warnings in the
-same order -- on any model, admissible or not, including tensors that are
-not antisymmetric."""
+same order -- on any model, admissible or not.  The tensor is
+antisymmetric by construction, as the table is, so neither checks
+antisymmetry.  `exact_oracle.dense_geometry` is the same kind of reference
+for the connection, tau, the integrability tensor, the curvature and the
+divergences."""
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import exact_oracle as eo
 from transdirac import clifford_fiber as cf
 from transdirac import frame_geometry as fg
 from transdirac.clifford_fiber import validate_two_form
@@ -23,21 +28,13 @@ from transdirac.exact import SQRT2, ZERO, Scalar, format_scalar
 from transdirac.frame_geometry import FrameModel, ValidationReport
 
 
-def dense_validate(model: FrameModel) -> ValidationReport:
+def dense_validate(model: FrameModel, c: tuple) -> ValidationReport:
     failures: list[str] = []
     warnings: list[str] = []
     n, p = model.n, model.p
-    c = model.c
 
     if model.q % 2:
         failures.append(f"codimension q={model.q} must be even")
-
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if c[i][j][k] != -c[j][i][k]:
-                    failures.append(
-                        f"antisymmetry fails at c^{k + 1}_({i + 1},{j + 1})")
 
     for i in range(n):
         for j in range(i + 1, n):
@@ -112,7 +109,8 @@ coefficients = st.sampled_from([Scalar.of(1), Scalar.of(-1), Scalar.of(2),
 
 @st.composite
 def bracket_models(draw):
-    """Models from random bracket data; most fail Jacobi, some do not."""
+    """(model, bracket list) from random bracket data; most fail Jacobi,
+    some do not."""
     n = draw(st.integers(1, 6))
     p = draw(st.integers(0, n))
     index = st.integers(1, n)
@@ -122,48 +120,64 @@ def bracket_models(draw):
         line_b = cf.block_two_form([Scalar.of(j + 1) for j in range((n - p) // 2)])
     elif line_b == "bad":
         line_b = cf.block_two_form([Scalar.of(1)]).scale(cf.I)  # real, not a two-form
-    return fg.make_model("random", p, n - p, brackets, line_b=line_b)
+    return fg.make_model("random", p, n - p, brackets, line_b=line_b), brackets
 
 
 @st.composite
 def two_step_nilpotent_models(draw):
-    """Brackets of non-central directions land in central ones, so Jacobi
-    holds whatever the coefficients; the other checks may still fail."""
+    """(model, bracket list) where brackets of non-central directions land
+    in central ones, so Jacobi holds whatever the coefficients; the other
+    checks may still fail."""
     n = draw(st.integers(2, 6))
     central = draw(st.integers(1, n - 1))
     outer = st.integers(central + 1, n)
     brackets = draw(st.lists(st.tuples(outer, outer, st.integers(1, central), coefficients),
                              max_size=8))
     p = draw(st.integers(0, n))
-    return fg.make_model("nilpotent", p, n - p, brackets)
+    return fg.make_model("nilpotent", p, n - p, brackets), brackets
 
 
-@st.composite
-def raw_tensor_models(draw):
-    """A FrameModel built directly from a tensor that need not be
-    antisymmetric, so the Jacobi sums run over the raw constants."""
-    n = draw(st.integers(1, 5))
-    p = draw(st.integers(0, n))
-    entry = st.one_of(st.just(ZERO), st.just(ZERO), coefficients)
-    c = tuple(tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
-              for _ in range(n))
-    return FrameModel(name="raw", p=p, q=n - p, c=c)
-
-
-@given(st.one_of(bracket_models(), two_step_nilpotent_models(), raw_tensor_models()))
+@given(st.one_of(bracket_models(), two_step_nilpotent_models()))
 @settings(max_examples=100, deadline=None)
-def test_sparse_validate_matches_dense_loop(model):
-    assert fg.validate(model) == dense_validate(model)
+def test_sparse_validate_matches_dense_loop(case):
+    model, brackets = case
+    assert fg.validate(model) == dense_validate(model, eo.dense_constants(model.n, brackets))
+
+
+@given(st.one_of(bracket_models(), two_step_nilpotent_models()))
+@example((fg.make_model("non_basic", 1, 2, eo.NON_BASIC_BRACKETS), eo.NON_BASIC_BRACKETS))
+@example((fg.make_model("tau_integrable", 1, 2, eo.TAU_INTEGRABLE_BRACKETS),
+          eo.TAU_INTEGRABLE_BRACKETS))
+@settings(max_examples=100, deadline=None)
+def test_table_geometry_matches_dense_oracle(case):
+    """A_u (with its entry order, which `residual` breaks ties by), tau, the
+    integrability tensor, the curvature and the divergences on any model,
+    and on a valid one all of derive_connection's, tau_basic included."""
+    model, brackets = case
+    want = eo.dense_geometry(model, eo.dense_constants(model.n, brackets))
+    A = fg.transverse_connection(model)
+    assert A == want["transverse"]
+    assert [list(M.d) for M in A] == [list(M.d) for M in want["transverse"]]
+    assert fg.mean_curvature(model) == want["tau"]
+    assert fg.integrability_tensor(model) == want["integrability"]
+    assert fg.curvature(model, A) == want["curvature"]
+    assert tuple(fg.divergence(model, u) for u in range(model.n)) == want["div"]
+    if fg.validate(model).ok:
+        geom = fg.derive_connection(model)
+        assert (geom.transverse, geom.tau, geom.integrability, geom.curvature, geom.div,
+                geom.tau_basic) == tuple(want[key] for key in (
+                    "transverse", "tau", "integrability", "curvature", "div", "tau_basic"))
 
 
 def test_oracle_sees_jacobi_failures_and_passes():
-    failing = fg.make_model("f", 0, 4, [(1, 2, 3, 1), (2, 3, 4, 1), (3, 4, 1, 1)])
-    rep = dense_validate(failing)
+    brackets = [(1, 2, 3, 1), (2, 3, 4, 1), (3, 4, 1, 1)]
+    failing = fg.make_model("f", 0, 4, brackets)
+    rep = dense_validate(failing, eo.dense_constants(4, brackets))
     assert any("Jacobi" in f for f in rep.failures)
     assert fg.validate(failing) == rep
     for name in fg.bundled_model_names():
         model = fg.load_bundled(name)
-        assert fg.validate(model) == dense_validate(model)
+        assert fg.validate(model) == dense_validate(model, eo.model_constants(model))
 
 
 def test_oracle_sees_a_line_bundle_that_is_not_closed():
@@ -171,22 +185,10 @@ def test_oracle_sees_a_line_bundle_that_is_not_closed():
     and nothing else fails.  B(u1,u2) = -i on the same frame is closed."""
     open_b = fg.make_model("open", 0, 4, [(1, 2, 3, 1)],
                            line_b=cf.block_two_form([ZERO, Scalar.of(1)]))
-    rep = dense_validate(open_b)
+    c = eo.dense_constants(4, [(1, 2, 3, 1)])
+    rep = dense_validate(open_b, c)
     assert rep.failures == ("line bundle curvature is not closed: dB(u1,u2,u4) = 1i",)
     assert fg.validate(open_b) == rep
     closed_b = open_b._replace(line_b=cf.block_two_form([Scalar.of(1), ZERO]))
-    assert fg.validate(closed_b) == dense_validate(closed_b)
+    assert fg.validate(closed_b) == dense_validate(closed_b, c)
     assert fg.validate(closed_b).ok
-
-
-def test_raw_tensor_with_failing_antisymmetry_and_jacobi():
-    n = 3
-    c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    c[0][1][2] = Scalar.of(1)  # [u1, u2] = u3 without [u2, u1] = -u3
-    c[2][2][0] = Scalar.of(1)  # [u3, u3] = u1
-    frozen = tuple(tuple(tuple(row) for row in plane) for plane in c)
-    model = FrameModel(name="raw", p=1, q=2, c=frozen)
-    rep = fg.validate(model)
-    assert rep == dense_validate(model)
-    assert rep.failures[0].startswith("antisymmetry fails")
-    assert "Jacobi identity fails on (u1,u2,u3) component u1" in rep.failures
